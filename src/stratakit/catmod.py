@@ -189,10 +189,6 @@ class CatModule:
         return True
 
 
-def zero_module(cat: SCategoryWindow) -> CatModule:
-    return CatModule(cat, {}, {})
-
-
 def simple_module(cat: SCategoryWindow, u0: RepVertex) -> CatModule:
     if u0 not in cat.obj_index:
         raise InvalidInputError(f"{u0} is not an object of the windowed singular category")

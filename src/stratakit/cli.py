@@ -79,7 +79,17 @@ def _rep(args, attr="rep") -> WindowRep:
 
 
 def _vertex_map(data):
-    return {parse_vertex(k): int(v) for k, v in (data or {}).items()}
+    if data is None:
+        return {}
+    if not isinstance(data, dict):
+        raise InvalidInputError(f"expected a JSON object of vertex: integer, got {data!r}")
+    out = {}
+    for k, v in data.items():
+        try:
+            out[parse_vertex(k)] = int(v)
+        except (TypeError, ValueError) as exc:
+            raise InvalidInputError(f"bad integer {v!r} for vertex {k!r}") from exc
+    return out
 
 
 def _emit(payload):

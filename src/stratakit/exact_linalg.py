@@ -160,10 +160,6 @@ def mat_mul(a, b, field):
     return out
 
 
-def mat_vec(a, v, field):
-    return [sum((x * y for x, y in zip(row, v) if x != field.zero), field.zero) for row in a]
-
-
 def identity_rows(n, field):
     return [[field.one if i == j else field.zero for j in range(n)] for i in range(n)]
 

@@ -16,6 +16,7 @@ A disagreement raises InternalConsistencyError and is never smoothed over.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
@@ -1172,13 +1173,13 @@ def _enumerate_subspaces(d: int, field: PrimeField):
     values = field.elements()
     out = [[]]
     for k in range(1, d + 1):
-        for pivots in _combinations(range(d), k):
+        for pivots in itertools.combinations(range(d), k):
             free_pos = []
             for i, p in enumerate(pivots):
                 for c in range(p + 1, d):
                     if c not in pivots:
                         free_pos.append((i, c))
-            for assign in _tuples(values, len(free_pos)):
+            for assign in itertools.product(values, repeat=len(free_pos)):
                 rows = [[field.zero] * d for _ in range(k)]
                 for i, p in enumerate(pivots):
                     rows[i][p] = field.one
@@ -1186,16 +1187,6 @@ def _enumerate_subspaces(d: int, field: PrimeField):
                     rows[i][c] = val
                 out.append([list(r) for r in rows])
     return out
-
-
-def _combinations(seq, k):
-    from itertools import combinations
-    return combinations(seq, k)
-
-
-def _tuples(values, n):
-    from itertools import product
-    return product(values, repeat=n)
 
 
 def _span_contains(cols, vec, field) -> bool:

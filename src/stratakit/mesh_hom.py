@@ -45,6 +45,9 @@ class MeshContext:
          dropped, mesh relations at non-frozen vertices only.
     SC:  the full subcategory of RC on the retained frozen vertices; its
          Hom spaces are literally the RC ones between frozen endpoints.
+
+    Immutable once built, like its quiver and configuration: the cache key
+    that identifies its sweeps is computed once, at construction.
     """
 
     def __init__(self, q: Quiver, flavor: str, config: Optional[Configuration] = None):
@@ -56,12 +59,15 @@ class MeshContext:
         if not self.framed and config is not None and not config.is_full():
             raise InvalidInputError("configurations only apply to the framed flavors")
         self.config = config if config is not None else Configuration.full()
+        fl = "RC" if flavor == "SC" else flavor  # SC shares the RC sweeps
+        self._cache_key = f"{q.key()}|{fl}|{self.config.key() if self.framed else '-'}"
 
     def cache_key(self) -> str:
-        fl = "RC" if self.flavor == "SC" else self.flavor
-        return f"{self.q.key()}|{fl}|{self.config.key() if self.framed else '-'}"
+        return self._cache_key
 
     def contains(self, v: RepVertex) -> bool:
+        if v.node not in self.q.topo_index:
+            return False
         if v.frozen:
             return self.framed and self.config.retains(v)
         return True
@@ -259,15 +265,17 @@ def _field_key(field) -> str:
 
 
 def sweep(ctx: MeshContext, source: RepVertex, window: Window, field=QQ) -> HomFunctor:
-    key = (ctx.cache_key(), window.lo, window.hi, source, _field_key(field))
+    fkey = _field_key(field)
+    key = (ctx.cache_key(), window.lo, window.hi, source, fkey)
     fun = _CACHE.get(key)
     if fun is not None:
         return fun
-    if _DISK_DIR and _field_key(field) == "QQ":
+    on_disk = _DISK_DIR and fkey == "QQ"
+    if on_disk:
         fun = _disk_load(ctx, source, window, key)
     if fun is None:
         fun = _sweep(ctx, source, window, field)
-        if _DISK_DIR and _field_key(field) == "QQ":
+        if on_disk:
             _disk_store(fun, key)
     with _CACHE_LOCK:
         return _CACHE.setdefault(key, fun)

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, Optional
 
 from .errors import InvalidInputError, WindowInsufficiencyError
@@ -26,7 +25,11 @@ class QArrow:
 
 
 class Quiver:
-    """A finite acyclic quiver.  Parallel arrows are allowed, cycles are not."""
+    """A finite acyclic quiver.  Parallel arrows are allowed, cycles are not.
+
+    Immutable once built: vertices and arrows are never reassigned, so the
+    identity string returned by key() is computed once, at construction.
+    """
 
     def __init__(self, vertices: Iterable[str], arrows: Iterable[QArrow]):
         self.vertices = tuple(str(v) for v in vertices)
@@ -42,6 +45,7 @@ class Quiver:
                 raise InvalidInputError(f"arrow {a.id} has endpoint outside vertex set")
         self._topo = self._topological_order()
         self.topo_index = {v: i for i, v in enumerate(self._topo)}
+        self._key = json.dumps(self.to_json(), sort_keys=True)
 
     def _topological_order(self):
         out = {v: [] for v in self.vertices}
@@ -87,7 +91,7 @@ class Quiver:
 
     def key(self) -> str:
         """Canonical string identifying the quiver (used as a cache key)."""
-        return json.dumps(self.to_json(), sort_keys=True)
+        return self._key
 
     def to_json(self):
         return {
@@ -145,6 +149,8 @@ class RepVertex:
 
 def parse_vertex(key: str) -> RepVertex:
     """Inverse of RepVertex.key: "i@p" or "i'@p"."""
+    if not isinstance(key, str):
+        raise InvalidInputError(f"bad vertex key {key!r}: expected a string")
     try:
         name, level = key.rsplit("@", 1)
         frozen = name.endswith("'")
@@ -282,7 +288,9 @@ class Configuration:
     An optional period k makes membership tau^k-periodic, so Riedtmann-style
     periodic configurations need only one fundamental domain of data.
     The default (members=None) is the full configuration: every non-frozen
-    vertex belongs to C and every frozen vertex is retained.
+    vertex belongs to C and every frozen vertex is retained.  Immutable once
+    built: members and period are never reassigned, so key() is computed
+    once, at construction.
     """
 
     def __init__(self, members: Optional[Iterable[RepVertex]] = None, period: Optional[int] = None):
@@ -294,9 +302,14 @@ class Configuration:
                 if v.frozen:
                     raise InvalidInputError("configuration members must be non-frozen vertices")
             self.members = frozenset(ms)
-        if period is not None and period <= 0:
-            raise InvalidInputError("configuration period must be positive")
+        if period is not None and (isinstance(period, bool) or not isinstance(period, int) or period <= 0):
+            raise InvalidInputError(f"configuration period must be a positive integer, got {period!r}")
         self.period = period
+        if self.members is None:
+            self._key = "ALL"
+        else:
+            body = ",".join(sorted(v.key() for v in self.members))
+            self._key = f"{body};period={self.period}"
 
     @classmethod
     def full(cls) -> "Configuration":
@@ -323,10 +336,7 @@ class Configuration:
         return self.contains(sigma(u))
 
     def key(self) -> str:
-        if self.members is None:
-            return "ALL"
-        body = ",".join(sorted(v.key() for v in self.members))
-        return f"{body};period={self.period}"
+        return self._key
 
     def to_json(self):
         if self.members is None:
@@ -342,8 +352,12 @@ class Configuration:
             return cls.full()
         if isinstance(data, list):
             return cls([parse_vertex(k) for k in data])
-        members = [parse_vertex(k) for k in data.get("members", [])]
-        return cls(members, data.get("period"))
+        if not isinstance(data, dict):
+            raise InvalidInputError(f"configuration must be null, a list or an object, got {data!r}")
+        members = data.get("members", [])
+        if not isinstance(members, list):
+            raise InvalidInputError(f"configuration members must be a list, got {members!r}")
+        return cls([parse_vertex(k) for k in members], data.get("period"))
 
     def __repr__(self):
         return f"Configuration({self.key()})"
@@ -382,14 +396,9 @@ class RepQuiver:
         self.arrows = []
         for v in self.vertices:
             self.arrows.extend(self.in_arrows(v))
-        self._pos = {v: i for i, v in enumerate(self.vertices)}
 
     def has_vertex(self, v: RepVertex) -> bool:
         return v in self._vset
-
-    def topo_position(self, v: RepVertex) -> int:
-        """Position in a topological order: arrows only go forward."""
-        return self._pos[v]
 
     def in_arrows(self, v: RepVertex):
         """Arrows of the sliced quiver ending at v (sources inside the slice)."""
@@ -536,7 +545,3 @@ def check_configuration(q: Quiver, config: Configuration, w: Window) -> dict:
         report["left_exact"][x.key()] = {"holds": ok}
     return report
 
-
-@lru_cache(maxsize=None)
-def _quiver_from_key(key: str) -> Quiver:
-    return Quiver.from_json(json.loads(key))

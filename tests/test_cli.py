@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from stratakit.cli import main
 from stratakit.kan_strata import SModulePoint, kan_intermediate, representable_rep
 from stratakit.quiver_core import Window, a_n_quiver, parse_vertex
@@ -141,3 +143,17 @@ def test_cache_dir_env_wiring(capsys, tmp_path, monkeypatch):
     finally:
         mesh_hom.enable_disk_cache(None)
         mesh_hom.clear_cache()
+
+
+@pytest.mark.parametrize("argv", [
+    ["cartan-solve", "--quiver", A2_JSON, "--window", "0", "4", "--m", '{"1@1": "x"}'],
+    ["check-config", "--quiver", A2_JSON, "--window", "0", "4",
+     "--config", '{"members": ["1@0"], "period": "2"}'],
+    ["check-config", "--quiver", A2_JSON, "--window", "0", "4", "--config", "[1, 2]"],
+    ["hom", "--quiver", A2_JSON, "--window", "0", "4", "--from", "7@0", "--to", "7@1"],
+], ids=["non-integer-entry", "string-period", "non-string-members", "unknown-node"])
+def test_bad_input_exits_1_with_json_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert json.loads(err.strip())["error"] == "InvalidInputError"

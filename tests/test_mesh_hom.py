@@ -1,7 +1,9 @@
+import json
 import random
 
 import pytest
 
+from stratakit import mesh_hom
 from stratakit.errors import InvalidInputError
 from stratakit.mesh_hom import (
     MeshContext,
@@ -196,3 +198,51 @@ def test_enumerate_paths_counts():
     c0, c2 = RepVertex("0", 0), RepVertex("0", 2)
     paths = enumerate_paths(ctx, c0, c2, w)
     assert len(paths) == 9  # three rim choices at each of the two meshes
+
+
+def test_cache_key_shared_by_sc_and_rc_and_distinct_per_configuration():
+    periodic = Configuration([parse_vertex("1@0")], period=2)
+    assert MeshContext(A2, "SC", periodic).cache_key() == MeshContext(A2, "RC", periodic).cache_key()
+    assert MeshContext(A2, "SC").cache_key() == RC.cache_key()
+    contexts = [KZ, RC, MeshContext(A2, "RC", Configuration([parse_vertex("1@0")])), MeshContext(A2, "RC", periodic),
+                MeshContext(A2, "RC", Configuration([parse_vertex("1@0")], period=3)),
+                MeshContext(a_n_quiver(3), "RC")]
+    assert len({ctx.cache_key() for ctx in contexts}) == len(contexts)
+    assert RC.cache_key() == json.dumps(A2.to_json(), sort_keys=True) + "|RC|ALL"
+    assert KZ.cache_key() == json.dumps(A2.to_json(), sort_keys=True) + "|kZQ|-"
+
+
+def test_second_sweep_returns_cached_functor():
+    clear_cache()
+    try:
+        first = sweep(RC, parse_vertex("1'@0"), W6)
+        assert sweep(RC, parse_vertex("1'@0"), W6) is first
+        assert sweep(MeshContext(a_n_quiver(2), "SC"), parse_vertex("1'@0"), W6) is first
+    finally:
+        clear_cache()
+
+
+def test_disk_file_name_keeps_its_key_format(tmp_path):
+    # The file name hashes repr((quiver JSON|flavor|configuration, lo, hi, source, field)).
+    clear_cache()
+    enable_disk_cache(str(tmp_path))
+    try:
+        ctx = MeshContext(A2, "SC", Configuration([parse_vertex("1@0")], period=2))
+        source = parse_vertex("1'@0")
+        sweep(ctx, source, Window(0, 3))
+        key = ('{"arrows": [{"id": "a1", "source": "1", "target": "2"}], "vertices": ["1", "2"]}|RC|1@0;period=2',
+               0, 3, source, "QQ")
+        expected = tmp_path / "hom-71bf09e706699cc15efa4ce8c2bb7fbd.json"
+        assert mesh_hom._disk_path(key) == str(expected)
+        assert list(tmp_path.glob("hom-*.json")) == [expected]
+        assert json.loads(expected.read_text())["key"] == repr(key)
+    finally:
+        enable_disk_cache(None)
+        clear_cache()
+
+
+def test_unknown_node_is_not_an_object():
+    with pytest.raises(InvalidInputError):
+        hom_basis(KZ, parse_vertex("7@0"), parse_vertex("7@1"), W6)
+    with pytest.raises(InvalidInputError):
+        sweep(RC, parse_vertex("7'@0"), W6)

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from stratakit.errors import InvalidInputError
@@ -156,3 +158,29 @@ def test_check_configuration_even_levels_pattern():
 def test_quiver_json_round_trip():
     q = d4_quiver()
     assert Quiver.from_json(q.to_json()).key() == q.key()
+
+
+@pytest.mark.parametrize("make", [lambda: a_n_quiver(2), lambda: a_n_quiver(3), d4_quiver, kronecker_quiver],
+                         ids=["A2", "A3", "D4", "Kronecker"])
+def test_quiver_key_is_sorted_json(make):
+    q = make()
+    assert q.key() == json.dumps(q.to_json(), sort_keys=True)
+
+
+def test_configuration_key_format():
+    assert Configuration.full().key() == "ALL"
+    assert Configuration([parse_vertex("2@1"), parse_vertex("1@0")], period=2).key() == "1@0,2@1;period=2"
+    assert Configuration([parse_vertex("1@0")]).key() == "1@0;period=None"
+    assert Configuration([]).key() == ";period=None"
+
+
+@pytest.mark.parametrize("period", ["2", True, 2.0, 0, -1])
+def test_configuration_period_must_be_positive_int(period):
+    with pytest.raises(InvalidInputError):
+        Configuration([parse_vertex("1@0")], period=period)
+
+
+@pytest.mark.parametrize("data", [[1, 2], {"members": [None]}, {"members": "1@0"}, "1@0"])
+def test_configuration_json_rejects_malformed_members(data):
+    with pytest.raises(InvalidInputError):
+        Configuration.from_json(data)
