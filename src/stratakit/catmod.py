@@ -16,13 +16,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from .errors import InternalConsistencyError, InvalidInputError, WindowInsufficiencyError
-from .exact_linalg import (
-    QQ,
-    coords_in_col_span,
-    kernel_cols,
-    mat_rank,
-    quotient_coords,
-)
+from .exact_linalg import QQ, kernel_cols, mat_rank, quotient_coords, sub_map
 from .mesh_hom import MeshContext, sweep
 from .quiver_core import Configuration, Quiver, RepVertex, Window
 
@@ -309,16 +303,9 @@ def kernel_submodule(cover: ProjectiveCover) -> Tuple[CatModule, Dict[RepVertex,
         if dims.get(u, 0) == 0 or dims.get(v, 0) == 0:
             continue
         for k in range(dk):
-            pmat = P.act_mat(u, v, k)
-            cols = []
-            for col in incl[v]:
-                img = [sum((pmat[i][j] * col[j] for j in range(len(col)) if col[j] != field.zero), field.zero)
-                       for i in range(P.dim(u))]
-                co = coords_in_col_span(incl[u], img, field)
-                if co is None:
-                    raise InvalidInputError("kernel is not closed under the action (bug)")
-                cols.append(co)
-            act[(u, v, k)] = [[cols[j][i] for j in range(len(cols))] for i in range(dims[u])]
+            act[(u, v, k)] = sub_map(P.act_mat(u, v, k), incl[v], incl[u], field)
+            if act[(u, v, k)] is None:
+                raise InvalidInputError("kernel is not closed under the action (bug)")
     return CatModule(cat, dims, act), incl
 
 
@@ -358,87 +345,90 @@ def ext_simple_multiplicity(cat: SCategoryWindow, x: RepVertex, y: RepVertex, p:
     return len(omega.top_generators(y))
 
 
-def ext_dim(cat: SCategoryWindow, N: CatModule, M: CatModule, p: int) -> int:
-    """dim Ext^p(N, M) from a minimal resolution of N and the Yoneda identification.
+def _resolution(N: CatModule, steps: int):
+    """The first `steps` terms of a minimal projective resolution of N.
 
-    Hom from a sum of representables into M is the sum of the values of M,
-    so the Hom complex is assembled from the action of M on the morphism
-    coefficients of the resolution differentials.
+    Each term is (cover, coeffs).  The cover's summands are the
+    representables of P_i; coeffs[t] writes the generator of summand t as
+    a vector of morphism coefficients over the summands of P_{i-1}, the
+    differential P_i -> P_{i-1} (None for P_0 -> N).
     """
-    if p < 0:
-        raise InvalidInputError("negative Ext degree")
-    field = cat.field
-    # Resolution: list of (summands, map-to-previous as morphism-coefficient vectors).
+    field = N.field
     covers = []
     cur = N
     lift_cols = None  # inclusion of the current syzygy into the previous projective
-    for step in range(p + 2):
+    for _ in range(steps):
         cover = minimal_cover(cur)
-        if lift_cols is None:
-            summand_coeffs = None  # P0 -> N, not needed in coefficients
-        else:
-            summand_coeffs = []
+        coeffs = None
+        if lift_cols is not None:
+            coeffs = []
             for u, gen in cover.summands:
-                # gen lives in the syzygy's coordinates at u; push into P_{step-1}(u).
+                # gen lives in the syzygy's coordinates at u; push it into P_{i-1}(u)
                 cols = lift_cols[u]
-                vec = [sum((cols[j][i] * gen[j] for j in range(len(gen)) if gen[j] != field.zero), field.zero)
-                       for i in range(len(cols[0]))] if cols else []
-                summand_coeffs.append(vec)
-        covers.append((cover, summand_coeffs))
+                coeffs.append([sum((cols[j][i] * gen[j] for j in range(len(gen)) if gen[j] != field.zero),
+                                   field.zero) for i in range(len(cols[0]))] if cols else [])
+        covers.append((cover, coeffs))
         cur, lift_cols = kernel_submodule(cover)
-    # Hom(P_i, M) has one M(u) block per summand.
-    def hom_space_dims(cover):
-        return [M.dim(u) for u, _ in cover.summands]
+    return covers
+
+
+def _hom_complex_dim(cat, covers, X: CatModule, p: int) -> int:
+    """dim H^p of Hom(P_*, X) for a resolution from _resolution.
+
+    Hom from a sum of representables into X is the sum of the values of X,
+    so each differential is assembled from the action of X on the morphism
+    coefficients of the resolution differentials.
+    """
+    field = cat.field
 
     def differential(i):
-        """Matrix of Hom(P_i, M) -> Hom(P_{i+1}, M)."""
+        """Matrix of Hom(P_i, X) -> Hom(P_{i+1}, X), with its source dimension."""
         cover_i, _ = covers[i]
         cover_next, coeffs_next = covers[i + 1]
-        src_blocks = hom_space_dims(cover_i)
-        tgt_blocks = hom_space_dims(cover_next)
+        src_blocks = [X.dim(u) for u, _ in cover_i.summands]
+        tgt_blocks = [X.dim(u) for u, _ in cover_next.summands]
         src_dim = sum(src_blocks)
         tgt_dim = sum(tgt_blocks)
         mat = [[field.zero] * src_dim for _ in range(tgt_dim)]
-        src_off = []
-        off = 0
-        for d in src_blocks:
-            src_off.append(off)
-            off += d
-        tgt_off = []
-        off = 0
-        for d in tgt_blocks:
-            tgt_off.append(off)
-            off += d
+        src_off = [0]
+        for d in src_blocks[:-1]:
+            src_off.append(src_off[-1] + d)
+        tgt_off = [0]
+        for d in tgt_blocks[:-1]:
+            tgt_off.append(tgt_off[-1] + d)
         for knext, ((uk, _), coeff_vec) in enumerate(zip(cover_next.summands, coeffs_next)):
-            # coeff_vec is a vector over (+)_j Hom(uk, u_j): apply M per block.
+            # coeff_vec is a vector over (+)_j Hom(uk, u_j): apply X per block
             pos = 0
             for j, (uj, _) in enumerate(cover_i.summands):
                 d = cat.dim(uk, uj)
                 coeffs = coeff_vec[pos:pos + d]
                 pos += d
-                if all(c == field.zero for c in coeffs) or M.dim(uj) == 0 or M.dim(uk) == 0:
+                if all(c == field.zero for c in coeffs) or X.dim(uj) == 0 or X.dim(uk) == 0:
                     continue
-                block = [[field.zero] * M.dim(uj) for _ in range(M.dim(uk))]
                 for k, c in enumerate(coeffs):
                     if c == field.zero:
                         continue
-                    amat = M.act_mat(uk, uj, k)
-                    for r in range(M.dim(uk)):
-                        for s in range(M.dim(uj)):
-                            block[r][s] += c * amat[r][s]
-                for r in range(M.dim(uk)):
-                    for s in range(M.dim(uj)):
-                        mat[tgt_off[knext] + r][src_off[j] + s] = block[r][s]
-        return mat, src_dim, tgt_dim
+                    amat = X.act_mat(uk, uj, k)
+                    for r in range(X.dim(uk)):
+                        for s in range(X.dim(uj)):
+                            mat[tgt_off[knext] + r][src_off[j] + s] += c * amat[r][s]
+        return mat, src_dim
 
-    d_p, src_p, tgt_p = differential(p)
+    d_p, src_p = differential(p)
     rank_p = mat_rank(d_p, src_p, field) if (d_p and src_p) else 0
     ker_p = src_p - rank_p
     if p == 0:
         return ker_p
-    d_prev, src_prev, tgt_prev = differential(p - 1)
+    d_prev, src_prev = differential(p - 1)
     rank_prev = mat_rank(d_prev, src_prev, field) if (d_prev and src_prev) else 0
     return ker_p - rank_prev
+
+
+def ext_dim(cat: SCategoryWindow, N: CatModule, M: CatModule, p: int) -> int:
+    """dim Ext^p(N, M) from a minimal resolution of N and the Yoneda identification."""
+    if p < 0:
+        raise InvalidInputError("negative Ext degree")
+    return _hom_complex_dim(cat, _resolution(N, p + 2), M, p)
 
 
 # ---------------------------------------------------------------------------
@@ -483,7 +473,6 @@ class OpSCategoryWindow:
 
 def dual_module(opcat: OpSCategoryWindow, M: CatModule) -> CatModule:
     """The k-dual of a module, as a module over the opposite category."""
-    base = opcat.base
     act = {}
     for u, v, dk in opcat.hom_pairs():
         if M.dim(u) == 0 or M.dim(v) == 0 or u == v:
@@ -507,89 +496,6 @@ def op_representable(opcat: OpSCategoryWindow, x0: RepVertex) -> CatModule:
     return CatModule(opcat, dims, act)
 
 
-def _op_resolution(cat: SCategoryWindow, M: CatModule, steps: int, shift_span: int):
-    """Minimal covers of the dual module over the opposite category.
-
-    Summand levels climb at most shift_span per step above the support of
-    M; the bound is checked, and the window must leave that headroom so no
-    summand (whose Hom into a representable would not vanish) is missed.
-    """
-    sup = [u.level for u, d in M.dims.items() if d]
-    top = max(sup)
-    need = top + shift_span * steps + 1
-    if cat.window.hi < need:
-        raise WindowInsufficiencyError(
-            f"resolving the dual module needs window top >= {need}, have {cat.window.hi}")
-    opcat = OpSCategoryWindow(cat)
-    DM = dual_module(opcat, M)
-    covers = []
-    cur = DM
-    lift_cols = None
-    field = cat.field
-    for step in range(steps):
-        cover = minimal_cover(cur)
-        for u, _ in cover.summands:
-            if u.level > top + shift_span * step + 1:
-                raise InternalConsistencyError(
-                    f"op-cover summand {u} above the shift bound at step {step}")
-        if lift_cols is None:
-            coeffs = None
-        else:
-            coeffs = []
-            for u, gen in cover.summands:
-                cols = lift_cols[u]
-                vec = [sum((cols[j][i] * gen[j] for j in range(len(gen)) if gen[j] != field.zero), field.zero)
-                       for i in range(len(cols[0]))] if cols else []
-                coeffs.append(vec)
-        covers.append((cover, coeffs))
-        cur, lift_cols = kernel_submodule(cover)
-    return opcat, covers
-
-
-def _hom_complex_dim(opcat, covers, X: CatModule, p: int) -> int:
-    field = opcat.field
-
-    def differential(i):
-        cover_i, _ = covers[i]
-        cover_next, coeffs_next = covers[i + 1]
-        src_blocks = [X.dim(u) for u, _ in cover_i.summands]
-        tgt_blocks = [X.dim(u) for u, _ in cover_next.summands]
-        src_dim = sum(src_blocks)
-        tgt_dim = sum(tgt_blocks)
-        mat = [[field.zero] * src_dim for _ in range(tgt_dim)]
-        src_off = [0]
-        for d in src_blocks[:-1]:
-            src_off.append(src_off[-1] + d)
-        tgt_off = [0]
-        for d in tgt_blocks[:-1]:
-            tgt_off.append(tgt_off[-1] + d)
-        for knext, ((uk, _), coeff_vec) in enumerate(zip(cover_next.summands, coeffs_next)):
-            pos = 0
-            for j, (uj, _) in enumerate(cover_i.summands):
-                d = opcat.dim(uk, uj)
-                coeffs = coeff_vec[pos:pos + d]
-                pos += d
-                if all(c == field.zero for c in coeffs) or X.dim(uj) == 0 or X.dim(uk) == 0:
-                    continue
-                for k, c in enumerate(coeffs):
-                    if c == field.zero:
-                        continue
-                    amat = X.act_mat(uk, uj, k)
-                    for r in range(X.dim(uk)):
-                        for s in range(X.dim(uj)):
-                            mat[tgt_off[knext] + r][src_off[j] + s] += c * amat[r][s]
-        return mat, src_dim
-
-    d_p, src_p = differential(p)
-    rank_p = mat_rank(d_p, src_p, field) if (d_p and src_p) else 0
-    ker_p = src_p - rank_p
-    if p == 0:
-        return ker_p
-    d_prev, src_prev = differential(p - 1)
-    rank_prev = mat_rank(d_prev, src_prev, field) if (d_prev and src_prev) else 0
-    return ker_p - rank_prev
-
-
 def ext_from_injective(cat: SCategoryWindow, x0: RepVertex, M: CatModule, p: int,
                        shift_span: int = 3) -> int:
     """dim Ext^p from the cofree module at x0 into a finite module M.
@@ -610,7 +516,22 @@ def ext_from_injective_multi(cat: SCategoryWindow, x0_list, M: CatModule, p: int
             raise InvalidInputError(f"{x0} is not an object of the windowed singular category")
     if M.is_zero():
         return {x0: 0 for x0 in x0_list}
-    opcat, covers = _op_resolution(cat, M, p + 2, shift_span)
+    # Summand levels climb at most shift_span per step above the support of
+    # M; the bound is checked, and the window must leave that headroom so
+    # no summand (whose Hom into a representable would not vanish) is missed.
+    steps = p + 2
+    top = max(u.level for u, d in M.dims.items() if d)
+    need = top + shift_span * steps + 1
+    if cat.window.hi < need:
+        raise WindowInsufficiencyError(
+            f"resolving the dual module needs window top >= {need}, have {cat.window.hi}")
+    opcat = OpSCategoryWindow(cat)
+    covers = _resolution(dual_module(opcat, M), steps)
+    for step, (cover, _) in enumerate(covers):
+        for u, _ in cover.summands:
+            if u.level > top + shift_span * step + 1:
+                raise InternalConsistencyError(
+                    f"op-cover summand {u} above the shift bound at step {step}")
     out = {}
     for x0 in x0_list:
         X = op_representable(opcat, x0)

@@ -85,10 +85,9 @@ def _vertex_map(data):
         raise InvalidInputError(f"expected a JSON object of vertex: integer, got {data!r}")
     out = {}
     for k, v in data.items():
-        try:
-            out[parse_vertex(k)] = int(v)
-        except (TypeError, ValueError) as exc:
-            raise InvalidInputError(f"bad integer {v!r} for vertex {k!r}") from exc
+        if isinstance(v, bool) or not isinstance(v, int):
+            raise InvalidInputError(f"bad integer {v!r} for vertex {k!r}")
+        out[parse_vertex(k)] = v
     return out
 
 

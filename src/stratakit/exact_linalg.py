@@ -141,6 +141,42 @@ def coords_in_col_span(cols: Sequence[Sequence], vec, field):
     return x
 
 
+def sub_map(m, src_cols, tgt_cols, field):
+    """The matrix of m restricted to span(src_cols) -> span(tgt_cols), in those bases.
+
+    m maps the ambient space of src_cols to that of tgt_cols.  Returns None
+    when the image of some source column leaves span(tgt_cols).
+    """
+    out_cols = []
+    for col in src_cols:
+        img = [sum((row[j] * col[j] for j in range(len(col)) if col[j] != field.zero), field.zero) for row in m]
+        co = coords_in_col_span(tgt_cols, img, field)
+        if co is None:
+            return None
+        out_cols.append(co)
+    return [[c[i] for c in out_cols] for i in range(len(tgt_cols))]
+
+
+def quotient_map(m, src_kept, tgt_coords, field):
+    """The map m induces between quotients, in the bases quotient_coords picked.
+
+    src_kept lists the source generators whose classes form the source
+    quotient basis; tgt_coords[i] is the class of target generator i over
+    the target quotient basis.
+    """
+    dim = len(tgt_coords[0]) if tgt_coords else 0
+    out_cols = []
+    for t in src_kept:
+        vec = [field.zero] * dim
+        for row, co in zip(m, tgt_coords):
+            c = row[t]
+            if c != field.zero:
+                for r in range(dim):
+                    vec[r] += c * co[r]
+        out_cols.append(vec)
+    return [[c[i] for c in out_cols] for i in range(dim)]
+
+
 def mat_mul(a, b, field):
     if not a or not b:
         return []

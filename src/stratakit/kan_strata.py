@@ -32,9 +32,12 @@ from .exact_linalg import (
     kernel_cols,
     mat_mul,
     mat_rank,
+    preimage_cols,
     quotient_coords,
+    quotient_map,
     rref,
     solve_cols,
+    sub_map,
 )
 from .mesh_hom import MeshContext, sweep
 from .quiver_core import (
@@ -302,6 +305,34 @@ def _invert(mat: list, field) -> list:
     return [row[n:] for row in red]
 
 
+def _sub_rep(rep: WindowRep, cols: Dict[RepVertex, list], failure_msg: str) -> WindowRep:
+    """The subrepresentation spanned by cols[x] at each vertex, in those bases."""
+    mats = {}
+    for a in rep.rq.arrows:
+        if cols.get(a.source) and cols.get(a.target):
+            mats[a] = sub_map(rep.mat(a), cols[a.target], cols[a.source], rep.field)
+            if mats[a] is None:
+                raise InternalConsistencyError(failure_msg)
+    dims = {x: len(c) for x, c in cols.items()}
+    return WindowRep(rep.q, rep.window, rep.config, dims, mats, rep.field)
+
+
+def _quotient_rep(rep: WindowRep, rel_cols: Dict[RepVertex, list]):
+    """The quotient by span(rel_cols[x]) at each vertex, with the kept indices.
+
+    Kept indices are the coordinates of rep(x) whose classes form the
+    quotient basis at x (see quotient_coords).
+    """
+    proj = {x: quotient_coords(rep.dim(x), rel_cols[x], rep.field) for x in rep.rq.vertices}
+    mats = {}
+    for a in rep.rq.arrows:
+        if proj[a.source][0] and proj[a.target][0]:
+            mats[a] = quotient_map(rep.mat(a), proj[a.target][0], proj[a.source][1], rep.field)
+    kept = {x: k for x, (k, _) in proj.items()}
+    dims = {x: len(k) for x, k in kept.items()}
+    return WindowRep(rep.q, rep.window, rep.config, dims, mats, rep.field), kept
+
+
 def zero_rep(q: Quiver, window: Window, config: Optional[Configuration] = None, field=QQ) -> WindowRep:
     return WindowRep(q, window, config, {}, {}, field)
 
@@ -526,24 +557,17 @@ def kan_right(M: SModulePoint, w: Window) -> KanRight:
             continue
         # ambient transform amb(y) -> amb(x)
         idx_y = {t: pos for pos, t in enumerate(amb_index[y])}
-        cols = []
-        for col in basis_cols[y]:
-            vec = [field.zero] * len(amb_index[x])
-            for pos, (u, l, j) in enumerate(amb_index[x]):
-                fu = hom_fun(u)
-                d = fu.reduce_path(tuple(fu.basis_paths(x)[l]) + (a,))
-                s = field.zero
-                for m_i, c in enumerate(d):
-                    if c != field.zero:
-                        key = (u, m_i, j)
-                        if key in idx_y:
-                            s += c * col[idx_y[key]]
-                vec[pos] = s
-            co = coords_in_col_span(basis_cols[x], vec, field)
-            if co is None:
-                raise InternalConsistencyError("K_R structure map leaves the computed value space")
-            cols.append(co)
-        mats[a] = [[cols[j][i] for j in range(len(cols))] for i in range(dims[x])]
+        amb = [[field.zero] * len(idx_y) for _ in amb_index[x]]
+        for pos, (u, l, j) in enumerate(amb_index[x]):
+            fu = hom_fun(u)
+            d = fu.reduce_path(tuple(fu.basis_paths(x)[l]) + (a,))
+            for m_i, c in enumerate(d):
+                col = idx_y.get((u, m_i, j))
+                if c != field.zero and col is not None:
+                    amb[pos][col] = c
+        mats[a] = sub_map(amb, basis_cols[y], basis_cols[x], field)
+        if mats[a] is None:
+            raise InternalConsistencyError("K_R structure map leaves the computed value space")
 
     rep = WindowRep(cat.q, w, cat.config, dims, mats, field)
 
@@ -659,24 +683,19 @@ def kan_left(M: SModulePoint, w: Window) -> KanLeft:
             continue
         fx = fun(x)
         idx_x = {t: pos for pos, t in enumerate(gen_index[x])}
-        cols = []
+        # generator transform gen(y) -> gen(x), needed on the kept columns only
+        gen = [[field.zero] * len(gen_index[y]) for _ in gen_index[x]]
         for t in kept[y]:
             (u, g, j) = gen_index[y][t]
-            f_path = fun(y).basis_paths(u)[g]
-            d = fx.reduce_path((a,) + tuple(f_path))
-            vec = [field.zero] * dims[x]
+            d = fx.reduce_path((a,) + tuple(fun(y).basis_paths(u)[g]))
             for l, c in enumerate(d):
                 if c == field.zero:
                     continue
-                key = (u, l, j)
-                pos = idx_x.get(key)
+                pos = idx_x.get((u, l, j))
                 if pos is None:
                     raise InternalConsistencyError("K_L generator bookkeeping out of sync")
-                co = gen_coords[x][pos]
-                for i in range(dims[x]):
-                    vec[i] += c * co[i]
-            cols.append(vec)
-        mats[a] = [[cols[jj][ii] for jj in range(len(cols))] for ii in range(dims[x])]
+                gen[pos][t] = c
+        mats[a] = quotient_map(gen, kept[y], gen_coords[x], field)
     rep = WindowRep(cat.q, w, cat.config, dims, mats, field)
     return KanLeft(M, rep, gen_index, gen_coords, kept)
 
@@ -740,7 +759,6 @@ def kan_intermediate(M: SModulePoint, w: Window) -> KanIntermediate:
     supp(M).  All three facts are asserted, not assumed.
     """
     kr = kan_right(M, w)
-    cat = M.cat
     field = M.field
     rq = kr.rep.rq
     incl: Dict[RepVertex, list] = {}
@@ -755,7 +773,7 @@ def kan_intermediate(M: SModulePoint, w: Window) -> KanIntermediate:
             th = kr.theta[x]
             for j in range(M.dim(x)):
                 e = [field.one if i == j else field.zero for i in range(M.dim(x))]
-                sol, cert = solve_cols(th, e, field)
+                sol, _ = solve_cols(th, e, field)
                 if sol is None:
                     raise InternalConsistencyError("theta not invertible at a frozen vertex")
                 cols.append(sol)
@@ -778,23 +796,7 @@ def kan_intermediate(M: SModulePoint, w: Window) -> KanIntermediate:
         _, pivots = rref(rows, len(gathered), field)
         incl[x] = [gathered[j] for j in pivots]
 
-    dims = {x: len(incl[x]) for x in rq.vertices}
-    mats = {}
-    for a in rq.arrows:
-        x, y = a.source, a.target
-        if dims.get(x, 0) == 0 or dims.get(y, 0) == 0:
-            continue
-        m = kr.rep.mat(a)
-        cols = []
-        for col in incl[y]:
-            img = [sum((m[i][jj] * col[jj] for jj in range(len(col)) if col[jj] != field.zero), field.zero)
-                   for i in range(kr.dim(x))]
-            co = coords_in_col_span(incl[x], img, field)
-            if co is None:
-                raise InternalConsistencyError("K_LR is not closed under the structure maps")
-            cols.append(co)
-        mats[a] = [[cols[jj][ii] for jj in range(len(cols))] for ii in range(dims[x])]
-    rep = WindowRep(cat.q, w, cat.config, dims, mats, field)
+    rep = _sub_rep(kr.rep, incl, "K_LR is not closed under the structure maps")
     out = KanIntermediate(M, rep, kr, incl)
 
     sup = M.support_levels()
@@ -872,44 +874,13 @@ def stabilize(rep: WindowRep) -> WindowRep:
             continue
         cols = identity_rows(d, field)
         for beta in rep.rq.in_arrows(x):
-            m = rep.mat(beta)
-            sub = tcols.get(beta.source)
-            if sub is None:
-                sub = []
-            from .exact_linalg import preimage_cols
-            pre = preimage_cols(m, d, sub, field) if rep.dim(beta.source) else identity_rows(d, field)
+            pre = (preimage_cols(rep.mat(beta), d, tcols.get(beta.source, []), field)
+                   if rep.dim(beta.source) else identity_rows(d, field))
             cols = _intersect_spans(cols, pre, d, field)
             if not cols:
                 break
         tcols[x] = cols
-    # quotient spaces and induced maps
-    proj = {}
-    dims = {}
-    for x in rep.rq.vertices:
-        d = rep.dim(x)
-        kept, coords = quotient_coords(d, tcols[x], field)
-        dims[x] = len(kept)
-        proj[x] = (kept, coords)
-    mats = {}
-    for a in rep.rq.arrows:
-        x, y = a.source, a.target
-        if dims.get(x, 0) == 0 or dims.get(y, 0) == 0:
-            continue
-        kept_y, _ = proj[y]
-        _, coords_x = proj[x]
-        m = rep.mat(a)
-        cols = []
-        for t in kept_y:
-            img = [m[i][t] for i in range(rep.dim(x))]
-            vec = [field.zero] * dims[x]
-            for i, c in enumerate(img):
-                if c != field.zero:
-                    co = coords_x[i]
-                    for r in range(dims[x]):
-                        vec[r] += c * co[r]
-            cols.append(vec)
-        mats[a] = [[cols[jj][ii] for jj in range(len(cols))] for ii in range(dims[x])]
-    out = WindowRep(rep.q, rep.window, rep.config, dims, mats, field)
+    out, _ = _quotient_rep(rep, tcols)
     if not is_stable(out):
         raise InternalConsistencyError("stabilize failed to produce a stable representation")
     return out
@@ -1189,12 +1160,6 @@ def _enumerate_subspaces(d: int, field: PrimeField):
     return out
 
 
-def _span_contains(cols, vec, field) -> bool:
-    if all(x == field.zero for x in vec):
-        return True
-    return coords_in_col_span(cols, vec, field) is not None
-
-
 def fiber(M: SModulePoint, v: Dict[RepVertex, int], p: int, w: Window, bound: int = 64) -> FiberResult:
     """Non-emptiness of the desingularization fiber over M at dimension vector v.
 
@@ -1214,57 +1179,32 @@ def fiber(M: SModulePoint, v: Dict[RepVertex, int], p: int, w: Window, bound: in
     v0 = klr.nonfrozen_dims()
 
     # CK = K_R / K_LR in the kernel coordinates of K_R.
-    ck_dims: Dict[RepVertex, int] = {}
-    ck_coords: Dict[RepVertex, tuple] = {}
-    for x in kr.rep.rq.vertices:
-        kept, coords = quotient_coords(kr.dim(x), ki.incl_cols[x], field)
-        ck_dims[x] = len(kept)
-        ck_coords[x] = (kept, coords)
-        if x.frozen and ck_dims[x]:
+    ck, ck_kept = _quotient_rep(kr.rep, ki.incl_cols)
+    for x in ck.rq.vertices:
+        if x.frozen and ck.dim(x):
             raise InternalConsistencyError("CK does not vanish on a frozen vertex")
-    for x in kr.rep.rq.vertices:
-        if x.level == w.hi and ck_dims[x]:
+    for x in ck.rq.vertices:
+        if x.level == w.hi and ck.dim(x):
             raise WindowInsufficiencyError("CK support reaches the window top; enlarge the window")
 
-    total = sum(ck_dims.values())
+    total = ck.total_dim()
     if total > bound:
         return FiberResult(None, p, v0, [], None, f"CK dimension {total} exceeds the bound {bound}")
 
-    ck_mats: Dict[RepArrow, list] = {}
-    for a in kr.rep.rq.arrows:
-        x, y = a.source, a.target
-        if ck_dims.get(x, 0) == 0 or ck_dims.get(y, 0) == 0:
-            continue
-        m = kr.rep.mat(a)
-        kept_y, _ = ck_coords[y]
-        _, coords_x = ck_coords[x]
-        cols = []
-        for t in kept_y:
-            img = [m[i][t] for i in range(kr.dim(x))]
-            vec = [field.zero] * ck_dims[x]
-            for i, c in enumerate(img):
-                if c != field.zero:
-                    co = coords_x[i]
-                    for r in range(ck_dims[x]):
-                        vec[r] += c * co[r]
-            cols.append(vec)
-        ck_mats[a] = [[cols[jj][ii] for jj in range(len(cols))] for ii in range(ck_dims[x])]
-
-    verts = [x for x in kr.rep.rq.vertices if ck_dims.get(x, 0) > 0]
-    order = list(reversed([x for x in kr.rep.rq.vertices if x in set(verts)]))
-    subspace_pool = {x: _enumerate_subspaces(ck_dims[x], field) for x in verts}
+    order = [x for x in reversed(ck.rq.vertices) if ck.dim(x)]
+    subspace_pool = {x: _enumerate_subspaces(ck.dim(x), field) for x in order}
 
     attained: Dict[tuple, Dict[RepVertex, list]] = {}
 
     def forced_at(x, choice):
         cols = []
-        for a in kr.rep.rq.out_arrows(x):
-            if a.target not in choice or a not in ck_mats:
+        for a in ck.rq.out_arrows(x):
+            m = ck.mats.get(a)
+            if a.target not in choice or m is None:
                 continue
-            m = ck_mats[a]
             for colv in choice[a.target]:
-                img = [sum((m[i][j] * colv[j] for j in range(len(colv)) if colv[j] != field.zero), field.zero)
-                       for i in range(ck_dims[x])]
+                img = [sum((row[j] * colv[j] for j in range(len(colv)) if colv[j] != field.zero), field.zero)
+                       for row in m]
                 if any(c != field.zero for c in img):
                     cols.append(img)
         return cols
@@ -1279,7 +1219,7 @@ def fiber(M: SModulePoint, v: Dict[RepVertex, int], p: int, w: Window, bound: in
         forced = forced_at(x, choice)
         for sub_rows in subspace_pool[x]:
             cols = [list(r) for r in sub_rows]  # each basis vector of the subspace
-            if not all(_span_contains(cols, f, field) for f in forced):
+            if not all(coords_in_col_span(cols, f, field) is not None for f in forced):
                 continue
             choice[x] = cols
             recurse(i + 1, choice)
@@ -1309,32 +1249,14 @@ def fiber(M: SModulePoint, v: Dict[RepVertex, int], p: int, w: Window, bound: in
     lift_cols: Dict[RepVertex, list] = {}
     for x in kr.rep.rq.vertices:
         cols = [list(c) for c in ki.incl_cols[x]]
-        if x in witness_sub and witness_sub[x]:
-            kept, _ = ck_coords[x]
-            for colv in witness_sub[x]:
-                vec = [field.zero] * kr.dim(x)
-                for t, c in enumerate(colv):
-                    if c != field.zero:
-                        vec[kept[t]] += c
-                cols.append(vec)
+        for colv in witness_sub.get(x, []):
+            vec = [field.zero] * kr.dim(x)
+            for t, c in enumerate(colv):
+                if c != field.zero:
+                    vec[ck_kept[x][t]] += c
+            cols.append(vec)
         lift_cols[x] = cols
-    dims = {x: len(cols) for x, cols in lift_cols.items() if cols}
-    mats = {}
-    for a in kr.rep.rq.arrows:
-        x, y = a.source, a.target
-        if dims.get(x, 0) == 0 or dims.get(y, 0) == 0:
-            continue
-        m = kr.rep.mat(a)
-        cols = []
-        for colv in lift_cols[y]:
-            img = [sum((m[i][j] * colv[j] for j in range(len(colv)) if colv[j] != field.zero), field.zero)
-                   for i in range(kr.dim(x))]
-            co = coords_in_col_span(lift_cols[x], img, field)
-            if co is None:
-                raise InternalConsistencyError("witness lift is not closed under the structure maps")
-            cols.append(co)
-        mats[a] = [[cols[jj][ii] for jj in range(len(cols))] for ii in range(dims[x])]
-    witness = WindowRep(M.q, w, M.cat.config, dims, mats, field)
+    witness = _sub_rep(kr.rep, lift_cols, "witness lift is not closed under the structure maps")
     if validate(witness):
         raise InternalConsistencyError("witness violates mesh relations")
     if not is_stable(witness):

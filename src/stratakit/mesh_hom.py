@@ -325,9 +325,15 @@ def _disk_load(ctx: MeshContext, source: RepVertex, window: Window, key) -> Opti
             parse_arrow_key(ctx.q, ak): [[parse_fraction(x) for x in row] for row in m]
             for ak, m in data["mats"].items()
         }
-        return fun
-    except (OSError, ValueError, KeyError):
+    except (OSError, ValueError, KeyError, TypeError, AttributeError, InvalidInputError):
+        return None  # unreadable, truncated or malformed: recompute
+    dims = fun.dims
+    if set(fun.paths) != set(dims) or any(type(d) is not int or len(fun.paths[v]) != d for v, d in dims.items()):
         return None
+    if any(len(m) != dims.get(a.target, 0) or any(len(r) != dims.get(a.source, 0) for r in m)
+           for a, m in fun.mats.items()):
+        return None
+    return fun
 
 
 # ---------------------------------------------------------------------------

@@ -151,7 +151,13 @@ def test_cache_dir_env_wiring(capsys, tmp_path, monkeypatch):
      "--config", '{"members": ["1@0"], "period": "2"}'],
     ["check-config", "--quiver", A2_JSON, "--window", "0", "4", "--config", "[1, 2]"],
     ["hom", "--quiver", A2_JSON, "--window", "0", "4", "--from", "7@0", "--to", "7@1"],
-], ids=["non-integer-entry", "string-period", "non-string-members", "unknown-node"])
+    ["cartan-solve", "--quiver", A2_JSON, "--window", "0", "4", "--m", '{"1@1": 1.5, "2@1": -1, "1@2": 1}'],
+    ["cartan-solve", "--quiver", A2_JSON, "--window", "0", "4", "--m", '{"1@1": true}'],
+    ["fiber", "--rep", json.dumps({"quiver": json.loads(A2_JSON), "framed": True, "window": [0, 4],
+                                   "configuration": None, "dims": {"1'@1": 1}, "mats": {}}),
+     "--v", '{"1@2": 1.5}'],
+], ids=["non-integer-entry", "string-period", "non-string-members", "unknown-node", "fractional-entry",
+        "boolean-entry", "fiber-fractional-entry"])
 def test_bad_input_exits_1_with_json_error(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 1

@@ -8,6 +8,8 @@ from stratakit.exact_linalg import (
     format_fraction,
     parse_fraction,
     quotient_coords,
+    quotient_map,
+    sub_map,
 )
 
 small_entries = st.integers(min_value=-4, max_value=4)
@@ -92,6 +94,53 @@ def test_quotient_coords_reduction():
     kept, coords = quotient_coords(3, [[QQ.one, QQ.one, QQ.zero]], QQ)
     assert len(kept) == 2
     assert coords[0] == [-c for c in coords[1]] or coords[1] == [-c for c in coords[0]]
+
+
+def _q(rows):
+    return [[Fraction(x) for x in row] for row in rows]
+
+
+def test_sub_map_known_restriction():
+    m = _q([[1, 1, 0], [0, 1, 0], [0, 0, 2]])
+    # span(e0, e1) is invariant: e0 -> e0, e1 -> e0 + e1
+    assert sub_map(m, _q([[1, 0, 0], [0, 1, 0]]), _q([[1, 0, 0], [0, 1, 0]]), QQ) == _q([[1, 1], [0, 1]])
+    # (1,1,0) -> (2,1,0) = 2 e0 + 1 e1, and in the basis (1,1,0), (1,0,0): 1 and 1
+    assert sub_map(m, _q([[1, 1, 0]]), _q([[1, 0, 0], [0, 1, 0]]), QQ) == _q([[2], [1]])
+    assert sub_map(m, _q([[1, 1, 0]]), _q([[1, 1, 0], [1, 0, 0]]), QQ) == _q([[1], [1]])
+
+
+def test_sub_map_none_when_an_image_leaves_the_span():
+    swap = _q([[0, 1], [1, 0]])
+    assert sub_map(swap, _q([[1, 0]]), _q([[1, 0]]), QQ) is None
+    assert sub_map(swap, _q([[1, 1]]), _q([[1, 1]]), QQ) == _q([[1]])
+
+
+def test_sub_map_empty_bases():
+    m = _q([[1, 0], [0, 1]])
+    assert sub_map(m, [], _q([[1, 0], [0, 1]]), QQ) == [[], []]
+    assert sub_map(m, _q([[1, 0]]), [], QQ) is None
+    assert sub_map(_q([[0, 0], [0, 0]]), _q([[1, 0]]), [], QQ) == []
+    assert sub_map(m, [], [], QQ) == []
+
+
+def test_quotient_map_known_quotient():
+    # target k^3 / span((1,1,0)): the classes of e0 and e2 form the basis, e1 = -e0
+    kept, coords = quotient_coords(3, _q([[1, 1, 0]]), QQ)
+    assert kept == [0, 2]
+    assert coords == _q([[1, 0], [-1, 0], [0, 1]])
+    m = _q([[1, 0, 0], [0, 1, 0], [0, 0, 1]])  # k^3 -> k^3, columns are images
+    assert quotient_map(m, [0, 1, 2], coords, QQ) == _q([[1, -1, 0], [0, 0, 1]])
+    # a quotient source keeps only some generators: the map is read on those columns
+    assert quotient_map(_q([[2, 5], [3, 7], [0, 1]]), [1], coords, QQ) == _q([[-2], [1]])
+
+
+def test_quotient_map_empty_bases():
+    kept, coords = quotient_coords(2, [], QQ)
+    m = _q([[1, 2], [3, 4]])
+    assert quotient_map(m, [], coords, QQ) == [[], []]
+    assert quotient_map([], [0, 1], [], QQ) == []
+    _, zero = quotient_coords(2, _q([[1, 0], [0, 1]]), QQ)
+    assert quotient_map(m, [0], zero, QQ) == []
 
 
 def test_fraction_json_round_trip():

@@ -246,3 +246,37 @@ def test_unknown_node_is_not_an_object():
         hom_basis(KZ, parse_vertex("7@0"), parse_vertex("7@1"), W6)
     with pytest.raises(InvalidInputError):
         sweep(RC, parse_vertex("7'@0"), W6)
+
+
+@pytest.mark.parametrize("damage", ["wrong-shape", "truncated", "short-matrix", "not-an-object"])
+def test_malformed_disk_file_is_a_miss(tmp_path, damage):
+    # A file with the right version and key but broken content is recomputed, not trusted.
+    clear_cache()
+    enable_disk_cache(str(tmp_path))
+    try:
+        source, w = parse_vertex("1@0"), Window(0, 3)
+        good = sweep(KZ, source, w)
+        dims, mats = dict(good.dims), {a.key(): m for a, m in good.mats.items()}
+        (path,) = tmp_path.glob("hom-*.json")
+        text = path.read_text()
+        data = json.loads(text)
+        if damage == "wrong-shape":
+            data["dims"] = []
+            text = json.dumps(data)
+        elif damage == "truncated":
+            text = text[:len(text) // 2]
+        elif damage == "short-matrix":
+            arrow = next(k for k, m in data["mats"].items() if m and m[0])
+            data["mats"][arrow] = [row[:-1] for row in data["mats"][arrow]]
+            text = json.dumps(data)
+        else:
+            text = json.dumps([data])
+        path.write_text(text)
+        clear_cache()
+        again = sweep(KZ, source, w)
+        assert again is not good
+        assert dict(again.dims) == dims
+        assert {a.key(): m for a, m in again.mats.items()} == mats
+    finally:
+        enable_disk_cache(None)
+        clear_cache()
