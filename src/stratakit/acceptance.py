@@ -44,6 +44,14 @@ from .randrep import random_module_point, random_window_rep
 
 DEFAULT_SEED = 20230313
 
+# Wall-clock bound of each criterion, in seconds.
+TIME_BOUNDS = {1: 10, 2: 30, 3: 60, 4: 300, 5: 300, 6: 300, 7: 300, 8: 300, 9: 300, 10: 300, 11: 120}
+
+
+def _clock(elapsed: float, number: int) -> str:
+    """A criterion's time against its bound, e.g. "118.2s of 120s"."""
+    return f"{elapsed:.1f}s of {TIME_BOUNDS[number]}s"
+
 
 def _sing_arrow_graph(report):
     """Adjacency with multiplicities from a singular-quiver report."""
@@ -94,8 +102,8 @@ def criterion_1(seed=DEFAULT_SEED):
         if got != expected:
             problems.append(f"{u.key()} relations {got} != expected {expected}")
     elapsed = time.time() - t0
-    ok = not problems and len(interior) >= 10 and elapsed < 10
-    detail = f"{len(interior)} interior vertices, {elapsed:.1f}s" + ("" if not problems else f"; {problems[:3]}")
+    ok = not problems and len(interior) >= 10 and elapsed < TIME_BOUNDS[1]
+    detail = f"{len(interior)} interior vertices, {_clock(elapsed, 1)}" + ("" if not problems else f"; {problems[:3]}")
     return "A2 singular quiver arrows and relations", ok, detail
 
 
@@ -114,9 +122,9 @@ def criterion_2(seed=DEFAULT_SEED):
     count = report.arrow_count(u, u2)
     oracle = ext_oracle(q, None, w, u2, u, 1)
     elapsed = time.time() - t0
-    ok = count == 2 and oracle == 2 and elapsed < 30
+    ok = count == 2 and oracle == 2 and elapsed < TIME_BOUNDS[2]
     return ("D4 double arrow", ok,
-            f"arrow count {count}, Ext^1 oracle {oracle}, {elapsed:.1f}s")
+            f"arrow count {count}, Ext^1 oracle {oracle}, {_clock(elapsed, 2)}")
 
 
 def criterion_3(seed=DEFAULT_SEED):
@@ -147,9 +155,9 @@ def criterion_3(seed=DEFAULT_SEED):
                 if not second_syzygy_is_zero(q, None, Window(u.level - 2, u.level), u):
                     problems.append(f"second syzygy at {u.key()} nonzero for {nq}-Kronecker")
     elapsed = time.time() - t0
-    ok = not problems and checks >= 50 and elapsed < 60
+    ok = not problems and checks >= 50 and elapsed < TIME_BOUNDS[3]
     return ("non-Dynkin affine-space corollary", ok,
-            f"{checks} Ext^2 oracle checks all zero, {elapsed:.1f}s" + ("" if not problems else f"; {problems[:3]}"))
+            f"{checks} Ext^2 oracle checks all zero, {_clock(elapsed, 3)}" + ("" if not problems else f"; {problems[:3]}"))
 
 
 def criterion_4(seed=DEFAULT_SEED):
@@ -183,9 +191,9 @@ def criterion_4(seed=DEFAULT_SEED):
                     problems.append(f"{q.vertices} {u.key()}->{u2.key()} p={p}: {oracle} != {closed}")
                 pairs_checked += 1
     elapsed = time.time() - t0
-    ok = not problems and pairs_checked >= 200 and elapsed < 300
+    ok = not problems and pairs_checked >= 200 and elapsed < TIME_BOUNDS[4]
     return ("extension counts: oracle vs closed form (A2, A3)", ok,
-            f"{pairs_checked} checks, {elapsed:.1f}s" + ("" if not problems else f"; {problems[:3]}"))
+            f"{pairs_checked} checks, {_clock(elapsed, 4)}" + ("" if not problems else f"; {problems[:3]}"))
 
 
 def _sample_points(seed, specs) -> List[Tuple[SModulePoint, Window]]:
@@ -214,9 +222,9 @@ def criterion_5(seed=DEFAULT_SEED):
         if res.mult:
             nonzero += 1
     elapsed = time.time() - t0
-    ok = len(samples) >= 100 and elapsed < 300
+    ok = len(samples) >= 100 and elapsed < TIME_BOUNDS[5]
     return ("Phi multiplicities: formula vs mesh homology", ok,
-            f"{len(samples)} samples ({nonzero} with nonzero Phi), {elapsed:.1f}s")
+            f"{len(samples)} samples ({nonzero} with nonzero Phi), {_clock(elapsed, 5)}")
 
 
 def criterion_6(seed=DEFAULT_SEED):
@@ -238,9 +246,9 @@ def criterion_6(seed=DEFAULT_SEED):
             # idempotence up to the canonical coordinates used here is literal equality
             problems.append(f"sample {i}: intermediate extension not idempotent")
     elapsed = time.time() - t0
-    ok = not problems and len(samples) >= 100 and elapsed < 300
+    ok = not problems and len(samples) >= 100 and elapsed < TIME_BOUNDS[6]
     return ("Kan extension contracts on random points", ok,
-            f"{len(samples)} samples, {elapsed:.1f}s" + ("" if not problems else f"; {problems[:3]}"))
+            f"{len(samples)} samples, {_clock(elapsed, 6)}" + ("" if not problems else f"; {problems[:3]}"))
 
 
 def criterion_7(seed=DEFAULT_SEED):
@@ -275,9 +283,9 @@ def criterion_7(seed=DEFAULT_SEED):
             if rk != res.klr.dim(x):
                 problems.append(f"sample {i} at {x.key()}: image of can != K_LR")
     elapsed = time.time() - t0
-    ok = not problems and len(samples) >= 50 and elapsed < 300
+    ok = not problems and len(samples) >= 50 and elapsed < TIME_BOUNDS[7]
     return ("KK and CK dimension identities", ok,
-            f"{len(samples)} samples, {checks} vertex checks, {elapsed:.1f}s"
+            f"{len(samples)} samples, {checks} vertex checks, {_clock(elapsed, 7)}"
             + ("" if not problems else f"; {problems[:3]}"))
 
 
@@ -314,9 +322,9 @@ def criterion_8(seed=DEFAULT_SEED):
                 if leq[i][j] and leq[j][k] and not leq[i][k]:
                     problems.append(f"transitivity fails at ({i},{j},{k})")
     elapsed = time.time() - t0
-    ok = not problems and elapsed < 300
+    ok = not problems and elapsed < TIME_BOUNDS[8]
     return ("degeneration order on an enumerated stratum set", ok,
-            f"{len(points)} points, {elapsed:.1f}s" + ("" if not problems else f"; {problems[:3]}"))
+            f"{len(points)} points, {_clock(elapsed, 8)}" + ("" if not problems else f"; {problems[:3]}"))
 
 
 def criterion_9(seed=DEFAULT_SEED):
@@ -358,9 +366,9 @@ def criterion_9(seed=DEFAULT_SEED):
         if r3.nonempty is not False:
             problems.append("overshooting dimension vector reported nonempty")
     elapsed = time.time() - t0
-    ok = not problems and lifts >= 10 and elapsed < 300
+    ok = not problems and lifts >= 10 and elapsed < TIME_BOUNDS[9]
     return ("GF(2) fibers: enumeration vs constructive lifting", ok,
-            f"{instances} instances, {lifts} witnesses lifted and validated, {elapsed:.1f}s"
+            f"{instances} instances, {lifts} witnesses lifted and validated, {_clock(elapsed, 9)}"
             + ("" if not problems else f"; {problems[:3]}"))
 
 
@@ -392,9 +400,9 @@ def criterion_10(seed=DEFAULT_SEED):
             if val != 0:
                 problems.append(f"Ext^2({u.key()}^dual, sample {count}) = {val}")
     elapsed = time.time() - t0
-    ok = not problems and count >= 20 and elapsed < 300
+    ok = not problems and count >= 20 and elapsed < TIME_BOUNDS[10]
     return ("weak Gorenstein vanishing over A2", ok,
-            f"{count} modules x {len(sources)} cofree sources, {elapsed:.1f}s"
+            f"{count} modules x {len(sources)} cofree sources, {_clock(elapsed, 10)}"
             + ("" if not problems else f"; {problems[:3]}"))
 
 
@@ -420,9 +428,9 @@ def criterion_11(seed=DEFAULT_SEED):
                 if not sweep_matches_oracle(ctx, x, y, w):
                     problems.append(f"{flavor} {x.key()}->{y.key()}")
     elapsed = time.time() - t0
-    ok = not problems and elapsed < 120
+    ok = not problems and elapsed < TIME_BOUNDS[11]
     return ("Hom bases: sweep vs path enumeration", ok,
-            f"{checks} pairs, {elapsed:.1f}s" + ("" if not problems else f"; {problems[:3]}"))
+            f"{checks} pairs, {_clock(elapsed, 11)}" + ("" if not problems else f"; {problems[:3]}"))
 
 
 ALL_CRITERIA = [
@@ -443,10 +451,11 @@ def run_suite(names: Iterable[int], seed: int = DEFAULT_SEED, out=print) -> bool
     all_ok = True
     for n in names:
         fn = ALL_CRITERIA[n - 1]
+        t0 = time.time()
         try:
             name, ok, detail = fn(seed)
         except Exception as exc:  # a raised inconsistency is a failed criterion
-            name, ok, detail = fn.__name__, False, f"exception: {exc}"
+            name, ok, detail = fn.__name__, False, f"exception: {exc}, {_clock(time.time() - t0, n)}"
         all_ok &= ok
         out(f"[{'PASS' if ok else 'FAIL'}] criterion {n}: {name} -- {detail}")
     return all_ok

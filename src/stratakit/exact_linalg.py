@@ -108,52 +108,74 @@ def quotient_coords(gen_dim: int, rel_cols: Sequence[Sequence], field):
 
     Returns (kept, coords) where kept lists the generator indices whose
     classes form a basis of the quotient and coords[g] expresses the class
-    of generator g over that basis.  A single elimination serves every
-    generator, so two runs pick identical bases.
+    of generator g over that basis.  Generator g is dropped exactly when
+    some relation has its last nonzero entry at g, so only the relations
+    are eliminated, pivoting from the last generator down; a dropped
+    generator's class is read off its reduced relation.  One elimination
+    serves every generator, so two runs pick identical bases.
     """
-    nrel = len(rel_cols)
-    rows = [[(rel_cols[j][i]) for j in range(nrel)] + [field.one if g == i else field.zero for g in range(gen_dim)]
-            for i in range(gen_dim)]
-    red, pivots = rref(rows, nrel + gen_dim, field)
-    kept = [pc - nrel for pc in pivots if pc >= nrel]
+    last = gen_dim - 1
+    red, pivots = rref([[col[last - c] for c in range(gen_dim)] for col in rel_cols], gen_dim, field)
+    dropped = {last - pc: red[i] for i, pc in enumerate(pivots)}
+    kept = [g for g in range(gen_dim) if g not in dropped]
     kept_pos = {k: idx for idx, k in enumerate(kept)}
     coords = []
     for g in range(gen_dim):
-        col = nrel + g
         if g in kept_pos:
             v = [field.zero] * len(kept)
             v[kept_pos[g]] = field.one
         else:
-            v = [field.zero] * len(kept)
-            for i, pc in enumerate(pivots):
-                if pc >= nrel:
-                    v[kept_pos[pc - nrel]] = red[i][col]
+            row = dropped[g]
+            v = [-row[last - k] for k in kept]
         coords.append(v)
     return kept, coords
 
 
+def _solve_many(cols: Sequence[Sequence], vecs: Sequence[Sequence], field):
+    """Each vec in the spanning columns, or None where it leaves their span.
+
+    One elimination pivots on the spanning columns only and carries every
+    right-hand side along, so each answer is the one a separate solve
+    would give: free coordinates zero, pivot coordinates read off.
+    """
+    if not vecs:
+        return []
+    k = len(cols)
+    n = len(vecs[0])
+    rows = [[c[i] for c in cols] + [v[i] for v in vecs] for i in range(n)]
+    red, pivots = rref(rows, k, field)
+    rank = len(pivots)
+    out = []
+    for j in range(k, k + len(vecs)):
+        if any(red[i][j] != field.zero for i in range(rank, n)):
+            out.append(None)
+            continue
+        x = [field.zero] * k
+        for i, pc in enumerate(pivots):
+            x[pc] = red[i][j]
+        out.append(x)
+    return out
+
+
 def coords_in_col_span(cols: Sequence[Sequence], vec, field):
     """Express vec in the given spanning columns, or None if outside the span."""
-    if not cols:
-        return [] if all(x == field.zero for x in vec) else None
-    rows = [[c[i] for c in cols] for i in range(len(vec))]
-    x, _ = solve_cols(rows, list(vec), field)
-    return x
+    return _solve_many(cols, [vec], field)[0]
 
 
 def sub_map(m, src_cols, tgt_cols, field):
     """The matrix of m restricted to span(src_cols) -> span(tgt_cols), in those bases.
 
     m maps the ambient space of src_cols to that of tgt_cols.  Returns None
-    when the image of some source column leaves span(tgt_cols).
+    when the image of some source column leaves span(tgt_cols).  One
+    elimination of tgt_cols serves every source column.
     """
-    out_cols = []
+    imgs = []
     for col in src_cols:
-        img = [sum((row[j] * col[j] for j in range(len(col)) if col[j] != field.zero), field.zero) for row in m]
-        co = coords_in_col_span(tgt_cols, img, field)
-        if co is None:
-            return None
-        out_cols.append(co)
+        support = [(j, x) for j, x in enumerate(col) if x != field.zero]
+        imgs.append([sum((row[j] * x for j, x in support), field.zero) for row in m])
+    out_cols = _solve_many(tgt_cols, imgs, field)
+    if any(co is None for co in out_cols):
+        return None
     return [[c[i] for c in out_cols] for i in range(len(tgt_cols))]
 
 

@@ -27,7 +27,7 @@ from .errors import InternalConsistencyError, InvalidInputError, WindowInsuffici
 from .exact_linalg import (
     QQ,
     RatMatrix,
-    coords_in_col_span,
+    _solve_many,
     identity_rows,
     kernel_cols,
     mat_mul,
@@ -36,17 +36,17 @@ from .exact_linalg import (
     quotient_coords,
     quotient_map,
     rref,
-    solve_cols,
     sub_map,
+    transpose_rows,
 )
 from .mesh_hom import MeshContext, sweep
 from .quiver_core import (
     Configuration,
     Quiver,
     RepArrow,
-    RepQuiver,
     RepVertex,
     Window,
+    build_repetition,
     parse_arrow_key,
     parse_vertex,
     sigma,
@@ -136,7 +136,7 @@ class WindowRep:
         self.window = window
         self.config = config if config is not None else Configuration.full()
         self.field = field
-        self.rq = RepQuiver(q, True, window, self.config)
+        self.rq = build_repetition(q, True, window, self.config)
         self.dims = {}
         for v, d in dims.items():
             if d < 0:
@@ -478,7 +478,7 @@ def kan_right(M: SModulePoint, w: Window) -> KanRight:
     cat = M.cat
     field = M.field
     rc = MeshContext(cat.q, "RC", cat.config)
-    rq = RepQuiver(cat.q, True, w, cat.config)
+    rq = build_repetition(cat.q, True, w, cat.config)
     support = [u for u in cat.objects if M.dim(u) > 0]
     sup_levels = M.support_levels()
 
@@ -615,7 +615,7 @@ def kan_left(M: SModulePoint, w: Window) -> KanLeft:
     cat = M.cat
     field = M.field
     rc = MeshContext(cat.q, "RC", cat.config)
-    rq = RepQuiver(cat.q, True, w, cat.config)
+    rq = build_repetition(cat.q, True, w, cat.config)
     support = [u for u in cat.objects if M.dim(u) > 0]
 
     def fun(z):
@@ -713,7 +713,7 @@ def can_matrices(M: SModulePoint, kl: KanLeft, kr: KanRight) -> Dict[RepVertex, 
             out[x] = [[field.zero] * dl for _ in range(dr)]
             continue
         amb = kr.amb_index[x]
-        cols = []
+        vecs = []
         for t in kl.kept[x]:
             (u, g, j) = kl.gen_index[x][t]
             g_path = sweep(rc, x, M.window, field).basis_paths(u)[g]
@@ -727,10 +727,10 @@ def can_matrices(M: SModulePoint, kl: KanLeft, kr: KanRight) -> Dict[RepVertex, 
                     if c != field.zero:
                         s += c * M.module.act_mat(u2, u, k)[j2][j]
                 vec[pos] = s
-            co = coords_in_col_span(kr.basis_cols[x], vec, field)
-            if co is None:
-                raise InternalConsistencyError("canonical map does not land in K_R (bug)")
-            cols.append(co)
+            vecs.append(vec)
+        cols = _solve_many(kr.basis_cols[x], vecs, field)
+        if any(co is None for co in cols):
+            raise InternalConsistencyError("canonical map does not land in K_R (bug)")
         out[x] = [[cols[jj][ii] for jj in range(len(cols))] for ii in range(dr)]
     return out
 
@@ -769,14 +769,10 @@ def kan_intermediate(M: SModulePoint, w: Window) -> KanIntermediate:
             continue
         if x.frozen:
             # theta-normalized basis: columns mapping to the standard basis of M(x)
-            cols = []
             th = kr.theta[x]
-            for j in range(M.dim(x)):
-                e = [field.one if i == j else field.zero for i in range(M.dim(x))]
-                sol, _ = solve_cols(th, e, field)
-                if sol is None:
-                    raise InternalConsistencyError("theta not invertible at a frozen vertex")
-                cols.append(sol)
+            cols = _solve_many(transpose_rows(th), identity_rows(M.dim(x), field), field)
+            if any(sol is None for sol in cols):
+                raise InternalConsistencyError("theta not invertible at a frozen vertex")
             incl[x] = cols
             continue
         gathered = []
@@ -1219,7 +1215,7 @@ def fiber(M: SModulePoint, v: Dict[RepVertex, int], p: int, w: Window, bound: in
         forced = forced_at(x, choice)
         for sub_rows in subspace_pool[x]:
             cols = [list(r) for r in sub_rows]  # each basis vector of the subspace
-            if not all(coords_in_col_span(cols, f, field) is not None for f in forced):
+            if any(co is None for co in _solve_many(cols, forced, field)):
                 continue
             choice[x] = cols
             recurse(i + 1, choice)
@@ -1281,7 +1277,7 @@ def representable_rep(q: Quiver, window: Window, u0: RepVertex,
     rc = MeshContext(q, "RC", config)
     if not rc.contains(u0):
         raise InvalidInputError(f"{u0} is not an object of the configured category")
-    rq = RepQuiver(q, True, window, config)
+    rq = build_repetition(q, True, window, config)
     dims = {}
     for z in rq.vertices:
         d = sweep(rc, z, window, field).dim(u0) if z.level <= u0.level else 0

@@ -14,9 +14,11 @@ and every relator instance between them lives on the intermediate levels.
 """
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
+import tempfile
 import threading
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -29,6 +31,8 @@ from .quiver_core import (
     RepArrow,
     RepVertex,
     Window,
+    build_repetition,
+    clear_slices,
     parse_arrow_key,
     sigma_arrow,
     tau,
@@ -76,59 +80,17 @@ class MeshContext:
         return (v.level, 2 * self.q.topo_index[v.node] + (1 if v.frozen else 0))
 
     def vertices_in(self, w: Window) -> List[RepVertex]:
-        out = []
-        for p in w.levels():
-            for node in self.q._topo:
-                v = RepVertex(node, p)
-                out.append(v)
-                u = RepVertex(node, p, True)
-                if self.contains(u):
-                    out.append(u)
-        return out
+        return list(self._slice(w).vertices)
 
-    def in_arrows(self, v: RepVertex, w: Window) -> List[RepArrow]:
-        if not w.contains(v) or not self.contains(v):
-            return []
-        out = []
-        if v.frozen:
-            src = RepVertex(v.node, v.level)
-            if w.contains(src):
-                out.append(RepArrow("f", v.node, src, v))
-            return out
-        for a in self.q.arrows_into(v.node):
-            src = RepVertex(a.source, v.level)
-            if w.contains(src):
-                out.append(RepArrow("a", a.id, src, v))
-        for a in self.q.arrows_from(v.node):
-            src = RepVertex(a.target, v.level - 1)
-            if w.contains(src):
-                out.append(RepArrow("s", a.id, src, v))
-        src = RepVertex(v.node, v.level - 1, True)
-        if self.contains(src) and w.contains(src):
-            out.append(RepArrow("c", v.node, src, v))
-        return out
+    def in_arrows(self, v: RepVertex, w: Window):
+        return self._slice(w).in_arrows(v)
 
-    def out_arrows(self, v: RepVertex, w: Window) -> List[RepArrow]:
-        if not w.contains(v) or not self.contains(v):
-            return []
-        out = []
-        if v.frozen:
-            tgt = RepVertex(v.node, v.level + 1)
-            if w.contains(tgt):
-                out.append(RepArrow("c", v.node, v, tgt))
-            return out
-        for a in self.q.arrows_from(v.node):
-            tgt = RepVertex(a.target, v.level)
-            if w.contains(tgt):
-                out.append(RepArrow("a", a.id, v, tgt))
-        for a in self.q.arrows_into(v.node):
-            tgt = RepVertex(a.source, v.level + 1)
-            if w.contains(tgt):
-                out.append(RepArrow("s", a.id, v, tgt))
-        u = RepVertex(v.node, v.level, True)
-        if self.contains(u) and w.contains(u):
-            out.append(RepArrow("f", v.node, v, u))
-        return out
+    def out_arrows(self, v: RepVertex, w: Window):
+        return self._slice(w).out_arrows(v)
+
+    def _slice(self, w: Window):
+        """The shared window slice of this category's quiver: its objects and arrows."""
+        return build_repetition(self.q, self.framed, w, self.config)
 
     def imposes_relator(self, v: RepVertex, w: Window) -> bool:
         return (not v.frozen) and w.contains(tau(v))
@@ -145,6 +107,7 @@ class HomFunctor:
         self.dims: Dict[RepVertex, int] = {}
         self.paths: Dict[RepVertex, List[Tuple[RepArrow, ...]]] = {}
         self.mats: Dict[RepArrow, List[List]] = {}
+        self._reduced: Dict[Tuple[RepArrow, ...], tuple] = {}
 
     def dim(self, y: RepVertex) -> int:
         return self.dims.get(y, 0)
@@ -156,11 +119,24 @@ class HomFunctor:
         mat = self.mats.get(arrow)
         if mat is None:
             return [self.field.zero] * self.dim(arrow.target)
-        return [sum((row[j] * vec[j] for j in range(len(vec)) if vec[j] != self.field.zero), self.field.zero)
-                for row in mat]
+        zero = self.field.zero
+        support = [(j, x) for j, x in enumerate(vec) if x != zero]
+        return [sum((row[j] * x for j, x in support), zero) for row in mat]
 
     def reduce_path(self, path: Sequence[RepArrow]):
-        """Coordinates of a path from the source in the basis at its endpoint."""
+        """Coordinates of a path from the source in the basis at its endpoint.
+
+        Walks are memoized by path on the functor, so they live and die with
+        the cached sweep and never reach the disk; a walk that raised is not
+        memoized.  Each call returns a fresh list.
+        """
+        path = tuple(path)
+        vec = self._reduced.get(path)
+        if vec is None:
+            vec = self._reduced[path] = tuple(self._walk(path))
+        return list(vec)
+
+    def _walk(self, path: Tuple[RepArrow, ...]):
         at = self.source
         vec = [self.field.one] if self.dim(at) else []
         if self.dim(at) == 0:
@@ -248,8 +224,10 @@ _DISK_VERSION = 1
 
 
 def clear_cache():
+    """Drop every cached sweep, with its path memo, and every shared window slice."""
     with _CACHE_LOCK:
         _CACHE.clear()
+        clear_slices()
 
 
 def enable_disk_cache(directory: Optional[str]):
@@ -296,11 +274,21 @@ def _disk_store(fun: HomFunctor, key):
         "paths": {v.key(): [[a.key() for a in p] for p in ps] for v, ps in fun.paths.items()},
         "mats": {a.key(): [[format_fraction(x) for x in row] for row in m] for a, m in fun.mats.items()},
     }
+    # Write a temp file beside the target, then rename it into place: a
+    # reader never sees a partial file, and of two writers one wins whole.
+    tmp = None
     try:
-        with open(_disk_path(key), "w") as fh:
+        fd, tmp = tempfile.mkstemp(prefix=".hom-", suffix=".tmp", dir=_DISK_DIR)
+        with os.fdopen(fd, "w") as fh:
             json.dump(data, fh)
+        os.replace(tmp, _disk_path(key))
+        tmp = None
     except OSError:
         pass
+    finally:
+        if tmp is not None:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
 
 
 def _disk_load(ctx: MeshContext, source: RepVertex, window: Window, key) -> Optional[HomFunctor]:
@@ -500,46 +488,8 @@ def enumerate_paths(ctx: MeshContext, a: RepVertex, b: RepVertex, w: Window) -> 
     return back(b)
 
 
-def hom_dim_oracle(ctx: MeshContext, x: RepVertex, y: RepVertex, w: Window) -> int:
-    """dim Hom(x,y) by listing every path and every mesh-relator instance."""
-    paths = enumerate_paths(ctx, x, y, w)
-    if not paths:
-        return 1 if x == y else 0
-    index = {p: i for i, p in enumerate(paths)}
-    rel_rows = []
-    for p in range(x.level, y.level + 1):
-        for node in ctx.q._topo:
-            z = RepVertex(node, p)
-            if not ctx.imposes_relator(z, w):
-                continue
-            tz = tau(z)
-            if tz.level < x.level:
-                continue
-            heads = enumerate_paths(ctx, x, tz, w)
-            tails = enumerate_paths(ctx, z, y, w)
-            if not heads or not tails:
-                continue
-            branches = [(sigma_arrow(ctx.q, b), b) for b in ctx.in_arrows(z, w)]
-            for hpath in heads:
-                for tpath in tails:
-                    row = [QQ.zero] * len(paths)
-                    for sb, b in branches:
-                        whole = hpath + (sb, b) + tpath
-                        row[index[whole]] += QQ.one
-                    rel_rows.append(row)
-    rk = mat_rank(rel_rows, len(paths), QQ) if rel_rows else 0
-    return len(paths) - rk
-
-
-def sweep_matches_oracle(ctx: MeshContext, x: RepVertex, y: RepVertex, w: Window) -> bool:
-    """Check that the sweep basis spans and is independent modulo the relator ideal."""
-    paths = enumerate_paths(ctx, x, y, w)
-    dim_oracle = hom_dim_oracle(ctx, x, y, w)
-    hb = hom_basis(ctx, x, y, w)
-    if hb.dim != dim_oracle:
-        return False
-    if not paths:
-        return True
+def _relator_rows(ctx: MeshContext, x: RepVertex, y: RepVertex, w: Window, paths) -> List[list]:
+    """One row per mesh-relator instance x -> tau(z) ~> z -> y, over the given paths x -> y."""
     index = {p: i for i, p in enumerate(paths)}
     rel_rows = []
     for p in range(x.level, y.level + 1):
@@ -556,13 +506,37 @@ def sweep_matches_oracle(ctx: MeshContext, x: RepVertex, y: RepVertex, w: Window
                     for sb, b in branches:
                         row[index[hpath + (sb, b) + tpath]] += QQ.one
                     rel_rows.append(row)
+    return rel_rows
+
+
+def hom_dim_oracle(ctx: MeshContext, x: RepVertex, y: RepVertex, w: Window) -> int:
+    """dim Hom(x,y) by listing every path and every mesh-relator instance."""
+    paths = enumerate_paths(ctx, x, y, w)
+    if not paths:
+        return 1 if x == y else 0
+    rel_rows = _relator_rows(ctx, x, y, w, paths)
+    return len(paths) - (mat_rank(rel_rows, len(paths), QQ) if rel_rows else 0)
+
+
+def sweep_matches_oracle(ctx: MeshContext, x: RepVertex, y: RepVertex, w: Window) -> bool:
+    """Check that the sweep basis spans and is independent modulo the relator ideal.
+
+    The relator rows are built and ranked once: their rank gives the oracle
+    dimension, and one more rank with the basis paths' unit rows appended
+    tests that the basis is independent modulo them.
+    """
+    paths = enumerate_paths(ctx, x, y, w)
+    hb = hom_basis(ctx, x, y, w)
+    if not paths:
+        return hb.dim == (1 if x == y else 0)
+    rel_rows = _relator_rows(ctx, x, y, w, paths)
     base_rank = mat_rank(rel_rows, len(paths), QQ) if rel_rows else 0
+    if hb.dim != len(paths) - base_rank:
+        return False
+    index = {p: i for i, p in enumerate(paths)}
     unit_rows = []
     for bp in hb.basis:
         row = [QQ.zero] * len(paths)
         row[index[bp]] = QQ.one
         unit_rows.append(row)
-    joint = mat_rank(rel_rows + unit_rows, len(paths), QQ)
-    if joint != base_rank + hb.dim:
-        return False
-    return True
+    return mat_rank(rel_rows + unit_rows, len(paths), QQ) == base_rank + hb.dim

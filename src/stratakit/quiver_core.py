@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from functools import cached_property
+from typing import Dict, Iterable, Optional
 
 from .errors import InvalidInputError, WindowInsufficiencyError
 
@@ -376,7 +377,10 @@ class RepQuiver:
 
     When a configuration is supplied, frozen vertices outside the retained
     set are dropped together with their incident arrows, which is exactly
-    the quotient killing their identity morphisms.
+    the quotient killing their identity morphisms.  Immutable once built:
+    vertices, arrows and the arrows into and out of each vertex are tuples,
+    the arrows computed on first use and kept, so one slice can be shared
+    (build_repetition).
     """
 
     def __init__(self, q: Quiver, framed: bool, window: Window, config: Optional[Configuration] = None):
@@ -384,26 +388,45 @@ class RepQuiver:
         self.framed = framed
         self.window = window
         self.config = config if config is not None else Configuration.full()
-        self.vertices = []
+        vertices = []
         for p in window.levels():
             for node in q._topo:
-                self.vertices.append(RepVertex(node, p))
+                vertices.append(RepVertex(node, p))
                 if framed:
                     u = RepVertex(node, p, True)
                     if self.config.retains(u):
-                        self.vertices.append(u)
-        self._vset = set(self.vertices)
-        self.arrows = []
-        for v in self.vertices:
-            self.arrows.extend(self.in_arrows(v))
+                        vertices.append(u)
+        self.vertices = tuple(vertices)
+        self._vset = frozenset(vertices)
+        self._in: Dict[RepVertex, tuple] = {}
+        self._out: Dict[RepVertex, tuple] = {}
+
+    @cached_property
+    def arrows(self):
+        return tuple(a for v in self.vertices for a in self.in_arrows(v))
 
     def has_vertex(self, v: RepVertex) -> bool:
         return v in self._vset
 
     def in_arrows(self, v: RepVertex):
         """Arrows of the sliced quiver ending at v (sources inside the slice)."""
-        if not self.has_vertex(v):
-            return []
+        arrows = self._in.get(v)
+        if arrows is None:
+            if v not in self._vset:
+                return ()
+            arrows = self._in[v] = tuple(self._arrows_into(v))
+        return arrows
+
+    def out_arrows(self, v: RepVertex):
+        """Arrows of the sliced quiver starting at v (targets inside the slice)."""
+        arrows = self._out.get(v)
+        if arrows is None:
+            if v not in self._vset:
+                return ()
+            arrows = self._out[v] = tuple(self._arrows_out_of(v))
+        return arrows
+
+    def _arrows_into(self, v: RepVertex):
         out = []
         if v.frozen:
             src = RepVertex(v.node, v.level)
@@ -424,9 +447,7 @@ class RepQuiver:
                 out.append(RepArrow("c", v.node, src, v))
         return out
 
-    def out_arrows(self, v: RepVertex):
-        if not self.has_vertex(v):
-            return []
+    def _arrows_out_of(self, v: RepVertex):
         out = []
         if v.frozen:
             tgt = RepVertex(v.node, v.level + 1)
@@ -456,9 +477,25 @@ class RepQuiver:
         return MeshRelator(x, terms)
 
 
+_SLICES: Dict[tuple, RepQuiver] = {}
+
+
 def build_repetition(q: Quiver, frame: bool, w: Window, config: Optional[Configuration] = None) -> RepQuiver:
-    """All vertices and arrows of ZQ (or framed ZQ~) with levels in the window."""
-    return RepQuiver(q, frame, w, config)
+    """All vertices and arrows of ZQ (or framed ZQ~) with levels in the window.
+
+    One slice is built per (quiver, framing, window, configuration) and
+    shared by every caller until clear_slices(); it must not be modified.
+    """
+    config = config if config is not None else Configuration.full()
+    key = (q._key, frame, w, config.key())
+    rq = _SLICES.get(key)
+    if rq is None:
+        rq = _SLICES.setdefault(key, RepQuiver(q, frame, w, config))
+    return rq
+
+
+def clear_slices():
+    _SLICES.clear()
 
 
 def mesh_relators(rq: RepQuiver, w: Optional[Window] = None):
@@ -487,7 +524,7 @@ def check_configuration(q: Quiver, config: Configuration, w: Window) -> dict:
 
     ctx = mesh_hom.MeshContext(q, "RC", config)
     kzq = mesh_hom.MeshContext(q, "kZQ", None)
-    rq = RepQuiver(q, True, w, config)
+    rq = build_repetition(q, True, w, config)
     nonfrozen = [v for v in rq.vertices if not v.frozen]
     report = {"condition_R": {}, "left_exact": {}}
 

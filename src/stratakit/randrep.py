@@ -13,7 +13,7 @@ from typing import Dict, Optional
 
 from .exact_linalg import QQ, kernel_cols
 from .kan_strata import WindowRep, restrict, SModulePoint
-from .quiver_core import Configuration, Quiver, RepQuiver, RepVertex, Window, sigma_arrow, tau
+from .quiver_core import Configuration, Quiver, RepVertex, Window, build_repetition, sigma_arrow, tau
 
 
 def random_window_rep(q: Quiver, window: Window, rng: random.Random,
@@ -22,7 +22,7 @@ def random_window_rep(q: Quiver, window: Window, rng: random.Random,
                       support: Optional[Window] = None,
                       fixed_dims: Optional[Dict[RepVertex, int]] = None) -> WindowRep:
     config = config if config is not None else Configuration.full()
-    rq = RepQuiver(q, True, window, config)
+    rq = build_repetition(q, True, window, config)
     dims: Dict[RepVertex, int] = {}
     for v in rq.vertices:
         if fixed_dims is not None and v in fixed_dims:

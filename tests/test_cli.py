@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -128,6 +129,19 @@ def test_selftest_d4_suite(capsys):
     code, out, _ = run(capsys, "selftest", "--suite", "d4")
     assert code == 0
     assert "[PASS] criterion 2" in out
+    assert re.search(r"criterion 2: .*, \d+\.\ds of 30s$", out.strip())
+
+
+def test_run_suite_times_a_criterion_that_raises(monkeypatch):
+    from stratakit import acceptance
+
+    def broken(seed):
+        raise RuntimeError("inconsistent")
+
+    monkeypatch.setattr(acceptance, "ALL_CRITERIA", acceptance.ALL_CRITERIA[:10] + [broken])
+    lines = []
+    assert acceptance.run_suite([11], out=lines.append) is False
+    assert re.fullmatch(r"\[FAIL\] criterion 11: broken -- exception: inconsistent, \d+\.\ds of 120s", lines[0])
 
 
 def test_cache_dir_env_wiring(capsys, tmp_path, monkeypatch):

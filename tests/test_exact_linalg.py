@@ -5,12 +5,15 @@ from hypothesis import given, settings, strategies as st
 from stratakit.exact_linalg import (
     QQ,
     RatMatrix,
+    coords_in_col_span,
     format_fraction,
     parse_fraction,
     quotient_coords,
     quotient_map,
+    rref,
     sub_map,
 )
+from stratakit.kan_strata import PrimeField
 
 small_entries = st.integers(min_value=-4, max_value=4)
 
@@ -156,3 +159,124 @@ def test_image_basis_deterministic_pivots():
     assert img.cols == a.rank() == 2
     # pivot columns are the leftmost independent ones
     assert img.column(0) == a.column(0)
+
+
+# ---------------------------------------------------------------------------
+# Slow twins: the identity-augmented eliminations these routines replaced,
+# kept here as the reference the one-elimination versions must reproduce.
+# ---------------------------------------------------------------------------
+
+def _twin_solve_cols(rows, b, field):
+    nrows = len(rows)
+    ncols = len(rows[0]) if nrows else 0
+    aug = [list(rows[i]) + [b[i]] + [field.one if j == i else field.zero for j in range(nrows)]
+           for i in range(nrows)]
+    red, pivots = rref(aug, ncols + 1 + nrows, field)
+    for i, pc in enumerate(pivots):
+        if pc == ncols:
+            return None
+    x = [field.zero] * ncols
+    for i, pc in enumerate(pivots):
+        if pc < ncols:
+            x[pc] = red[i][ncols]
+    return x
+
+
+def _twin_quotient_coords(gen_dim, rel_cols, field):
+    nrel = len(rel_cols)
+    rows = [[rel_cols[j][i] for j in range(nrel)] + [field.one if g == i else field.zero for g in range(gen_dim)]
+            for i in range(gen_dim)]
+    red, pivots = rref(rows, nrel + gen_dim, field)
+    kept = [pc - nrel for pc in pivots if pc >= nrel]
+    kept_pos = {k: idx for idx, k in enumerate(kept)}
+    coords = []
+    for g in range(gen_dim):
+        v = [field.zero] * len(kept)
+        if g in kept_pos:
+            v[kept_pos[g]] = field.one
+        else:
+            for i, pc in enumerate(pivots):
+                if pc >= nrel:
+                    v[kept_pos[pc - nrel]] = red[i][nrel + g]
+        coords.append(v)
+    return kept, coords
+
+
+def _twin_coords_in_col_span(cols, vec, field):
+    if not cols:
+        return [] if all(x == field.zero for x in vec) else None
+    return _twin_solve_cols([[c[i] for c in cols] for i in range(len(vec))], list(vec), field)
+
+
+def _twin_sub_map(m, src_cols, tgt_cols, field):
+    out_cols = []
+    for col in src_cols:
+        img = [sum((row[j] * col[j] for j in range(len(col))), field.zero) for row in m]
+        co = _twin_coords_in_col_span(tgt_cols, img, field)
+        if co is None:
+            return None
+        out_cols.append(co)
+    return [[c[i] for c in out_cols] for i in range(len(tgt_cols))]
+
+
+FIELDS = [QQ, PrimeField(3)]
+
+
+@st.composite
+def _vectors(draw, field, dim, count_max, spanning=()):
+    """Vectors of field^dim, some drawn inside span(spanning) so both outcomes occur."""
+    out = []
+    for _ in range(draw(st.integers(0, count_max))):
+        if spanning and draw(st.booleans()):
+            cs = [field.of_int(draw(small_entries)) for _ in spanning]
+            out.append([sum((c * col[i] for c, col in zip(cs, spanning)), field.zero) for i in range(dim)])
+        else:
+            out.append([field.of_int(draw(small_entries)) for _ in range(dim)])
+    return out
+
+
+@st.composite
+def _span_case(draw, min_dim):
+    field = draw(st.sampled_from(FIELDS))
+    dim = draw(st.integers(min_dim, 5))
+    cols = draw(_vectors(field, dim, 4))
+    return field, dim, cols
+
+
+@settings(max_examples=150, deadline=None)
+@given(_span_case(min_dim=0))
+def test_quotient_coords_matches_identity_augmented_twin(case):
+    field, dim, rel_cols = case
+    assert quotient_coords(dim, rel_cols, field) == _twin_quotient_coords(dim, rel_cols, field)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data(), _span_case(min_dim=1))
+def test_coords_in_col_span_matches_twin(data, case):
+    field, dim, cols = case
+    for vec in data.draw(_vectors(field, dim, 4, cols)):
+        assert coords_in_col_span(cols, vec, field) == _twin_coords_in_col_span(cols, vec, field)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data(), st.sampled_from(FIELDS), st.integers(1, 4), st.integers(1, 4))
+def test_sub_map_matches_twin(data, field, src_dim, tgt_dim):
+    m = data.draw(_vectors(field, src_dim, tgt_dim))
+    m += [[field.zero] * src_dim for _ in range(tgt_dim - len(m))]
+    src_cols = data.draw(_vectors(field, src_dim, 3))
+    images = [[sum((row[j] * col[j] for j in range(src_dim)), field.zero) for row in m] for col in src_cols]
+    # target bases that hold the images, or only some of them, or none
+    tgt_cols = images[:data.draw(st.integers(0, len(images)))] + data.draw(_vectors(field, tgt_dim, 2))
+    assert sub_map(m, src_cols, tgt_cols, field) == _twin_sub_map(m, src_cols, tgt_cols, field)
+
+
+def test_twins_cover_the_degenerate_shapes():
+    for field in FIELDS:
+        one, zero = field.one, field.zero
+        assert quotient_coords(0, [], field) == _twin_quotient_coords(0, [], field) == ([], [])
+        assert quotient_coords(2, [], field) == _twin_quotient_coords(2, [], field)
+        assert coords_in_col_span([], [zero, zero], field) == [] == _twin_coords_in_col_span([], [zero, zero], field)
+        assert coords_in_col_span([], [one], field) is None is _twin_coords_in_col_span([], [one], field)
+        m = [[one, zero], [zero, one]]
+        for src, tgt in [([], [[one, zero]]), ([[one, zero]], []), ([], [])]:
+            assert sub_map(m, src, tgt, field) == _twin_sub_map(m, src, tgt, field)

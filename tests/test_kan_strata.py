@@ -514,3 +514,59 @@ def test_window_rep_json_round_trip():
     again = WindowRep.from_json(rep.to_json())
     assert again.equal_data(rep)
     assert again.to_json() == rep.to_json()
+
+
+# ---------------------------------------------------------------------------
+# Shared window slices.
+# ---------------------------------------------------------------------------
+
+def _slice_snapshot(rq):
+    return (rq.vertices, rq.arrows, {v: (rq.in_arrows(v), rq.out_arrows(v)) for v in rq.vertices})
+
+
+def test_window_reps_share_one_slice_per_window_and_configuration():
+    c = Configuration([parse_vertex("1@%d" % p) for p in range(0, 4)])
+    first = zero_rep(A2, W)
+    assert simple_rep(a_n_quiver(2), W, parse_vertex("1@1")).rq is first.rq
+    assert zero_rep(A2, W, Configuration.full()).rq is first.rq
+    assert zero_rep(A2, W, c).rq is zero_rep(A2, W, Configuration(c.members)).rq
+    others = [zero_rep(A2, Window(0, 4)).rq, zero_rep(A2, W, c).rq, zero_rep(a_n_quiver(3), W).rq]
+    assert len({id(rq) for rq in [first.rq] + others}) == 4
+    assert zero_rep(A2, W, c).rq.vertices != first.rq.vertices
+
+
+def test_phi_and_fiber_leave_the_shared_slice_unchanged():
+    from stratakit import mesh_hom
+
+    mesh_hom.clear_cache()
+    try:
+        w4 = Window(0, 4)
+        u = parse_vertex("1'@1")
+        M = SModulePoint.semisimple(A2, w4, {u: 1})
+        rq = zero_rep(A2, w4).rq
+        before = _slice_snapshot(rq)
+        phi(M, w4)
+        res = fiber(M, {sigma_inv(u): 1}, 2, w4)
+        assert res.witness.rq is rq
+        assert _slice_snapshot(rq) == before
+        rng = random.Random(8)
+        N = random_module_point(A2, W, rng, dim_choices=(0, 1, 1, 2))
+        small = zero_rep(A2, W).rq
+        snapshot = _slice_snapshot(small)
+        assert phi(N, W).klr.rq is small
+        assert _slice_snapshot(small) == snapshot
+    finally:
+        mesh_hom.clear_cache()
+
+
+def test_clear_cache_drops_the_shared_slices():
+    from stratakit import mesh_hom, quiver_core
+
+    old = zero_rep(A2, W).rq
+    assert quiver_core._SLICES
+    mesh_hom.clear_cache()
+    assert quiver_core._SLICES == {}
+    fresh = zero_rep(A2, W).rq
+    assert fresh is not old
+    assert _slice_snapshot(fresh) == _slice_snapshot(old)
+    mesh_hom.clear_cache()

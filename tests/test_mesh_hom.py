@@ -1,4 +1,6 @@
+import errno
 import json
+import os
 import random
 
 import pytest
@@ -277,6 +279,111 @@ def test_malformed_disk_file_is_a_miss(tmp_path, damage):
         assert again is not good
         assert dict(again.dims) == dims
         assert {a.key(): m for a, m in again.mats.items()} == mats
+    finally:
+        enable_disk_cache(None)
+        clear_cache()
+
+
+# ---------------------------------------------------------------------------
+# The reduce_path memo and the atomic disk writes.
+# ---------------------------------------------------------------------------
+
+def _extended_basis_paths(ctx, w):
+    """(source, path) for every basis path of every sweep, extended by each out-arrow."""
+    out = []
+    for x in ctx.vertices_in(w):
+        fun = sweep(ctx, x, w)
+        for y in ctx.vertices_in(w):
+            for p in fun.basis_paths(y):
+                for a in ctx.out_arrows(y, w):
+                    out.append((x, p + (a,)))
+    return out
+
+
+@pytest.mark.parametrize("quiver,window", [(A2, Window(0, 4)), (kronecker_quiver(), Window(0, 3))],
+                         ids=["A2", "Kronecker"])
+def test_reduce_path_memo_matches_a_fresh_walk(quiver, window, monkeypatch):
+    ctx = MeshContext(quiver, "RC")
+    clear_cache()
+    try:
+        cases = _extended_basis_paths(ctx, window)
+        assert len(cases) > 50
+        for x, path in cases:
+            sweep(ctx, x, window).reduce_path(path)
+        walks = []
+        real_walk = mesh_hom.HomFunctor._walk
+        monkeypatch.setattr(mesh_hom.HomFunctor, "_walk", lambda self, p: walks.append(p) or real_walk(self, p))
+        memo = [sweep(ctx, x, window).reduce_path(path) for x, path in cases]
+        assert walks == []  # every answer came from the memo
+        clear_cache()
+        fresh = [sweep(ctx, x, window).reduce_path(path) for x, path in cases]
+        assert len(walks) == len({(x, path) for x, path in cases})
+        assert memo == fresh
+    finally:
+        clear_cache()
+
+
+def test_reduce_path_returns_a_fresh_list():
+    clear_cache()
+    try:
+        x, w = parse_vertex("1@0"), Window(0, 3)
+        fun = sweep(RC, x, w)
+        path = fun.basis_paths(parse_vertex("2@0"))[0]
+        first = fun.reduce_path(path)
+        expected = list(first)
+        first[0] += 7
+        first.append(QQ.one)
+        assert fun.reduce_path(path) == expected
+        assert fun.reduce_path(list(path)) == expected
+    finally:
+        clear_cache()
+
+
+def test_reduce_path_from_the_wrong_vertex_raises_every_time():
+    clear_cache()
+    try:
+        w = Window(0, 3)
+        fun = sweep(RC, parse_vertex("1@0"), w)
+        stray = RC.out_arrows(parse_vertex("2@1"), w)[0]
+        for _ in range(2):
+            with pytest.raises(InvalidInputError):
+                fun.reduce_path((stray,))
+    finally:
+        clear_cache()
+
+
+def _broken_dump(exc):
+    def dump(obj, fh):
+        fh.write(json.dumps(obj)[:40])  # part of the file is out when the write fails
+        raise exc
+    return dump
+
+
+@pytest.mark.parametrize("exc", [OSError(errno.ENOSPC, "No space left on device"), RuntimeError("interrupted")],
+                         ids=["disk-full", "other-error"])
+def test_failed_disk_write_leaves_no_file_and_is_recomputed(tmp_path, monkeypatch, exc):
+    clear_cache()
+    enable_disk_cache(str(tmp_path))
+    try:
+        source, w = parse_vertex("1@0"), Window(0, 3)
+        monkeypatch.setattr(json, "dump", _broken_dump(exc))
+        if isinstance(exc, OSError):
+            first = sweep(KZ, source, w)  # the sweep itself still succeeds
+        else:
+            with pytest.raises(RuntimeError):
+                sweep(KZ, source, w)
+            first = mesh_hom._sweep(KZ, source, w, QQ)
+        assert list(tmp_path.iterdir()) == []
+        monkeypatch.undo()
+        clear_cache()
+        computed = []
+        real_sweep = mesh_hom._sweep
+        monkeypatch.setattr(mesh_hom, "_sweep", lambda *a: computed.append(a) or real_sweep(*a))
+        again = sweep(KZ, source, w)
+        assert len(computed) == 1
+        assert dict(again.dims) == dict(first.dims)
+        assert [p.name for p in tmp_path.iterdir()] == [os.path.basename(mesh_hom._disk_path(
+            (KZ.cache_key(), w.lo, w.hi, source, "QQ")))]
     finally:
         enable_disk_cache(None)
         clear_cache()
