@@ -137,10 +137,9 @@ class HomFunctor:
         return list(vec)
 
     def _walk(self, path: Tuple[RepArrow, ...]):
-        at = self.source
-        vec = [self.field.one] if self.dim(at) else []
-        if self.dim(at) == 0:
+        if self.dim(self.source) == 0:
             raise InvalidInputError(f"source {self.source} has no identity in this window")
+        at, vec = self.source, [self.field.one]
         for arrow in path:
             if arrow.source != at:
                 raise InvalidInputError(f"path does not start where expected at {arrow}")
