@@ -2,8 +2,9 @@
 
 Exit codes: 0 success, 1 invalid input (including violated relations),
 2 window insufficiency, 3 internal-consistency failure.  Setting
-STRATAKIT_CACHE_DIR persists Hom-basis caches between runs as versioned
-JSON files.
+STRATAKIT_CACHE_DIR persists rational Hom sweeps between runs, one
+append-only log per context, window and field in that directory; a path
+that is not a usable directory exits 1 with the JSON error.
 """
 from __future__ import annotations
 
@@ -280,13 +281,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
+def _enable_cache_dir():
     cache_dir = os.environ.get("STRATAKIT_CACHE_DIR")
-    if cache_dir:
+    if not cache_dir:
+        return
+    try:
         mesh_hom.enable_disk_cache(cache_dir)
+    except OSError as exc:
+        raise InvalidInputError(f"STRATAKIT_CACHE_DIR {cache_dir!r} is not a usable directory: {exc}") from exc
+
+
+def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _enable_cache_dir()
         rc = args.fn(args)
         return 0 if rc is None else rc
     except StrataKitError as exc:

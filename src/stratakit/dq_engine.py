@@ -239,6 +239,8 @@ def cartan_solve(q: Quiver, m: Dict[RepVertex, int], w: Window) -> Dict[RepVerte
     m = {u: val for u, val in m.items() if val}
     for u in m:
         _require_nonfrozen(u)
+        if u.node not in q.topo_index:
+            raise InvalidInputError(f"{u.node!r} is not a vertex of the quiver")
         if not w.contains(u):
             raise WindowInsufficiencyError(f"support vertex {u} outside window")
     if not m:

@@ -269,24 +269,39 @@ class WindowRep:
 
     @classmethod
     def from_json(cls, data) -> "WindowRep":
+        if not isinstance(data, dict):
+            raise InvalidInputError(f"window representation must be a JSON object, got {data!r}")
+        dims_data, mats_data = data.get("dims", {}), data.get("mats", {})
+        if not isinstance(dims_data, dict) or not isinstance(mats_data, dict):
+            raise InvalidInputError("window representation dims and mats must be JSON objects")
+        for k, d in dims_data.items():
+            if isinstance(d, bool) or not isinstance(d, int):
+                raise InvalidInputError(f"bad dimension {d!r} for vertex {k!r}")
         try:
             q = Quiver.from_json(data["quiver"])
             window = Window.from_json(data["window"])
             config = Configuration.from_json(data.get("configuration"))
-            dims = {parse_vertex(k): int(d) for k, d in data.get("dims", {}).items()}
+            dims = {parse_vertex(k): d for k, d in dims_data.items()}
             field_tag = data.get("field", "QQ")
             field = QQ if field_tag == "QQ" else PrimeField(int(field_tag))
             mats = {}
-            for key, rowsdata in data.get("mats", {}).items():
+            for key, rowsdata in mats_data.items():
                 a = parse_arrow_key(q, key)
                 if field_tag == "QQ":
                     mats[a] = RatMatrix.from_json(rowsdata, rows=dims.get(a.source, 0),
                                                   cols=dims.get(a.target, 0)).row_list()
                 else:
-                    mats[a] = [[field.of_int(int(x)) for x in row] for row in rowsdata]
-        except (KeyError, TypeError, ValueError) as exc:
+                    mats[a] = [[field.of_int(_gf_int(x)) for x in row] for row in rowsdata]
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise InvalidInputError(f"malformed window representation: {exc}") from exc
         return cls(q, window, config, dims, mats, field)
+
+
+def _gf_int(x) -> int:
+    """An entry over GF(p): an integer or its decimal string, never a float that int() would truncate."""
+    if isinstance(x, bool) or not isinstance(x, (int, str)):
+        raise InvalidInputError(f"bad GF(p) entry {x!r}: expected an integer")
+    return int(x)
 
 
 def _mul(a, b, n, k, m, field):

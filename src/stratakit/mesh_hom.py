@@ -14,13 +14,12 @@ and every relator instance between them lives on the intermediate levels.
 """
 from __future__ import annotations
 
-import contextlib
 import hashlib
 import json
 import os
-import tempfile
 import threading
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import InvalidInputError
@@ -33,7 +32,6 @@ from .quiver_core import (
     Window,
     build_repetition,
     clear_slices,
-    parse_arrow_key,
     sigma_arrow,
     tau,
 )
@@ -214,27 +212,67 @@ def _sweep(ctx: MeshContext, source: RepVertex, window: Window, field) -> HomFun
 
 # ---------------------------------------------------------------------------
 # Cache.  Append-only: concurrent readers are safe, insertion is exclusive.
+# On disk, one append-only log per (context, window, field) holds one line
+# per stored sweep: the escaped source key, a tab, then the compact JSON
+# [version, repr(key), paths, mats].  Vertices and arrows are positions in
+# the window slice (build_repetition); rationals are ints or "p/q" strings.
 # ---------------------------------------------------------------------------
 
 _CACHE: Dict[tuple, HomFunctor] = {}
 _CACHE_LOCK = threading.Lock()
 _DISK_DIR: Optional[str] = None
-_DISK_VERSION = 1
+_DISK_VERSION = 2
+
+
+class _Log:
+    """The records of one sweep log read so far, indexed by source key and parsed on demand."""
+
+    def __init__(self, path: str):
+        self.path = path
+        self.offset = 0  # end of the last complete line read or appended
+        self.records: Dict[bytes, List[bytes]] = {}
+
+    def read_new(self) -> bool:
+        """Index the complete lines appended since the last read; False if there were none.
+
+        A trailing line without its newline (a record still being written,
+        or torn by a writer that died) is left for a later read.
+        """
+        try:
+            if os.stat(self.path).st_size <= self.offset:
+                return False
+            with open(self.path, "rb") as fh:
+                fh.seek(self.offset)
+                chunk = fh.read()
+        except OSError:
+            return False
+        lines = chunk.split(b"\n")
+        self.offset += len(chunk) - len(lines.pop())  # the part after the last newline waits
+        for line in lines:
+            skey, tab, raw = line.partition(b"\t")
+            if tab:
+                self.records.setdefault(skey, []).append(raw)
+        return bool(lines)
+
+
+_LOGS: Dict[tuple, _Log] = {}
 
 
 def clear_cache():
-    """Drop every cached sweep, with its path memo, and every shared window slice."""
+    """Drop every cached sweep, with its path memo, every read log index and every shared window slice."""
     with _CACHE_LOCK:
         _CACHE.clear()
+        _LOGS.clear()
         clear_slices()
 
 
 def enable_disk_cache(directory: Optional[str]):
-    """Persist rational Hom sweeps under the given directory (versioned JSON)."""
+    """Persist rational Hom sweeps under the given directory (append-only logs)."""
     global _DISK_DIR
-    _DISK_DIR = directory
     if directory:
         os.makedirs(directory, exist_ok=True)
+    _DISK_DIR = directory
+    _LOGS.clear()
 
 
 def _field_key(field) -> str:
@@ -259,67 +297,111 @@ def sweep(ctx: MeshContext, source: RepVertex, window: Window, field=QQ) -> HomF
 
 
 def _disk_path(key) -> str:
-    digest = hashlib.sha256(repr(key).encode()).hexdigest()[:32]
-    return os.path.join(_DISK_DIR, f"hom-{digest}.json")
+    """The log holding every source's sweep for the key's context, window and field."""
+    ctx_key, lo, hi, _source, fkey = key
+    digest = hashlib.sha256(repr((ctx_key, lo, hi, fkey)).encode()).hexdigest()[:32]
+    return os.path.join(_DISK_DIR, f"hom-{digest}.log")
+
+
+def _log(key) -> _Log:
+    lkey = (key[0], key[1], key[2], key[4])
+    log = _LOGS.get(lkey)
+    if log is None:
+        log = _LOGS[lkey] = _Log(_disk_path(key))
+    return log
+
+
+def _source_key(source: RepVertex) -> bytes:
+    return source.key().encode("unicode_escape")  # no raw tab or newline
 
 
 def _disk_store(fun: HomFunctor, key):
-    from .exact_linalg import format_fraction
-
-    data = {
-        "version": _DISK_VERSION,
-        "key": repr(key),
-        "dims": {v.key(): d for v, d in fun.dims.items()},
-        "paths": {v.key(): [[a.key() for a in p] for p in ps] for v, ps in fun.paths.items()},
-        "mats": {a.key(): [[format_fraction(x) for x in row] for row in m] for a, m in fun.mats.items()},
-    }
-    # Write a temp file beside the target, then rename it into place: a
-    # reader never sees a partial file, and of two writers one wins whole.
-    tmp = None
+    rq = fun.ctx._slice(fun.window)
+    index = rq.arrow_index
+    compact = json.JSONEncoder(separators=(",", ":")).encode
+    # Encoded vertex by vertex and arrow by arrow: one encode of the whole
+    # record would hold a string per number until the end.
+    paths = ",".join(compact([[index[a] for a in p] for p in fun.paths[v]]) for v in rq.vertices)
+    mats = ",".join(compact([index[a], [[x.numerator if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+                                         for x in row] for row in m]])
+                    for a, m in fun.mats.items())
+    skey = _source_key(fun.source).decode("ascii")
+    line = f"\n{skey}\t[{_DISK_VERSION},{compact(repr(key))},[{paths}],[{mats}]]\n"
+    del paths, mats
+    data = line.encode()
+    del line
+    # One write on an O_APPEND descriptor: concurrent appends never interleave,
+    # and the leading newline ends any torn record a crashed writer left.
+    log = _log(key)
     try:
-        fd, tmp = tempfile.mkstemp(prefix=".hom-", suffix=".tmp", dir=_DISK_DIR)
-        with os.fdopen(fd, "w") as fh:
-            json.dump(data, fh)
-        os.replace(tmp, _disk_path(key))
-        tmp = None
+        fd = os.open(log.path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o644)
+        try:
+            written = os.write(fd, data)
+            end = os.lseek(fd, 0, os.SEEK_CUR)
+        finally:
+            os.close(fd)
     except OSError:
-        pass
-    finally:
-        if tmp is not None:
-            with contextlib.suppress(OSError):
-                os.unlink(tmp)
+        return
+    if written == len(data) and end - written == log.offset:
+        log.offset = end  # nothing else was appended since the last read: skip our own record
 
 
 def _disk_load(ctx: MeshContext, source: RepVertex, window: Window, key) -> Optional[HomFunctor]:
-    from .exact_linalg import parse_fraction
-    from .quiver_core import parse_vertex
+    """The first stored record for the key that passes every check, or None.
 
-    path = _disk_path(key)
-    if not os.path.exists(path):
-        return None
+    The log is read once per clear_cache(); on a miss only the bytes appended
+    since, by this or another process, are read before giving up.
+    """
+    log = _log(key)
+    skey = _source_key(source)
+    while True:
+        for raw in log.records.pop(skey, ()):
+            fun = _decode(ctx, source, window, key, raw)
+            if fun is not None:
+                return fun
+        if not log.read_new():
+            return None
+
+
+def _pick(seq, i):
+    if type(i) is not int or i < 0:
+        raise IndexError(i)
+    return seq[i]
+
+
+def _decode(ctx: MeshContext, source: RepVertex, window: Window, key, raw: bytes) -> Optional[HomFunctor]:
+    rq = ctx._slice(window)
+    vertices, arrows = rq.vertices, rq.arrows
+    fracs: Dict[object, Fraction] = {}  # equal entries share one Fraction
+
+    def rational(x):
+        if type(x) is not int and type(x) is not str:
+            raise TypeError(x)
+        f = fracs.get(x)
+        if f is None:
+            f = fracs[x] = Fraction(x)
+        return f
+
     try:
-        with open(path) as fh:
-            data = json.load(fh)
-        if data.get("version") != _DISK_VERSION or data.get("key") != repr(key):
+        version, rkey, paths, mats = json.loads(raw)
+        if version != _DISK_VERSION or rkey != repr(key) or len(paths) != len(vertices):
             return None
         fun = HomFunctor(ctx, source, window, QQ)
-        fun.dims = {parse_vertex(k): d for k, d in data["dims"].items()}
-        fun.paths = {
-            parse_vertex(k): [tuple(parse_arrow_key(ctx.q, ak) for ak in p) for p in ps]
-            for k, ps in data["paths"].items()
-        }
-        fun.mats = {
-            parse_arrow_key(ctx.q, ak): [[parse_fraction(x) for x in row] for row in m]
-            for ak, m in data["mats"].items()
-        }
-    except (OSError, ValueError, KeyError, TypeError, AttributeError, InvalidInputError):
-        return None  # unreadable, truncated or malformed: recompute
-    dims = fun.dims
-    if set(fun.paths) != set(dims) or any(type(d) is not int or len(fun.paths[v]) != d for v, d in dims.items()):
-        return None
-    if any(len(m) != dims.get(a.target, 0) or any(len(r) != dims.get(a.source, 0) for r in m)
-           for a, m in fun.mats.items()):
-        return None
+        dims = fun.dims
+        for v, ps in zip(vertices, paths):
+            fun.paths[v] = [tuple(_pick(arrows, i) for i in p) for p in ps]
+            dims[v] = len(ps)
+        for i, m in mats:
+            a = _pick(arrows, i)
+            if (a.target.level < source.level or type(m) is not list or len(m) != dims[a.target]
+                    or any(type(row) is not list or len(row) != dims[a.source] for row in m)):
+                return None
+            fun.mats[a] = [[rational(x) for x in row] for row in m]
+        # one matrix for every arrow into the levels the sweep covers, each once
+        if len(fun.mats) != len(mats) or len(mats) != sum(a.target.level >= source.level for a in arrows):
+            return None
+    except (ValueError, TypeError, IndexError, ZeroDivisionError):
+        return None  # unreadable, truncated or malformed: try the next record, else recompute
     return fun
 
 

@@ -107,6 +107,8 @@ class Quiver:
             arrows = [QArrow(str(a["id"]), str(a["source"]), str(a["target"])) for a in data["arrows"]]
         except (KeyError, TypeError) as exc:
             raise InvalidInputError(f"malformed quiver JSON: {exc}") from exc
+        if not isinstance(vertices, list):
+            raise InvalidInputError(f"quiver vertices must be a list, got {vertices!r}")
         return cls(vertices, arrows)
 
     def __repr__(self):
@@ -277,7 +279,7 @@ class Window:
     def from_json(cls, data) -> "Window":
         try:
             lo, hi = int(data[0]), int(data[1])
-        except (TypeError, ValueError, IndexError) as exc:
+        except (TypeError, ValueError, IndexError, OverflowError) as exc:
             raise InvalidInputError(f"bad window {data!r}") from exc
         return cls(lo, hi)
 
@@ -404,6 +406,11 @@ class RepQuiver:
     @cached_property
     def arrows(self):
         return tuple(a for v in self.vertices for a in self.in_arrows(v))
+
+    @cached_property
+    def arrow_index(self) -> Dict[RepArrow, int]:
+        """Position of each arrow in self.arrows (the slice's deterministic order)."""
+        return {a: i for i, a in enumerate(self.arrows)}
 
     def has_vertex(self, v: RepVertex) -> bool:
         return v in self._vset

@@ -10,6 +10,8 @@ from stratakit.quiver_core import Window, a_n_quiver, parse_vertex
 
 A2_JSON = json.dumps({"vertices": ["1", "2"],
                       "arrows": [{"id": "a", "source": "1", "target": "2"}]})
+A2_REP = {"quiver": json.loads(A2_JSON), "framed": True, "window": [0, 2], "configuration": None,
+          "dims": {"1@0": 1}, "mats": {}}
 
 
 def run(capsys, *argv):
@@ -153,7 +155,7 @@ def test_cache_dir_env_wiring(capsys, tmp_path, monkeypatch):
         code, out, _ = run(capsys, "hom", "--quiver", A2_JSON, "--from", "1@0", "--to", "2@0",
                            "--window", "0", "2")
         assert code == 0 and json.loads(out)["dim"] == 1
-        assert list(tmp_path.glob("hom-*.json"))
+        assert [p.suffix for p in tmp_path.iterdir()] == [".log"]
     finally:
         mesh_hom.enable_disk_cache(None)
         mesh_hom.clear_cache()
@@ -170,10 +172,39 @@ def test_cache_dir_env_wiring(capsys, tmp_path, monkeypatch):
     ["fiber", "--rep", json.dumps({"quiver": json.loads(A2_JSON), "framed": True, "window": [0, 4],
                                    "configuration": None, "dims": {"1'@1": 1}, "mats": {}}),
      "--v", '{"1@2": 1.5}'],
+    ["cartan-solve", "--quiver", '{"vertices": null, "arrows": []}', "--window", "0", "4", "--m", "{}"],
+    ["cartan-solve", "--quiver", A2_JSON, "--window", "0", "4", "--m", '{"3@2": 1}'],
+    ["validate", "--rep", json.dumps(dict(A2_REP, dims=[1]))],
+    ["validate", "--rep", json.dumps(dict(A2_REP, dims={"1@0": 1.5}))],
+    ["validate", "--rep", json.dumps(dict(A2_REP, field=float("inf")))],
+    ["validate", "--rep", json.dumps(dict(A2_REP, window=[float("-inf"), 2]))],
+    ["validate", "--rep", json.dumps(dict(A2_REP, field=2, dims={"1@0": 1, "2@0": 1}, mats={"a:a@0": [[1.5]]}))],
+    ["validate", "--rep", "[]"],
 ], ids=["non-integer-entry", "string-period", "non-string-members", "unknown-node", "fractional-entry",
-        "boolean-entry", "fiber-fractional-entry"])
+        "boolean-entry", "fiber-fractional-entry", "null-vertices", "cartan-unknown-node", "dims-not-an-object",
+        "fractional-dimension", "infinite-field", "infinite-window", "fractional-gf-entry", "rep-not-an-object"])
 def test_bad_input_exits_1_with_json_error(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 1
     assert out == ""
     assert json.loads(err.strip())["error"] == "InvalidInputError"
+
+
+@pytest.mark.parametrize("where", ["regular-file", "under-a-file"])
+def test_unusable_cache_dir_exits_1_with_json_error(capsys, tmp_path, monkeypatch, where):
+    blocker = tmp_path / "not-a-dir"
+    blocker.write_text("")
+    cache_dir = blocker if where == "regular-file" else blocker / "cache"
+    monkeypatch.setenv("STRATAKIT_CACHE_DIR", str(cache_dir))
+    from stratakit import mesh_hom
+
+    try:
+        code, out, err = run(capsys, "hom", "--quiver", A2_JSON, "--from", "1@0", "--to", "2@0",
+                             "--window", "0", "2")
+    finally:
+        mesh_hom.enable_disk_cache(None)
+        mesh_hom.clear_cache()
+    assert code == 1 and out == ""
+    error = json.loads(err.strip())
+    assert error["error"] == "InvalidInputError" and "STRATAKIT_CACHE_DIR" in error["detail"]
+    assert [p.name for p in tmp_path.iterdir()] == ["not-a-dir"] and blocker.read_text() == ""

@@ -1,0 +1,92 @@
+"""Fuzz the CLI's JSON arguments: every input ends in a result or the documented JSON error.
+
+Arguments are drawn both as arbitrary JSON and as near-valid quivers,
+configurations, vertex maps and window representations, so that the
+draws reach past the first parse into the mesh categories.  Integers stay
+small, so each draw runs in milliseconds.
+"""
+import contextlib
+import io
+import json
+
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from stratakit import mesh_hom
+from stratakit.cli import main
+
+SMALL = st.integers(-2, 3)
+SCALARS = st.one_of(st.none(), st.booleans(), SMALL, st.integers(), st.floats(), st.text(max_size=4))
+ANY_JSON = st.recursive(SCALARS, lambda inner: st.one_of(
+    st.lists(inner, max_size=3), st.dictionaries(st.text(max_size=4), inner, max_size=3)), max_leaves=8)
+
+NODES = st.sampled_from(["1", "2", "3"])
+VERTEX_KEYS = st.one_of(
+    st.builds("{}{}@{}".format, NODES, st.sampled_from(["", "'"]), SMALL),
+    st.sampled_from(["7@0", "1@x", "@", "", "1'", "1@@0", "1@1.5"]),
+    st.text(max_size=4))
+ARROW_KEYS = st.one_of(
+    st.builds("{}:{}@{}".format, st.sampled_from(["a", "s", "f", "c", "x"]),
+              st.sampled_from(["a", "b", "1", "2", "9"]), SMALL),
+    st.text(max_size=5))
+ARROW = st.fixed_dictionaries({"id": st.one_of(st.sampled_from(["a", "b"]), ANY_JSON),
+                               "source": st.one_of(NODES, ANY_JSON), "target": st.one_of(NODES, ANY_JSON)})
+QUIVER = st.one_of(
+    ANY_JSON,
+    st.fixed_dictionaries({"vertices": st.one_of(st.lists(NODES, max_size=3), ANY_JSON),
+                           "arrows": st.one_of(st.lists(ARROW, max_size=3), ANY_JSON)}),
+    st.just({"vertices": ["1", "2"], "arrows": [{"id": "a", "source": "1", "target": "2"}]}),
+    st.just({"vertices": ["1", "2"], "arrows": [{"id": "a", "source": "1", "target": "2"},
+                                                {"id": "b", "source": "1", "target": "2"}]}))
+CONFIG = st.one_of(
+    ANY_JSON, st.lists(VERTEX_KEYS, max_size=3),
+    st.fixed_dictionaries({"members": st.one_of(st.lists(VERTEX_KEYS, max_size=3), ANY_JSON)},
+                          optional={"period": st.one_of(SMALL, ANY_JSON)}))
+VERTEX_MAP = st.one_of(ANY_JSON, st.dictionaries(VERTEX_KEYS, st.one_of(SMALL, SCALARS), max_size=3))
+MATRIX = st.one_of(ANY_JSON, st.lists(st.lists(st.one_of(SMALL, st.sampled_from(["1/2", "x", "1/0"]), SCALARS),
+                                               max_size=2), max_size=2))
+A2 = {"vertices": ["1", "2"], "arrows": [{"id": "a", "source": "1", "target": "2"}]}
+VALID_REP = {"quiver": A2, "framed": True, "window": [0, 2], "configuration": None,
+             "dims": {"1@0": 1, "2@0": 1, "1'@0": 1}, "mats": {"a:a@0": [["1/2"]], "f:1@0": [[2]]}}
+REP_FIELDS = {"quiver": QUIVER, "window": st.one_of(st.lists(SMALL, min_size=2, max_size=2), ANY_JSON),
+              "framed": st.one_of(st.booleans(), ANY_JSON), "configuration": CONFIG, "dims": VERTEX_MAP,
+              "mats": st.one_of(ANY_JSON, st.dictionaries(ARROW_KEYS, MATRIX, max_size=3)),
+              "field": st.one_of(st.sampled_from(["QQ", 2, 3, 4, "2"]), ANY_JSON)}
+REP = st.one_of(
+    ANY_JSON,
+    st.fixed_dictionaries({k: REP_FIELDS[k] for k in ("quiver", "window")},
+                          optional={k: v for k, v in REP_FIELDS.items() if k not in ("quiver", "window")}),
+    # a valid representation with one field redrawn
+    st.sampled_from(sorted(REP_FIELDS)).flatmap(
+        lambda k: REP_FIELDS[k].map(lambda v: dict(VALID_REP, **{k: v}))))
+WINDOW = st.tuples(SMALL, st.integers(-1, 3)).map(lambda t: [str(t[0]), str(t[0] + t[1])])
+
+
+def _arg(flag, value):
+    return f"--{flag}={json.dumps(value)}"  # "=" keeps a value like -Infinity from reading as a flag
+
+
+COMMANDS = st.one_of(
+    st.builds(lambda q, w, c, f, x, y: ["hom", _arg("quiver", q), "--window", *w, _arg("config", c),
+                                        f"--flavor={f}", f"--from={x}", f"--to={y}"],
+              QUIVER, WINDOW, CONFIG, st.sampled_from(["kZQ", "RC", "SC"]), VERTEX_KEYS, VERTEX_KEYS),
+    st.builds(lambda q, w, m: ["cartan-solve", _arg("quiver", q), "--window", *w, _arg("m", m)],
+              QUIVER, WINDOW, VERTEX_MAP),
+    st.builds(lambda q, w, c: ["check-config", _arg("quiver", q), "--window", *w, _arg("config", c)],
+              QUIVER, WINDOW, CONFIG),
+    st.builds(lambda r: ["validate", _arg("rep", r)], REP))
+
+
+@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(COMMANDS)
+def test_cli_json_arguments_end_in_a_result_or_a_json_error(argv):
+    out, err = io.StringIO(), io.StringIO()
+    mesh_hom.clear_cache()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2), (argv, code, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    if code != 0:
+        lines = err.getvalue().strip().splitlines()
+        assert lines, argv
+        error = json.loads(lines[-1])
+        assert isinstance(error, dict) and "error" in error, (argv, lines[-1])

@@ -1,7 +1,10 @@
 import errno
+import hashlib
 import json
 import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -24,6 +27,8 @@ from stratakit.mesh_hom import (
 from stratakit.exact_linalg import QQ
 from stratakit.quiver_core import (
     Configuration,
+    QArrow,
+    Quiver,
     RepVertex,
     Window,
     a_n_quiver,
@@ -175,7 +180,7 @@ def test_cache_determinism_and_disk_round_trip(tmp_path):
         f2 = sweep(KZ, parse_vertex("1@0"), Window(0, 2))  # now loaded from disk
         assert dict(f2.dims) == dims1
         assert {a.key(): m for a, m in f2.mats.items()} == mats1
-        assert list(tmp_path.glob("hom-*.json"))
+        assert list(tmp_path.glob("hom-*.log"))
     finally:
         enable_disk_cache(None)
         clear_cache()
@@ -225,7 +230,8 @@ def test_second_sweep_returns_cached_functor():
 
 
 def test_disk_file_name_keeps_its_key_format(tmp_path):
-    # The file name hashes repr((quiver JSON|flavor|configuration, lo, hi, source, field)).
+    # The log name hashes repr((quiver JSON|flavor|configuration, lo, hi, field)); each
+    # line is the source key, a tab and [version, repr(sweep key), paths, mats].
     clear_cache()
     enable_disk_cache(str(tmp_path))
     try:
@@ -234,10 +240,13 @@ def test_disk_file_name_keeps_its_key_format(tmp_path):
         sweep(ctx, source, Window(0, 3))
         key = ('{"arrows": [{"id": "a1", "source": "1", "target": "2"}], "vertices": ["1", "2"]}|RC|1@0;period=2',
                0, 3, source, "QQ")
-        expected = tmp_path / "hom-71bf09e706699cc15efa4ce8c2bb7fbd.json"
+        expected = tmp_path / "hom-6dba989130f198d710d277f511faa794.log"
         assert mesh_hom._disk_path(key) == str(expected)
-        assert list(tmp_path.glob("hom-*.json")) == [expected]
-        assert json.loads(expected.read_text())["key"] == repr(key)
+        assert mesh_hom._disk_path(key[:3] + (parse_vertex("2@1"), "QQ")) == str(expected)
+        assert list(tmp_path.glob("hom-*")) == [expected]
+        assert expected.read_bytes().startswith(b"\n1'@0\t[2,")
+        ((prefix, record),) = _records(expected)
+        assert prefix == b"1'@0" and record[:2] == [2, repr(key)]
     finally:
         enable_disk_cache(None)
         clear_cache()
@@ -250,30 +259,55 @@ def test_unknown_node_is_not_an_object():
         sweep(RC, parse_vertex("7'@0"), W6)
 
 
-@pytest.mark.parametrize("damage", ["wrong-shape", "truncated", "short-matrix", "not-an-object"])
+def _records(path):
+    """(prefix, parsed JSON) for every line of a sweep log."""
+    return [(line.split(b"\t")[0], json.loads(line.split(b"\t")[1]))
+            for line in path.read_bytes().split(b"\n") if line]
+
+
+def _record_line(prefix, record):
+    return b"\n" + prefix + b"\t" + json.dumps(record, separators=(",", ":")).encode() + b"\n"
+
+
+def _counting_sweep(monkeypatch):
+    computed = []
+    real_sweep = mesh_hom._sweep
+    monkeypatch.setattr(mesh_hom, "_sweep", lambda *a: computed.append(a[1]) or real_sweep(*a))
+    return computed
+
+
+def _same_sweep(fun, other):
+    return (dict(fun.dims) == dict(other.dims) and dict(fun.paths) == dict(other.paths)
+            and dict(fun.mats) == dict(other.mats))
+
+
+@pytest.mark.parametrize("damage", ["wrong-shape", "truncated", "short-matrix", "not-an-object", "missing-matrix"])
 def test_malformed_disk_file_is_a_miss(tmp_path, damage):
-    # A file with the right version and key but broken content is recomputed, not trusted.
+    # A record with the right version and key but broken content is recomputed, not trusted.
     clear_cache()
     enable_disk_cache(str(tmp_path))
     try:
         source, w = parse_vertex("1@0"), Window(0, 3)
         good = sweep(KZ, source, w)
         dims, mats = dict(good.dims), {a.key(): m for a, m in good.mats.items()}
-        (path,) = tmp_path.glob("hom-*.json")
-        text = path.read_text()
-        data = json.loads(text)
+        (path,) = tmp_path.glob("hom-*.log")
+        ((prefix, data),) = _records(path)
         if damage == "wrong-shape":
-            data["dims"] = []
-            text = json.dumps(data)
+            data[2] = data[2][:-1]  # one vertex short
+            text = _record_line(prefix, data)
         elif damage == "truncated":
+            text = _record_line(prefix, data)
             text = text[:len(text) // 2]
         elif damage == "short-matrix":
-            arrow = next(k for k, m in data["mats"].items() if m and m[0])
-            data["mats"][arrow] = [row[:-1] for row in data["mats"][arrow]]
-            text = json.dumps(data)
+            entry = next(e for e in data[3] if e[1] and e[1][0])
+            entry[1] = [row[:-1] for row in entry[1]]
+            text = _record_line(prefix, data)
+        elif damage == "not-an-object":
+            text = _record_line(prefix, {"record": data})
         else:
-            text = json.dumps([data])
-        path.write_text(text)
+            data[3] = data[3][:-1]  # an arrow would act by zero
+            text = _record_line(prefix, data)
+        path.write_bytes(text)
         clear_cache()
         again = sweep(KZ, source, w)
         assert again is not good
@@ -352,38 +386,291 @@ def test_reduce_path_from_the_wrong_vertex_raises_every_time():
         clear_cache()
 
 
-def _broken_dump(exc):
-    def dump(obj, fh):
-        fh.write(json.dumps(obj)[:40])  # part of the file is out when the write fails
+def _broken_write(exc):
+    real_write = os.write
+
+    def write(fd, data):
+        real_write(fd, data[:40])  # part of the record is out when the write fails
         raise exc
-    return dump
+    return write
 
 
 @pytest.mark.parametrize("exc", [OSError(errno.ENOSPC, "No space left on device"), RuntimeError("interrupted")],
                          ids=["disk-full", "other-error"])
-def test_failed_disk_write_leaves_no_file_and_is_recomputed(tmp_path, monkeypatch, exc):
+def test_failed_or_partial_append_is_a_miss_and_is_recomputed(tmp_path, monkeypatch, exc):
+    # A disk-full append leaves a torn record, swallowed; any other error propagates.
     clear_cache()
     enable_disk_cache(str(tmp_path))
     try:
         source, w = parse_vertex("1@0"), Window(0, 3)
-        monkeypatch.setattr(json, "dump", _broken_dump(exc))
+        monkeypatch.setattr(os, "write", _broken_write(exc))
         if isinstance(exc, OSError):
             first = sweep(KZ, source, w)  # the sweep itself still succeeds
         else:
             with pytest.raises(RuntimeError):
                 sweep(KZ, source, w)
             first = mesh_hom._sweep(KZ, source, w, QQ)
-        assert list(tmp_path.iterdir()) == []
+        (path,) = tmp_path.iterdir()
+        assert path.name == os.path.basename(mesh_hom._disk_path((KZ.cache_key(), w.lo, w.hi, source, "QQ")))
+        torn = path.read_bytes()
+        assert len(torn) == 40 and torn.startswith(b"\n1@0\t[2,") and not torn.endswith(b"\n")
         monkeypatch.undo()
         clear_cache()
-        computed = []
-        real_sweep = mesh_hom._sweep
-        monkeypatch.setattr(mesh_hom, "_sweep", lambda *a: computed.append(a) or real_sweep(*a))
+        computed = _counting_sweep(monkeypatch)
         again = sweep(KZ, source, w)
-        assert len(computed) == 1
-        assert dict(again.dims) == dict(first.dims)
-        assert [p.name for p in tmp_path.iterdir()] == [os.path.basename(mesh_hom._disk_path(
-            (KZ.cache_key(), w.lo, w.hi, source, "QQ")))]
+        assert computed == [source]
+        assert _same_sweep(again, first)
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]
+        clear_cache()
+        assert _same_sweep(sweep(KZ, source, w), first) and computed == [source]  # the next append loads
     finally:
         enable_disk_cache(None)
         clear_cache()
+
+
+# ---------------------------------------------------------------------------
+# The append-only sweep logs: concurrent writers, torn and duplicate records,
+# records appended by other processes.
+# ---------------------------------------------------------------------------
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+# Run as `python -c LOG_SCRIPT write|read DIR`: write appends every A2 RC [0,4]
+# sweep three times after one line on stdin; read loads every sweep and compares
+# it with a fresh _sweep.
+LOG_SCRIPT = """
+import json, sys
+from stratakit import mesh_hom
+from stratakit.exact_linalg import QQ
+from stratakit.mesh_hom import MeshContext
+from stratakit.quiver_core import Window, a_n_quiver
+ctx, w = MeshContext(a_n_quiver(2), "RC"), Window(0, 4)
+sources = [s for s in ctx.vertices_in(w) if len(sys.argv) < 4 or s.key() in sys.argv[3:]]
+mesh_hom.enable_disk_cache(sys.argv[2])
+real = mesh_hom._sweep
+if sys.argv[1] == "write":
+    print("ready", flush=True)
+    sys.stdin.readline()
+    for _ in range(3):
+        for s in sources:
+            mesh_hom._disk_store(real(ctx, s, w, QQ), (ctx.cache_key(), w.lo, w.hi, s, "QQ"))
+else:
+    computed = []
+    mesh_hom._sweep = lambda *a: computed.append(a) or real(*a)
+    same = [(f.dims, f.paths, f.mats) == (g.dims, g.paths, g.mats)
+            for f, g in ((mesh_hom.sweep(ctx, s, w), real(ctx, s, w, QQ)) for s in sources)]
+    print(json.dumps({"computed": len(computed), "same": sum(same), "sources": len(sources)}))
+"""
+RC4 = Window(0, 4)
+
+
+def _log_process(mode, directory, *sources, **kw):
+    env = dict(os.environ, PYTHONPATH=SRC)
+    env.pop("STRATAKIT_CACHE_DIR", None)
+    return subprocess.Popen([sys.executable, "-c", LOG_SCRIPT, mode, str(directory), *sources], env=env,
+                            stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True, **kw)
+
+
+def test_concurrent_appends_all_load_in_a_fresh_process(tmp_path):
+    writers = [_log_process("write", tmp_path) for _ in range(4)]
+    try:
+        assert [p.stdout.readline() for p in writers] == ["ready\n"] * 4
+        for p in writers:  # release all four at once
+            p.stdin.write("go\n")
+            p.stdin.close()
+        assert [p.wait(timeout=120) for p in writers] == [0] * 4
+    finally:
+        for p in writers:
+            p.kill()
+            p.stdout.close()
+    (path,) = tmp_path.iterdir()
+    sources = RC.vertices_in(RC4)
+    records = _records(path)  # every line parses: no two appends interleaved
+    assert len(records) == 4 * 3 * len(sources)
+    assert sorted(prefix for prefix, _ in records) == sorted(s.key().encode() for s in sources * 12)
+    reader = _log_process("read", tmp_path)
+    out, _ = reader.communicate(timeout=120)
+    assert json.loads(out) == {"computed": 0, "same": len(sources), "sources": len(sources)}
+
+
+def test_record_appended_by_another_process_is_found(tmp_path, monkeypatch):
+    clear_cache()
+    enable_disk_cache(str(tmp_path))
+    try:
+        first, other = parse_vertex("1@0"), parse_vertex("2'@1")
+        sweep(RC, first, RC4)  # a miss: the log is read, then appended to
+        writer = _log_process("write", tmp_path, other.key())
+        writer.communicate("go\n", timeout=120)
+        assert writer.returncode == 0
+        computed = _counting_sweep(monkeypatch)
+        assert _same_sweep(sweep(RC, other, RC4), mesh_hom._sweep(RC, other, RC4, QQ))
+        assert computed == [other]  # only the comparison above computed
+    finally:
+        enable_disk_cache(None)
+        clear_cache()
+
+
+def _two_records(tmp_path):
+    """Store the sweeps from 1@0 and 2@0 of A2 RC [0,4]; return the log and its two lines."""
+    enable_disk_cache(str(tmp_path))
+    first, second = parse_vertex("1@0"), parse_vertex("2@0")
+    sweep(RC, first, RC4)
+    sweep(RC, second, RC4)
+    (path,) = tmp_path.iterdir()
+    lines = [line for line in path.read_bytes().split(b"\n") if line]
+    assert [line.split(b"\t")[0] for line in lines] == [b"1@0", b"2@0"]
+    clear_cache()
+    return path, first, second, lines
+
+
+def test_torn_tail_record_is_a_miss_and_the_next_append_loads(tmp_path, monkeypatch):
+    clear_cache()
+    try:
+        path, first, second, (line1, line2) = _two_records(tmp_path)
+        torn = b"\n" + line2
+        path.write_bytes(b"\n" + line1 + b"\n" + torn[:len(torn) // 2])
+        computed = _counting_sweep(monkeypatch)
+        sweep(RC, first, RC4)
+        assert computed == []
+        good = sweep(RC, second, RC4)
+        assert computed == [second]
+        clear_cache()
+        assert _same_sweep(sweep(RC, second, RC4), good) and computed == [second]
+        lines = path.read_bytes().split(b"\n")
+        assert [line.split(b"\t")[0] for line in lines if line] == [b"1@0", b"2@0", b"2@0"]
+        assert torn[1:len(torn) // 2] in lines  # the torn record, ended by the next append
+    finally:
+        enable_disk_cache(None)
+        clear_cache()
+
+
+def test_record_still_being_written_is_read_once_complete(tmp_path, monkeypatch):
+    clear_cache()
+    try:
+        path, first, second, (line1, line2) = _two_records(tmp_path)
+        record = b"\n" + line2 + b"\n"
+        half = len(record) // 2
+        path.write_bytes(b"\n" + line1 + b"\n" + record[:half])  # the writer is midway
+        computed = _counting_sweep(monkeypatch)
+        sweep(RC, first, RC4)  # reads the log, leaving the unfinished line
+        with open(path, "ab") as fh:
+            fh.write(record[half:])
+        sweep(RC, second, RC4)
+        assert computed == []
+    finally:
+        enable_disk_cache(None)
+        clear_cache()
+
+
+def test_malformed_record_before_a_good_one_is_skipped(tmp_path, monkeypatch):
+    clear_cache()
+    try:
+        path, first, _, (line1, _) = _two_records(tmp_path)
+        prefix, record = line1.split(b"\t")
+        bad = json.loads(record)
+        bad[3][0][1] = [[]]  # a matrix of the wrong shape
+        path.write_bytes(_record_line(prefix, bad) + b"\n" + line1 + b"\n")
+        size = path.stat().st_size
+        computed = _counting_sweep(monkeypatch)
+        loaded = sweep(RC, first, RC4)
+        clear_cache()
+        assert _same_sweep(sweep(RC, first, RC4), loaded)
+        assert _same_sweep(loaded, mesh_hom._sweep(RC, first, RC4, QQ))
+        assert computed == [first]  # only the comparison above computed
+        assert path.stat().st_size == size  # nothing was appended
+    finally:
+        enable_disk_cache(None)
+        clear_cache()
+
+
+def test_negative_arrow_index_is_a_miss(tmp_path, monkeypatch):
+    clear_cache()
+    try:
+        path, first, _, (line1, _) = _two_records(tmp_path)
+        prefix, record = line1.split(b"\t")
+        data = json.loads(record)
+        paths = next(ps for ps in data[2] if ps and ps[0])
+        paths[0][0] = paths[0][0] - len(RC._slice(RC4).arrows)  # the same arrow, counted from the end
+        path.write_bytes(_record_line(prefix, data))
+        computed = _counting_sweep(monkeypatch)
+        again = sweep(RC, first, RC4)
+        assert computed == [first]
+        assert _same_sweep(again, mesh_hom._sweep(RC, first, RC4, QQ))
+    finally:
+        enable_disk_cache(None)
+        clear_cache()
+
+
+def test_version_1_json_files_are_ignored(tmp_path, monkeypatch):
+    clear_cache()
+    enable_disk_cache(str(tmp_path))
+    try:
+        source = parse_vertex("1@0")
+        key = (RC.cache_key(), RC4.lo, RC4.hi, source, "QQ")
+        digest = hashlib.sha256(repr(key).encode()).hexdigest()[:32]
+        v1 = tmp_path / f"hom-{digest}.json"
+        v1.write_text(json.dumps({"version": 1, "key": repr(key), "dims": {}, "paths": {}, "mats": {}}))
+        stray = tmp_path / "hom-0123456789abcdef0123456789abcdef.json"
+        stray.write_text("{")
+        computed = _counting_sweep(monkeypatch)
+        fun = sweep(RC, source, RC4)
+        assert computed == [source] and fun.dim(source) == 1
+        clear_cache()
+        sweep(RC, source, RC4)
+        assert computed == [source]
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            [v1.name, stray.name, os.path.basename(mesh_hom._disk_path(key))])
+        assert json.loads(v1.read_text())["dims"] == {} and stray.read_text() == "{"
+    finally:
+        enable_disk_cache(None)
+        clear_cache()
+
+
+def test_clear_cache_parses_the_log_again(tmp_path, monkeypatch):
+    clear_cache()
+    try:
+        _, first, _, _ = _two_records(tmp_path)
+        decoded = []
+        real_decode = mesh_hom._decode
+        monkeypatch.setattr(mesh_hom, "_decode", lambda *a: decoded.append(a[1]) or real_decode(*a))
+        computed = _counting_sweep(monkeypatch)
+        for _ in range(2):
+            loaded = sweep(RC, first, RC4)
+            assert sweep(RC, first, RC4) is loaded
+            clear_cache()
+        assert decoded == [first, first] and computed == []
+    finally:
+        enable_disk_cache(None)
+        clear_cache()
+
+
+def test_source_keys_with_tabs_and_newlines_round_trip(tmp_path, monkeypatch):
+    q = Quiver(["x\ty", "p\nq"], [QArrow("a", "x\ty", "p\nq")])
+    ctx, w = MeshContext(q, "RC"), Window(0, 3)
+    clear_cache()
+    enable_disk_cache(str(tmp_path))
+    try:
+        fresh = [sweep(ctx, s, w) for s in ctx.vertices_in(w)]
+        clear_cache()
+        computed = _counting_sweep(monkeypatch)
+        assert all(_same_sweep(sweep(ctx, s, w), f) for s, f in zip(ctx.vertices_in(w), fresh))
+        assert computed == []
+    finally:
+        enable_disk_cache(None)
+        clear_cache()
+
+
+def test_two_cli_runs_on_one_cache_directory_agree(tmp_path):
+    env = dict(os.environ, PYTHONPATH=SRC, STRATAKIT_CACHE_DIR=str(tmp_path))
+    quiver = json.dumps(A2.to_json())
+    argv = [sys.executable, "-m", "stratakit.cli", "check-config", "--quiver", quiver, "--window", "0", "3"]
+    runs, logs = [], []
+    for _ in range(2):
+        proc = subprocess.run(argv, env=env, capture_output=True, timeout=120)
+        assert proc.returncode == 0 and proc.stderr == b""
+        runs.append(proc.stdout)
+        logs.append({p.name: p.read_bytes() for p in tmp_path.iterdir()})
+    assert runs[0] == runs[1] and json.loads(runs[0])["condition_R"]
+    # Every rational sweep computed with the cache on is appended to its log, so
+    # logs left byte-identical mean the second run computed none.
+    assert len(logs[0]) == 2 and logs[1] == logs[0]
