@@ -272,7 +272,7 @@ def criterion_7(seed=DEFAULT_SEED):
             if x.frozen:
                 continue
             dl, dr = kl.dim(x), kr.dim(x)
-            rk = mat_rank(can[x], dl, M.field) if (dl and dr) else 0
+            rk = mat_rank(can[x], dl, M.field)
             kk = dl - rk
             ck = dr - rk
             kk_expected = sum(m * hom_dim(ctx, x, tau(z), wide) for z, m in res.mult.items())

@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from .errors import InternalConsistencyError, InvalidInputError, WindowInsufficiencyError
-from .exact_linalg import QQ, kernel_cols, mat_rank, quotient_coords, sub_map
+from .exact_linalg import QQ, kernel_cols, mat_rank, mat_vec, quotient_coords, sub_map, transpose_rows
 from .mesh_hom import MeshContext, sweep
 from .quiver_core import Configuration, Quiver, RepVertex, Window
 
@@ -115,11 +115,8 @@ class CatModule:
         for k, c in enumerate(coeffs):
             if c == self.field.zero:
                 continue
-            mat = self.act_mat(u, v, k)
-            for i in range(len(out)):
-                row = mat[i]
-                out[i] += c * sum((row[j] * vec[j] for j in range(len(vec)) if vec[j] != self.field.zero),
-                                  self.field.zero)
+            for i, x in enumerate(mat_vec(self.act_mat(u, v, k), vec, self.field)):
+                out[i] += c * x
         return out
 
     def radical_cols(self, u: RepVertex):
@@ -167,8 +164,6 @@ class CatModule:
                 mat = self.act.get((w, u, k))
                 if mat is not None:
                     rows.extend(mat)
-        if not rows:
-            return du
         return du - mat_rank(rows, du, self.field)
 
     def equal(self, other: "CatModule") -> bool:
@@ -291,11 +286,7 @@ def kernel_submodule(cover: ProjectiveCover) -> Tuple[CatModule, Dict[RepVertex,
             incl[z] = []
             dims[z] = 0
             continue
-        mat = cover.map_at(z)
-        if not mat:
-            cols = [[field.one if i == j else field.zero for i in range(pz)] for j in range(pz)]
-        else:
-            cols = kernel_cols(mat, pz, field)
+        cols = kernel_cols(cover.map_at(z), pz, field)
         incl[z] = cols
         dims[z] = len(cols)
     act: Dict[tuple, list] = {}
@@ -364,9 +355,7 @@ def _resolution(N: CatModule, steps: int):
             coeffs = []
             for u, gen in cover.summands:
                 # gen lives in the syzygy's coordinates at u; push it into P_{i-1}(u)
-                cols = lift_cols[u]
-                coeffs.append([sum((cols[j][i] * gen[j] for j in range(len(gen)) if gen[j] != field.zero),
-                                   field.zero) for i in range(len(cols[0]))] if cols else [])
+                coeffs.append(mat_vec(transpose_rows(lift_cols[u]), gen, field))
         covers.append((cover, coeffs))
         cur, lift_cols = kernel_submodule(cover)
     return covers
@@ -415,12 +404,12 @@ def _hom_complex_dim(cat, covers, X: CatModule, p: int) -> int:
         return mat, src_dim
 
     d_p, src_p = differential(p)
-    rank_p = mat_rank(d_p, src_p, field) if (d_p and src_p) else 0
+    rank_p = mat_rank(d_p, src_p, field)
     ker_p = src_p - rank_p
     if p == 0:
         return ker_p
     d_prev, src_prev = differential(p - 1)
-    rank_prev = mat_rank(d_prev, src_prev, field) if (d_prev and src_prev) else 0
+    rank_prev = mat_rank(d_prev, src_prev, field)
     return ker_p - rank_prev
 
 

@@ -16,7 +16,7 @@ from typing import Dict, Optional
 
 from .errors import InternalConsistencyError, InvalidInputError, WindowInsufficiencyError
 from .mesh_hom import MeshContext, hom_dim, sweep
-from .quiver_core import Quiver, RepVertex, Window, tau, tau_inv
+from .quiver_core import Quiver, RepVertex, Window, rep_in_arrows, rep_out_arrows, tau, tau_inv
 
 
 @dataclass(frozen=True)
@@ -176,16 +176,7 @@ def hom_dq(q: Quiver, x: RepVertex, p: int, y: RepVertex, w: Window) -> int:
 def zq_in_neighbours(q: Quiver, x: RepVertex):
     """Sources of the repetition-quiver arrows into x (with multiplicity)."""
     _require_nonfrozen(x)
-    out = [RepVertex(a.source, x.level) for a in q.arrows_into(x.node)]
-    out += [RepVertex(a.target, x.level - 1) for a in q.arrows_from(x.node)]
-    return out
-
-
-def zq_out_neighbours(q: Quiver, x: RepVertex):
-    _require_nonfrozen(x)
-    out = [RepVertex(a.target, x.level) for a in q.arrows_from(x.node)]
-    out += [RepVertex(a.source, x.level + 1) for a in q.arrows_into(x.node)]
-    return out
+    return [a.source for a in rep_in_arrows(q, x, framed=False)]
 
 
 def cartan_apply(q: Quiver, v: Dict[RepVertex, int], w: Optional[Window] = None) -> Dict[RepVertex, int]:
@@ -208,7 +199,7 @@ def cartan_apply(q: Quiver, v: Dict[RepVertex, int], w: Optional[Window] = None)
             continue
         affected.add(u)
         affected.add(tau_inv(u))
-        affected.update(zq_out_neighbours(q, u))
+        affected.update(a.target for a in rep_out_arrows(q, u, framed=False))
     out: Dict[RepVertex, int] = {}
     for x in affected:
         val = v.get(x, 0) - sum(v.get(y, 0) for y in zq_in_neighbours(q, x)) + v.get(tau(x), 0)

@@ -1,12 +1,23 @@
-"""Exact rational matrices and the kernel/image/cokernel/solve primitives.
+"""The one exact linear-algebra core: fields, elimination and products.
 
-Everything is arbitrary-precision rational arithmetic: no floating point
-anywhere.  Pivoting is deterministic (leftmost column, lowest row index),
-so all derived bases are identical across runs.
+Every elimination in the package runs here, over one of two fields: the
+rationals (QQ, Fraction scalars) or a prime field GF(p) (PrimeField,
+GFElement scalars).  The primitives are written against the field object
+(zero, one, of_int, key):
 
-The worker routines are written against an abstract field object (zero,
-one, of_int) so that other modules can run the same eliminations over
-their own scalars.  The public RatMatrix type is rational-only.
+* rref, the only elimination, and what is read off it: mat_rank,
+  kernel_cols, left_kernel_rows, span_basis (the leftmost spanning
+  vectors), solve_many (coordinates in spanning columns) and
+  quotient_coords (a basis of a quotient);
+* the maps a matrix induces on sub- and quotient spaces, sub_map and
+  quotient_map;
+* products: mat_vec (skipping zero coordinates) and mat_mul.
+
+Empty shapes (no rows, no columns, no vectors) are valid inputs
+everywhere.  Everything is exact arithmetic: no floating point anywhere.
+Pivoting is deterministic (leftmost column, lowest row index), so all
+derived bases are identical across runs.  The public RatMatrix type is
+rational-only and calls the same primitives.
 """
 from __future__ import annotations
 
@@ -29,6 +40,72 @@ class RationalField:
 
 
 QQ = RationalField()
+
+
+# ---------------------------------------------------------------------------
+# A small prime field for the fiber oracle.  Exhaustive subspace enumeration
+# is only finite over finite fields, so the fiber answer is labeled with its
+# field and not asserted to equal the complex-geometric one.
+# ---------------------------------------------------------------------------
+
+class GFElement:
+    __slots__ = ("v", "p")
+
+    def __init__(self, v: int, p: int):
+        self.v = v % p
+        self.p = p
+
+    def __add__(self, other):
+        return GFElement(self.v + other.v, self.p)
+
+    def __sub__(self, other):
+        return GFElement(self.v - other.v, self.p)
+
+    def __neg__(self):
+        return GFElement(-self.v, self.p)
+
+    def __mul__(self, other):
+        return GFElement(self.v * other.v, self.p)
+
+    def __truediv__(self, other):
+        if other.v == 0:
+            raise ZeroDivisionError("division by zero in GF(p)")
+        return GFElement(self.v * pow(other.v, self.p - 2, self.p), self.p)
+
+    def __eq__(self, other):
+        if isinstance(other, GFElement):
+            return self.v == other.v
+        if isinstance(other, int):
+            return self.v == other % self.p
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.v, self.p))
+
+    def __repr__(self):
+        return f"{self.v}(mod {self.p})"
+
+
+class PrimeField:
+    def __init__(self, p: int):
+        if p < 2 or any(p % d == 0 for d in range(2, int(p ** 0.5) + 1)):
+            raise InvalidInputError(f"{p} is not prime")
+        self.p = p
+        self.zero = GFElement(0, p)
+        self.one = GFElement(1, p)
+        self.key = f"GF{p}"
+
+    def of_int(self, n: int) -> GFElement:
+        return GFElement(n, self.p)
+
+    def of_fraction(self, x: Fraction) -> GFElement:
+        x = Fraction(x)
+        if x.denominator % self.p == 0:
+            raise InvalidInputError(f"denominator of {x} not invertible mod {self.p}")
+        return GFElement(x.numerator * pow(x.denominator % self.p, self.p - 2, self.p), self.p)
+
+    def elements(self):
+        return [GFElement(i, self.p) for i in range(self.p)]
 
 
 # ---------------------------------------------------------------------------
@@ -64,11 +141,17 @@ def rref(rows: Sequence[Sequence], ncols: int, field) -> Tuple[List[List], List[
 
 
 def mat_rank(rows, ncols, field) -> int:
-    return len(rref(rows, ncols, field)[1])
+    """Rank of the matrix; 0 when it has no rows or no columns."""
+    return len(rref(rows, ncols, field)[1]) if rows and ncols else 0
 
 
 def kernel_cols(rows, ncols, field) -> List[List]:
-    """Basis of the right kernel, one column vector per free column (ascending)."""
+    """Basis of the right kernel, one column vector per free column (ascending).
+
+    With no rows every column is free, so the basis is the identity.
+    """
+    if not rows:
+        return identity_rows(ncols, field)
     red, pivots = rref(rows, ncols, field)
     pivot_set = set(pivots)
     basis = []
@@ -83,24 +166,24 @@ def kernel_cols(rows, ncols, field) -> List[List]:
     return basis
 
 
-def solve_cols(rows, b, field):
-    """Solve A x = b.  Returns (x, None) or (None, y) with y A = 0, y b != 0."""
-    nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
-    if len(b) != nrows:
-        raise InvalidInputError("dimension mismatch in solve")
-    # Augment with b and with an identity block recording the row operations.
-    aug = [list(rows[i]) + [b[i]] + [field.one if j == i else field.zero for j in range(nrows)] for i in range(nrows)]
-    red, pivots = rref(aug, ncols + 1 + nrows, field)
-    for i, pc in enumerate(pivots):
-        if pc == ncols:
-            y = red[i][ncols + 1:]
-            return None, y
-    x = [field.zero] * ncols
-    for i, pc in enumerate(pivots):
-        if pc < ncols:
-            x[pc] = red[i][ncols]
-    return x, None
+def left_kernel_rows(rows, nrows: int, field):
+    """Rows spanning the left kernel {y : y A = 0} of the nrows-row matrix A.
+
+    A matrix with no columns (or no rows given) has the identity as its left kernel.
+    """
+    return kernel_cols(transpose_rows(rows), nrows, field)
+
+
+def span_basis(vecs: Sequence[Sequence], dim: int, field) -> List:
+    """The leftmost vectors of field^dim that span the same space as vecs.
+
+    A vector is kept exactly when it is not in the span of the ones before
+    it (the pivot columns of the matrix with the vectors as columns).
+    """
+    if not vecs or not dim:
+        return []
+    _, pivots = rref([[v[i] for v in vecs] for i in range(dim)], len(vecs), field)
+    return [vecs[j] for j in pivots]
 
 
 def quotient_coords(gen_dim: int, rel_cols: Sequence[Sequence], field):
@@ -112,7 +195,8 @@ def quotient_coords(gen_dim: int, rel_cols: Sequence[Sequence], field):
     some relation has its last nonzero entry at g, so only the relations
     are eliminated, pivoting from the last generator down; a dropped
     generator's class is read off its reduced relation.  One elimination
-    serves every generator, so two runs pick identical bases.
+    serves every generator, so two runs pick identical bases, and the
+    result depends only on span(rel_cols), since the reduced form is unique.
     """
     last = gen_dim - 1
     red, pivots = rref([[col[last - c] for c in range(gen_dim)] for col in rel_cols], gen_dim, field)
@@ -131,7 +215,7 @@ def quotient_coords(gen_dim: int, rel_cols: Sequence[Sequence], field):
     return kept, coords
 
 
-def _solve_many(cols: Sequence[Sequence], vecs: Sequence[Sequence], field):
+def solve_many(cols: Sequence[Sequence], vecs: Sequence[Sequence], field):
     """Each vec in the spanning columns, or None where it leaves their span.
 
     One elimination pivots on the spanning columns only and carries every
@@ -157,11 +241,6 @@ def _solve_many(cols: Sequence[Sequence], vecs: Sequence[Sequence], field):
     return out
 
 
-def coords_in_col_span(cols: Sequence[Sequence], vec, field):
-    """Express vec in the given spanning columns, or None if outside the span."""
-    return _solve_many(cols, [vec], field)[0]
-
-
 def sub_map(m, src_cols, tgt_cols, field):
     """The matrix of m restricted to span(src_cols) -> span(tgt_cols), in those bases.
 
@@ -169,11 +248,7 @@ def sub_map(m, src_cols, tgt_cols, field):
     when the image of some source column leaves span(tgt_cols).  One
     elimination of tgt_cols serves every source column.
     """
-    imgs = []
-    for col in src_cols:
-        support = [(j, x) for j, x in enumerate(col) if x != field.zero]
-        imgs.append([sum((row[j] * x for j, x in support), field.zero) for row in m])
-    out_cols = _solve_many(tgt_cols, imgs, field)
+    out_cols = solve_many(tgt_cols, [mat_vec(m, col, field) for col in src_cols], field)
     if any(co is None for co in out_cols):
         return None
     return [[c[i] for c in out_cols] for i in range(len(tgt_cols))]
@@ -199,6 +274,12 @@ def quotient_map(m, src_kept, tgt_coords, field):
     return [[c[i] for c in out_cols] for i in range(dim)]
 
 
+def mat_vec(m, vec, field):
+    """The product m vec, summing over the nonzero coordinates of vec only."""
+    support = [(j, x) for j, x in enumerate(vec) if x != field.zero]
+    return [sum((row[j] * x for j, x in support), field.zero) for row in m]
+
+
 def mat_mul(a, b, field):
     if not a or not b:
         return []
@@ -222,37 +303,10 @@ def identity_rows(n, field):
     return [[field.one if i == j else field.zero for j in range(n)] for i in range(n)]
 
 
-def zero_rows(n, m, field):
-    return [[field.zero] * m for _ in range(n)]
-
-
 def transpose_rows(a):
     if not a:
         return []
     return [list(col) for col in zip(*a)]
-
-
-def preimage_cols(map_rows, nsrc: int, sub_cols, field):
-    """Columns spanning the preimage of span(sub_cols) under the matrix map_rows."""
-    ntgt = len(map_rows)
-    if ntgt == 0 or nsrc == 0:
-        return identity_rows(nsrc, field)
-    if sub_cols:
-        sub_rows = [[col[i] for col in sub_cols] for i in range(ntgt)]
-        proj = left_kernel_rows(sub_rows, ntgt, field)
-    else:
-        proj = identity_rows(ntgt, field)
-    if not proj:
-        return identity_rows(nsrc, field)
-    comp = mat_mul(proj, map_rows, field)
-    return kernel_cols(comp, nsrc, field)
-
-
-def left_kernel_rows(rows, nrows: int, field):
-    """Rows spanning the left kernel {y : y A = 0}."""
-    ncols = len(rows[0]) if rows else 0
-    cols_of_t = kernel_cols(transpose_rows(rows) if rows else zero_rows(ncols, nrows, field), nrows, field)
-    return [list(v) for v in cols_of_t]
 
 
 # ---------------------------------------------------------------------------
@@ -349,25 +403,15 @@ class RatMatrix:
         return all(x == 0 for r in self.entries for x in r)
 
     def rank(self) -> int:
-        if self.rows == 0 or self.cols == 0:
-            return 0
         return mat_rank(self.row_list(), self.cols, QQ)
 
     def kernel_basis(self) -> "RatMatrix":
         """Matrix whose columns form a basis of ker(self)."""
-        if self.cols == 0:
-            return RatMatrix.zero(0, 0)
-        if self.rows == 0:
-            return RatMatrix.identity(self.cols)
-        cols = kernel_cols(self.row_list(), self.cols, QQ)
-        return RatMatrix.from_columns(cols, self.cols)
+        return RatMatrix.from_columns(kernel_cols(self.row_list(), self.cols, QQ), self.cols)
 
     def image_basis(self) -> "RatMatrix":
         """Matrix whose columns are the pivot columns of self (a basis of the image)."""
-        if self.rows == 0 or self.cols == 0:
-            return RatMatrix.zero(self.rows, 0)
-        _, pivots = rref(self.row_list(), self.cols, QQ)
-        return RatMatrix.from_columns([self.column(j) for j in pivots], self.rows)
+        return RatMatrix.from_columns(span_basis(self.columns(), self.rows, QQ), self.rows)
 
     def solve(self, b):
         """A solution x of self x = b, or the string "inconsistent"."""
@@ -375,13 +419,19 @@ class RatMatrix:
         return x if x is not None else "inconsistent"
 
     def solve_certified(self, b):
-        """Returns (x, None) on success or (None, y) with y self = 0 and y b != 0."""
+        """Returns (x, None) on success or (None, y) with y self = 0 and y b != 0.
+
+        The certificate y is the first row of the left-kernel basis that
+        does not annihilate b; one exists exactly when b leaves the image.
+        """
         bv = [_fr(x) for x in b]
         if len(bv) != self.rows:
             raise InvalidInputError("dimension mismatch in solve")
-        if self.rows == 0:
-            return [Fraction(0)] * self.cols, None
-        return solve_cols(self.row_list(), bv, QQ)
+        x = solve_many(self.columns(), [bv], QQ)[0]
+        if x is not None:
+            return x, None
+        return None, next(y for y in left_kernel_rows(self.row_list(), self.rows, QQ)
+                          if sum(yi * bi for yi, bi in zip(y, bv)) != 0)
 
     def coker_projection(self) -> "RatMatrix":
         """A full-row-rank matrix P with P self = 0 presenting coker(self).
@@ -389,12 +439,7 @@ class RatMatrix:
         Rows form a basis of the left kernel, so P has rank = rows(self) -
         rank(self) and ker(P) = im(self).
         """
-        if self.rows == 0:
-            return RatMatrix.zero(0, 0)
-        yrows = left_kernel_rows(self.row_list(), self.rows, QQ)
-        if not yrows:
-            return RatMatrix.zero(0, self.rows)
-        return RatMatrix(yrows, cols=self.rows)
+        return RatMatrix(left_kernel_rows(self.row_list(), self.rows, QQ), cols=self.rows)
 
     def __eq__(self, other):
         return isinstance(other, RatMatrix) and self.shape() == other.shape() and self.entries == other.entries

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from .catmod import CatModule, SCategoryWindow, semisimple_module
@@ -26,16 +25,19 @@ from .dq_engine import cartan_apply, cartan_solve, is_dynkin
 from .errors import InternalConsistencyError, InvalidInputError, WindowInsufficiencyError
 from .exact_linalg import (
     QQ,
+    PrimeField,
     RatMatrix,
-    _solve_many,
+    format_fraction,
     identity_rows,
     kernel_cols,
     mat_mul,
     mat_rank,
-    preimage_cols,
+    mat_vec,
     quotient_coords,
     quotient_map,
-    rref,
+    rref,  # not called here; perfbench/selfcheck.py looks the name up on this module
+    solve_many,
+    span_basis,
     sub_map,
     transpose_rows,
 )
@@ -49,78 +51,13 @@ from .quiver_core import (
     build_repetition,
     parse_arrow_key,
     parse_vertex,
+    rep_in_arrows,
     sigma,
     sigma_arrow,
     sigma_inv,
     tau,
     tau_inv,
 )
-
-
-# ---------------------------------------------------------------------------
-# A small prime field for the fiber oracle.  Exhaustive subspace enumeration
-# is only finite over finite fields, so the fiber answer is labeled with its
-# field and not asserted to equal the complex-geometric one.
-# ---------------------------------------------------------------------------
-
-class GFElement:
-    __slots__ = ("v", "p")
-
-    def __init__(self, v: int, p: int):
-        self.v = v % p
-        self.p = p
-
-    def __add__(self, other):
-        return GFElement(self.v + other.v, self.p)
-
-    def __sub__(self, other):
-        return GFElement(self.v - other.v, self.p)
-
-    def __neg__(self):
-        return GFElement(-self.v, self.p)
-
-    def __mul__(self, other):
-        return GFElement(self.v * other.v, self.p)
-
-    def __truediv__(self, other):
-        if other.v == 0:
-            raise ZeroDivisionError("division by zero in GF(p)")
-        return GFElement(self.v * pow(other.v, self.p - 2, self.p), self.p)
-
-    def __eq__(self, other):
-        if isinstance(other, GFElement):
-            return self.v == other.v
-        if isinstance(other, int):
-            return self.v == other % self.p
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.v, self.p))
-
-    def __repr__(self):
-        return f"{self.v}(mod {self.p})"
-
-
-class PrimeField:
-    def __init__(self, p: int):
-        if p < 2 or any(p % d == 0 for d in range(2, int(p ** 0.5) + 1)):
-            raise InvalidInputError(f"{p} is not prime")
-        self.p = p
-        self.zero = GFElement(0, p)
-        self.one = GFElement(1, p)
-        self.key = f"GF{p}"
-
-    def of_int(self, n: int) -> GFElement:
-        return GFElement(n, self.p)
-
-    def of_fraction(self, x: Fraction) -> GFElement:
-        x = Fraction(x)
-        if x.denominator % self.p == 0:
-            raise InvalidInputError(f"denominator of {x} not invertible mod {self.p}")
-        return GFElement(x.numerator * pow(x.denominator % self.p, self.p - 2, self.p), self.p)
-
-    def elements(self):
-        return [GFElement(i, self.p) for i in range(self.p)]
 
 
 # ---------------------------------------------------------------------------
@@ -227,7 +164,7 @@ class WindowRep:
         ginv = {}
         for v, mat in g.items():
             d = self.dim(v)
-            if len(mat) != d:
+            if len(mat) != d or any(len(row) != d for row in mat):
                 raise InvalidInputError(f"base change at {v} has wrong size")
             inv = _invert(mat, self.field)
             ginv[v] = inv
@@ -250,8 +187,6 @@ class WindowRep:
             encode = lambda x: str(x.v)
             field_tag = self.field.p
         else:
-            from .exact_linalg import format_fraction
-
             encode = format_fraction
             field_tag = "QQ"
         data = {
@@ -312,12 +247,11 @@ def _mul(a, b, n, k, m, field):
 
 
 def _invert(mat: list, field) -> list:
-    n = len(mat)
-    aug = [list(mat[i]) + [field.one if j == i else field.zero for j in range(n)] for i in range(n)]
-    red, pivots = rref(aug, 2 * n, field)
-    if pivots[:n] != list(range(n)):
+    """The inverse of a square matrix: its columns solve mat x = e_j."""
+    cols = solve_many(transpose_rows(mat), identity_rows(len(mat), field), field)
+    if any(col is None for col in cols):
         raise InvalidInputError("matrix is not invertible")
-    return [row[n:] for row in red]
+    return transpose_rows(cols)
 
 
 def _sub_rep(rep: WindowRep, cols: Dict[RepVertex, list], failure_msg: str) -> WindowRep:
@@ -361,24 +295,22 @@ def validate(rep: WindowRep) -> list:
 
     For each non-frozen x with tau(x) in the window, the residual is the sum
     over arrows beta: y -> x of mat(sigma beta) mat(beta), a matrix from the
-    space at x to the space at tau(x); it must vanish exactly.
+    space at x to the space at tau(x); it must vanish exactly.  Only arrows
+    with a matrix contribute: an absent matrix is zero, so its term
+    vanishes, and a vertex with no term has nothing to check.
     """
     bad = []
     for x in rep.rq.vertices:
         if x.frozen or not rep.window.contains(tau(x)):
             continue
-        tx = tau(x)
-        rows, cols = rep.dim(tx), rep.dim(x)
-        if rows == 0 or cols == 0:
-            continue
-        residual = [[rep.field.zero] * cols for _ in range(rows)]
+        residual = None
         for beta in rep.rq.in_arrows(x):
-            sb = sigma_arrow(rep.q, beta)
-            part = _mul(rep.mat(sb), rep.mat(beta), rows, rep.dim(beta.source), cols, rep.field)
-            for i in range(rows):
-                for j in range(cols):
-                    residual[i][j] += part[i][j]
-        if any(xv != rep.field.zero for r in residual for xv in r):
+            m_sb, m_beta = rep.mats.get(sigma_arrow(rep.q, beta)), rep.mats.get(beta)
+            if m_sb is None or m_beta is None:
+                continue
+            part = mat_mul(m_sb, m_beta, rep.field)
+            residual = part if residual is None else [[a + b for a, b in zip(r, t)] for r, t in zip(residual, part)]
+        if residual is not None and any(xv != rep.field.zero for r in residual for xv in r):
             bad.append((x, residual))
     return bad
 
@@ -561,7 +493,7 @@ def kan_right(M: SModulePoint, w: Window) -> KanRight:
                                         nonzero = True
                             if nonzero:
                                 rows.append(row)
-        basis_cols[x] = kernel_cols(rows, nvars, field) if rows else identity_rows(nvars, field)
+        basis_cols[x] = kernel_cols(rows, nvars, field)
 
     # Structure maps in kernel coordinates.
     dims = {x: len(basis_cols[x]) for x in rq.vertices}
@@ -597,7 +529,7 @@ def kan_right(M: SModulePoint, w: Window) -> KanRight:
         theta[u] = rows_t
         if rep.dim(u) != mu:
             raise InternalConsistencyError(f"res K_R at {u} has dimension {rep.dim(u)} != {mu}")
-        if mu and mat_rank(rows_t, mu, field) != mu:
+        if mat_rank(rows_t, mu, field) != mu:
             raise InternalConsistencyError(f"adjunction map at {u} is not invertible")
     return KanRight(M, rep, amb_index, basis_cols, theta)
 
@@ -743,7 +675,7 @@ def can_matrices(M: SModulePoint, kl: KanLeft, kr: KanRight) -> Dict[RepVertex, 
                         s += c * M.module.act_mat(u2, u, k)[j2][j]
                 vec[pos] = s
             vecs.append(vec)
-        cols = _solve_many(kr.basis_cols[x], vecs, field)
+        cols = solve_many(kr.basis_cols[x], vecs, field)
         if any(co is None for co in cols):
             raise InternalConsistencyError("canonical map does not land in K_R (bug)")
         out[x] = [[cols[jj][ii] for jj in range(len(cols))] for ii in range(dr)]
@@ -785,7 +717,7 @@ def kan_intermediate(M: SModulePoint, w: Window) -> KanIntermediate:
         if x.frozen:
             # theta-normalized basis: columns mapping to the standard basis of M(x)
             th = kr.theta[x]
-            cols = _solve_many(transpose_rows(th), identity_rows(M.dim(x), field), field)
+            cols = solve_many(transpose_rows(th), identity_rows(M.dim(x), field), field)
             if any(sol is None for sol in cols):
                 raise InternalConsistencyError("theta not invertible at a frozen vertex")
             incl[x] = cols
@@ -796,16 +728,10 @@ def kan_intermediate(M: SModulePoint, w: Window) -> KanIntermediate:
             if m is None or not incl.get(a.target):
                 continue
             for col in incl[a.target]:
-                img = [sum((m[i][jj] * col[jj] for jj in range(len(col)) if col[jj] != field.zero), field.zero)
-                       for i in range(dkx)]
+                img = mat_vec(m, col, field)
                 if any(xx != field.zero for xx in img):
                     gathered.append(img)
-        if not gathered:
-            incl[x] = []
-            continue
-        rows = [[gathered[j][i] for j in range(len(gathered))] for i in range(dkx)]
-        _, pivots = rref(rows, len(gathered), field)
-        incl[x] = [gathered[j] for j in pivots]
+        incl[x] = span_basis(gathered, dkx, field)
 
     rep = _sub_rep(kr.rep, incl, "K_LR is not closed under the structure maps")
     out = KanIntermediate(M, rep, kr, incl)
@@ -854,8 +780,7 @@ def is_stable(rep: WindowRep) -> bool:
     for x in rep.rq.vertices:
         if x.frozen or rep.dim(x) == 0:
             continue
-        rows = _in_arrow_stack(rep, x)
-        if not rows or mat_rank(rows, rep.dim(x), rep.field) < rep.dim(x):
+        if mat_rank(_in_arrow_stack(rep, x), rep.dim(x), rep.field) < rep.dim(x):
             return False
     return True
 
@@ -866,69 +791,46 @@ def is_costable(rep: WindowRep) -> bool:
         if x.frozen or rep.dim(x) == 0:
             continue
         cols = _out_arrow_stack(rep, x)
-        if not cols:
-            return False
         rows = [[c[i] for c in cols] for i in range(rep.dim(x))]
         if mat_rank(rows, len(cols), rep.field) < rep.dim(x):
             return False
     return True
 
 
-def stabilize(rep: WindowRep) -> WindowRep:
-    """Quotient by the largest submodule supported on non-frozen vertices."""
+def _torsion_cols(rep: WindowRep) -> Dict[RepVertex, list]:
+    """Columns spanning T(x), the largest submodule supported on non-frozen vertices.
+
+    T(x) is the set of vectors every in-arrow beta: y -> x maps into T(y),
+    the kernel of the stacked rows ann(T(y)) mat(beta), where ann(T(y))
+    (the rows annihilating T(y)) is the identity when T(y) = 0.  Vertices
+    are taken in slice order, and a source not yet reached counts as T = 0.
+    """
     field = rep.field
     tcols: Dict[RepVertex, list] = {}
     for x in rep.rq.vertices:
-        d = rep.dim(x)
-        if d == 0 or x.frozen:
+        if rep.dim(x) == 0 or x.frozen:
             tcols[x] = []
             continue
-        cols = identity_rows(d, field)
+        rows = []
         for beta in rep.rq.in_arrows(x):
-            pre = (preimage_cols(rep.mat(beta), d, tcols.get(beta.source, []), field)
-                   if rep.dim(beta.source) else identity_rows(d, field))
-            cols = _intersect_spans(cols, pre, d, field)
-            if not cols:
-                break
-        tcols[x] = cols
-    out, _ = _quotient_rep(rep, tcols)
+            m = rep.mats.get(beta)  # an absent matrix maps everything into T(y)
+            if m is not None:
+                rows.extend(mat_mul(kernel_cols(tcols.get(beta.source, []), rep.dim(beta.source), field), m, field))
+        tcols[x] = kernel_cols(rows, rep.dim(x), field)
+    return tcols
+
+
+def stabilize(rep: WindowRep) -> WindowRep:
+    """Quotient by the largest submodule supported on non-frozen vertices."""
+    out, _ = _quotient_rep(rep, _torsion_cols(rep))
     if not is_stable(out):
         raise InternalConsistencyError("stabilize failed to produce a stable representation")
     return out
 
 
-def _intersect_spans(cols_a, cols_b, dim, field):
-    """Basis of the intersection of two column spans in field^dim."""
-    if not cols_a or not cols_b:
-        return []
-    rows = [[a[i] for a in cols_a] + [-b[i] for b in cols_b] for i in range(dim)]
-    ker = kernel_cols(rows, len(cols_a) + len(cols_b), field)
-    out = []
-    for k in ker:
-        vec = [sum((cols_a[j][i] * k[j] for j in range(len(cols_a)) if k[j] != field.zero), field.zero)
-               for i in range(dim)]
-        if any(x != field.zero for x in vec):
-            out.append(vec)
-    if not out:
-        return []
-    rows2 = [[out[j][i] for j in range(len(out))] for i in range(dim)]
-    _, pivots = rref(rows2, len(out), field)
-    return [out[j] for j in pivots]
-
-
 # ---------------------------------------------------------------------------
 # The stratifying decomposition Phi and the stratum order.
 # ---------------------------------------------------------------------------
-
-def struct_in_arrows(q: Quiver, config: Configuration, x: RepVertex) -> List[RepArrow]:
-    """Arrows into a non-frozen vertex, enumerated structurally (no window)."""
-    out = [RepArrow("a", a.id, RepVertex(a.source, x.level), x) for a in q.arrows_into(x.node)]
-    out += [RepArrow("s", a.id, RepVertex(a.target, x.level - 1), x) for a in q.arrows_from(x.node)]
-    u = RepVertex(x.node, x.level - 1, True)
-    if config.retains(u):
-        out.append(RepArrow("c", x.node, u, x))
-    return out
-
 
 def ext1_simple_into(rep: WindowRep, x: RepVertex) -> int:
     """dim Ext^1(S_x, rep) as the middle homology of rep(x) -> (+) rep(y) -> rep(tau x).
@@ -938,7 +840,7 @@ def ext1_simple_into(rep: WindowRep, x: RepVertex) -> int:
     stays inside).
     """
     field = rep.field
-    arrows = struct_in_arrows(rep.q, rep.config, x)
+    arrows = [b for b in rep_in_arrows(rep.q, x) if not b.source.frozen or rep.config.retains(b.source)]
     tx = tau(x)
     mid_dims = [rep.dim(b.source) for b in arrows]
     mid_total = sum(mid_dims)
@@ -954,12 +856,10 @@ def ext1_simple_into(rep: WindowRep, x: RepVertex) -> int:
         for j in range(d):
             b_cols.append([m[i][j] for i in range(rep.dim(tx))])
     b_rows = [[b_cols[j][i] for j in range(mid_total)] for i in range(rep.dim(tx))]
-    rank_a = mat_rank(a_rows, rep.dim(x), field) if (a_rows and rep.dim(x)) else 0
-    rank_b = mat_rank(b_rows, mid_total, field) if b_rows else 0
-    if a_rows and b_rows and rep.dim(x):
-        comp = mat_mul(b_rows, a_rows, field)
-        if any(v != field.zero for r in comp for v in r):
-            raise InternalConsistencyError(f"mesh relator at {x} not satisfied by the representation")
+    rank_a = mat_rank(a_rows, rep.dim(x), field)
+    rank_b = mat_rank(b_rows, mid_total, field)
+    if any(v != field.zero for r in mat_mul(b_rows, a_rows, field) for v in r):
+        raise InternalConsistencyError(f"mesh relator at {x} not satisfied by the representation")
     return (mid_total - rank_b) - rank_a
 
 
@@ -1094,11 +994,11 @@ def resolution_shape(M: SModulePoint, w: Window) -> dict:
         b = RepArrow("f", u.node, xprev, u)
         c = RepArrow("c", u.node, u, xnext)
         mb = klr.mat(b) if klr.window.contains(u) else []
-        rank_b = mat_rank(mb, klr.dim(u), field) if (mb and klr.dim(u)) else 0
+        rank_b = mat_rank(mb, klr.dim(u), field)
         ker_b = klr.dim(u) - rank_b
         cok_b = klr.dim(xprev) - rank_b
         mc = klr.mat(c) if klr.window.contains(xnext) else []
-        rank_c = mat_rank(mc, klr.dim(xnext), field) if (mc and klr.dim(xnext)) else 0
+        rank_c = mat_rank(mc, klr.dim(xnext), field)
         cok_c = klr.dim(u) - rank_c
         ker_c = klr.dim(xnext) - rank_c
         if ker_b:
@@ -1214,8 +1114,7 @@ def fiber(M: SModulePoint, v: Dict[RepVertex, int], p: int, w: Window, bound: in
             if a.target not in choice or m is None:
                 continue
             for colv in choice[a.target]:
-                img = [sum((row[j] * colv[j] for j in range(len(colv)) if colv[j] != field.zero), field.zero)
-                       for row in m]
+                img = mat_vec(m, colv, field)
                 if any(c != field.zero for c in img):
                     cols.append(img)
         return cols
@@ -1230,7 +1129,7 @@ def fiber(M: SModulePoint, v: Dict[RepVertex, int], p: int, w: Window, bound: in
         forced = forced_at(x, choice)
         for sub_rows in subspace_pool[x]:
             cols = [list(r) for r in sub_rows]  # each basis vector of the subspace
-            if any(co is None for co in _solve_many(cols, forced, field)):
+            if any(co is None for co in solve_many(cols, forced, field)):
                 continue
             choice[x] = cols
             recurse(i + 1, choice)

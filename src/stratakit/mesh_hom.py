@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import InvalidInputError
-from .exact_linalg import QQ, mat_rank, quotient_coords
+from .exact_linalg import QQ, mat_rank, mat_vec, quotient_coords
 from .quiver_core import (
     Configuration,
     Quiver,
@@ -117,9 +117,7 @@ class HomFunctor:
         mat = self.mats.get(arrow)
         if mat is None:
             return [self.field.zero] * self.dim(arrow.target)
-        zero = self.field.zero
-        support = [(j, x) for j, x in enumerate(vec) if x != zero]
-        return [sum((row[j] * x for j, x in support), zero) for row in mat]
+        return mat_vec(mat, vec, self.field)
 
     def reduce_path(self, path: Sequence[RepArrow]):
         """Coordinates of a path from the source in the basis at its endpoint.
@@ -275,12 +273,8 @@ def enable_disk_cache(directory: Optional[str]):
     _LOGS.clear()
 
 
-def _field_key(field) -> str:
-    return getattr(field, "key", "QQ")
-
-
 def sweep(ctx: MeshContext, source: RepVertex, window: Window, field=QQ) -> HomFunctor:
-    fkey = _field_key(field)
+    fkey = field.key
     key = (ctx.cache_key(), window.lo, window.hi, source, fkey)
     fun = _CACHE.get(key)
     if fun is not None:
@@ -521,12 +515,7 @@ def postcomposition_rank(ctx: MeshContext, u: RepVertex, x: RepVertex, arrows, w
     dom = fun.dim(x)
     rows = []
     for a in arrows:
-        mat = fun.mats.get(a)
-        if mat is None:
-            mat = [[QQ.zero] * dom for _ in range(fun.dim(a.target))]
-        rows.extend(mat)
-    if not rows:
-        return 0
+        rows.extend(fun.mats.get(a, ()))  # an arrow without a matrix acts by zero: no rank
     return mat_rank(rows, dom, QQ)
 
 
@@ -537,8 +526,6 @@ def precomposition_rank(ctx: MeshContext, x: RepVertex, u: RepVertex, arrows, w:
     for a in arrows:
         mat = precomposition_matrix(ctx, (a,), a.source, x, u, w)
         rows.extend(mat)
-    if not rows:
-        return 0
     return mat_rank(rows, dom, QQ)
 
 
@@ -596,7 +583,7 @@ def hom_dim_oracle(ctx: MeshContext, x: RepVertex, y: RepVertex, w: Window) -> i
     if not paths:
         return 1 if x == y else 0
     rel_rows = _relator_rows(ctx, x, y, w, paths)
-    return len(paths) - (mat_rank(rel_rows, len(paths), QQ) if rel_rows else 0)
+    return len(paths) - mat_rank(rel_rows, len(paths), QQ)
 
 
 def sweep_matches_oracle(ctx: MeshContext, x: RepVertex, y: RepVertex, w: Window) -> bool:
@@ -611,7 +598,7 @@ def sweep_matches_oracle(ctx: MeshContext, x: RepVertex, y: RepVertex, w: Window
     if not paths:
         return hb.dim == (1 if x == y else 0)
     rel_rows = _relator_rows(ctx, x, y, w, paths)
-    base_rank = mat_rank(rel_rows, len(paths), QQ) if rel_rows else 0
+    base_rank = mat_rank(rel_rows, len(paths), QQ)
     if hb.dim != len(paths) - base_rank:
         return False
     index = {p: i for i, p in enumerate(paths)}

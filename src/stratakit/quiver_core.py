@@ -374,6 +374,31 @@ class MeshRelator:
     terms: tuple  # tuple of (RepArrow, RepArrow) pairs, each a path tau(x) -> y -> x
 
 
+def rep_in_arrows(q: Quiver, v: RepVertex, framed: bool = True):
+    """Arrows of the (framed) repetition quiver ending at v, with no window or configuration.
+
+    The order is the one every slice uses: inherited, reversed, then framing.
+    """
+    if v.frozen:
+        return [RepArrow("f", v.node, RepVertex(v.node, v.level), v)]
+    out = [RepArrow("a", a.id, RepVertex(a.source, v.level), v) for a in q.arrows_into(v.node)]
+    out += [RepArrow("s", a.id, RepVertex(a.target, v.level - 1), v) for a in q.arrows_from(v.node)]
+    if framed:
+        out.append(RepArrow("c", v.node, RepVertex(v.node, v.level - 1, True), v))
+    return out
+
+
+def rep_out_arrows(q: Quiver, v: RepVertex, framed: bool = True):
+    """Arrows of the (framed) repetition quiver starting at v, with no window or configuration."""
+    if v.frozen:
+        return [RepArrow("c", v.node, v, RepVertex(v.node, v.level + 1))]
+    out = [RepArrow("a", a.id, v, RepVertex(a.target, v.level)) for a in q.arrows_from(v.node)]
+    out += [RepArrow("s", a.id, v, RepVertex(a.source, v.level + 1)) for a in q.arrows_into(v.node)]
+    if framed:
+        out.append(RepArrow("f", v.node, v, RepVertex(v.node, v.level, True)))
+    return out
+
+
 class RepQuiver:
     """A level-window slice of the (framed) repetition quiver.
 
@@ -390,6 +415,9 @@ class RepQuiver:
         self.framed = framed
         self.window = window
         self.config = config if config is not None else Configuration.full()
+        stray = sorted(m.key() for m in self.config.members or () if m.node not in q.topo_index)
+        if stray:
+            raise InvalidInputError(f"configuration member {stray[0]} names a node outside the quiver")
         vertices = []
         for p in window.levels():
             for node in q._topo:
@@ -421,7 +449,8 @@ class RepQuiver:
         if arrows is None:
             if v not in self._vset:
                 return ()
-            arrows = self._in[v] = tuple(self._arrows_into(v))
+            arrows = self._in[v] = tuple(a for a in rep_in_arrows(self.q, v, self.framed)
+                                         if a.source in self._vset)
         return arrows
 
     def out_arrows(self, v: RepVertex):
@@ -430,50 +459,9 @@ class RepQuiver:
         if arrows is None:
             if v not in self._vset:
                 return ()
-            arrows = self._out[v] = tuple(self._arrows_out_of(v))
+            arrows = self._out[v] = tuple(a for a in rep_out_arrows(self.q, v, self.framed)
+                                          if a.target in self._vset)
         return arrows
-
-    def _arrows_into(self, v: RepVertex):
-        out = []
-        if v.frozen:
-            src = RepVertex(v.node, v.level)
-            if src in self._vset:
-                out.append(RepArrow("f", v.node, src, v))
-            return out
-        for a in self.q.arrows_into(v.node):
-            src = RepVertex(a.source, v.level)
-            if src in self._vset:
-                out.append(RepArrow("a", a.id, src, v))
-        for a in self.q.arrows_from(v.node):
-            src = RepVertex(a.target, v.level - 1)
-            if src in self._vset:
-                out.append(RepArrow("s", a.id, src, v))
-        if self.framed:
-            src = RepVertex(v.node, v.level - 1, True)
-            if src in self._vset:
-                out.append(RepArrow("c", v.node, src, v))
-        return out
-
-    def _arrows_out_of(self, v: RepVertex):
-        out = []
-        if v.frozen:
-            tgt = RepVertex(v.node, v.level + 1)
-            if tgt in self._vset:
-                out.append(RepArrow("c", v.node, v, tgt))
-            return out
-        for a in self.q.arrows_from(v.node):
-            tgt = RepVertex(a.target, v.level)
-            if tgt in self._vset:
-                out.append(RepArrow("a", a.id, v, tgt))
-        for a in self.q.arrows_into(v.node):
-            tgt = RepVertex(a.source, v.level + 1)
-            if tgt in self._vset:
-                out.append(RepArrow("s", a.id, v, tgt))
-        if self.framed:
-            u = RepVertex(v.node, v.level, True)
-            if u in self._vset:
-                out.append(RepArrow("f", v.node, v, u))
-        return out
 
     def relator(self, x: RepVertex) -> MeshRelator:
         if x.frozen:

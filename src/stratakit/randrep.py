@@ -60,7 +60,7 @@ def random_window_rep(q: Quiver, window: Window, rng: random.Random,
                     row.extend(m[i][:wd] if m else [QQ.zero] * wd)
                 rows.append(row)
             total = sum(widths)
-            ker = kernel_cols(rows, total, QQ) if rows else []
+            ker = kernel_cols(rows, total, QQ)
             stacked_cols = []
             for _ in range(dx):
                 col = [QQ.zero] * total

@@ -1,19 +1,26 @@
+import ast
+import pathlib
 from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
+import stratakit
 from stratakit.exact_linalg import (
     QQ,
+    PrimeField,
     RatMatrix,
-    coords_in_col_span,
     format_fraction,
+    kernel_cols,
+    left_kernel_rows,
+    mat_rank,
     parse_fraction,
     quotient_coords,
     quotient_map,
     rref,
+    solve_many,
+    span_basis,
     sub_map,
 )
-from stratakit.kan_strata import PrimeField
 
 small_entries = st.integers(min_value=-4, max_value=4)
 
@@ -252,10 +259,26 @@ def test_quotient_coords_matches_identity_augmented_twin(case):
 
 @settings(max_examples=150, deadline=None)
 @given(st.data(), _span_case(min_dim=1))
-def test_coords_in_col_span_matches_twin(data, case):
+def test_solve_many_matches_twin(data, case):
     field, dim, cols = case
     for vec in data.draw(_vectors(field, dim, 4, cols)):
-        assert coords_in_col_span(cols, vec, field) == _twin_coords_in_col_span(cols, vec, field)
+        assert solve_many(cols, [vec], field)[0] == _twin_coords_in_col_span(cols, vec, field)
+
+
+def _twin_span_basis(vecs, dim, field):
+    """The rref pivot pick the callers made before span_basis existed."""
+    if not vecs:
+        return []
+    _, pivots = rref([[vecs[j][i] for j in range(len(vecs))] for i in range(dim)], len(vecs), field)
+    return [vecs[j] for j in pivots]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data(), _span_case(min_dim=0))
+def test_span_basis_matches_rref_pivot_pick(data, case):
+    field, dim, cols = case
+    vecs = cols + data.draw(_vectors(field, dim, 3, cols))  # some vectors repeat the span
+    assert span_basis(vecs, dim, field) == _twin_span_basis(vecs, dim, field)
 
 
 @settings(max_examples=150, deadline=None)
@@ -275,8 +298,65 @@ def test_twins_cover_the_degenerate_shapes():
         one, zero = field.one, field.zero
         assert quotient_coords(0, [], field) == _twin_quotient_coords(0, [], field) == ([], [])
         assert quotient_coords(2, [], field) == _twin_quotient_coords(2, [], field)
-        assert coords_in_col_span([], [zero, zero], field) == [] == _twin_coords_in_col_span([], [zero, zero], field)
-        assert coords_in_col_span([], [one], field) is None is _twin_coords_in_col_span([], [one], field)
+        assert solve_many([], [[zero, zero]], field)[0] == [] == _twin_coords_in_col_span([], [zero, zero], field)
+        assert solve_many([], [[one]], field)[0] is None is _twin_coords_in_col_span([], [one], field)
         m = [[one, zero], [zero, one]]
         for src, tgt in [([], [[one, zero]]), ([[one, zero]], []), ([], [])]:
             assert sub_map(m, src, tgt, field) == _twin_sub_map(m, src, tgt, field)
+
+
+def test_degenerate_shapes():
+    for field in FIELDS:
+        one, zero = field.one, field.zero
+        ident2 = [[one, zero], [zero, one]]
+        # no rows; rows of length zero; no vectors at all
+        assert mat_rank([], 3, field) == 0
+        assert mat_rank([[], []], 0, field) == 0
+        assert kernel_cols([], 2, field) == ident2
+        assert kernel_cols([[], []], 0, field) == []
+        assert kernel_cols([], 0, field) == []
+        assert left_kernel_rows([], 2, field) == ident2
+        assert left_kernel_rows([[], []], 2, field) == ident2
+        assert left_kernel_rows([], 0, field) == []
+        assert span_basis([], 3, field) == []
+        assert span_basis([[], []], 0, field) == []
+        assert solve_many([[one, zero]], [], field) == []
+        assert solve_many([[], []], [[]], field) == [[zero, zero]]
+        assert solve_many([], [[], []], field) == [[], []]
+
+
+def test_solve_certified_on_empty_shapes():
+    x, y = RatMatrix.zero(0, 2).solve_certified([])
+    assert (x, y) == ([0, 0], None)
+    x, y = RatMatrix.zero(2, 0).solve_certified([0, 1])
+    assert x is None and y[1] != 0
+    assert RatMatrix.zero(2, 0).solve([0, 0]) == []
+
+
+# ---------------------------------------------------------------------------
+# One elimination core: only exact_linalg eliminates or defines a field.
+# ---------------------------------------------------------------------------
+
+FIELD_CLASSES = {"RationalField", "PrimeField", "GFElement"}
+
+
+def _called_name(node):
+    func = node.func
+    return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+
+
+def test_exact_linalg_is_the_only_elimination_core():
+    package = pathlib.Path(stratakit.__file__).parent
+    problems = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "exact_linalg.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Call) and _called_name(node) == "rref":
+                problems.append(f"{path.name}:{node.lineno} calls rref")
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "exact_linalg":
+                problems += [f"{path.name}:{node.lineno} imports {a.name}" for a in node.names
+                             if a.name.startswith("_")]
+            if isinstance(node, ast.ClassDef) and node.name in FIELD_CLASSES:
+                problems.append(f"{path.name}:{node.lineno} defines {node.name}")
+    assert problems == []

@@ -1,14 +1,20 @@
+import math
 import random
 from fractions import Fraction
 
+import tracemalloc
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from stratakit.errors import InvalidInputError
-from stratakit.exact_linalg import QQ, kernel_cols, quotient_coords
+from stratakit.exact_linalg import QQ, identity_rows, kernel_cols, mat_mul, mat_rank, quotient_coords, rref
 from stratakit.kan_strata import (
     PrimeField,
     SModulePoint,
     WindowRep,
+    _quotient_rep,
+    _torsion_cols,
     closed_orbit,
     degeneration_leq,
     fiber,
@@ -33,6 +39,7 @@ from stratakit.quiver_core import (
     RepVertex,
     Window,
     a_n_quiver,
+    d4_quiver,
     kronecker_quiver,
     parse_vertex,
     sigma_inv,
@@ -164,6 +171,19 @@ def test_single_framing_matrix_is_valid():
     assert validate(rep) == []
 
 
+def test_validate_allocates_nothing_for_absent_matrices():
+    d = 400
+    dims = {parse_vertex(k): d for k in ("1@0", "2@0", "1@1", "2@1")}
+    rep = WindowRep(A2, Window(0, 2), None, dims, {})
+    tracemalloc.start()
+    try:
+        assert validate(rep) == []
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 def test_perturbed_rep_reports_exact_relator():
     rng = random.Random(9)
     rep = random_window_rep(A2, W, rng, dim_choices=(1, 1, 2))
@@ -199,6 +219,19 @@ def test_restrict_simple_and_base_change_invariance():
             g[v] = [[Fraction(1), Fraction(1)], [Fraction(0), Fraction(1)]]
     moved = rep.base_change(g)
     assert restrict(moved).equal(restrict(rep))
+
+
+def test_base_change_rejects_a_singular_or_misshapen_matrix():
+    rep = random_window_rep(A2, W, random.Random(4), dim_choices=(1, 2))
+    v = next(v for v in rep.rq.vertices if not v.frozen and rep.dim(v) == 2)
+    for bad in ([[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]],   # singular
+                [[Fraction(0), Fraction(0)], [Fraction(0), Fraction(0)]],   # zero
+                [[Fraction(1), Fraction(0), Fraction(0)], [Fraction(0), Fraction(1), Fraction(0)]]):
+        with pytest.raises(InvalidInputError):
+            rep.base_change({v: bad})
+    gf = rep.reduce_mod(PrimeField(3))
+    with pytest.raises(InvalidInputError):  # invertible over QQ (det 3), singular mod 3
+        gf.base_change({v: [[gf.field.of_int(1), gf.field.of_int(1)], [gf.field.of_int(-1), gf.field.of_int(2)]]})
 
 
 def test_restrict_representable_values():
@@ -295,6 +328,81 @@ def test_stabilize_quotients_only_nonfrozen_part():
     noisy = klr.direct_sum(simple_rep(A2, W, parse_vertex("2@1")))
     out = stabilize(noisy)
     assert dict(out.dims) == dict(klr.dims)
+
+
+# The intersection-of-preimages computation stabilize made before it took one
+# kernel per vertex, kept here as the reference it must reproduce.
+
+def _twin_intersect_spans(cols_a, cols_b, dim, field):
+    if not cols_a or not cols_b:
+        return []
+    rows = [[a[i] for a in cols_a] + [-b[i] for b in cols_b] for i in range(dim)]
+    out = []
+    for k in kernel_cols(rows, len(cols_a) + len(cols_b), field):
+        vec = [sum((cols_a[j][i] * k[j] for j in range(len(cols_a))), field.zero) for i in range(dim)]
+        if any(x != field.zero for x in vec):
+            out.append(vec)
+    if not out:
+        return []
+    _, pivots = rref([[out[j][i] for j in range(len(out))] for i in range(dim)], len(out), field)
+    return [out[j] for j in pivots]
+
+
+def _twin_preimage_cols(map_rows, nsrc, sub_cols, field):
+    ntgt = len(map_rows)
+    if ntgt == 0 or nsrc == 0:
+        return identity_rows(nsrc, field)
+    if sub_cols:
+        proj = kernel_cols([list(c) for c in sub_cols], ntgt, field)  # rows y with y . col = 0
+    else:
+        proj = identity_rows(ntgt, field)
+    if not proj:
+        return identity_rows(nsrc, field)
+    return kernel_cols(mat_mul(proj, map_rows, field), nsrc, field)
+
+
+def _twin_torsion_cols(rep):
+    field = rep.field
+    tcols = {}
+    for x in rep.rq.vertices:
+        d = rep.dim(x)
+        if d == 0 or x.frozen:
+            tcols[x] = []
+            continue
+        cols = identity_rows(d, field)
+        for beta in rep.rq.in_arrows(x):
+            pre = (_twin_preimage_cols(rep.mat(beta), d, tcols.get(beta.source, []), field)
+                   if rep.dim(beta.source) else identity_rows(d, field))
+            cols = _twin_intersect_spans(cols, pre, d, field)
+            if not cols:
+                break
+        tcols[x] = cols
+    return tcols
+
+
+TWIN_QUIVERS = {"A2": A2, "A3": a_n_quiver(3), "D4": d4_quiver(), "K2": kronecker_quiver()}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32), st.sampled_from(sorted(TWIN_QUIVERS)), st.sampled_from([0, 3]),
+       st.sampled_from([1, 2]))
+def test_stabilize_matches_intersect_and_preimage_twin(seed, qname, p, coeff_range):
+    q = TWIN_QUIVERS[qname]
+    rep = random_window_rep(q, Window(0, 2), random.Random(seed), dim_choices=(0, 1, 1, 2),
+                            coeff_range=coeff_range)
+    if p:
+        # one common scale clears the denominators and keeps every (quadratic) relator zero
+        den = math.lcm(*(x.denominator for m in rep.mats.values() for row in m for x in row))
+        mats = {a: [[x * den for x in row] for row in m] for a, m in rep.mats.items()}
+        rep = WindowRep(q, rep.window, rep.config, rep.dims, mats).reduce_mod(PrimeField(p))
+        assert validate(rep) == []
+    new, old = _torsion_cols(rep), _twin_torsion_cols(rep)
+    for x in rep.rq.vertices:
+        d = rep.dim(x)
+        rank_new, rank_old = mat_rank(new[x], d, rep.field), mat_rank(old[x], d, rep.field)
+        assert rank_new == len(new[x]) and rank_old == len(old[x])
+        assert rank_new == rank_old == mat_rank(new[x] + old[x], d, rep.field)
+    assert stabilize(rep).to_json() == _quotient_rep(rep, old)[0].to_json()
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,8 @@ from stratakit.quiver_core import (
     kronecker_quiver,
     mesh_relators,
     parse_vertex,
+    rep_in_arrows,
+    rep_out_arrows,
     sigma,
     sigma_arrow,
     sigma_inv,
@@ -184,3 +186,35 @@ def test_configuration_period_must_be_positive_int(period):
 def test_configuration_json_rejects_malformed_members(data):
     with pytest.raises(InvalidInputError):
         Configuration.from_json(data)
+
+
+@pytest.mark.parametrize("make", [lambda: a_n_quiver(3), d4_quiver, kronecker_quiver], ids=["A3", "D4", "Kronecker"])
+@pytest.mark.parametrize("framed", [True, False])
+def test_slice_adjacency_is_the_windowless_adjacency_filtered(make, framed):
+    q = make()
+    config = Configuration([RepVertex(n, p) for n in q.vertices for p in range(0, 4, 2)])
+    rq = build_repetition(q, framed, Window(0, 3), config if framed else None)
+    for v in rq.vertices:
+        assert list(rq.in_arrows(v)) == [a for a in rep_in_arrows(q, v, framed) if rq.has_vertex(a.source)]
+        assert list(rq.out_arrows(v)) == [a for a in rep_out_arrows(q, v, framed) if rq.has_vertex(a.target)]
+        for a in rep_in_arrows(q, v, framed):
+            assert a.target == v and a in rep_out_arrows(q, a.source, framed)
+        for a in rep_out_arrows(q, v, framed):
+            assert a.source == v and a in rep_in_arrows(q, a.target, framed)
+        if not v.frozen and 0 < v.level < 3 and (not framed or config.retains(RepVertex(v.node, v.level - 1, True))):
+            assert list(rq.in_arrows(v)) == rep_in_arrows(q, v, framed)
+
+
+def test_windowless_adjacency_keeps_the_slice_order():
+    q = a_n_quiver(3)
+    assert [a.key() for a in rep_in_arrows(q, parse_vertex("2@1"))] == ["a:a1@1", "s:a2@1", "c:2@1"]
+    assert [a.key() for a in rep_out_arrows(q, parse_vertex("2@1"))] == ["a:a2@1", "s:a1@2", "f:2@1"]
+    assert [a.key() for a in rep_in_arrows(q, parse_vertex("2@1"), framed=False)] == ["a:a1@1", "s:a2@1"]
+    assert [a.key() for a in rep_in_arrows(q, parse_vertex("2'@1"))] == ["f:2@1"]
+    assert [a.key() for a in rep_out_arrows(q, parse_vertex("2'@1"))] == ["c:2@2"]
+
+
+def test_configuration_member_outside_the_quiver_is_rejected():
+    config = Configuration([parse_vertex("7@0"), parse_vertex("1@0")])
+    with pytest.raises(InvalidInputError, match="7@0"):
+        build_repetition(a_n_quiver(2), True, Window(0, 2), config)
