@@ -41,7 +41,7 @@ from .exact_linalg import (
     sub_map,
     transpose_rows,
 )
-from .mesh_hom import MeshContext, sweep
+from .mesh_hom import MeshContext, on_clear_cache, sweep
 from .quiver_core import (
     Configuration,
     Quiver,
@@ -128,11 +128,6 @@ class WindowRep:
         for a in path[1:]:
             out = _mul(out, self.mat(a), rows, self.dim(a.source), self.dim(a.target), self.field)
         return out
-
-    def value_of_path(self, path, start: RepVertex):
-        if not path:
-            return identity_rows(self.dim(start), self.field)
-        return self.path_matrix(path)
 
     def equal_data(self, other: "WindowRep") -> bool:
         if self.dims != other.dims:
@@ -319,12 +314,38 @@ def validate(rep: WindowRep) -> list:
 # Points of the affine quiver variety: restrictions to the singular category.
 # ---------------------------------------------------------------------------
 
+_CATEGORIES: Dict[tuple, SCategoryWindow] = {}
+on_clear_cache(_CATEGORIES.clear)
+
+
+def window_category(q: Quiver, config: Optional[Configuration], window: Window, field=QQ) -> SCategoryWindow:
+    """The windowed singular category, one per (quiver, configuration, window, field).
+
+    Shared by every point built here until mesh_hom.clear_cache(), like the
+    slices of build_repetition; its Hom data must not be modified.
+    """
+    config = config if config is not None else Configuration.full()
+    key = (q._key, config.key(), window, field.key)
+    cat = _CATEGORIES.get(key)
+    if cat is None:
+        cat = _CATEGORIES.setdefault(key, SCategoryWindow(q, config, window, field))
+    return cat
+
+
 class SModulePoint:
-    """A point of M_0(w): a module over the windowed singular category."""
+    """A point of M_0(w): a module over the windowed singular category.
+
+    Points are immutable and shared, and so is everything computed from
+    them: a point keeps the PhiResult of phi() on its own window and hands
+    the same object to every later caller (degeneration_leq, same_stratum,
+    resolution_shape).  Neither the module data nor that result may be
+    modified after construction.
+    """
 
     def __init__(self, cat: SCategoryWindow, module: CatModule):
         self.cat = cat
         self.module = module
+        self._phi: Optional["PhiResult"] = None
 
     @property
     def q(self) -> Quiver:
@@ -359,11 +380,11 @@ class SModulePoint:
     @classmethod
     def semisimple(cls, q: Quiver, window: Window, w: Dict[RepVertex, int],
                    config: Optional[Configuration] = None, field=QQ) -> "SModulePoint":
-        cat = SCategoryWindow(q, config, window, field)
+        cat = window_category(q, config, window, field)
         return cls(cat, semisimple_module(cat, {u: d for u, d in w.items() if d}))
 
     def reduce_mod(self, field: PrimeField) -> "SModulePoint":
-        cat = SCategoryWindow(self.q, self.cat.config, self.window, field)
+        cat = window_category(self.q, self.cat.config, self.window, field)
         act = {}
         for key, m in self.module.act.items():
             act[key] = [[field.of_fraction(x) for x in row] for row in m]
@@ -371,26 +392,28 @@ class SModulePoint:
 
 
 def restrict(rep: WindowRep) -> SModulePoint:
-    """The frozen part of a valid representation, with its full action tables.
+    """The frozen part of a valid representation, with its action tables.
 
     Base change at non-frozen vertices leaves the result unchanged: the
     action of a singular-category morphism is the product of the arrow
     matrices along any representative path, and validity makes that class
-    independent of the representative.
+    independent of the representative.  Identities and zero actions are not
+    stored: CatModule.act_mat supplies both.
     """
     bad = validate(rep)
     if bad:
         raise InvalidInputError(f"representation violates {len(bad)} mesh relator(s), first at {bad[0][0]}")
-    cat = SCategoryWindow(rep.q, rep.config, rep.window, rep.field)
-    dims = {u: rep.dim(u) for u in cat.objects}
+    cat = window_category(rep.q, rep.config, rep.window, rep.field)
+    zero = rep.field.zero
     act = {}
     for u, v, dk in cat.hom_pairs():
-        if dims.get(u, 0) == 0 or dims.get(v, 0) == 0:
+        if u == v or rep.dim(u) == 0 or rep.dim(v) == 0:
             continue
         for k in range(dk):
-            path = cat.basis_paths(u, v)[k]
-            act[(u, v, k)] = rep.value_of_path(path, u)
-    return SModulePoint(cat, CatModule(cat, dims, act))
+            m = rep.path_matrix(cat.basis_paths(u, v)[k])
+            if any(x != zero for row in m for x in row):
+                act[(u, v, k)] = m
+    return SModulePoint(cat, CatModule(cat, {u: rep.dim(u) for u in cat.objects}, act))
 
 
 # ---------------------------------------------------------------------------
@@ -865,7 +888,11 @@ def ext1_simple_into(rep: WindowRep, x: RepVertex) -> int:
 
 @dataclass
 class PhiResult:
-    """The value of the stratifying decomposition at a point, with its stratum id."""
+    """The value of the stratifying decomposition at a point, with its stratum id.
+
+    Shared by every caller that asks phi() about the same point: it and
+    its dicts and klr must not be modified.
+    """
 
     mult: Dict[RepVertex, int]       # multiplicity of the indecomposable at each vertex
     v: Dict[RepVertex, int]          # non-frozen dimension vector of the intermediate extension
@@ -891,9 +918,14 @@ def phi(M: SModulePoint, w: Window) -> PhiResult:
     of the intermediate extension; the homology route computes
     dim Ext^1(S_x, K_LR(M)) from the mesh complex.  Disagreement or a
     negative multiplicity is an internal-consistency failure.
+
+    Computed once per point: on the point's own window the result is kept
+    on M and the same object returned on every later call.  A call that
+    raises keeps nothing.
     """
-    ki = kan_intermediate(M, w)
-    klr = ki.rep
+    if M._phi is not None and w == M.window:
+        return M._phi
+    klr = kan_intermediate(M, w).rep
     v = {x: d for x, d in klr.nonfrozen_dims().items()}
     wvec = M.w_vector()
     cq = cartan_apply(M.q, v)
@@ -912,7 +944,8 @@ def phi(M: SModulePoint, w: Window) -> PhiResult:
             raise InternalConsistencyError(f"negative Phi multiplicity at {x}")
         if formula:
             mult[x] = formula
-    return PhiResult(mult, v, wvec, klr)
+    M._phi = PhiResult(mult, v, wvec, klr)  # kan_intermediate rejected any other window
+    return M._phi
 
 
 def same_stratum(M1: SModulePoint, M2: SModulePoint, w: Window) -> bool:
@@ -1051,9 +1084,13 @@ class FiberResult:
 
 
 def _enumerate_subspaces(d: int, field: PrimeField):
-    """All subspaces of field^d, each as a list of basis columns (RREF rows)."""
+    """Every subspace of field^d, each as a fresh list of basis columns (RREF rows).
+
+    A generator: the subspaces are made one at a time, in order of
+    dimension, then pivot positions, then free entries, never all at once.
+    """
     values = field.elements()
-    out = [[]]
+    yield []
     for k in range(1, d + 1):
         for pivots in itertools.combinations(range(d), k):
             free_pos = []
@@ -1067,8 +1104,7 @@ def _enumerate_subspaces(d: int, field: PrimeField):
                     rows[i][p] = field.one
                 for (i, c), val in zip(free_pos, assign):
                     rows[i][c] = val
-                out.append([list(r) for r in rows])
-    return out
+                yield rows
 
 
 def fiber(M: SModulePoint, v: Dict[RepVertex, int], p: int, w: Window, bound: int = 64) -> FiberResult:
@@ -1103,7 +1139,6 @@ def fiber(M: SModulePoint, v: Dict[RepVertex, int], p: int, w: Window, bound: in
         return FiberResult(None, p, v0, [], None, f"CK dimension {total} exceeds the bound {bound}")
 
     order = [x for x in reversed(ck.rq.vertices) if ck.dim(x)]
-    subspace_pool = {x: _enumerate_subspaces(ck.dim(x), field) for x in order}
 
     attained: Dict[tuple, Dict[RepVertex, list]] = {}
 
@@ -1127,8 +1162,7 @@ def fiber(M: SModulePoint, v: Dict[RepVertex, int], p: int, w: Window, bound: in
             return
         x = order[i]
         forced = forced_at(x, choice)
-        for sub_rows in subspace_pool[x]:
-            cols = [list(r) for r in sub_rows]  # each basis vector of the subspace
+        for cols in _enumerate_subspaces(ck.dim(x), field):
             if any(co is None for co in solve_many(cols, forced, field)):
                 continue
             choice[x] = cols

@@ -20,7 +20,7 @@ import os
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .errors import InvalidInputError
 from .exact_linalg import QQ, mat_rank, mat_vec, quotient_coords
@@ -254,14 +254,23 @@ class _Log:
 
 
 _LOGS: Dict[tuple, _Log] = {}
+_CLEAR_HOOKS: List[Callable[[], None]] = []
+
+
+def on_clear_cache(hook: Callable[[], None]) -> None:
+    """Have clear_cache() also run hook: modules importing this one drop their shared objects there."""
+    _CLEAR_HOOKS.append(hook)
 
 
 def clear_cache():
-    """Drop every cached sweep, with its path memo, every read log index and every shared window slice."""
+    """Drop every cached sweep, with its path memo, every read log index, every shared window slice
+    and whatever the on_clear_cache hooks hold."""
     with _CACHE_LOCK:
         _CACHE.clear()
         _LOGS.clear()
         clear_slices()
+        for hook in _CLEAR_HOOKS:
+            hook()
 
 
 def enable_disk_cache(directory: Optional[str]):

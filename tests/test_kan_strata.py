@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -7,12 +8,15 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stratakit.errors import InvalidInputError
+from stratakit import kan_strata, mesh_hom
+from stratakit.catmod import SCategoryWindow, CatModule
+from stratakit.errors import InternalConsistencyError, InvalidInputError, WindowInsufficiencyError
 from stratakit.exact_linalg import QQ, identity_rows, kernel_cols, mat_mul, mat_rank, quotient_coords, rref
 from stratakit.kan_strata import (
     PrimeField,
     SModulePoint,
     WindowRep,
+    _enumerate_subspaces,
     _quotient_rep,
     _torsion_cols,
     closed_orbit,
@@ -383,12 +387,9 @@ def _twin_torsion_cols(rep):
 TWIN_QUIVERS = {"A2": A2, "A3": a_n_quiver(3), "D4": d4_quiver(), "K2": kronecker_quiver()}
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.integers(0, 2 ** 32), st.sampled_from(sorted(TWIN_QUIVERS)), st.sampled_from([0, 3]),
-       st.sampled_from([1, 2]))
-def test_stabilize_matches_intersect_and_preimage_twin(seed, qname, p, coeff_range):
-    q = TWIN_QUIVERS[qname]
-    rep = random_window_rep(q, Window(0, 2), random.Random(seed), dim_choices=(0, 1, 1, 2),
+def _random_rep(q, seed, p, coeff_range=2, window=Window(0, 2)):
+    """A random valid representation over QQ (p = 0) or GF(p)."""
+    rep = random_window_rep(q, window, random.Random(seed), dim_choices=(0, 1, 1, 2),
                             coeff_range=coeff_range)
     if p:
         # one common scale clears the denominators and keeps every (quadratic) relator zero
@@ -396,6 +397,14 @@ def test_stabilize_matches_intersect_and_preimage_twin(seed, qname, p, coeff_ran
         mats = {a: [[x * den for x in row] for row in m] for a, m in rep.mats.items()}
         rep = WindowRep(q, rep.window, rep.config, rep.dims, mats).reduce_mod(PrimeField(p))
         assert validate(rep) == []
+    return rep
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32), st.sampled_from(sorted(TWIN_QUIVERS)), st.sampled_from([0, 3]),
+       st.sampled_from([1, 2]))
+def test_stabilize_matches_intersect_and_preimage_twin(seed, qname, p, coeff_range):
+    rep = _random_rep(TWIN_QUIVERS[qname], seed, p, coeff_range)
     new, old = _torsion_cols(rep), _twin_torsion_cols(rep)
     for x in rep.rq.vertices:
         d = rep.dim(x)
@@ -554,6 +563,137 @@ def test_resolution_shape_i1_matches_phi():
 
 
 # ---------------------------------------------------------------------------
+# Phi once per point.
+# ---------------------------------------------------------------------------
+
+def _count_kan_intermediate(monkeypatch):
+    calls = []
+    inner = kan_strata.kan_intermediate
+
+    def counted(M, w):
+        calls.append(M)
+        return inner(M, w)
+
+    monkeypatch.setattr(kan_strata, "kan_intermediate", counted)
+    return calls
+
+
+@pytest.mark.parametrize("p", [0, 3])
+@pytest.mark.parametrize("qname", ["A2", "A3", "D4"])
+def test_phi_memo_matches_a_fresh_twin(qname, p):
+    for seed in range(4):
+        rep = _random_rep(TWIN_QUIVERS[qname], 100 * seed + 7, p)
+        M = restrict(rep)
+        first = phi(M, rep.window)
+        assert phi(M, rep.window) is first
+        fresh = phi(restrict(rep), rep.window)
+        assert first is not fresh
+        assert first.to_json() == fresh.to_json()
+        assert first.klr.to_json() == fresh.klr.to_json()
+
+
+def test_degeneration_pairs_run_kan_intermediate_once_per_point(monkeypatch):
+    rng = random.Random(14)
+    wdims = {parse_vertex("1'@1"): 1, parse_vertex("2'@0"): 1, parse_vertex("1'@2"): 1}
+    pins = {v: wdims.get(v, 0) for v in MeshContext(A2, "RC").vertices_in(W) if v.frozen}
+    points = [SModulePoint.semisimple(A2, W, wdims)]
+    points += [restrict(random_window_rep(A2, W, rng, dim_choices=(0, 1, 1), fixed_dims=pins)) for _ in range(4)]
+    calls = _count_kan_intermediate(monkeypatch)
+    leq = [[degeneration_leq(M1, M2, W) for M2 in points] for M1 in points]
+    assert len(calls) == len(points)
+    assert all(leq[i][i] and leq[i][0] for i in range(len(points)))
+    assert all(same_stratum(M1, M2, W) == (phi(M1, W).v == phi(M2, W).v) for M1 in points for M2 in points)
+    resolution_shape(points[1], W)
+    assert len(calls) == len(points)
+
+
+def test_phi_that_raised_is_recomputed(monkeypatch):
+    rep = _random_rep(A2, 5, 0, window=W)
+    M = restrict(rep)
+    calls = _count_kan_intermediate(monkeypatch)
+    honest = kan_strata.ext1_simple_into
+    monkeypatch.setattr(kan_strata, "ext1_simple_into", lambda klr, x: -1)
+    with pytest.raises(InternalConsistencyError):
+        phi(M, W)
+    monkeypatch.setattr(kan_strata, "ext1_simple_into", honest)
+    res = phi(M, W)
+    assert len(calls) == 2
+    assert phi(M, W) is res and len(calls) == 2
+    assert res.to_json() == phi(restrict(rep), W).to_json()
+
+
+def test_foreign_window_still_raises_after_a_memo_hit():
+    M = restrict(_random_rep(A2, 9, 0, window=W))
+    res = phi(M, W)
+    assert phi(M, W) is res
+    with pytest.raises(WindowInsufficiencyError):
+        phi(M, Window(0, 4))
+    with pytest.raises(WindowInsufficiencyError):
+        degeneration_leq(M, M, Window(0, 4))
+    assert phi(M, W) is res
+
+
+# ---------------------------------------------------------------------------
+# Lean restrict and the shared window category.
+# ---------------------------------------------------------------------------
+
+def _twin_restrict(rep):
+    """restrict as it stored every action: identities and zero matrices included."""
+    cat = SCategoryWindow(rep.q, rep.config, rep.window, rep.field)
+    dims = {u: rep.dim(u) for u in cat.objects}
+    act = {}
+    for u, v, dk in cat.hom_pairs():
+        if dims.get(u, 0) == 0 or dims.get(v, 0) == 0:
+            continue
+        for k in range(dk):
+            path = cat.basis_paths(u, v)[k]
+            act[(u, v, k)] = rep.path_matrix(path) if path else identity_rows(rep.dim(u), rep.field)
+    return SModulePoint(cat, CatModule(cat, dims, act))
+
+
+@pytest.mark.parametrize("p", [0, 3])
+@pytest.mark.parametrize("qname", ["A2", "A3", "D4"])
+def test_lean_restrict_matches_the_full_table_twin(qname, p):
+    dropped = 0
+    for seed in range(4):
+        rep = _random_rep(TWIN_QUIVERS[qname], 31 * seed + 2, p)
+        new, old = restrict(rep), _twin_restrict(rep)
+        assert new.equal(old) and old.equal(new)
+        zero = rep.field.zero
+        for u, v, dk in old.cat.hom_pairs():
+            for k in range(dk):
+                assert new.module.act_mat(u, v, k) == old.module.act_mat(u, v, k)
+        for u in old.cat.objects:
+            assert new.module.socle_dim(u) == old.module.socle_dim(u)
+            assert new.module.top_generators(u) == old.module.top_generators(u)
+        for (u, v, k), m in new.module.act.items():
+            assert u != v
+            assert any(x != zero for row in m for x in row)
+        dropped += len(old.module.act) - len(new.module.act)
+        assert phi(new, rep.window).to_json() == phi(old, rep.window).to_json()
+        assert phi(new, rep.window).klr.to_json() == phi(old, rep.window).klr.to_json()
+    assert dropped > 0
+
+
+def test_restricts_share_one_category_until_clear_cache():
+    mesh_hom.clear_cache()
+    try:
+        a, b = restrict(_random_rep(A2, 1, 0, window=W)), restrict(_random_rep(A2, 2, 0, window=W))
+        assert a.cat is b.cat
+        assert SModulePoint.semisimple(A2, W, {}).cat is a.cat
+        assert a.reduce_mod(PrimeField(3)).cat is restrict(_random_rep(A2, 3, 3, window=W)).cat
+        assert restrict(zero_rep(A2, Window(0, 2))).cat is not a.cat
+        assert kan_strata._CATEGORIES
+        mesh_hom.clear_cache()
+        assert kan_strata._CATEGORIES == {}
+        fresh = restrict(_random_rep(A2, 1, 0, window=W))
+        assert fresh.cat is not a.cat
+        assert fresh.cat.objects == a.cat.objects and fresh.equal(a)
+    finally:
+        mesh_hom.clear_cache()
+
+
+# ---------------------------------------------------------------------------
 # Fibers.
 # ---------------------------------------------------------------------------
 
@@ -593,6 +733,46 @@ def test_fiber_bound_gives_undetermined():
     M = random_module_point(A2, Window(0, 4), rng, dim_choices=(1, 1), support=Window(0, 1))
     res = fiber(M, {}, 2, Window(0, 4), bound=0)
     assert res.nonempty is None
+
+
+def _twin_enumerate_subspaces(d, field):
+    """_enumerate_subspaces as it was: one list holding every subspace."""
+    values = field.elements()
+    out = [[]]
+    for k in range(1, d + 1):
+        for pivots in itertools.combinations(range(d), k):
+            free_pos = []
+            for i, p in enumerate(pivots):
+                for c in range(p + 1, d):
+                    if c not in pivots:
+                        free_pos.append((i, c))
+            for assign in itertools.product(values, repeat=len(free_pos)):
+                rows = [[field.zero] * d for _ in range(k)]
+                for i, p in enumerate(pivots):
+                    rows[i][p] = field.one
+                for (i, c), val in zip(free_pos, assign):
+                    rows[i][c] = val
+                out.append([list(r) for r in rows])
+    return out
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_subspaces_are_generated_in_the_old_order(p):
+    field = PrimeField(p)
+    for d in range(5):
+        assert list(_enumerate_subspaces(d, field)) == _twin_enumerate_subspaces(d, field)
+
+
+def test_subspace_enumeration_holds_one_subspace_at_a_time():
+    field = PrimeField(2)
+    tracemalloc.start()
+    try:
+        count = sum(1 for _ in _enumerate_subspaces(7, field))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert count == 29212  # the Gaussian binomials [7 k]_2 summed over k
+    assert peak < 1 << 20
 
 
 def test_fiber_field_reduction_guard():
