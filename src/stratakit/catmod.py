@@ -17,7 +17,7 @@ from typing import Dict, List, Optional, Tuple
 
 from .errors import InternalConsistencyError, InvalidInputError, WindowInsufficiencyError
 from .exact_linalg import QQ, kernel_cols, mat_rank, mat_vec, quotient_coords, sub_map, transpose_rows
-from .mesh_hom import MeshContext, sweep
+from .mesh_hom import MeshContext, postcomposition_matrix, precomposition_matrix, sweep
 from .quiver_core import Configuration, Quiver, RepVertex, Window
 
 
@@ -56,15 +56,8 @@ class SCategoryWindow:
         key = (u, v, k, m)
         mat = self._precomp.get(key)
         if mat is None:
-            fun_u = sweep(self.ctx, u, self.window, self.field)
-            fun_v = sweep(self.ctx, v, self.window, self.field)
-            s_path = self.basis_paths(u, v)[k]
-            cols = []
-            for p in fun_v.basis_paths(m):
-                cols.append(fun_u.reduce_path(tuple(s_path) + tuple(p)))
-            rows = fun_u.dim(m)
-            mat = [[cols[j][i] for j in range(len(cols))] for i in range(rows)]
-            self._precomp[key] = mat
+            mat = self._precomp[key] = precomposition_matrix(self.ctx, self.basis_paths(u, v)[k], u, v, m,
+                                                             self.window, self.field)
         return mat
 
     def postcomposition(self, u0: RepVertex, u: RepVertex, v: RepVertex, k: int):
@@ -72,12 +65,8 @@ class SCategoryWindow:
         key = (u0, u, v, k)
         mat = self._postcomp.get(key)
         if mat is None:
-            fun = sweep(self.ctx, u0, self.window, self.field)
-            s_path = self.basis_paths(u, v)[k]
-            cols = [fun.reduce_path(tuple(p) + tuple(s_path)) for p in fun.basis_paths(u)]
-            rows = fun.dim(v)
-            mat = [[cols[j][i] for j in range(len(cols))] for i in range(rows)]
-            self._postcomp[key] = mat
+            mat = self._postcomp[key] = postcomposition_matrix(self.ctx, u0, self.basis_paths(u, v)[k], u,
+                                                               self.window, self.field)
         return mat
 
 

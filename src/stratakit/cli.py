@@ -128,10 +128,9 @@ def cmd_validate(args):
     if not bad:
         _emit({"ok": True})
         return 0
-    from .exact_linalg import RatMatrix
-
     _emit({"ok": False,
-           "violations": [{"vertex": x.key(), "residual": RatMatrix(m).to_json()} for x, m in bad]})
+           "violations": [{"vertex": x.key(), "residual": [[rep.field.encode(c) for c in row] for row in m]}
+                          for x, m in bad]})
     return 1
 
 

@@ -38,6 +38,11 @@ class RationalField:
     def of_int(n: int) -> Fraction:
         return Fraction(n)
 
+    @staticmethod
+    def encode(x) -> str:
+        """The JSON entry of x: lossless "num/den" (see format_fraction)."""
+        return format_fraction(x)
+
 
 QQ = RationalField()
 
@@ -97,6 +102,10 @@ class PrimeField:
 
     def of_int(self, n: int) -> GFElement:
         return GFElement(n, self.p)
+
+    def encode(self, x: GFElement) -> str:
+        """The JSON entry of x: its residue in 0..p-1, as a decimal string."""
+        return str(x.v)
 
     def of_fraction(self, x: Fraction) -> GFElement:
         x = Fraction(x)

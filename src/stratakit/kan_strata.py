@@ -27,7 +27,6 @@ from .exact_linalg import (
     QQ,
     PrimeField,
     RatMatrix,
-    format_fraction,
     identity_rows,
     kernel_cols,
     mat_mul,
@@ -41,7 +40,7 @@ from .exact_linalg import (
     sub_map,
     transpose_rows,
 )
-from .mesh_hom import MeshContext, on_clear_cache, sweep
+from .mesh_hom import MeshContext, postcomposition_matrix, precomposition_matrix, sweep
 from .quiver_core import (
     Configuration,
     Quiver,
@@ -52,6 +51,7 @@ from .quiver_core import (
     parse_arrow_key,
     parse_vertex,
     rep_in_arrows,
+    shared,
     sigma,
     sigma_arrow,
     sigma_inv,
@@ -178,12 +178,7 @@ class WindowRep:
         return WindowRep(self.q, self.window, self.config, dict(self.dims), mats, field)
 
     def to_json(self):
-        if isinstance(self.field, PrimeField):
-            encode = lambda x: str(x.v)
-            field_tag = self.field.p
-        else:
-            encode = format_fraction
-            field_tag = "QQ"
+        encode = self.field.encode
         data = {
             "quiver": self.q.to_json(),
             "framed": True,
@@ -193,8 +188,8 @@ class WindowRep:
             "mats": {a.key(): [[encode(x) for x in row] for row in m]
                      for a, m in sorted(self.mats.items(), key=lambda kv: kv[0].key())},
         }
-        if field_tag != "QQ":
-            data["field"] = field_tag
+        if isinstance(self.field, PrimeField):
+            data["field"] = self.field.p
         return data
 
     @classmethod
@@ -314,10 +309,6 @@ def validate(rep: WindowRep) -> list:
 # Points of the affine quiver variety: restrictions to the singular category.
 # ---------------------------------------------------------------------------
 
-_CATEGORIES: Dict[tuple, SCategoryWindow] = {}
-on_clear_cache(_CATEGORIES.clear)
-
-
 def window_category(q: Quiver, config: Optional[Configuration], window: Window, field=QQ) -> SCategoryWindow:
     """The windowed singular category, one per (quiver, configuration, window, field).
 
@@ -325,11 +316,7 @@ def window_category(q: Quiver, config: Optional[Configuration], window: Window, 
     slices of build_repetition; its Hom data must not be modified.
     """
     config = config if config is not None else Configuration.full()
-    key = (q._key, config.key(), window, field.key)
-    cat = _CATEGORIES.get(key)
-    if cat is None:
-        cat = _CATEGORIES.setdefault(key, SCategoryWindow(q, config, window, field))
-    return cat
+    return shared(("category", q._key, config.key(), window, field.key), SCategoryWindow, q, config, window, field)
 
 
 class SModulePoint:
@@ -480,33 +467,30 @@ def kan_right(M: SModulePoint, w: Window) -> KanRight:
             continue
         rows = []
         for u in support:
-            fu = hom_fun(u)
             # when Hom(u,x) vanishes the left side of naturality is zero,
             # but the square still forces M(s) phi_v(f) = 0, so keep going
             mu = M.dim(u)
-            du_x = fu.dim(x)
             for v in cat.objects:
                 if v.level < u.level:
                     continue
                 dk = cat.dim(u, v)
                 if dk == 0:
                     continue
-                fv = hom_fun(v) if M.dim(v) > 0 else sweep(rc, v, w, field)
-                dv_x = fv.dim(x)
+                dv_x = hom_fun(v).dim(x)
                 if dv_x == 0:
                     continue
                 for k in range(dk):
-                    s_path = cat.basis_paths(u, v)[k]
+                    # Hom(v,x) -> Hom(u,x), f |-> f o s_k
+                    pre = precomposition_matrix(rc, cat.basis_paths(u, v)[k], u, v, x, w, field)
+                    amat = M.module.act_mat(u, v, k) if M.dim(v) > 0 else None
                     for i in range(dv_x):
-                        f_path = fv.basis_paths(x)[i]
-                        comp = fu.reduce_path(tuple(s_path) + tuple(f_path))
-                        amat = M.module.act_mat(u, v, k) if M.dim(v) > 0 else None
+                        comp = [r[i] for r in pre]
                         for j in range(mu):
                             row = [field.zero] * nvars
                             nonzero = False
-                            for l in range(du_x):
-                                if comp[l] != field.zero:
-                                    row[offsets[u] + l * mu + j] = comp[l]
+                            for l, c in enumerate(comp):
+                                if c != field.zero:
+                                    row[offsets[u] + l * mu + j] = c
                                     nonzero = True
                             if amat is not None and v in offsets:
                                 for j2 in range(M.dim(v)):
@@ -528,13 +512,14 @@ def kan_right(M: SModulePoint, w: Window) -> KanRight:
         # ambient transform amb(y) -> amb(x)
         idx_y = {t: pos for pos, t in enumerate(amb_index[y])}
         amb = [[field.zero] * len(idx_y) for _ in amb_index[x]]
+        post = {}  # u -> the matrix of Hom(u,x) -> Hom(u,y), f |-> a o f
         for pos, (u, l, j) in enumerate(amb_index[x]):
-            fu = hom_fun(u)
-            d = fu.reduce_path(tuple(fu.basis_paths(x)[l]) + (a,))
-            for m_i, c in enumerate(d):
+            if u not in post:
+                post[u] = postcomposition_matrix(rc, u, (a,), x, w, field)
+            for m_i, row in enumerate(post[u]):
                 col = idx_y.get((u, m_i, j))
-                if c != field.zero and col is not None:
-                    amb[pos][col] = c
+                if row[l] != field.zero and col is not None:
+                    amb[pos][col] = row[l]
         mats[a] = sub_map(amb, basis_cols[y], basis_cols[x], field)
         if mats[a] is None:
             raise InternalConsistencyError("K_R structure map leaves the computed value space")
@@ -624,10 +609,11 @@ def kan_left(M: SModulePoint, w: Window) -> KanLeft:
                 if dk == 0:
                     continue
                 for k in range(dk):
-                    s_path = cat.basis_paths(u, v)[k]
+                    # Hom(x,u) -> Hom(x,v), g |-> s_k o g
+                    post = postcomposition_matrix(rc, x, cat.basis_paths(u, v)[k], u, w, field)
                     amat = M.module.act_mat(u, v, k)
                     for g in range(du):
-                        comp = fx.reduce_path(tuple(fx.basis_paths(u)[g]) + tuple(s_path))
+                        comp = [r[g] for r in post]
                         for j2 in range(M.dim(v)):
                             col = [field.zero] * n
                             if v in offsets:
@@ -651,14 +637,16 @@ def kan_left(M: SModulePoint, w: Window) -> KanLeft:
         x, y = a.source, a.target
         if dims.get(x, 0) == 0 or dims.get(y, 0) == 0:
             continue
-        fx = fun(x)
         idx_x = {t: pos for pos, t in enumerate(gen_index[x])}
         # generator transform gen(y) -> gen(x), needed on the kept columns only
         gen = [[field.zero] * len(gen_index[y]) for _ in gen_index[x]]
+        pre = {}  # u -> the matrix of Hom(y,u) -> Hom(x,u), f |-> f o a
         for t in kept[y]:
             (u, g, j) = gen_index[y][t]
-            d = fx.reduce_path((a,) + tuple(fun(y).basis_paths(u)[g]))
-            for l, c in enumerate(d):
+            if u not in pre:
+                pre[u] = precomposition_matrix(rc, (a,), x, y, u, w, field)
+            for l, row in enumerate(pre[u]):
+                c = row[g]
                 if c == field.zero:
                     continue
                 pos = idx_x.get((u, l, j))
@@ -684,18 +672,18 @@ def can_matrices(M: SModulePoint, kl: KanLeft, kr: KanRight) -> Dict[RepVertex, 
             continue
         amb = kr.amb_index[x]
         vecs = []
+        post = {}  # (u2, u, g) -> the matrix of Hom(u2,x) -> Hom(u2,u), f |-> g o f
         for t in kl.kept[x]:
             (u, g, j) = kl.gen_index[x][t]
             g_path = sweep(rc, x, M.window, field).basis_paths(u)[g]
             vec = [field.zero] * len(amb)
             for pos, (u2, i, j2) in enumerate(amb):
-                fu2 = sweep(rc, u2, M.window, field)
-                f_path = fu2.basis_paths(x)[i]
-                e = fu2.reduce_path(tuple(f_path) + tuple(g_path))
+                if (u2, u, g) not in post:
+                    post[(u2, u, g)] = postcomposition_matrix(rc, u2, g_path, x, M.window, field)
                 s = field.zero
-                for k, c in enumerate(e):
-                    if c != field.zero:
-                        s += c * M.module.act_mat(u2, u, k)[j2][j]
+                for k, row in enumerate(post[(u2, u, g)]):
+                    if row[i] != field.zero:
+                        s += row[i] * M.module.act_mat(u2, u, k)[j2][j]
                 vec[pos] = s
             vecs.append(vec)
         cols = solve_many(kr.basis_cols[x], vecs, field)
@@ -1233,11 +1221,6 @@ def representable_rep(q: Quiver, window: Window, u0: RepVertex,
             dims[z] = d
     mats = {}
     for a in rq.arrows:
-        z, zp = a.source, a.target
-        dz, dzp = dims.get(z, 0), dims.get(zp, 0)
-        if dz == 0 or dzp == 0:
-            continue
-        fz = sweep(rc, z, window, field)
-        cols = [fz.reduce_path((a,) + tuple(pth)) for pth in sweep(rc, zp, window, field).basis_paths(u0)]
-        mats[a] = [[cols[j][i] for j in range(dzp)] for i in range(dz)]
+        if dims.get(a.source) and dims.get(a.target):
+            mats[a] = precomposition_matrix(rc, (a,), a.source, a.target, u0, window, field)
     return WindowRep(q, window, config, dims, mats, field)

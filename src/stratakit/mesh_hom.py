@@ -20,7 +20,7 @@ import os
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import InvalidInputError
 from .exact_linalg import QQ, mat_rank, mat_vec, quotient_coords
@@ -73,9 +73,6 @@ class MeshContext:
         if v.frozen:
             return self.framed and self.config.retains(v)
         return True
-
-    def topo_key(self, v: RepVertex):
-        return (v.level, 2 * self.q.topo_index[v.node] + (1 if v.frozen else 0))
 
     def vertices_in(self, w: Window) -> List[RepVertex]:
         return list(self._slice(w).vertices)
@@ -254,23 +251,15 @@ class _Log:
 
 
 _LOGS: Dict[tuple, _Log] = {}
-_CLEAR_HOOKS: List[Callable[[], None]] = []
-
-
-def on_clear_cache(hook: Callable[[], None]) -> None:
-    """Have clear_cache() also run hook: modules importing this one drop their shared objects there."""
-    _CLEAR_HOOKS.append(hook)
 
 
 def clear_cache():
-    """Drop every cached sweep, with its path memo, every read log index, every shared window slice
-    and whatever the on_clear_cache hooks hold."""
+    """Drop every cached sweep, with its path memo, every read log index and every shared
+    window slice and category (quiver_core.shared)."""
     with _CACHE_LOCK:
         _CACHE.clear()
         _LOGS.clear()
         clear_slices()
-        for hook in _CLEAR_HOOKS:
-            hook()
 
 
 def enable_disk_cache(directory: Optional[str]):
@@ -488,54 +477,37 @@ def compose(ctx: MeshContext, f: Morphism, g: Morphism, w: Window, field=QQ) -> 
     """g after f: f in Hom(x,y), g in Hom(y,z) gives an element of Hom(x,z)."""
     if f.target != g.source:
         raise InvalidInputError(f"cannot compose {f.source}->{f.target} with {g.source}->{g.target}")
-    fun = sweep(ctx, f.source, w, field)
-    gfun = sweep(ctx, g.source, w, field)
-    dim_z = fun.dim(g.target)
-    acc = [field.zero] * dim_z
-    for j, cj in enumerate(g.coeffs):
-        if cj == field.zero:
-            continue
-        vec = list(f.coeffs)
-        for arrow in gfun.basis_paths(g.target)[j]:
-            vec = fun.apply_arrow(arrow, vec)
-        for i in range(dim_z):
-            acc[i] += cj * vec[i]
+    acc = [field.zero] * sweep(ctx, f.source, w, field).dim(g.target)
+    for cj, path in zip(g.coeffs, sweep(ctx, g.source, w, field).basis_paths(g.target)):
+        if cj != field.zero:
+            img = mat_vec(postcomposition_matrix(ctx, f.source, path, f.target, w, field), f.coeffs, field)
+            acc = [x + cj * y for x, y in zip(acc, img)]
     return Morphism(f.source, g.target, tuple(acc))
+
+
+# Every composite in the package is read off one of the two matrices below:
+# the reduced concatenated path, one column per basis path.
+
+def _reduced_columns(fun: HomFunctor, end: RepVertex, paths) -> list:
+    """The matrix whose columns are the reductions of paths, all from fun.source to end."""
+    cols = [fun.reduce_path(p) for p in paths]
+    return [[c[i] for c in cols] for i in range(fun.dim(end))]
 
 
 def precomposition_matrix(ctx: MeshContext, s_path: Sequence[RepArrow], u: RepVertex, v: RepVertex,
                           m: RepVertex, w: Window, field=QQ):
     """Matrix of Hom(v,m) -> Hom(u,m), f |-> f o s, for a path s: u -> v."""
-    fun_u = sweep(ctx, u, w, field)
-    fun_v = sweep(ctx, v, w, field)
-    rows = fun_u.dim(m)
-    cols = fun_v.dim(m)
-    mat = [[field.zero] * cols for _ in range(rows)]
-    for j, p in enumerate(fun_v.basis_paths(m)):
-        vec = fun_u.reduce_path(tuple(s_path) + tuple(p))
-        for i in range(rows):
-            mat[i][j] = vec[i]
-    return mat
+    s_path = tuple(s_path)
+    return _reduced_columns(sweep(ctx, u, w, field), m,
+                            [s_path + p for p in sweep(ctx, v, w, field).basis_paths(m)])
 
 
-def postcomposition_rank(ctx: MeshContext, u: RepVertex, x: RepVertex, arrows, w: Window) -> int:
-    """Rank of Hom(u,x) -> (+)_a Hom(u, tgt(a)), postcomposition with the arrows."""
-    fun = sweep(ctx, u, w, QQ)
-    dom = fun.dim(x)
-    rows = []
-    for a in arrows:
-        rows.extend(fun.mats.get(a, ()))  # an arrow without a matrix acts by zero: no rank
-    return mat_rank(rows, dom, QQ)
-
-
-def precomposition_rank(ctx: MeshContext, x: RepVertex, u: RepVertex, arrows, w: Window) -> int:
-    """Rank of Hom(x,u) -> (+)_a Hom(src(a),u), precomposition with arrows ending at x."""
-    dom = hom_dim(ctx, x, u, w)
-    rows = []
-    for a in arrows:
-        mat = precomposition_matrix(ctx, (a,), a.source, x, u, w)
-        rows.extend(mat)
-    return mat_rank(rows, dom, QQ)
+def postcomposition_matrix(ctx: MeshContext, a: RepVertex, path: Sequence[RepArrow], y: RepVertex,
+                           w: Window, field=QQ):
+    """Matrix of Hom(a,y) -> Hom(a,z), f |-> p o f, for a path p: y -> z."""
+    path = tuple(path)
+    fun = sweep(ctx, a, w, field)
+    return _reduced_columns(fun, path[-1].target if path else y, [p + path for p in fun.basis_paths(y)])
 
 
 # ---------------------------------------------------------------------------

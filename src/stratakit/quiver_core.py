@@ -14,6 +14,7 @@ from functools import cached_property
 from typing import Dict, Iterable, Optional
 
 from .errors import InvalidInputError, WindowInsufficiencyError
+from .exact_linalg import QQ, mat_rank
 
 
 @dataclass(frozen=True)
@@ -472,7 +473,17 @@ class RepQuiver:
         return MeshRelator(x, terms)
 
 
-_SLICES: Dict[tuple, RepQuiver] = {}
+# Objects shared by every caller until clear_slices(), keyed by a kind tag
+# ("slice", "category") followed by what identifies the object.
+_SHARED: Dict[tuple, object] = {}
+
+
+def shared(key: tuple, make, *args):
+    """The shared object under key, built as make(*args) on first use; it must not be modified."""
+    obj = _SHARED.get(key)
+    if obj is None:
+        obj = _SHARED.setdefault(key, make(*args))
+    return obj
 
 
 def build_repetition(q: Quiver, frame: bool, w: Window, config: Optional[Configuration] = None) -> RepQuiver:
@@ -482,15 +493,12 @@ def build_repetition(q: Quiver, frame: bool, w: Window, config: Optional[Configu
     shared by every caller until clear_slices(); it must not be modified.
     """
     config = config if config is not None else Configuration.full()
-    key = (q._key, frame, w, config.key())
-    rq = _SLICES.get(key)
-    if rq is None:
-        rq = _SLICES.setdefault(key, RepQuiver(q, frame, w, config))
-    return rq
+    return shared(("slice", q._key, frame, w, config.key()), RepQuiver, q, frame, w, config)
 
 
 def clear_slices():
-    _SLICES.clear()
+    """Drop every shared object: the window slices and the windowed categories."""
+    _SHARED.clear()
 
 
 def mesh_relators(rq: RepQuiver, w: Optional[Window] = None):
@@ -559,8 +567,8 @@ def check_configuration(q: Quiver, config: Configuration, w: Window) -> dict:
             dom = mesh_hom.hom_dim(ctx, u, x, w)
             if dom == 0:
                 continue
-            rk = mesh_hom.postcomposition_rank(ctx, u, x, [a for a in outgoing], w)
-            if rk != dom:
+            rows = [r for a in outgoing for r in mesh_hom.postcomposition_matrix(ctx, u, (a,), x, w)]
+            if mat_rank(rows, dom, QQ) != dom:
                 ok = False
                 break
         if ok and x.level > w.lo:
@@ -570,8 +578,8 @@ def check_configuration(q: Quiver, config: Configuration, w: Window) -> dict:
                 dom = mesh_hom.hom_dim(ctx, x, u, w)
                 if dom == 0:
                     continue
-                rk = mesh_hom.precomposition_rank(ctx, x, u, [a for a in incoming], w)
-                if rk != dom:
+                rows = [r for a in incoming for r in mesh_hom.precomposition_matrix(ctx, (a,), a.source, x, u, w)]
+                if mat_rank(rows, dom, QQ) != dom:
                     ok = False
                     break
         report["left_exact"][x.key()] = {"holds": ok}

@@ -1,5 +1,6 @@
 import json
 import re
+from pathlib import Path
 
 import pytest
 
@@ -68,6 +69,17 @@ def test_validate_reports_violations_with_exit_1(capsys):
     rep["mats"].pop("s:a@1")
     code, out, _ = run(capsys, "validate", "--rep", json.dumps(rep))
     assert code == 0 and json.loads(out) == {"ok": True}
+
+
+@pytest.mark.parametrize("p", [3, 2])
+def test_validate_over_gf_p_reports_the_violation_like_over_qq(capsys, p):
+    # the golden validate-violation-exit-1 input, read over GF(p): its residual 1 is 1 mod p too
+    rep = {"quiver": json.loads(A2_JSON), "framed": True, "window": [0, 2], "configuration": None,
+           "dims": {"1@0": 1, "2@0": 1, "1@1": 1}, "mats": {"a:a@0": [["1"]], "s:a@1": [["1"]]}}
+    golden = json.loads((Path(__file__).parent / "golden" / "cli_expected.json").read_text())
+    code, out, err = run(capsys, "validate", "--rep", json.dumps({**rep, "field": p}))
+    assert (code, err) == (1, "")
+    assert out == golden["validate-violation-exit-1"]["stdout"]
 
 
 def test_stratum_and_degen_round_trip(capsys, tmp_path):

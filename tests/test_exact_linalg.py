@@ -360,3 +360,16 @@ def test_exact_linalg_is_the_only_elimination_core():
             if isinstance(node, ast.ClassDef) and node.name in FIELD_CLASSES:
                 problems.append(f"{path.name}:{node.lineno} defines {node.name}")
     assert problems == []
+
+
+def test_mesh_hom_is_the_only_composition_routine():
+    """Composites are read off mesh_hom's pre- and postcomposition matrices, never walked elsewhere."""
+    package = pathlib.Path(stratakit.__file__).parent
+    problems = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "mesh_hom.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Call) and _called_name(node) == "reduce_path":
+                problems.append(f"{path.name}:{node.lineno} calls reduce_path")
+    assert problems == []

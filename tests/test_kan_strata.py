@@ -8,7 +8,7 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stratakit import kan_strata, mesh_hom
+from stratakit import kan_strata, mesh_hom, quiver_core
 from stratakit.catmod import SCategoryWindow, CatModule
 from stratakit.errors import InternalConsistencyError, InvalidInputError, WindowInsufficiencyError
 from stratakit.exact_linalg import QQ, identity_rows, kernel_cols, mat_mul, mat_rank, quotient_coords, rref
@@ -683,9 +683,10 @@ def test_restricts_share_one_category_until_clear_cache():
         assert SModulePoint.semisimple(A2, W, {}).cat is a.cat
         assert a.reduce_mod(PrimeField(3)).cat is restrict(_random_rep(A2, 3, 3, window=W)).cat
         assert restrict(zero_rep(A2, Window(0, 2))).cat is not a.cat
-        assert kan_strata._CATEGORIES
+        categories = [obj for key, obj in quiver_core._SHARED.items() if key[0] == "category"]
+        assert a.cat in categories and restrict(zero_rep(A2, Window(0, 2))).cat in categories
         mesh_hom.clear_cache()
-        assert kan_strata._CATEGORIES == {}
+        assert quiver_core._SHARED == {}
         fresh = restrict(_random_rep(A2, 1, 0, window=W))
         assert fresh.cat is not a.cat
         assert fresh.cat.objects == a.cat.objects and fresh.equal(a)
@@ -848,12 +849,10 @@ def test_phi_and_fiber_leave_the_shared_slice_unchanged():
 
 
 def test_clear_cache_drops_the_shared_slices():
-    from stratakit import mesh_hom, quiver_core
-
     old = zero_rep(A2, W).rq
-    assert quiver_core._SLICES
+    assert old in [obj for key, obj in quiver_core._SHARED.items() if key[0] == "slice"]
     mesh_hom.clear_cache()
-    assert quiver_core._SLICES == {}
+    assert quiver_core._SHARED == {}
     fresh = zero_rep(A2, W).rq
     assert fresh is not old
     assert _slice_snapshot(fresh) == _slice_snapshot(old)

@@ -21,6 +21,8 @@ from stratakit.mesh_hom import (
     hom_dim,
     hom_dim_oracle,
     identity_morphism,
+    postcomposition_matrix,
+    precomposition_matrix,
     sweep,
     sweep_matches_oracle,
 )
@@ -315,6 +317,87 @@ def test_malformed_disk_file_is_a_miss(tmp_path, damage):
         assert {a.key(): m for a, m in again.mats.items()} == mats
     finally:
         enable_disk_cache(None)
+        clear_cache()
+
+
+# ---------------------------------------------------------------------------
+# The two composition routines against a walk of the concatenated path.
+# ---------------------------------------------------------------------------
+
+def _walker(fun):
+    """Coordinates of paths from fun.source, one arrow matrix at a time; each prefix is walked once."""
+    memo = {(): [fun.field.one]}
+
+    def walk(path):
+        vec = memo.get(path)
+        if vec is None:
+            assert path[-1].source == (path[-2].target if len(path) > 1 else fun.source)
+            vec = memo[path] = fun.apply_arrow(path[-1], walk(path[:-1]))
+        return vec
+    return walk
+
+
+def _walked_matrix(walk, rows, paths):
+    cols = [walk(p) for p in paths]
+    return [[c[i] for c in cols] for i in range(rows)]
+
+
+def _composable(ctx, w, x):
+    """(path, end) for every basis path out of x and every single arrow out of x."""
+    fun = sweep(ctx, x, w)
+    out = [(p, y) for y in ctx.vertices_in(w) for p in fun.basis_paths(y)]
+    return out + [((a,), a.target) for a in ctx.out_arrows(x, w)]
+
+
+on_twin_cases = pytest.mark.parametrize(
+    "quiver,flavor,window",
+    [(A2, "RC", Window(0, 4)), (a_n_quiver(3), "kZQ", Window(0, 3)),
+     (d4_quiver(), "RC", Window(0, 3)), (kronecker_quiver(), "RC", Window(0, 3))],
+    ids=["A2-RC", "A3-kZQ", "D4-RC", "Kronecker-RC"])
+
+
+@on_twin_cases
+def test_composition_matrices_equal_a_walk_of_the_concatenated_path(quiver, flavor, window):
+    ctx = MeshContext(quiver, flavor)
+    verts = ctx.vertices_in(window)
+    clear_cache()
+    try:
+        count = 0
+        for u in verts:
+            fun_u = sweep(ctx, u, window)
+            walk = _walker(fun_u)
+            for s, v in _composable(ctx, window, u):
+                for m in verts:
+                    if m.level < v.level:
+                        continue
+                    paths = [s + p for p in sweep(ctx, v, window).basis_paths(m)]
+                    assert precomposition_matrix(ctx, s, u, v, m, window) == _walked_matrix(walk, fun_u.dim(m), paths)
+                    count += 1
+            for y in verts:
+                if y.level < u.level:
+                    continue
+                for p, z in _composable(ctx, window, y):
+                    paths = [q + p for q in fun_u.basis_paths(y)]
+                    assert postcomposition_matrix(ctx, u, p, y, window) == _walked_matrix(walk, fun_u.dim(z), paths)
+                    count += 1
+        assert count > 500
+    finally:
+        clear_cache()
+
+
+@on_twin_cases
+def test_postcomposition_by_one_arrow_is_the_sweep_arrow_matrix(quiver, flavor, window):
+    ctx = MeshContext(quiver, flavor)
+    verts = ctx.vertices_in(window)
+    clear_cache()
+    try:
+        for u in verts:
+            fun = sweep(ctx, u, window)
+            for y in verts:
+                for a in ctx.out_arrows(y, window):
+                    zeros = [[QQ.zero] * fun.dim(y) for _ in range(fun.dim(a.target))]
+                    assert postcomposition_matrix(ctx, u, (a,), y, window) == fun.mats.get(a, zeros)
+    finally:
         clear_cache()
 
 
