@@ -13,7 +13,7 @@ import random
 import time
 from typing import Dict, Iterable, List, Tuple
 
-from .catmod import SCategoryWindow
+from .catmod import window_category
 from .dq_engine import hom_dq, sigma_shift_vertex
 from .kan_strata import (
     SModulePoint,
@@ -385,7 +385,7 @@ def criterion_10(seed=DEFAULT_SEED):
     rng = random.Random(seed + 5)
     q = a_n_quiver(2)
     wbig = Window(0, 15)
-    cat = SCategoryWindow(q, None, wbig)
+    cat = window_category(q, None, wbig)
     sources = [u for u in cat.objects if u.level <= 1]
     problems = []
     count = 0

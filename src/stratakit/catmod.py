@@ -18,7 +18,7 @@ from typing import Dict, List, Optional, Tuple
 from .errors import InternalConsistencyError, InvalidInputError, WindowInsufficiencyError
 from .exact_linalg import QQ, kernel_cols, mat_rank, mat_vec, quotient_coords, sub_map, transpose_rows
 from .mesh_hom import MeshContext, postcomposition_matrix, precomposition_matrix, sweep
-from .quiver_core import Configuration, Quiver, RepVertex, Window
+from .quiver_core import Configuration, Quiver, RepVertex, Window, shared
 
 
 class SCategoryWindow:
@@ -34,6 +34,7 @@ class SCategoryWindow:
         self.obj_index = {u: i for i, u in enumerate(self.objects)}
         self._precomp: Dict[tuple, list] = {}
         self._postcomp: Dict[tuple, list] = {}
+        self._syzygies: Dict[RepVertex, List["CatModule"]] = {}
 
     def dim(self, u: RepVertex, v: RepVertex) -> int:
         if v.level < u.level:
@@ -68,6 +69,17 @@ class SCategoryWindow:
             mat = self._postcomp[key] = postcomposition_matrix(self.ctx, u0, self.basis_paths(u, v)[k], u,
                                                                self.window, self.field)
         return mat
+
+
+def window_category(q: Quiver, config: Optional[Configuration], window: Window, field=QQ) -> SCategoryWindow:
+    """The windowed singular category, one per (quiver, configuration, window, field).
+
+    Shared by every caller until mesh_hom.clear_cache(), like the slices of
+    build_repetition, with its memos (composition matrices, syzygies); its
+    Hom data must not be modified.
+    """
+    config = config if config is not None else Configuration.full()
+    return shared(("category", q._key, config.key(), window, field.key), SCategoryWindow, q, config, window, field)
 
 
 class CatModule:
@@ -304,17 +316,20 @@ def radical_of_projective(cat: SCategoryWindow, u0: RepVertex) -> CatModule:
 
 
 def syzygy_modules(cat: SCategoryWindow, x: RepVertex, p: int) -> List[CatModule]:
-    """[Omega^1 S_x, ..., Omega^p S_x] by iterated minimal covers."""
+    """[Omega^1 S_x, ..., Omega^p S_x] by iterated minimal covers.
+
+    Each simple's chain is kept on the category and extended on demand, so
+    every syzygy is covered and its kernel taken once per category; the
+    modules are shared with later callers and must not be modified.
+    """
     if x not in cat.obj_index:
         raise InvalidInputError(f"{x} is not an object of the windowed singular category")
-    out = []
-    omega = radical_of_projective(cat, x)
-    out.append(omega)
-    for _ in range(p - 1):
-        cover = minimal_cover(omega)
-        omega, _ = kernel_submodule(cover)
-        out.append(omega)
-    return out
+    chain = cat._syzygies.get(x)
+    if chain is None:
+        chain = cat._syzygies[x] = [radical_of_projective(cat, x)]
+    while len(chain) < p:
+        chain.append(kernel_submodule(minimal_cover(chain[-1]))[0])
+    return chain[:p]
 
 
 def ext_simple_multiplicity(cat: SCategoryWindow, x: RepVertex, y: RepVertex, p: int) -> int:

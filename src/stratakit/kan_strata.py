@@ -20,7 +20,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from .catmod import CatModule, SCategoryWindow, semisimple_module
+from .catmod import CatModule, SCategoryWindow, semisimple_module, window_category
 from .dq_engine import cartan_apply, cartan_solve, is_dynkin
 from .errors import InternalConsistencyError, InvalidInputError, WindowInsufficiencyError
 from .exact_linalg import (
@@ -51,7 +51,6 @@ from .quiver_core import (
     parse_arrow_key,
     parse_vertex,
     rep_in_arrows,
-    shared,
     sigma,
     sigma_arrow,
     sigma_inv,
@@ -308,16 +307,6 @@ def validate(rep: WindowRep) -> list:
 # ---------------------------------------------------------------------------
 # Points of the affine quiver variety: restrictions to the singular category.
 # ---------------------------------------------------------------------------
-
-def window_category(q: Quiver, config: Optional[Configuration], window: Window, field=QQ) -> SCategoryWindow:
-    """The windowed singular category, one per (quiver, configuration, window, field).
-
-    Shared by every point built here until mesh_hom.clear_cache(), like the
-    slices of build_repetition; its Hom data must not be modified.
-    """
-    config = config if config is not None else Configuration.full()
-    return shared(("category", q._key, config.key(), window, field.key), SCategoryWindow, q, config, window, field)
-
 
 class SModulePoint:
     """A point of M_0(w): a module over the windowed singular category.

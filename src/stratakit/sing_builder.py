@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from .catmod import SCategoryWindow, ext_simple_multiplicity
+from .catmod import ext_simple_multiplicity, syzygy_modules, window_category
 from .dq_engine import DynkinInfo, is_dynkin, sigma_shift_inv_vertex
 from .errors import InvalidInputError, WindowInsufficiencyError
 from .mesh_hom import MeshContext, hom_dim
@@ -73,12 +73,18 @@ def build_sing_quiver(q: Quiver, config: Optional[Configuration], w: Window,
     identically otherwise).  Vertices whose shift data leaves the window
     are listed as partial rather than guessed.
 
-    Each pair is computed on the shrunk (still exact) window between its
-    levels.  max_span caps the level distance of reported pairs: for
+    One kZQ sweep per source x = sigma^{-1}(u) serves all its pairs: it
+    runs over the window from x's level up to the highest level any arrow or
+    relation target of u needs.  Hom(x, y) involves only the paths and mesh
+    relators on the levels between x and y, so the sweep's dimension at y
+    equals the one on the shrunk window between the two levels: the counts
+    are exact.  max_span caps the level distance of reported pairs: for
     non-Dynkin quivers the mesh dimensions grow exponentially with the
     distance, so a full table over a wide window is not a feasible exact
     computation; capped pairs are simply omitted, never guessed.
     """
+    if max_span is not None and max_span < 0:
+        raise InvalidInputError("max_span must be >= 0")
     config = config if config is not None else Configuration.full()
     info = is_dynkin(q)
     ctx = MeshContext(q, "kZQ")
@@ -96,24 +102,18 @@ def build_sing_quiver(q: Quiver, config: Optional[Configuration], w: Window,
                 shift_cache[v] = None
         return shift_cache[v]
 
-    def pair_dim(x: RepVertex, y: RepVertex) -> int:
-        if y.level < x.level:
-            return 0
-        return hom_dim(ctx, x, y, Window(x.level, y.level) if y.level > x.level else Window(x.level, x.level))
-
     for u in objects:
         x = sigma_inv(u)
         if not w.contains(x):
             partial.append(u)
             continue
         src_partial = False
+        pairs = []  # (table, u2, target of the Hom from x)
         for u2 in objects:
             if max_span is not None and abs(u2.level - u.level) > max_span:
                 continue
             y_twin = sigma(u2)  # non-frozen twin of u2 at its own level
-            n = pair_dim(x, y_twin)
-            if n:
-                arrows[(u, u2)] = n
+            pairs.append((arrows, u2, y_twin))
             if info.is_dynkin:
                 z = shifted(y_twin)
                 if z is None:
@@ -122,9 +122,12 @@ def build_sing_quiver(q: Quiver, config: Optional[Configuration], w: Window,
                     if u2.level >= u.level + 2:
                         src_partial = True
                     continue
-                r = pair_dim(x, z)
-                if r:
-                    relations[(u, u2)] = r
+                pairs.append((relations, u2, z))
+        sub = Window(x.level, max([x.level] + [y.level for _, _, y in pairs]))
+        for table, u2, y in pairs:
+            n = hom_dim(ctx, x, y, sub)
+            if n:
+                table[(u, u2)] = n
         if src_partial:
             partial.append(u)
     return SingQuiverReport(objects, arrows, relations, sorted(set(partial)), info)
@@ -142,7 +145,9 @@ def ext_oracle(q: Quiver, config: Optional[Configuration], w: Window,
     The computation is exact on the sub-window between the two levels:
     cover summands below the target never contribute at or above it.  The
     shrink matters for non-Dynkin quivers, where framed morphism spaces
-    grow exponentially with the level distance.
+    grow exponentially with the level distance.  The category of that
+    sub-window is the shared one of catmod.window_category, so every target
+    on one level reuses the simple's syzygies (syzygy_modules).
     """
     if p not in (1, 2, 3):
         raise InvalidInputError("ext_oracle supports p in {1, 2, 3}")
@@ -153,7 +158,7 @@ def ext_oracle(q: Quiver, config: Optional[Configuration], w: Window,
     if y.level > x.level:
         return 0
     sub = Window(max(w.lo, y.level), min(w.hi, x.level))
-    cat = SCategoryWindow(q, config, sub)
+    cat = window_category(q, config, sub)
     if x not in cat.obj_index or y not in cat.obj_index:
         raise InvalidInputError("both vertices must be retained objects inside the window")
     return ext_simple_multiplicity(cat, x, y, p)
@@ -161,10 +166,8 @@ def ext_oracle(q: Quiver, config: Optional[Configuration], w: Window,
 
 def second_syzygy_is_zero(q: Quiver, config: Optional[Configuration], w: Window, x: RepVertex) -> bool:
     """Whether the second syzygy of the simple at x vanishes on the window."""
-    from .catmod import syzygy_modules
-
     if not w.contains(x):
         raise WindowInsufficiencyError(f"{x} outside window")
-    cat = SCategoryWindow(q, config, Window(w.lo, x.level))
+    cat = window_category(q, config, Window(w.lo, x.level))
     omega2 = syzygy_modules(cat, x, 2)[-1]
     return omega2.is_zero()

@@ -193,10 +193,11 @@ def test_cache_dir_env_wiring(capsys, tmp_path, monkeypatch):
     ["validate", "--rep", json.dumps(dict(A2_REP, field=2, dims={"1@0": 1, "2@0": 1}, mats={"a:a@0": [[1.5]]}))],
     ["validate", "--rep", "[]"],
     ["check-config", "--quiver", A2_JSON, "--window", "0", "4", "--config", '{"members": ["7@0"]}'],
+    ["sing-quiver", "--quiver", A2_JSON, "--window", "0", "4", "--max-span", "-1"],
 ], ids=["non-integer-entry", "string-period", "non-string-members", "unknown-node", "fractional-entry",
         "boolean-entry", "fiber-fractional-entry", "null-vertices", "cartan-unknown-node", "dims-not-an-object",
         "fractional-dimension", "infinite-field", "infinite-window", "fractional-gf-entry", "rep-not-an-object",
-        "config-unknown-node"])
+        "config-unknown-node", "negative-max-span"])
 def test_bad_input_exits_1_with_json_error(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 1

@@ -373,3 +373,18 @@ def test_mesh_hom_is_the_only_composition_routine():
             if isinstance(node, ast.Call) and _called_name(node) == "reduce_path":
                 problems.append(f"{path.name}:{node.lineno} calls reduce_path")
     assert problems == []
+
+
+def test_catmod_is_the_only_builder_of_windowed_categories():
+    """Every windowed singular category comes from catmod (window_category), so its memos are shared."""
+    package = pathlib.Path(stratakit.__file__).parent
+    problems = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "catmod.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Call) and (
+                    _called_name(node) == "SCategoryWindow"
+                    or any(isinstance(a, ast.Name) and a.id == "SCategoryWindow" for a in node.args)):
+                problems.append(f"{path.name}:{node.lineno} constructs SCategoryWindow")
+    assert problems == []

@@ -1,5 +1,8 @@
 import itertools
 
+import pytest
+
+from stratakit import catmod, mesh_hom, quiver_core
 from stratakit.catmod import (
     CatModule,
     OpSCategoryWindow,
@@ -8,22 +11,28 @@ from stratakit.catmod import (
     ext_dim,
     ext_from_injective,
     injective_module,
+    kernel_submodule,
+    minimal_cover,
     projective_module,
     radical_of_projective,
     simple_module,
     syzygy_modules,
 )
-from stratakit.dq_engine import hom_dq
-from stratakit.mesh_hom import MeshContext
+from stratakit.dq_engine import hom_dq, is_dynkin, sigma_shift_inv_vertex
+from stratakit.errors import InvalidInputError, WindowInsufficiencyError
+from stratakit.mesh_hom import MeshContext, hom_dim
 from stratakit.quiver_core import (
+    Configuration,
+    RepVertex,
     Window,
     a_n_quiver,
     d4_quiver,
     kronecker_quiver,
     parse_vertex,
+    sigma,
     sigma_inv,
 )
-from stratakit.sing_builder import build_sing_quiver, ext_oracle, second_syzygy_is_zero
+from stratakit.sing_builder import SingQuiverReport, build_sing_quiver, ext_oracle, second_syzygy_is_zero
 
 A2 = a_n_quiver(2)
 
@@ -151,3 +160,170 @@ def test_report_json_and_dot():
     assert data["dynkin"]["family"] == "A"
     dot = report.to_dot()
     assert dot.startswith("digraph") and "->" in dot
+
+
+# ---------------------------------------------------------------------------
+# One sweep per source in the report, one syzygy chain per simple.
+# ---------------------------------------------------------------------------
+
+def _per_pair_report(q, config, w, max_span=None):
+    """The report with one sweep per pair, on the window between the pair's two levels."""
+    config = config if config is not None else Configuration.full()
+    info = is_dynkin(q)
+    ctx = MeshContext(q, "kZQ")
+    objects = [v for v in MeshContext(q, "RC", config).vertices_in(w) if v.frozen]
+    arrows, relations, partial = {}, {}, []
+
+    def shifted(v):
+        try:
+            return sigma_shift_inv_vertex(q, v, w)
+        except WindowInsufficiencyError:
+            return None
+
+    def pair_dim(x, y):
+        return 0 if y.level < x.level else hom_dim(ctx, x, y, Window(x.level, y.level))
+
+    for u in objects:
+        x = sigma_inv(u)
+        if not w.contains(x):
+            partial.append(u)
+            continue
+        src_partial = False
+        for u2 in objects:
+            if max_span is not None and abs(u2.level - u.level) > max_span:
+                continue
+            n = pair_dim(x, sigma(u2))
+            if n:
+                arrows[(u, u2)] = n
+            if info.is_dynkin:
+                z = shifted(sigma(u2))
+                if z is None:
+                    src_partial = src_partial or u2.level >= u.level + 2
+                    continue
+                r = pair_dim(x, z)
+                if r:
+                    relations[(u, u2)] = r
+        if src_partial:
+            partial.append(u)
+    return SingQuiverReport(objects, arrows, relations, sorted(set(partial)), info)
+
+
+PERIODIC = Configuration([parse_vertex("1@0")], period=1)
+
+
+@pytest.mark.parametrize("q, config, lo, hi, span", [
+    (A2, None, 0, 9, None),
+    (a_n_quiver(3), None, 0, 8, None),
+    (d4_quiver(), None, 0, 5, None),
+    (kronecker_quiver(2), None, 0, 5, None),
+    (kronecker_quiver(3), None, 0, 4, 2),
+    (A2, None, -2, 2, None),
+    (A2, PERIODIC, 0, 6, None),
+    (A2, None, 0, 6, 0),
+], ids=["A2", "A3", "D4", "K2", "K3-span2", "A2-negative", "A2-periodic", "A2-span0"])
+def test_report_equals_the_per_pair_window_twin(q, config, lo, hi, span):
+    mesh_hom.clear_cache()
+    report = build_sing_quiver(q, config, Window(lo, hi), span)
+    mesh_hom.clear_cache()
+    twin = _per_pair_report(q, config, Window(lo, hi), span)
+    assert report.to_json() == twin.to_json()
+    assert report.to_dot() == twin.to_dot()
+
+
+def test_report_sweeps_once_per_source(monkeypatch):
+    computed = []
+    real = mesh_hom._sweep
+    monkeypatch.setattr(mesh_hom, "_DISK_DIR", None)
+    monkeypatch.setattr(mesh_hom, "_sweep", lambda *args: computed.append(args) or real(*args))
+    mesh_hom.clear_cache()
+    report = build_sing_quiver(A2, None, Window(0, 9))
+    assert len(computed) == 36
+    mesh_hom.clear_cache()
+    computed.clear()
+    _per_pair_report(A2, None, Window(0, 9))
+    assert len(computed) == 108
+    mesh_hom.clear_cache()
+    assert report.to_json() == build_sing_quiver(A2, None, Window(0, 9)).to_json()
+
+
+def test_negative_max_span_is_rejected():
+    with pytest.raises(InvalidInputError, match="max_span must be >= 0"):
+        build_sing_quiver(A2, None, Window(0, 4), max_span=-1)
+
+
+def _syzygies_twin(cat, x, p):
+    out = [radical_of_projective(cat, x)]
+    for _ in range(p - 1):
+        out.append(kernel_submodule(minimal_cover(out[-1]))[0])
+    return out
+
+
+def _count_kernels(monkeypatch):
+    calls = []
+    real = catmod.kernel_submodule
+    monkeypatch.setattr(catmod, "kernel_submodule", lambda cover: calls.append(cover) or real(cover))
+    return calls
+
+
+@pytest.mark.parametrize("q, lo, hi, key", [
+    (A2, 0, 6, "2'@4"), (A2, 0, 6, "1'@6"), (d4_quiver(), 0, 4, "0'@4"), (kronecker_quiver(2), 1, 4, "1'@4"),
+], ids=["A2-2'@4", "A2-1'@6", "D4-0'@4", "K2-1'@4"])
+def test_syzygy_chain_is_kept_on_the_category(monkeypatch, q, lo, hi, key):
+    cat = SCategoryWindow(q, None, Window(lo, hi))
+    x = parse_vertex(key)
+    chain = syzygy_modules(cat, x, 3)
+    assert len(chain) == 3
+    calls = _count_kernels(monkeypatch)
+    for p in (1, 2, 3):
+        again = syzygy_modules(cat, x, p)
+        assert len(again) == p and all(a is b for a, b in zip(again, chain))
+    again.clear()  # the returned list is the caller's own
+    assert [id(m) for m in syzygy_modules(cat, x, 3)] == [id(m) for m in chain]
+    assert calls == []
+    fresh = _syzygies_twin(SCategoryWindow(q, None, Window(lo, hi)), x, 3)
+    assert all(a.equal(b) for a, b in zip(chain, fresh))
+    assert len(syzygy_modules(cat, x, 4)) == 4 and len(calls) == 1  # extended on demand
+
+
+def _ext_oracle_twin(q, config, w, x, y, p):
+    """ext_oracle on a category of its own, with the syzygies computed afresh."""
+    if y.level > x.level:
+        return 0
+    cat = SCategoryWindow(q, config, Window(max(w.lo, y.level), min(w.hi, x.level)))
+    return len(_syzygies_twin(cat, x, p)[-1].top_generators(y))
+
+
+def _frozen(q, lo, hi):
+    return [RepVertex(n, p, True) for p in range(lo, hi + 1) for n in q.vertices]
+
+
+@pytest.mark.parametrize("q, lo, hi, levels, degrees, gaps", [
+    (A2, 0, 9, (1, 3), (1, 2), None),
+    (a_n_quiver(3), 0, 10, (1, 2), (1,), None),
+    (d4_quiver(), 0, 5, (1, 2), (1,), None),
+    (kronecker_quiver(2), 0, 5, (0, 5), (1, 2), (0, 1, 2)),
+], ids=["A2", "A3", "D4", "K2"])
+def test_ext_oracle_on_shared_categories_equals_a_private_twin(q, lo, hi, levels, degrees, gaps):
+    mesh_hom.clear_cache()
+    w = Window(lo, hi)
+    jobs = [(x, y, p) for x, y in itertools.product(_frozen(q, *levels), repeat=2) for p in degrees
+            if gaps is None or x.level - y.level in gaps]
+    got = [ext_oracle(q, None, w, x, y, p) for x, y, p in jobs]
+    mesh_hom.clear_cache()
+    assert got == [_ext_oracle_twin(q, None, w, x, y, p) for x, y, p in jobs]
+    assert any(got)
+
+
+def test_clear_cache_drops_the_shared_syzygies(monkeypatch):
+    mesh_hom.clear_cache()
+    w, x = Window(0, 9), parse_vertex("2'@3")
+    targets = [parse_vertex(k) for k in ("1'@1", "2'@1")]
+    calls = _count_kernels(monkeypatch)
+    first = [ext_oracle(A2, None, w, x, y, 2) for y in targets]
+    assert len(calls) == 1  # both targets read one chain
+    categories = [obj for key, obj in quiver_core._SHARED.items() if key[0] == "category"]
+    assert len(categories) == 1 and list(categories[0]._syzygies) == [x]
+    mesh_hom.clear_cache()
+    assert quiver_core._SHARED == {}
+    assert [ext_oracle(A2, None, w, x, y, 2) for y in targets] == first
+    assert len(calls) == 2
