@@ -290,9 +290,14 @@ def _enable_cache_dir():
         raise InvalidInputError(f"STRATAKIT_CACHE_DIR {cache_dir!r} is not a usable directory: {exc}") from exc
 
 
+_PARSER = None  # built on the first main() call and kept: parsing never modifies it
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
+    args = _PARSER.parse_args(argv)
     try:
         _enable_cache_dir()
         rc = args.fn(args)

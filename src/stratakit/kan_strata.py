@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Optional, Tuple
 
 from .catmod import CatModule, SCategoryWindow, semisimple_module, window_category
@@ -51,6 +52,7 @@ from .quiver_core import (
     parse_arrow_key,
     parse_vertex,
     rep_in_arrows,
+    shared,
     sigma,
     sigma_arrow,
     sigma_inv,
@@ -430,9 +432,29 @@ def kan_right(M: SModulePoint, w: Window) -> KanRight:
 
     amb_index: Dict[RepVertex, list] = {}
     basis_cols: Dict[RepVertex, list] = {}
+    zero = field.zero
 
-    def hom_fun(u):
-        return sweep(rc, u, w, field)
+    # Every sweep and every naturality square u -> v of the system, read
+    # once per call: the square's basis morphism s_k and, when M(v) is
+    # nonzero, the nonzero entries of each row of M(s_k).
+    funs = {u: sweep(rc, u, w, field) for u in support}
+    squares = []
+    for u in support:
+        for v in cat.objects:
+            if v.level < u.level:
+                continue
+            dk = cat.dim(u, v)
+            if dk == 0:
+                continue
+            if v not in funs:
+                funs[v] = sweep(rc, v, w, field)
+            paths = cat.basis_paths(u, v)
+            for k in range(dk):
+                acts = None
+                if M.dim(v) > 0:
+                    acts = [[(j2, c) for j2, c in enumerate(row) if c != zero]
+                            for row in M.module.act_mat(u, v, k)]
+                squares.append((u, v, paths[k], acts))
 
     for x in rq.vertices:
         if sup_levels is None or x.level < sup_levels[0]:
@@ -442,7 +464,7 @@ def kan_right(M: SModulePoint, w: Window) -> KanRight:
         index = []
         offsets = {}
         for u in support:
-            d = hom_fun(u).dim(x)
+            d = funs[u].dim(x)
             if d == 0:
                 continue
             offsets[u] = len(index)
@@ -455,40 +477,35 @@ def kan_right(M: SModulePoint, w: Window) -> KanRight:
             basis_cols[x] = []
             continue
         rows = []
-        for u in support:
+        for u, v, s_path, acts in squares:
             # when Hom(u,x) vanishes the left side of naturality is zero,
             # but the square still forces M(s) phi_v(f) = 0, so keep going
-            mu = M.dim(u)
-            for v in cat.objects:
-                if v.level < u.level:
+            dv_x = funs[v].dim(x)
+            if dv_x == 0:
+                continue
+            # Hom(v,x) -> Hom(u,x), f |-> f o s_k
+            pre = precomposition_matrix(rc, s_path, u, v, x, w, field)
+            mu, ou = M.dim(u), offsets.get(u)
+            ov = offsets.get(v) if acts is not None else None
+            mv = M.dim(v)
+            for i in range(dv_x):
+                comp = [(l, r[i]) for l, r in enumerate(pre) if r[i] != zero]
+                if not comp and ov is None:
                     continue
-                dk = cat.dim(u, v)
-                if dk == 0:
-                    continue
-                dv_x = hom_fun(v).dim(x)
-                if dv_x == 0:
-                    continue
-                for k in range(dk):
-                    # Hom(v,x) -> Hom(u,x), f |-> f o s_k
-                    pre = precomposition_matrix(rc, cat.basis_paths(u, v)[k], u, v, x, w, field)
-                    amat = M.module.act_mat(u, v, k) if M.dim(v) > 0 else None
-                    for i in range(dv_x):
-                        comp = [r[i] for r in pre]
-                        for j in range(mu):
-                            row = [field.zero] * nvars
-                            nonzero = False
-                            for l, c in enumerate(comp):
-                                if c != field.zero:
-                                    row[offsets[u] + l * mu + j] = c
-                                    nonzero = True
-                            if amat is not None and v in offsets:
-                                for j2 in range(M.dim(v)):
-                                    c = amat[j][j2]
-                                    if c != field.zero:
-                                        row[offsets[v] + i * M.dim(v) + j2] -= c
-                                        nonzero = True
-                            if nonzero:
-                                rows.append(row)
+                for j in range(mu):
+                    entries = {ou + l * mu + j: c for l, c in comp}
+                    if ov is not None:
+                        for j2, c in acts[j]:
+                            pos = ov + i * mv + j2
+                            entries[pos] = entries.get(pos, zero) - c
+                    row = None
+                    for pos, c in entries.items():
+                        if c != zero:
+                            if row is None:
+                                row = [zero] * nvars
+                            row[pos] = c
+                    if row is not None:
+                        rows.append(row)
         basis_cols[x] = kernel_cols(rows, nvars, field)
 
     # Structure maps in kernel coordinates.
@@ -1084,6 +1101,71 @@ def _enumerate_subspaces(d: int, field: PrimeField):
                 yield rows
 
 
+class _FiberStage:
+    """The GF(p) stage of fiber() at one point, prime and window.
+
+    It holds the reduced point, its intermediate extension and CK =
+    K_R/K_LR in the kernel coordinates of K_R, after the checks that CK
+    vanishes on frozen vertices and stays below the window top; and, once
+    a call lies within its bound, the first submodule of CK found for each
+    attained dimension vector.  fiber() keeps one per (point, p, window) in
+    quiver_core.shared, so mesh_hom.clear_cache() drops it; a build that
+    raises keeps nothing.  Nothing in it may be modified.
+    """
+
+    def __init__(self, M: SModulePoint, p: int, w: Window):
+        self.point = M  # keeps M alive, so its id names no other point while the stage is shared
+        field = self.field = PrimeField(p)
+        self.Mp = M.reduce_mod(field) if not isinstance(M.field, PrimeField) else M
+        self.ki = kan_intermediate(self.Mp, w)
+        self.v0 = self.ki.rep.nonfrozen_dims()
+        ck, self.ck_kept = _quotient_rep(self.ki.kr.rep, self.ki.incl_cols)
+        for x in ck.rq.vertices:
+            if x.frozen and ck.dim(x):
+                raise InternalConsistencyError("CK does not vanish on a frozen vertex")
+        for x in ck.rq.vertices:
+            if x.level == w.hi and ck.dim(x):
+                raise WindowInsufficiencyError("CK support reaches the window top; enlarge the window")
+        self.ck = ck
+
+    @cached_property
+    def attained(self) -> Dict[tuple, Dict[RepVertex, list]]:
+        """Every submodule dimension vector of CK, keyed by its sorted (vertex key, dim) pairs."""
+        ck, field = self.ck, self.field
+        order = [x for x in reversed(ck.rq.vertices) if ck.dim(x)]
+        attained: Dict[tuple, Dict[RepVertex, list]] = {}
+
+        def forced_at(x, choice):
+            cols = []
+            for a in ck.rq.out_arrows(x):
+                m = ck.mats.get(a)
+                if a.target not in choice or m is None:
+                    continue
+                for colv in choice[a.target]:
+                    img = mat_vec(m, colv, field)
+                    if any(c != field.zero for c in img):
+                        cols.append(img)
+            return cols
+
+        def recurse(i, choice):
+            if i == len(order):
+                key = tuple(sorted((x.key(), len(cols)) for x, cols in choice.items() if cols))
+                if key not in attained:
+                    attained[key] = {x: [list(c) for c in cols] for x, cols in choice.items()}
+                return
+            x = order[i]
+            forced = forced_at(x, choice)
+            for cols in _enumerate_subspaces(ck.dim(x), field):
+                if any(co is None for co in solve_many(cols, forced, field)):
+                    continue
+                choice[x] = cols
+                recurse(i + 1, choice)
+            choice.pop(x, None)
+
+        recurse(0, {})
+        return {key: attained[key] for key in sorted(attained)}
+
+
 def fiber(M: SModulePoint, v: Dict[RepVertex, int], p: int, w: Window, bound: int = 64) -> FiberResult:
     """Non-emptiness of the desingularization fiber over M at dimension vector v.
 
@@ -1092,65 +1174,23 @@ def fiber(M: SModulePoint, v: Dict[RepVertex, int], p: int, w: Window, bound: in
     attained.  When it is, the preimage inside K_R(M) is returned as an
     explicit stable representation of dimension (v, w) and validated.
     Everything happens over GF(p); the answer is labeled with its field.
+
+    The GF(p) stage (see _FiberStage) is computed once per (M, p, w) and
+    shared by later calls until mesh_hom.clear_cache(); each call checks
+    its own bound, looks up its target and lifts and validates its witness.
     """
     if not is_dynkin(M.q).is_dynkin:
         raise InvalidInputError("fiber enumeration requires a Dynkin quiver")
-    field = PrimeField(p)
-    Mp = M.reduce_mod(field) if not isinstance(M.field, PrimeField) else M
-    ki = kan_intermediate(Mp, w)
-    kr = ki.kr
-    klr = ki.rep
-    v0 = klr.nonfrozen_dims()
+    stage = shared(("fiber", id(M), p, w), _FiberStage, M, p, w)
+    field, kr, ki = stage.field, stage.ki.kr, stage.ki
+    v0 = dict(stage.v0)
 
-    # CK = K_R / K_LR in the kernel coordinates of K_R.
-    ck, ck_kept = _quotient_rep(kr.rep, ki.incl_cols)
-    for x in ck.rq.vertices:
-        if x.frozen and ck.dim(x):
-            raise InternalConsistencyError("CK does not vanish on a frozen vertex")
-    for x in ck.rq.vertices:
-        if x.level == w.hi and ck.dim(x):
-            raise WindowInsufficiencyError("CK support reaches the window top; enlarge the window")
-
-    total = ck.total_dim()
+    total = stage.ck.total_dim()
     if total > bound:
         return FiberResult(None, p, v0, [], None, f"CK dimension {total} exceeds the bound {bound}")
 
-    order = [x for x in reversed(ck.rq.vertices) if ck.dim(x)]
-
-    attained: Dict[tuple, Dict[RepVertex, list]] = {}
-
-    def forced_at(x, choice):
-        cols = []
-        for a in ck.rq.out_arrows(x):
-            m = ck.mats.get(a)
-            if a.target not in choice or m is None:
-                continue
-            for colv in choice[a.target]:
-                img = mat_vec(m, colv, field)
-                if any(c != field.zero for c in img):
-                    cols.append(img)
-        return cols
-
-    def recurse(i, choice):
-        if i == len(order):
-            key = tuple(sorted((x.key(), len(cols)) for x, cols in choice.items() if cols))
-            if key not in attained:
-                attained[key] = {x: [list(c) for c in cols] for x, cols in choice.items()}
-            return
-        x = order[i]
-        forced = forced_at(x, choice)
-        for cols in _enumerate_subspaces(ck.dim(x), field):
-            if any(co is None for co in solve_many(cols, forced, field)):
-                continue
-            choice[x] = cols
-            recurse(i + 1, choice)
-        choice.pop(x, None)
-
-    recurse(0, {})
-
-    attained_dims = []
-    for key in sorted(attained):
-        attained_dims.append({k: d for k, d in key})
+    attained = stage.attained
+    attained_dims = [dict(key) for key in attained]
 
     target = {}
     negative = False
@@ -1174,7 +1214,7 @@ def fiber(M: SModulePoint, v: Dict[RepVertex, int], p: int, w: Window, bound: in
             vec = [field.zero] * kr.dim(x)
             for t, c in enumerate(colv):
                 if c != field.zero:
-                    vec[ck_kept[x][t]] += c
+                    vec[stage.ck_kept[x][t]] += c
             cols.append(vec)
         lift_cols[x] = cols
     witness = _sub_rep(kr.rep, lift_cols, "witness lift is not closed under the structure maps")
@@ -1182,7 +1222,7 @@ def fiber(M: SModulePoint, v: Dict[RepVertex, int], p: int, w: Window, bound: in
         raise InternalConsistencyError("witness violates mesh relations")
     if not is_stable(witness):
         raise InternalConsistencyError("witness is not stable")
-    if not restrict(witness).equal(Mp):
+    if not restrict(witness).equal(stage.Mp):
         raise InternalConsistencyError("witness does not restrict to the input point")
     got_v = witness.nonfrozen_dims()
     want_v = {x: d for x, d in v.items() if d}

@@ -14,7 +14,6 @@ and every relator instance between them lives on the intermediate levels.
 """
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import threading
@@ -35,6 +34,14 @@ from .quiver_core import (
     sigma_arrow,
     tau,
 )
+
+try:  # the builtin digest, as in the stdlib's random: hashlib would load OpenSSL's libcrypto
+    from _sha256 import sha256  # Python 3.10 and 3.11
+except ImportError:
+    try:
+        from _sha2 import sha256  # Python 3.12 and later
+    except ImportError:
+        from hashlib import sha256
 
 FLAVORS = ("kZQ", "RC", "SC")
 
@@ -255,7 +262,7 @@ _LOGS: Dict[tuple, _Log] = {}
 
 def clear_cache():
     """Drop every cached sweep, with its path memo, every read log index and every shared
-    window slice and category (quiver_core.shared)."""
+    window slice, category and fiber stage (quiver_core.shared)."""
     with _CACHE_LOCK:
         _CACHE.clear()
         _LOGS.clear()
@@ -291,7 +298,7 @@ def sweep(ctx: MeshContext, source: RepVertex, window: Window, field=QQ) -> HomF
 def _disk_path(key) -> str:
     """The log holding every source's sweep for the key's context, window and field."""
     ctx_key, lo, hi, _source, fkey = key
-    digest = hashlib.sha256(repr((ctx_key, lo, hi, fkey)).encode()).hexdigest()[:32]
+    digest = sha256(repr((ctx_key, lo, hi, fkey)).encode()).hexdigest()[:32]
     return os.path.join(_DISK_DIR, f"hom-{digest}.log")
 
 

@@ -474,7 +474,7 @@ class RepQuiver:
 
 
 # Objects shared by every caller until clear_slices(), keyed by a kind tag
-# ("slice", "category") followed by what identifies the object.
+# ("slice", "category", "fiber") followed by what identifies the object.
 _SHARED: Dict[tuple, object] = {}
 
 
@@ -497,7 +497,7 @@ def build_repetition(q: Quiver, frame: bool, w: Window, config: Optional[Configu
 
 
 def clear_slices():
-    """Drop every shared object: the window slices and the windowed categories."""
+    """Drop every shared object: the window slices, the windowed categories and the fiber stages."""
     _SHARED.clear()
 
 

@@ -155,13 +155,13 @@ def ext_oracle(q: Quiver, config: Optional[Configuration], w: Window,
         raise InvalidInputError("ext_oracle takes frozen vertices")
     if not (w.contains(x) and w.contains(y)):
         raise WindowInsufficiencyError("both vertices must lie inside the window")
+    if x.node not in q.topo_index or y.node not in q.topo_index or (
+            config is not None and not (config.retains(x) and config.retains(y))):
+        raise InvalidInputError("both vertices must be retained objects inside the window")
     if y.level > x.level:
         return 0
     sub = Window(max(w.lo, y.level), min(w.hi, x.level))
-    cat = window_category(q, config, sub)
-    if x not in cat.obj_index or y not in cat.obj_index:
-        raise InvalidInputError("both vertices must be retained objects inside the window")
-    return ext_simple_multiplicity(cat, x, y, p)
+    return ext_simple_multiplicity(window_category(q, config, sub), x, y, p)
 
 
 def second_syzygy_is_zero(q: Quiver, config: Optional[Configuration], w: Window, x: RepVertex) -> bool:

@@ -126,6 +126,33 @@ def test_ext_oracle_cli(capsys):
     assert code == 0 and json.loads(out)["dim"] == 1
 
 
+@pytest.mark.parametrize("config", [None, json.dumps({"members": ["1@0"], "period": 1})],
+                         ids=["node-outside-the-quiver", "vertex-the-configuration-drops"])
+@pytest.mark.parametrize("target_above", [True, False])
+def test_ext_oracle_rejects_a_vertex_that_is_no_object(capsys, config, target_above):
+    bad = "7'@1" if config is None else "2'@1"  # A2 has no node 7; the configuration keeps only 1'@p
+    pair = [bad, "1'@3"] if target_above else ["1'@3", bad]
+    argv = ["ext-oracle", "--quiver", A2_JSON, "--window", "0", "5", "--from", pair[0], "--to", pair[1], "--p", "1"]
+    if config is not None:
+        argv += ["--config", config]
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert json.loads(err.strip()) == {"error": "InvalidInputError", "code": 1,
+                                       "detail": "both vertices must be retained objects inside the window"}
+
+
+def test_main_output_is_unchanged_after_a_parse_error_and_a_failed_command(capsys):
+    argv = ["hom", "--quiver", A2_JSON, "--from", "1@0", "--to", "2@0", "--window", "0", "2"]
+    first = run(capsys, *argv)
+    with pytest.raises(SystemExit) as exc:
+        main(["hom", "--quiver", A2_JSON, "--window", "0"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert run(capsys, "cartan-solve", "--quiver", A2_JSON, "--window", "0", "2", "--m", "[1]")[0] == 1
+    assert run(capsys, *argv) == first
+    assert first[0] == 0 and json.loads(first[1])["dim"] == 1
+
+
 def test_emitted_json_reparses_to_equal_values(capsys):
     q = a_n_quiver(2)
     w = Window(0, 3)

@@ -592,6 +592,75 @@ def test_phi_memo_matches_a_fresh_twin(qname, p):
         assert first.klr.to_json() == fresh.klr.to_json()
 
 
+def _twin_kan_right_basis_cols(M, w):
+    """kan_right's kernel columns with the naturality system built as it was:
+    sweeps looked up per vertex and one dense row per (u, v, k, i, j)."""
+    from stratakit.mesh_hom import precomposition_matrix, sweep
+
+    cat, field = M.cat, M.field
+    rc = MeshContext(cat.q, "RC", cat.config)
+    support = [u for u in cat.objects if M.dim(u) > 0]
+    sup_levels = M.support_levels()
+    out = {}
+    for x in zero_rep(cat.q, w, cat.config).rq.vertices:
+        if sup_levels is None or x.level < sup_levels[0]:
+            out[x] = []
+            continue
+        offsets, nvars = {}, 0
+        for u in support:
+            d = sweep(rc, u, w, field).dim(x)
+            if d:
+                offsets[u] = nvars
+                nvars += d * M.dim(u)
+        if nvars == 0:
+            out[x] = []
+            continue
+        rows = []
+        for u in support:
+            mu = M.dim(u)
+            for v in cat.objects:
+                if v.level < u.level or cat.dim(u, v) == 0:
+                    continue
+                dv_x = sweep(rc, v, w, field).dim(x)
+                if dv_x == 0:
+                    continue
+                for k in range(cat.dim(u, v)):
+                    pre = precomposition_matrix(rc, cat.basis_paths(u, v)[k], u, v, x, w, field)
+                    amat = M.module.act_mat(u, v, k) if M.dim(v) > 0 else None
+                    for i in range(dv_x):
+                        comp = [r[i] for r in pre]
+                        for j in range(mu):
+                            row = [field.zero] * nvars
+                            nonzero = False
+                            for l, c in enumerate(comp):
+                                if c != field.zero:
+                                    row[offsets[u] + l * mu + j] = c
+                                    nonzero = True
+                            if amat is not None and v in offsets:
+                                for j2 in range(M.dim(v)):
+                                    c = amat[j][j2]
+                                    if c != field.zero:
+                                        row[offsets[v] + i * M.dim(v) + j2] -= c
+                                        nonzero = True
+                            if nonzero:
+                                rows.append(row)
+        out[x] = kernel_cols(rows, nvars, field)
+    return out
+
+
+@pytest.mark.parametrize("p", [0, 3])
+@pytest.mark.parametrize("qname", ["A2", "A3", "D4"])
+def test_kan_right_rows_match_the_dense_row_twin(qname, p):
+    nonzero = 0
+    for seed in range(4):
+        rep = _random_rep(TWIN_QUIVERS[qname], 53 * seed + 11, p)
+        M = restrict(rep)
+        kr = kan_right(M, rep.window)
+        assert kr.basis_cols == _twin_kan_right_basis_cols(M, rep.window)
+        nonzero += sum(map(len, kr.basis_cols.values()))
+    assert nonzero > 0
+
+
 def test_degeneration_pairs_run_kan_intermediate_once_per_point(monkeypatch):
     rng = random.Random(14)
     wdims = {parse_vertex("1'@1"): 1, parse_vertex("2'@0"): 1, parse_vertex("1'@2"): 1}
@@ -781,6 +850,132 @@ def test_fiber_field_reduction_guard():
     M = SModulePoint.semisimple(A2, Window(0, 4), {u: 1})
     with pytest.raises(InvalidInputError):
         fiber(M, {}, 4, Window(0, 4))  # 4 is not prime
+
+
+def _fiber_rep(seed, p):
+    """A random valid A2 representation on [0,4] supported on levels 0-1, over QQ (p = 0) or GF(p)."""
+    rep = random_window_rep(A2, Window(0, 4), random.Random(seed), dim_choices=(0, 1, 1), support=Window(0, 1))
+    if p:
+        den = math.lcm(*(x.denominator for m in rep.mats.values() for row in m for x in row))
+        mats = {a: [[x * den for x in row] for row in m] for a, m in rep.mats.items()}
+        rep = WindowRep(A2, rep.window, rep.config, rep.dims, mats).reduce_mod(PrimeField(p))
+        assert validate(rep) == []
+    return rep
+
+
+def _fiber_queries(M, p, w):
+    """The probe, a lift of every attained vector and one overshoot, as fiber() arguments."""
+    probe = fiber(M, {}, p, w)
+    queries = [{}]
+    for uvec in probe.attained:
+        target = dict(probe.v0)
+        for key, d in uvec.items():
+            target[parse_vertex(key)] = target.get(parse_vertex(key), 0) + d
+        queries.append(target)
+    big = dict(probe.v0)
+    big[parse_vertex("1@0")] = big.get(parse_vertex("1@0"), 0) + 9
+    queries.append(big)
+    return queries
+
+
+def _fiber_stages():
+    return [key for key in quiver_core._SHARED if key[0] == "fiber"]
+
+
+@pytest.mark.parametrize("p, seeds", [(2, range(6)), (3, range(3))])
+def test_shared_fiber_stage_matches_fresh_calls(monkeypatch, p, seeds):
+    w = Window(0, 4)
+    lifted = 0
+    for seed in seeds:
+        rep = _fiber_rep(seed, p if p == 3 else 0)
+        mesh_hom.clear_cache()
+        calls = _count_kan_intermediate(monkeypatch)
+        M = restrict(rep)
+        queries = _fiber_queries(M, p, w)
+        shared = [fiber(M, v, p, w).to_json() for v in queries]
+        assert len(calls) == 1 and len(_fiber_stages()) == 1
+        for v, got in zip(queries, shared):
+            mesh_hom.clear_cache()
+            assert fiber(restrict(rep), v, p, w).to_json() == got
+        assert shared[0]["nonempty"] is not None and shared[-1]["nonempty"] is False
+        assert all(got["nonempty"] is True for got in shared[1:-1])
+        lifted += len(queries) - 2
+        monkeypatch.undo()
+    assert lifted >= 5
+    mesh_hom.clear_cache()
+
+
+def test_fiber_call_that_raises_stores_no_stage(monkeypatch):
+    mesh_hom.clear_cache()
+    try:
+        M = restrict(_fiber_rep(1, 0))
+        with pytest.raises(InvalidInputError):
+            fiber(M, {}, 4, Window(0, 4))
+        honest = kan_strata.kan_intermediate
+        monkeypatch.setattr(kan_strata, "kan_intermediate", lambda M, w: 1 / 0)
+        with pytest.raises(ZeroDivisionError):
+            fiber(M, {}, 2, Window(0, 4))
+        assert _fiber_stages() == []
+        monkeypatch.setattr(kan_strata, "kan_intermediate", honest)
+        u = parse_vertex("1'@1")
+        top = SModulePoint.semisimple(A2, Window(0, 2), {u: 1})
+        with pytest.raises(WindowInsufficiencyError):
+            fiber(top, {}, 2, Window(0, 2))
+        assert _fiber_stages() == []
+        assert fiber(M, {}, 2, Window(0, 4)).to_json() == fiber(restrict(_fiber_rep(1, 0)), {}, 2, Window(0, 4)).to_json()
+    finally:
+        mesh_hom.clear_cache()
+
+
+def test_fiber_stage_is_per_prime_and_window_and_dropped_by_clear_cache(monkeypatch):
+    mesh_hom.clear_cache()
+    try:
+        w = Window(0, 4)
+        M = restrict(_fiber_rep(2, 0))
+        calls = _count_kan_intermediate(monkeypatch)
+        r2, r3 = fiber(M, {}, 2, w), fiber(M, {}, 3, w)
+        assert (r2.field_char, r3.field_char) == (2, 3)
+        assert len(calls) == 2 and len(_fiber_stages()) == 2
+        with pytest.raises(WindowInsufficiencyError):
+            fiber(M, {}, 2, Window(0, 5))
+        assert fiber(M, {}, 2, w).to_json() == r2.to_json()
+        assert len(calls) == 3 and len(_fiber_stages()) == 2  # the foreign window ran and raised
+        mesh_hom.clear_cache()
+        assert _fiber_stages() == []
+        assert fiber(M, {}, 2, w).to_json() == r2.to_json()
+        assert len(calls) == 4
+    finally:
+        mesh_hom.clear_cache()
+
+
+def test_fiber_bound_is_checked_on_every_call():
+    mesh_hom.clear_cache()
+    try:
+        w = Window(0, 4)
+        M = restrict(_fiber_rep(3, 0))
+        assert fiber(M, {}, 2, w, bound=0).nonempty is None
+        full = fiber(M, {}, 2, w)
+        assert full.nonempty is True and full.attained
+        assert fiber(M, {}, 2, w, bound=0).to_json() == fiber(restrict(_fiber_rep(3, 0)), {}, 2, w, bound=0).to_json()
+    finally:
+        mesh_hom.clear_cache()
+
+
+def test_mutating_a_fiber_result_leaves_the_stage_unchanged():
+    mesh_hom.clear_cache()
+    try:
+        w = Window(0, 4)
+        M = restrict(_fiber_rep(4, 0))
+        first = fiber(M, {}, 2, w)
+        before = first.to_json()
+        first.attained[0]["1@2"] = 99
+        first.attained.append({"2@3": 1})
+        first.v0[parse_vertex("2@2")] = 7
+        again = fiber(M, {}, 2, w)
+        assert again.to_json() == before
+        assert again.attained is not first.attained and again.v0 is not first.v0
+    finally:
+        mesh_hom.clear_cache()
 
 
 def test_prime_field_arithmetic():

@@ -254,6 +254,20 @@ def test_disk_file_name_keeps_its_key_format(tmp_path):
         clear_cache()
 
 
+def test_importing_the_package_loads_no_openssl_digest():
+    # The log name's sha256 comes from a builtin module when one exists, so
+    # importing the package does not load hashlib's OpenSSL backend.
+    script = ("import importlib.util, sys; import stratakit; "
+              "builtin = any(importlib.util.find_spec(m) for m in ('_sha256', '_sha2')); "
+              "print(builtin, '_hashlib' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    builtin, loaded = proc.stdout.split()
+    assert builtin == "False" or loaded == "False"
+    assert mesh_hom.sha256(b"log").hexdigest() == hashlib.sha256(b"log").hexdigest()
+
+
 def test_unknown_node_is_not_an_object():
     with pytest.raises(InvalidInputError):
         hom_basis(KZ, parse_vertex("7@0"), parse_vertex("7@1"), W6)
