@@ -204,19 +204,6 @@ def projective_module(cat: SCategoryWindow, u0: RepVertex) -> CatModule:
     return CatModule(cat, dims, act)
 
 
-def injective_module(cat: SCategoryWindow, u0: RepVertex) -> CatModule:
-    """The cofree module D Hom(u0, ?)."""
-    dims = {u: cat.dim(u0, u) for u in cat.objects}
-    act = {}
-    for u, v, dk in cat.hom_pairs():
-        if dims.get(v, 0) == 0 or dims.get(u, 0) == 0:
-            continue
-        for k in range(dk):
-            post = cat.postcomposition(u0, u, v, k)  # Hom(u0,u) -> Hom(u0,v)
-            act[(u, v, k)] = [[post[j][i] for j in range(len(post))] for i in range(dims[u])]
-    return CatModule(cat, dims, act)
-
-
 class ProjectiveCover:
     """A minimal cover P -> N: summand objects with generator vectors in N."""
 

@@ -273,14 +273,6 @@ def _quotient_rep(rep: WindowRep, rel_cols: Dict[RepVertex, list]):
     return WindowRep(rep.q, rep.window, rep.config, dims, mats, rep.field), kept
 
 
-def zero_rep(q: Quiver, window: Window, config: Optional[Configuration] = None, field=QQ) -> WindowRep:
-    return WindowRep(q, window, config, {}, {}, field)
-
-
-def simple_rep(q: Quiver, window: Window, v: RepVertex, config: Optional[Configuration] = None, field=QQ) -> WindowRep:
-    return WindowRep(q, window, config, {v: 1}, {}, field)
-
-
 def validate(rep: WindowRep) -> list:
     """All in-window mesh relators violated by the representation, with residuals.
 
@@ -1174,6 +1166,7 @@ def fiber(M: SModulePoint, v: Dict[RepVertex, int], p: int, w: Window, bound: in
     attained.  When it is, the preimage inside K_R(M) is returned as an
     explicit stable representation of dimension (v, w) and validated.
     Everything happens over GF(p); the answer is labeled with its field.
+    M must be over QQ, which is reduced mod p, or already over GF(p).
 
     The GF(p) stage (see _FiberStage) is computed once per (M, p, w) and
     shared by later calls until mesh_hom.clear_cache(); each call checks
@@ -1181,6 +1174,9 @@ def fiber(M: SModulePoint, v: Dict[RepVertex, int], p: int, w: Window, bound: in
     """
     if not is_dynkin(M.q).is_dynkin:
         raise InvalidInputError("fiber enumeration requires a Dynkin quiver")
+    if isinstance(M.field, PrimeField) and M.field.p != p:
+        raise InvalidInputError(f"the point is over GF({M.field.p}), not GF({p}); "
+                                f"fiber over GF({p}) takes a point over QQ or GF({p})")
     stage = shared(("fiber", id(M), p, w), _FiberStage, M, p, w)
     field, kr, ki = stage.field, stage.ki.kr, stage.ki
     v0 = dict(stage.v0)

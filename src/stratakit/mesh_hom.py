@@ -472,14 +472,6 @@ def hom_dim(ctx: MeshContext, x: RepVertex, y: RepVertex, w: Window, field=QQ) -
     return hom_basis(ctx, x, y, w, field).dim
 
 
-def identity_morphism(ctx: MeshContext, x: RepVertex, w: Window, field=QQ) -> Morphism:
-    return hom_basis(ctx, x, x, w, field).reduce_path(())
-
-
-def arrow_morphism(ctx: MeshContext, arrow: RepArrow, w: Window, field=QQ) -> Morphism:
-    return hom_basis(ctx, arrow.source, arrow.target, w, field).reduce_path((arrow,))
-
-
 def compose(ctx: MeshContext, f: Morphism, g: Morphism, w: Window, field=QQ) -> Morphism:
     """g after f: f in Hom(x,y), g in Hom(y,z) gives an element of Hom(x,z)."""
     if f.target != g.source:

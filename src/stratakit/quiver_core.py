@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, Iterable, Optional
+from typing import Dict, Iterable, NamedTuple, Optional
 
 from .errors import InvalidInputError, WindowInsufficiencyError
 from .exact_linalg import QQ, mat_rank
@@ -135,9 +135,12 @@ def kronecker_quiver(arrows: int = 2) -> Quiver:
     return Quiver(["1", "2"], [QArrow(f"k{i}", "1", "2") for i in range(1, arrows + 1)])
 
 
-@dataclass(frozen=True, order=True)
-class RepVertex:
-    """A vertex (node, level) of the repetition quiver; frozen marks the primed copy."""
+class RepVertex(NamedTuple):
+    """A vertex (node, level) of the repetition quiver; frozen marks the primed copy.
+
+    A tuple, so hashing, equality and ordering run in C; the hash is
+    hash((node, level, frozen)).
+    """
 
     node: str
     level: int
@@ -190,8 +193,7 @@ def sigma_inv(v: RepVertex) -> RepVertex:
     return RepVertex(v.node, v.level, True)
 
 
-@dataclass(frozen=True)
-class RepArrow:
+class RepArrow(NamedTuple):
     """An arrow of the (framed) repetition quiver.
 
     kind is one of:
@@ -200,6 +202,7 @@ class RepArrow:
       "f"  framing, (i,p) -> (i',p)
       "c"  co-framing, (i',p-1) -> (i,p)
     base is the base-arrow id for kinds a/s and the node id for kinds f/c.
+    A tuple like RepVertex; the hash is hash((kind, base, source, target)).
     """
 
     kind: str
@@ -208,7 +211,11 @@ class RepArrow:
     target: RepVertex
 
     def key(self) -> str:
-        return f"{self.kind}:{self.base}@{self.target.level}"
+        """The key kind:base@p, p the target level; equal arrows share one string until clear_slices()."""
+        k = _ARROW_KEYS.get(self)
+        if k is None:
+            k = _ARROW_KEYS[self] = f"{self.kind}:{self.base}@{self.target.level}"
+        return k
 
     def __repr__(self):
         return f"{self.key()}[{self.source}->{self.target}]"
@@ -247,10 +254,6 @@ def sigma_arrow(q: Quiver, ra: RepArrow) -> RepArrow:
     if ra.kind == "f":
         return RepArrow("c", ra.base, RepVertex(ra.base, p - 1, True), RepVertex(ra.base, p))
     return RepArrow("f", ra.base, RepVertex(ra.base, p - 1), RepVertex(ra.base, p - 1, True))
-
-
-def tau_arrow(q: Quiver, ra: RepArrow) -> RepArrow:
-    return sigma_arrow(q, sigma_arrow(q, ra))
 
 
 @dataclass(frozen=True)
@@ -476,6 +479,8 @@ class RepQuiver:
 # Objects shared by every caller until clear_slices(), keyed by a kind tag
 # ("slice", "category", "fiber") followed by what identifies the object.
 _SHARED: Dict[tuple, object] = {}
+# The key string of each arrow (RepArrow.key), also kept until clear_slices().
+_ARROW_KEYS: Dict[RepArrow, str] = {}
 
 
 def shared(key: tuple, make, *args):
@@ -497,8 +502,10 @@ def build_repetition(q: Quiver, frame: bool, w: Window, config: Optional[Configu
 
 
 def clear_slices():
-    """Drop every shared object: the window slices, the windowed categories and the fiber stages."""
+    """Drop every shared object (the window slices, the windowed categories and the fiber
+    stages) and the arrow key strings."""
     _SHARED.clear()
+    _ARROW_KEYS.clear()
 
 
 def mesh_relators(rq: RepQuiver, w: Optional[Window] = None):

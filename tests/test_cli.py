@@ -120,6 +120,20 @@ def test_fiber_cli(capsys):
     assert data["witness"]["dims"] == {"1'@1": 1, "1@2": 1}
 
 
+def test_fiber_rejects_a_representation_over_another_prime(capsys):
+    semis = {"quiver": json.loads(A2_JSON), "framed": True, "window": [0, 4],
+             "configuration": None, "dims": {"1'@1": 1}, "mats": {}, "field": 3}
+    argv = ["fiber", "--rep", json.dumps(semis), "--v", json.dumps({"1@2": 1}), "--bound", "32"]
+    code, out, err = run(capsys, *argv, "--field", "2")
+    assert code == 1 and out == ""
+    error = json.loads(err.strip())
+    assert error["error"] == "InvalidInputError" and "GF(3)" in error["detail"]
+    code, out, _ = run(capsys, *argv, "--field", "3")
+    assert code == 0
+    data = json.loads(out)
+    assert data["nonempty"] is True and data["field"] == 3 and data["witness"]["field"] == 3
+
+
 def test_ext_oracle_cli(capsys):
     code, out, _ = run(capsys, "ext-oracle", "--quiver", A2_JSON, "--window", "0", "6",
                        "--from", "1'@4", "--to", "1'@3", "--p", "1")

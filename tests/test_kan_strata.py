@@ -32,10 +32,8 @@ from stratakit.kan_strata import (
     resolution_shape,
     restrict,
     same_stratum,
-    simple_rep,
     stabilize,
     validate,
-    zero_rep,
 )
 from stratakit.mesh_hom import MeshContext, enumerate_paths, hom_dim
 from stratakit.quiver_core import (
@@ -53,6 +51,14 @@ from stratakit.randrep import random_module_point, random_window_rep
 
 A2 = a_n_quiver(2)
 W = Window(0, 3)
+
+
+def zero_rep(q, window, config=None) -> WindowRep:
+    return WindowRep(q, window, config, {}, {})
+
+
+def simple_rep(q, window, v) -> WindowRep:
+    return WindowRep(q, window, None, {v: 1}, {})
 
 
 # ---------------------------------------------------------------------------
@@ -850,6 +856,21 @@ def test_fiber_field_reduction_guard():
     M = SModulePoint.semisimple(A2, Window(0, 4), {u: 1})
     with pytest.raises(InvalidInputError):
         fiber(M, {}, 4, Window(0, 4))  # 4 is not prime
+
+
+def test_fiber_rejects_a_point_over_another_prime():
+    mesh_hom.clear_cache()
+    try:
+        u, w = parse_vertex("1'@1"), Window(0, 4)
+        M = SModulePoint.semisimple(A2, w, {u: 1}, field=PrimeField(3))
+        with pytest.raises(InvalidInputError, match=r"GF\(3\)"):
+            fiber(M, {}, 2, w)
+        assert _fiber_stages() == []
+        res = fiber(M, {sigma_inv(u): 1}, 3, w)
+        assert res.nonempty is True and res.field_char == 3 and res.witness.field.p == 3
+        assert fiber(SModulePoint.semisimple(A2, w, {u: 1}), {sigma_inv(u): 1}, 2, w).field_char == 2
+    finally:
+        mesh_hom.clear_cache()
 
 
 def _fiber_rep(seed, p):

@@ -12,7 +12,7 @@ from stratakit import mesh_hom
 from stratakit.errors import InvalidInputError
 from stratakit.mesh_hom import (
     MeshContext,
-    arrow_morphism,
+    Morphism,
     clear_cache,
     compose,
     enable_disk_cache,
@@ -20,7 +20,6 @@ from stratakit.mesh_hom import (
     hom_basis,
     hom_dim,
     hom_dim_oracle,
-    identity_morphism,
     postcomposition_matrix,
     precomposition_matrix,
     sweep,
@@ -43,6 +42,14 @@ A2 = a_n_quiver(2)
 W6 = Window(0, 5)
 KZ = MeshContext(A2, "kZQ")
 RC = MeshContext(A2, "RC")
+
+
+def identity_morphism(ctx, x, w) -> Morphism:
+    return hom_basis(ctx, x, x, w).reduce_path(())
+
+
+def arrow_morphism(ctx, arrow, w) -> Morphism:
+    return hom_basis(ctx, arrow.source, arrow.target, w).reduce_path((arrow,))
 
 
 def test_identity_dimension():

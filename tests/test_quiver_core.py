@@ -1,12 +1,16 @@
 import json
+from dataclasses import dataclass
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from stratakit import mesh_hom, quiver_core
 from stratakit.errors import InvalidInputError
 from stratakit.quiver_core import (
     Configuration,
     QArrow,
     Quiver,
+    RepArrow,
     RepVertex,
     Window,
     a_n_quiver,
@@ -15,6 +19,7 @@ from stratakit.quiver_core import (
     d4_quiver,
     kronecker_quiver,
     mesh_relators,
+    parse_arrow_key,
     parse_vertex,
     rep_in_arrows,
     rep_out_arrows,
@@ -22,8 +27,12 @@ from stratakit.quiver_core import (
     sigma_arrow,
     sigma_inv,
     tau,
-    tau_arrow,
 )
+
+
+def tau_arrow(a: RepArrow) -> RepArrow:
+    """tau on arrows: the same arrow one level down."""
+    return RepArrow(a.kind, a.base, tau(a.source), tau(a.target))
 
 
 def test_cyclic_quiver_rejected():
@@ -47,7 +56,7 @@ def test_sigma_on_arrows_squares_to_tau():
     q = a_n_quiver(2)
     rq = build_repetition(q, True, Window(0, 3))
     for a in rq.arrows:
-        assert sigma_arrow(q, sigma_arrow(q, a)) == tau_arrow(q, a)
+        assert sigma_arrow(q, sigma_arrow(q, a)) == tau_arrow(a)
         # sigma of beta: y -> x starts at tau(x) and ends at y
         sb = sigma_arrow(q, a)
         assert sb.source == tau(a.target)
@@ -218,3 +227,116 @@ def test_configuration_member_outside_the_quiver_is_rejected():
     config = Configuration([parse_vertex("7@0"), parse_vertex("1@0")])
     with pytest.raises(InvalidInputError, match="7@0"):
         build_repetition(a_n_quiver(2), True, Window(0, 2), config)
+
+
+# ---------------------------------------------------------------------------
+# RepVertex and RepArrow against copies of the frozen dataclasses they were.
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True, order=True)
+class TwinVertex:
+    node: str
+    level: int
+    frozen: bool = False
+
+    def key(self) -> str:
+        prime = "'" if self.frozen else ""
+        return f"{self.node}{prime}@{self.level}"
+
+    def __repr__(self):
+        return self.key()
+
+
+@dataclass(frozen=True)
+class TwinArrow:
+    kind: str
+    base: str
+    source: TwinVertex
+    target: TwinVertex
+
+    def key(self) -> str:
+        return f"{self.kind}:{self.base}@{self.target.level}"
+
+    def __repr__(self):
+        return f"{self.key()}[{self.source}->{self.target}]"
+
+
+def twin_vertex(v: RepVertex) -> TwinVertex:
+    return TwinVertex(v.node, v.level, v.frozen)
+
+
+def twin_arrow(a: RepArrow) -> TwinArrow:
+    return TwinArrow(a.kind, a.base, twin_vertex(a.source), twin_vertex(a.target))
+
+
+TWIN_QUIVERS = {"A3": a_n_quiver(3), "D4": d4_quiver(), "Kronecker": kronecker_quiver(2)}
+levels = st.integers(-40, 40)
+vertices = st.builds(RepVertex, st.sampled_from(["0", "1", "2", "10", "center", "x_1"]), levels, st.booleans())
+
+
+@st.composite
+def arrows(draw):
+    """(quiver, arrow): an arrow into or out of a vertex of a stock quiver's (framed) ZQ."""
+    q = TWIN_QUIVERS[draw(st.sampled_from(sorted(TWIN_QUIVERS)))]
+    v = RepVertex(draw(st.sampled_from(q.vertices)), draw(levels), draw(st.booleans()))
+    framed = draw(st.booleans())
+    return q, draw(st.sampled_from(rep_in_arrows(q, v, framed) + rep_out_arrows(q, v, framed)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(vertices, min_size=1, max_size=8))
+def test_vertices_hash_compare_and_sort_as_their_dataclass_twins(vs):
+    twins = [twin_vertex(v) for v in vs]
+    for v, t in zip(vs, twins):
+        assert hash(v) == hash(t) == hash((t.node, t.level, t.frozen))
+        assert repr(v) == repr(t) and str(v) == str(t) and v.key() == t.key()
+        assert parse_vertex(v.key()) == v
+        for u, s in zip(vs, twins):
+            assert (v == u) == (t == s) and (v != u) == (t != s)
+            assert (v < u) == (t < s) and (v <= u) == (t <= s)
+            assert (v > u) == (t > s) and (v >= u) == (t >= s)
+    assert [twin_vertex(v) for v in sorted(vs)] == sorted(twins)
+    assert [twin_vertex(v) for v in set(vs)] == list(set(twins))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(arrows(), min_size=1, max_size=6))
+def test_arrows_hash_compare_and_parse_as_their_dataclass_twins(drawn):
+    arrs = [a for _, a in drawn]
+    twins = [twin_arrow(a) for a in arrs]
+    for (q, a), t in zip(drawn, twins):
+        assert hash(a) == hash(t) == hash((t.kind, t.base, t.source, t.target))
+        assert repr(a) == repr(t) and a.key() == t.key()
+        assert parse_arrow_key(q, a.key()) == a
+        for b, s in zip(arrs, twins):
+            assert (a == b) == (t == s) and (a != b) == (t != s)
+    assert [twin_arrow(a) for a in set(arrs)] == list(set(twins))
+
+
+@settings(max_examples=200, deadline=None)
+@given(vertices, st.lists(arrows(), min_size=1, max_size=4))
+def test_a_vertex_never_equals_an_arrow_or_a_path(v, drawn):
+    arrs = [a for _, a in drawn]
+    table = {v: "vertex"}
+    for n in range(len(arrs) + 1):
+        path = tuple(arrs[:n])
+        assert not v == path and not path == v and v != path and path != v and path not in table
+    for a in arrs:
+        assert not v == a and not a == v and v != a and a != v and a not in table
+
+
+def test_arrow_keys_are_built_once_per_arrow_until_clear_cache():
+    mesh_hom.clear_cache()
+    try:
+        rq = build_repetition(a_n_quiver(3), True, Window(0, 3))
+        keys = [a.key() for a in rq.arrows]
+        assert keys == [twin_arrow(a).key() for a in rq.arrows]
+        for a, k in zip(rq.arrows, keys):
+            again = RepArrow(a.kind, a.base, RepVertex(*a.source), RepVertex(*a.target))
+            assert again is not a and again.key() is k
+        assert len(quiver_core._ARROW_KEYS) == len(rq.arrows)
+        mesh_hom.clear_cache()
+        assert quiver_core._ARROW_KEYS == {}
+        assert [a.key() for a in rq.arrows] == keys
+    finally:
+        mesh_hom.clear_cache()

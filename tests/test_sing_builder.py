@@ -10,7 +10,6 @@ from stratakit.catmod import (
     dual_module,
     ext_dim,
     ext_from_injective,
-    injective_module,
     kernel_submodule,
     minimal_cover,
     projective_module,
@@ -35,6 +34,19 @@ from stratakit.quiver_core import (
 from stratakit.sing_builder import SingQuiverReport, build_sing_quiver, ext_oracle, second_syzygy_is_zero
 
 A2 = a_n_quiver(2)
+
+
+def injective_module(cat: SCategoryWindow, u0: RepVertex) -> CatModule:
+    """The cofree module D Hom(u0, ?)."""
+    dims = {u: cat.dim(u0, u) for u in cat.objects}
+    act = {}
+    for u, v, dk in cat.hom_pairs():
+        if dims.get(v, 0) == 0 or dims.get(u, 0) == 0:
+            continue
+        for k in range(dk):
+            post = cat.postcomposition(u0, u, v, k)  # Hom(u0,u) -> Hom(u0,v)
+            act[(u, v, k)] = [[post[j][i] for j in range(len(post))] for i in range(dims[u])]
+    return CatModule(cat, dims, act)
 
 
 def test_a2_interior_arrow_targets():
