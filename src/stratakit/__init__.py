@@ -14,7 +14,7 @@ from .errors import (
     StrataKitError,
     WindowInsufficiencyError,
 )
-from .exact_linalg import QQ, RatMatrix
+from .exact_linalg import QQ
 from .quiver_core import (
     Configuration,
     MeshRelator,

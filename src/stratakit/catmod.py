@@ -16,7 +16,8 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from .errors import InternalConsistencyError, InvalidInputError, WindowInsufficiencyError
-from .exact_linalg import QQ, kernel_cols, mat_rank, mat_vec, quotient_coords, sub_map, transpose_rows
+from .exact_linalg import (QQ, identity_rows, kernel_cols, mat_rank, mat_vec, quotient_coords, solve_many,
+                           transpose_rows)
 from .mesh_hom import MeshContext, postcomposition_matrix, precomposition_matrix, sweep
 from .quiver_core import Configuration, Quiver, RepVertex, Window, shared
 
@@ -110,16 +111,6 @@ class CatModule:
             return [[self.field.zero] * self.dim(v) for _ in range(self.dim(u))]
         return mat
 
-    def apply(self, u: RepVertex, v: RepVertex, coeffs, vec):
-        """Act by the morphism with the given basis coefficients, M(v) -> M(u)."""
-        out = [self.field.zero] * self.dim(u)
-        for k, c in enumerate(coeffs):
-            if c == self.field.zero:
-                continue
-            for i, x in enumerate(mat_vec(self.act_mat(u, v, k), vec, self.field)):
-                out[i] += c * x
-        return out
-
     def radical_cols(self, u: RepVertex):
         """Columns spanning the radical part of M(u): images from later objects."""
         cols = []
@@ -212,45 +203,12 @@ class ProjectiveCover:
         self.summands = summands
         self.target = target
 
-    def space_dim(self, z: RepVertex) -> int:
-        return sum(self.cat.dim(z, u) for u, _ in self.summands)
-
-    def proj_module(self) -> CatModule:
-        dims = {z: self.space_dim(z) for z in self.cat.objects}
-        act: Dict[tuple, list] = {}
-        for u, v, dk in self.cat.hom_pairs():
-            if dims.get(u, 0) == 0 or dims.get(v, 0) == 0:
-                continue
-            for k in range(dk):
-                blocks = [(self.cat.precomposition(u, v, k, s), self.cat.dim(u, s), self.cat.dim(v, s))
-                          for s, _ in self.summands]
-                act[(u, v, k)] = _block_diag(blocks, dims[u], dims[v], self.cat.field.zero)
-        return CatModule(self.cat, dims, act)
-
     def map_at(self, z: RepVertex):
         """The matrix P(z) -> N(z): columns send a basis morphism f: z -> u_i to N(f)(gen_i)."""
         rows = self.target.dim(z)
-        cols = []
-        for u, gen in self.summands:
-            dzu = self.cat.dim(z, u)
-            for idx in range(dzu):
-                coeffs = [self.cat.field.zero] * dzu
-                coeffs[idx] = self.cat.field.one
-                cols.append(self.target.apply(z, u, coeffs, gen))
-        mat = [[cols[j][i] for j in range(len(cols))] for i in range(rows)]
-        return mat
-
-
-def _block_diag(blocks, rows, cols, zero):
-    out = [[zero] * cols for _ in range(rows)]
-    r = c = 0
-    for b, br, bc in blocks:
-        for i in range(br):
-            for j in range(bc):
-                out[r + i][c + j] = b[i][j]
-        r += br
-        c += bc
-    return out
+        cols = [mat_vec(self.target.act_mat(z, u, idx), gen, self.cat.field)
+                for u, gen in self.summands for idx in range(self.cat.dim(z, u))]
+        return [[cols[j][i] for j in range(len(cols))] for i in range(rows)]
 
 
 def minimal_cover(mod: CatModule) -> ProjectiveCover:
@@ -262,29 +220,55 @@ def minimal_cover(mod: CatModule) -> ProjectiveCover:
 
 
 def kernel_submodule(cover: ProjectiveCover) -> Tuple[CatModule, Dict[RepVertex, list]]:
-    """The kernel of a cover as a module, with its inclusion columns into P."""
+    """The kernel of a cover as a module, with its inclusion columns into P.
+
+    P(z) is the sum over the cover's summands s of Hom(z, s), one block per
+    summand.  A basis morphism u -> v acts on a kernel column of P(v) one
+    block at a time, by precomposition into that summand (zero blocks are
+    skipped), and the image is read off in the kernel basis at u, which is
+    a KernelBasis: no elimination beyond one kernel_cols per vertex.
+    """
     cat = cover.cat
     field = cat.field
-    P = cover.proj_module()
     incl: Dict[RepVertex, list] = {}
     dims: Dict[RepVertex, int] = {}
+    blocks: Dict[RepVertex, dict] = {}  # z -> {summand index t: (offset, dim) of Hom(z, s_t) in P(z)}
     for z in cat.objects:
-        pz = P.dim(z)
-        if pz == 0:
-            incl[z] = []
-            dims[z] = 0
-            continue
-        cols = kernel_cols(cover.map_at(z), pz, field)
+        off = 0
+        blocks[z] = {}
+        for t, (s, _) in enumerate(cover.summands):
+            d = cat.dim(z, s)
+            if d:
+                blocks[z][t] = (off, d)
+                off += d
+        cols = kernel_cols(cover.map_at(z), off, field) if off else []
         incl[z] = cols
         dims[z] = len(cols)
     act: Dict[tuple, list] = {}
     for u, v, dk in cat.hom_pairs():
         if dims.get(u, 0) == 0 or dims.get(v, 0) == 0:
             continue
+        if u == v:
+            # directed category: End(u) = k, spanned by the identity
+            for k in range(dk):
+                act[(u, v, k)] = identity_rows(dims[u], field)
+            continue
+        # (summand, its block in P(v), its block in P(u)) for the summands seen at both
+        common = [(cover.summands[t][0], blocks[v][t], blocks[u][t]) for t in blocks[v] if t in blocks[u]]
+        pu = len(incl[u][0])
         for k in range(dk):
-            act[(u, v, k)] = sub_map(P.act_mat(u, v, k), incl[v], incl[u], field)
-            if act[(u, v, k)] is None:
-                raise InvalidInputError("kernel is not closed under the action (bug)")
+            images = []
+            for col in incl[v]:
+                img = [field.zero] * pu
+                for s, (v_off, dv), (u_off, du) in common:
+                    block = col[v_off:v_off + dv]
+                    if any(x != field.zero for x in block):
+                        img[u_off:u_off + du] = mat_vec(cat.precomposition(u, v, k, s), block, field)
+                images.append(img)
+            out_cols = solve_many(incl[u], images, field)
+            if any(c is None for c in out_cols):
+                raise InternalConsistencyError("kernel is not closed under the action")
+            act[(u, v, k)] = [[c[i] for c in out_cols] for i in range(dims[u])]
     return CatModule(cat, dims, act), incl
 
 

@@ -16,7 +16,7 @@ from typing import Dict, Optional
 
 from .errors import InternalConsistencyError, InvalidInputError, WindowInsufficiencyError
 from .mesh_hom import MeshContext, hom_dim, sweep
-from .quiver_core import Quiver, RepVertex, Window, rep_in_arrows, rep_out_arrows, tau, tau_inv
+from .quiver_core import Quiver, RepVertex, Window, rep_in_arrows, rep_out_arrows, shared, tau, tau_inv
 
 
 @dataclass(frozen=True)
@@ -77,13 +77,70 @@ def _require_nonfrozen(x: RepVertex):
         raise InvalidInputError(f"{x} is frozen; derived-category vertices are non-frozen")
 
 
+class _SerreTable:
+    """The Hom dimensions between the vertices of one window of kZQ, for the nu searches.
+
+    rows[x] lists dim Hom(x, y) over every window vertex y; by_row and
+    by_col list vertices by their outgoing (rows[x]) and incoming (dim
+    Hom(y, z) over y) patterns, in window order.  Rows are swept level by
+    level, as far up as a search needs: a candidate's identity must match
+    the pattern, so it lies in the support searched, and Hom into a vertex
+    vanishes from every level above it, so its column is complete once
+    the rows up to its level are.
+    """
+
+    def __init__(self, q: Quiver, w: Window):
+        self.ctx = MeshContext(q, "kZQ")
+        self.window = w
+        self.verts = self.ctx.vertices_in(w)
+        self.index = {y: i for i, y in enumerate(self.verts)}
+        self.rows: Dict[RepVertex, tuple] = {}
+        self.by_row: Dict[tuple, list] = {}
+        self.by_col: Dict[tuple, list] = {}
+        self.top = w.lo - 1  # the highest level swept so far
+
+    def require(self, x: RepVertex):
+        if x not in self.index:
+            raise InvalidInputError(f"{x} is not an object of the kZQ category")
+
+    def row(self, x: RepVertex) -> tuple:
+        """dim Hom(x, y) over every window vertex y."""
+        r = self.rows.get(x)
+        if r is None:
+            fun = sweep(self.ctx, x, self.window)
+            r = tuple(fun.dim(y) if y.level >= x.level else 0 for y in self.verts)
+        return r
+
+    def sweep_to(self, level: int):
+        """Sweep every vertex up to level and index the new rows and columns."""
+        for lv in range(self.top + 1, level + 1):
+            new = [x for x in self.verts if x.level == lv]
+            for x in new:
+                self.rows[x] = self.row(x)
+                self.by_row.setdefault(self.rows[x], []).append(x)
+            for z in new:
+                self.by_col.setdefault(self.column(z), []).append(z)
+        self.top = max(self.top, level)
+
+    def column(self, z: RepVertex) -> tuple:
+        """dim Hom(y, z) over every window vertex y, once the rows up to z's level are swept."""
+        iz = self.index[z]
+        return tuple(self.rows[y][iz] if y in self.rows else 0 for y in self.verts)
+
+
+def _serre_table(q: Quiver, w: Window) -> _SerreTable:
+    """One table per (quiver, window), shared until mesh_hom.clear_cache()."""
+    return shared(("serre", q._key, w), _SerreTable, q, w)
+
+
 def nu_vertex(q: Quiver, x: RepVertex, w: Window) -> RepVertex:
     """The Serre vertex: the unique z with dim Hom(y,z) = dim Hom(x,y) for all y.
 
     Certificates make the window search exact: Hom(x,-) must vanish on the
     whole top window level (so its support was seen completely), and x must
     sit strictly above the bottom level (so a match certifies the incoming
-    support of the candidate by the same level-cut argument).
+    support of the candidate by the same level-cut argument).  Candidates
+    are looked up by pattern in the window's Serre table.
     """
     _require_nonfrozen(x)
     if not is_dynkin(q).is_dynkin:
@@ -92,13 +149,13 @@ def nu_vertex(q: Quiver, x: RepVertex, w: Window) -> RepVertex:
         raise WindowInsufficiencyError(f"{x} outside window")
     if x.level <= w.lo:
         raise WindowInsufficiencyError(f"nu search needs a level below {x} inside the window")
-    ctx = MeshContext(q, "kZQ")
-    fun = sweep(ctx, x, w)
-    verts = ctx.vertices_in(w)
-    if any(fun.dim(y) for y in verts if y.level == w.hi):
+    table = _serre_table(q, w)
+    table.require(x)
+    out = table.row(x)
+    if any(d for y, d in zip(table.verts, out) if y.level == w.hi):
         raise WindowInsufficiencyError(f"Hom support of {x} reaches the window top {w.hi}")
-    out = {y: fun.dim(y) for y in verts}
-    candidates = [z for z in verts if all(hom_dim(ctx, y, z, w) == out[y] for y in verts)]
+    table.sweep_to(max(y.level for y, d in zip(table.verts, out) if d))
+    candidates = table.by_col.get(out, [])
     if len(candidates) == 1:
         return candidates[0]
     if not candidates:
@@ -115,12 +172,13 @@ def nu_inv_vertex(q: Quiver, z: RepVertex, w: Window) -> RepVertex:
         raise WindowInsufficiencyError(f"{z} outside window")
     if z.level >= w.hi:
         raise WindowInsufficiencyError(f"inverse nu search needs a level above {z} inside the window")
-    ctx = MeshContext(q, "kZQ")
-    verts = ctx.vertices_in(w)
-    if any(hom_dim(ctx, y, z, w) for y in verts if y.level == w.lo):
+    table = _serre_table(q, w)
+    table.require(z)
+    if any(table.row(y)[table.index[z]] for y in table.verts if y.level == w.lo):
         raise WindowInsufficiencyError(f"incoming Hom support of {z} reaches the window bottom {w.lo}")
-    inc = {y: hom_dim(ctx, y, z, w) for y in verts}
-    candidates = [x for x in verts if all(hom_dim(ctx, x, y, w) == inc[y] for y in verts)]
+    table.sweep_to(z.level)
+    inc = table.column(z)
+    candidates = table.by_row.get(inc, [])
     if len(candidates) == 1:
         return candidates[0]
     if not candidates:

@@ -6,8 +6,8 @@ GFElement scalars).  The primitives are written against the field object
 (zero, one, of_int, key):
 
 * rref, the only elimination, and what is read off it: mat_rank,
-  kernel_cols, left_kernel_rows, span_basis (the leftmost spanning
-  vectors), solve_many (coordinates in spanning columns) and
+  kernel_cols (a KernelBasis), left_kernel_rows, span_basis (the leftmost
+  spanning vectors), solve_many (coordinates in spanning columns) and
   quotient_coords (a basis of a quotient);
 * the maps a matrix induces on sub- and quotient spaces, sub_map and
   quotient_map;
@@ -16,13 +16,14 @@ GFElement scalars).  The primitives are written against the field object
 Empty shapes (no rows, no columns, no vectors) are valid inputs
 everywhere.  Everything is exact arithmetic: no floating point anywhere.
 Pivoting is deterministic (leftmost column, lowest row index), so all
-derived bases are identical across runs.  The public RatMatrix type is
-rational-only and calls the same primitives.
+derived bases are identical across runs.  A kernel basis (KernelBasis)
+carries its free columns, so coordinates in it are read off, not solved
+for.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from .errors import InvalidInputError
 
@@ -154,19 +155,30 @@ def mat_rank(rows, ncols, field) -> int:
     return len(rref(rows, ncols, field)[1]) if rows and ncols else 0
 
 
-def kernel_cols(rows, ncols, field) -> List[List]:
+class KernelBasis(list):
+    """A kernel basis from kernel_cols: its columns, plus the free columns
+    (where the basis is the identity) and the pivot columns."""
+
+    __slots__ = ("free", "pivots")
+
+
+def kernel_cols(rows, ncols, field) -> KernelBasis:
     """Basis of the right kernel, one column vector per free column (ascending).
 
-    With no rows every column is free, so the basis is the identity.
+    With no rows every column is free, so the basis is the identity.  The
+    result is a KernelBasis: coordinates in it are the entries at the free
+    columns, so solve_many and sub_map read them off without eliminating.
     """
+    basis = KernelBasis()
     if not rows:
-        return identity_rows(ncols, field)
+        basis.extend(identity_rows(ncols, field))
+        basis.free, basis.pivots = list(range(ncols)), []
+        return basis
     red, pivots = rref(rows, ncols, field)
     pivot_set = set(pivots)
-    basis = []
-    for free in range(ncols):
-        if free in pivot_set:
-            continue
+    basis.free = [c for c in range(ncols) if c not in pivot_set]
+    basis.pivots = pivots
+    for free in basis.free:
         v = [field.zero] * ncols
         v[free] = field.one
         for i, pc in enumerate(pivots):
@@ -227,12 +239,18 @@ def quotient_coords(gen_dim: int, rel_cols: Sequence[Sequence], field):
 def solve_many(cols: Sequence[Sequence], vecs: Sequence[Sequence], field):
     """Each vec in the spanning columns, or None where it leaves their span.
 
-    One elimination pivots on the spanning columns only and carries every
-    right-hand side along, so each answer is the one a separate solve
-    would give: free coordinates zero, pivot coordinates read off.
+    On a KernelBasis each answer is read off the free columns, where the
+    basis is the identity, and checked by one sparse product against the
+    pivot entries; the basis is independent, so that is the only answer.
+    Any other columns are eliminated once, pivoting on the spanning columns
+    only and carrying every right-hand side along, so each answer is the
+    one a separate solve would give: free coordinates zero, pivot
+    coordinates read off.
     """
     if not vecs:
         return []
+    if isinstance(cols, KernelBasis):
+        return [_kernel_coords(cols, v, field) for v in vecs]
     k = len(cols)
     n = len(vecs[0])
     rows = [[c[i] for c in cols] + [v[i] for v in vecs] for i in range(n)]
@@ -248,6 +266,16 @@ def solve_many(cols: Sequence[Sequence], vecs: Sequence[Sequence], field):
             x[pc] = red[i][j]
         out.append(x)
     return out
+
+
+def _kernel_coords(basis: KernelBasis, vec, field):
+    """vec in the columns of a KernelBasis, or None where it leaves their span."""
+    x = [vec[f] for f in basis.free]
+    support = [(basis[j], c) for j, c in enumerate(x) if c != field.zero]
+    for pc in basis.pivots:
+        if sum((col[pc] * c for col, c in support), field.zero) != vec[pc]:
+            return None
+    return x
 
 
 def sub_map(m, src_cols, tgt_cols, field):
@@ -318,158 +346,11 @@ def transpose_rows(a):
     return [list(col) for col in zip(*a)]
 
 
-# ---------------------------------------------------------------------------
-# The public rational matrix type.
-# ---------------------------------------------------------------------------
-
-def _fr(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
-        return Fraction(x)
-    raise InvalidInputError(f"not an exact rational: {x!r}")
-
-
-class RatMatrix:
-    """An immutable exact rational matrix."""
-
-    __slots__ = ("rows", "cols", "entries")
-
-    def __init__(self, entries: Sequence[Sequence], rows: Optional[int] = None, cols: Optional[int] = None):
-        ent = tuple(tuple(_fr(x) for x in row) for row in entries)
-        if ent:
-            width = len(ent[0])
-            if any(len(r) != width for r in ent):
-                raise InvalidInputError("ragged matrix")
-        else:
-            width = cols if cols is not None else 0
-        object.__setattr__(self, "entries", ent)
-        object.__setattr__(self, "rows", len(ent) if rows is None else rows)
-        object.__setattr__(self, "cols", width)
-        if rows is not None and rows != len(ent) and ent:
-            raise InvalidInputError("row count mismatch")
-
-    def __setattr__(self, *a):
-        raise AttributeError("RatMatrix is immutable")
-
-    @classmethod
-    def zero(cls, rows: int, cols: int) -> "RatMatrix":
-        return cls([[0] * cols for _ in range(rows)], rows=rows, cols=cols)
-
-    @classmethod
-    def identity(cls, n: int) -> "RatMatrix":
-        return cls(identity_rows(n, QQ))
-
-    @classmethod
-    def from_columns(cls, cols: Sequence[Sequence], nrows: int) -> "RatMatrix":
-        if not cols:
-            return cls.zero(nrows, 0)
-        return cls([[col[i] for col in cols] for i in range(nrows)])
-
-    def row_list(self) -> List[List[Fraction]]:
-        return [list(r) for r in self.entries]
-
-    def column(self, j: int) -> List[Fraction]:
-        return [r[j] for r in self.entries]
-
-    def columns(self) -> List[List[Fraction]]:
-        return [self.column(j) for j in range(self.cols)]
-
-    def transpose(self) -> "RatMatrix":
-        return RatMatrix(transpose_rows(self.row_list()), rows=self.cols, cols=self.rows)
-
-    def mul(self, other: "RatMatrix") -> "RatMatrix":
-        if self.cols != other.rows:
-            raise InvalidInputError(f"cannot multiply {self.shape()} by {other.shape()}")
-        if self.rows == 0 or other.cols == 0:
-            return RatMatrix.zero(self.rows, other.cols)
-        return RatMatrix(mat_mul(self.row_list(), other.row_list(), QQ), rows=self.rows, cols=other.cols)
-
-    __matmul__ = mul
-
-    def add(self, other: "RatMatrix") -> "RatMatrix":
-        if self.shape() != other.shape():
-            raise InvalidInputError("shape mismatch in add")
-        return RatMatrix([[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.entries, other.entries)],
-                         rows=self.rows, cols=self.cols)
-
-    def sub(self, other: "RatMatrix") -> "RatMatrix":
-        if self.shape() != other.shape():
-            raise InvalidInputError("shape mismatch in sub")
-        return RatMatrix([[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(self.entries, other.entries)],
-                         rows=self.rows, cols=self.cols)
-
-    def scale(self, c) -> "RatMatrix":
-        c = _fr(c)
-        return RatMatrix([[c * x for x in r] for r in self.entries], rows=self.rows, cols=self.cols)
-
-    def shape(self) -> Tuple[int, int]:
-        return (self.rows, self.cols)
-
-    def is_zero(self) -> bool:
-        return all(x == 0 for r in self.entries for x in r)
-
-    def rank(self) -> int:
-        return mat_rank(self.row_list(), self.cols, QQ)
-
-    def kernel_basis(self) -> "RatMatrix":
-        """Matrix whose columns form a basis of ker(self)."""
-        return RatMatrix.from_columns(kernel_cols(self.row_list(), self.cols, QQ), self.cols)
-
-    def image_basis(self) -> "RatMatrix":
-        """Matrix whose columns are the pivot columns of self (a basis of the image)."""
-        return RatMatrix.from_columns(span_basis(self.columns(), self.rows, QQ), self.rows)
-
-    def solve(self, b):
-        """A solution x of self x = b, or the string "inconsistent"."""
-        x, _ = self.solve_certified(b)
-        return x if x is not None else "inconsistent"
-
-    def solve_certified(self, b):
-        """Returns (x, None) on success or (None, y) with y self = 0 and y b != 0.
-
-        The certificate y is the first row of the left-kernel basis that
-        does not annihilate b; one exists exactly when b leaves the image.
-        """
-        bv = [_fr(x) for x in b]
-        if len(bv) != self.rows:
-            raise InvalidInputError("dimension mismatch in solve")
-        x = solve_many(self.columns(), [bv], QQ)[0]
-        if x is not None:
-            return x, None
-        return None, next(y for y in left_kernel_rows(self.row_list(), self.rows, QQ)
-                          if sum(yi * bi for yi, bi in zip(y, bv)) != 0)
-
-    def coker_projection(self) -> "RatMatrix":
-        """A full-row-rank matrix P with P self = 0 presenting coker(self).
-
-        Rows form a basis of the left kernel, so P has rank = rows(self) -
-        rank(self) and ker(P) = im(self).
-        """
-        return RatMatrix(left_kernel_rows(self.row_list(), self.rows, QQ), cols=self.rows)
-
-    def __eq__(self, other):
-        return isinstance(other, RatMatrix) and self.shape() == other.shape() and self.entries == other.entries
-
-    def __hash__(self):
-        return hash((self.rows, self.cols, self.entries))
-
-    def __repr__(self):
-        return f"RatMatrix({self.rows}x{self.cols})"
-
-    def to_json(self):
-        return [[format_fraction(x) for x in row] for row in self.entries]
-
-    @classmethod
-    def from_json(cls, data, rows: Optional[int] = None, cols: Optional[int] = None) -> "RatMatrix":
-        return cls([[parse_fraction(x) for x in row] for row in data], rows=rows, cols=cols)
-
-
 def format_fraction(x: Fraction) -> str:
     """Lossless "num/den" encoding; integers drop the denominator."""
-    x = _fr(x)
+    x = Fraction(x) if isinstance(x, (int, str)) else x
+    if not isinstance(x, Fraction):
+        raise InvalidInputError(f"not an exact rational: {x!r}")
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 

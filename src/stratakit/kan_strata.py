@@ -27,12 +27,12 @@ from .errors import InternalConsistencyError, InvalidInputError, WindowInsuffici
 from .exact_linalg import (
     QQ,
     PrimeField,
-    RatMatrix,
     identity_rows,
     kernel_cols,
     mat_mul,
     mat_rank,
     mat_vec,
+    parse_fraction,
     quotient_coords,
     quotient_map,
     rref,  # not called here; perfbench/selfcheck.py looks the name up on this module
@@ -214,8 +214,11 @@ class WindowRep:
             for key, rowsdata in mats_data.items():
                 a = parse_arrow_key(q, key)
                 if field_tag == "QQ":
-                    mats[a] = RatMatrix.from_json(rowsdata, rows=dims.get(a.source, 0),
-                                                  cols=dims.get(a.target, 0)).row_list()
+                    mats[a] = [[parse_fraction(x) for x in row] for row in rowsdata]
+                    if any(len(row) != len(mats[a][0]) for row in mats[a]):
+                        raise InvalidInputError("ragged matrix")
+                    if mats[a] and len(mats[a]) != dims.get(a.source, 0):
+                        raise InvalidInputError("row count mismatch")
                 else:
                     mats[a] = [[field.of_int(_gf_int(x)) for x in row] for row in rowsdata]
         except (KeyError, TypeError, ValueError, OverflowError) as exc:

@@ -262,7 +262,7 @@ _LOGS: Dict[tuple, _Log] = {}
 
 def clear_cache():
     """Drop every cached sweep, with its path memo, every read log index and every shared
-    window slice, category and fiber stage (quiver_core.shared)."""
+    window slice, category, Serre table and fiber stage (quiver_core.shared)."""
     with _CACHE_LOCK:
         _CACHE.clear()
         _LOGS.clear()

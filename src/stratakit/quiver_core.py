@@ -477,7 +477,7 @@ class RepQuiver:
 
 
 # Objects shared by every caller until clear_slices(), keyed by a kind tag
-# ("slice", "category", "fiber") followed by what identifies the object.
+# ("slice", "category", "serre", "fiber") followed by what identifies the object.
 _SHARED: Dict[tuple, object] = {}
 # The key string of each arrow (RepArrow.key), also kept until clear_slices().
 _ARROW_KEYS: Dict[RepArrow, str] = {}
@@ -502,8 +502,8 @@ def build_repetition(q: Quiver, frame: bool, w: Window, config: Optional[Configu
 
 
 def clear_slices():
-    """Drop every shared object (the window slices, the windowed categories and the fiber
-    stages) and the arrow key strings."""
+    """Drop every shared object (the window slices, the windowed categories, the Serre
+    tables and the fiber stages) and the arrow key strings."""
     _SHARED.clear()
     _ARROW_KEYS.clear()
 

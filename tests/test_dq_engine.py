@@ -15,8 +15,9 @@ from stratakit.dq_engine import (
     sigma_shift_vertex,
     zq_in_neighbours,
 )
-from stratakit.errors import InvalidInputError, WindowInsufficiencyError
-from stratakit.mesh_hom import MeshContext, hom_dim
+from stratakit import mesh_hom
+from stratakit.errors import InternalConsistencyError, InvalidInputError, WindowInsufficiencyError
+from stratakit.mesh_hom import MeshContext, hom_dim, sweep
 from stratakit.quiver_core import (
     QArrow,
     Quiver,
@@ -85,6 +86,87 @@ def test_nu_window_certificates():
         nu_vertex(A2, parse_vertex("1@0"), Window(0, 4))  # no level below x
     with pytest.raises(WindowInsufficiencyError):
         nu_vertex(A2, parse_vertex("2@4"), Window(0, 5))  # support reaches the top
+
+
+# ---------------------------------------------------------------------------
+# The Serre table against the per-vertex Hom search it replaced.
+# ---------------------------------------------------------------------------
+
+def _twin_nu_vertex(q, x, w):
+    if x.frozen:
+        raise InvalidInputError(f"{x} is frozen; derived-category vertices are non-frozen")
+    if not is_dynkin(q).is_dynkin:
+        raise InvalidInputError("nu is only defined for Dynkin quivers")
+    if not w.contains(x):
+        raise WindowInsufficiencyError(f"{x} outside window")
+    if x.level <= w.lo:
+        raise WindowInsufficiencyError(f"nu search needs a level below {x} inside the window")
+    ctx = MeshContext(q, "kZQ")
+    fun = sweep(ctx, x, w)
+    verts = ctx.vertices_in(w)
+    if any(fun.dim(y) for y in verts if y.level == w.hi):
+        raise WindowInsufficiencyError(f"Hom support of {x} reaches the window top {w.hi}")
+    out = {y: fun.dim(y) for y in verts}
+    candidates = [z for z in verts if all(hom_dim(ctx, y, z, w) == out[y] for y in verts)]
+    if len(candidates) == 1:
+        return candidates[0]
+    if not candidates:
+        raise WindowInsufficiencyError(f"no nu candidate for {x} in window {w.to_json()}")
+    raise InternalConsistencyError(f"multiple nu candidates for {x}: {candidates}")
+
+
+def _twin_nu_inv_vertex(q, z, w):
+    if z.frozen:
+        raise InvalidInputError(f"{z} is frozen; derived-category vertices are non-frozen")
+    if not is_dynkin(q).is_dynkin:
+        raise InvalidInputError("nu is only defined for Dynkin quivers")
+    if not w.contains(z):
+        raise WindowInsufficiencyError(f"{z} outside window")
+    if z.level >= w.hi:
+        raise WindowInsufficiencyError(f"inverse nu search needs a level above {z} inside the window")
+    ctx = MeshContext(q, "kZQ")
+    verts = ctx.vertices_in(w)
+    if any(hom_dim(ctx, y, z, w) for y in verts if y.level == w.lo):
+        raise WindowInsufficiencyError(f"incoming Hom support of {z} reaches the window bottom {w.lo}")
+    inc = {y: hom_dim(ctx, y, z, w) for y in verts}
+    candidates = [x for x in verts if all(hom_dim(ctx, x, y, w) == inc[y] for y in verts)]
+    if len(candidates) == 1:
+        return candidates[0]
+    if not candidates:
+        raise WindowInsufficiencyError(f"no inverse nu candidate for {z} in window {w.to_json()}")
+    raise InternalConsistencyError(f"multiple inverse nu candidates for {z}: {candidates}")
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (InvalidInputError, WindowInsufficiencyError, InternalConsistencyError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+# (quiver, window, answers found among the nu and inverse nu calls; the rest are errors)
+SERRE_CASES = [(A2, 0, 6, 18), (a_n_quiver(3), 0, 8, 36), (d4_quiver(), 0, 5, 16), (A2, 2, 3, 0)]
+
+
+@pytest.mark.parametrize("q, lo, hi, found", SERRE_CASES, ids=["A2", "A3", "D4", "A2-narrow"])
+def test_serre_table_matches_the_per_vertex_search(q, lo, hi, found):
+    w = Window(lo, hi)
+    verts = [RepVertex(n, p) for p in range(lo - 1, hi + 2) for n in q.vertices]
+    verts += [RepVertex("7", lo + 1), RepVertex(q.vertices[0], lo + 1, True)]  # no such node; frozen
+    for order in (verts, verts[::-1]):  # the table is swept bottom-up and on demand from the top
+        mesh_hom.clear_cache()
+        got = [(_outcome(nu_vertex, q, x, w), _outcome(nu_inv_vertex, q, x, w)) for x in order]
+        want = [(_outcome(_twin_nu_vertex, q, x, w), _outcome(_twin_nu_inv_vertex, q, x, w)) for x in order]
+        assert got == want
+    assert sum(isinstance(o, RepVertex) for pair in got for o in pair) == found
+
+
+def test_serre_table_rejects_non_dynkin_quivers():
+    k2 = kronecker_quiver(2)
+    x = RepVertex("1", 2)
+    for fn in (nu_vertex, nu_inv_vertex):
+        assert _outcome(fn, k2, x, Window(0, 5)) == _outcome(
+            {nu_vertex: _twin_nu_vertex, nu_inv_vertex: _twin_nu_inv_vertex}[fn], k2, x, Window(0, 5))
 
 
 def test_hom_dq_dispatch_consistency():

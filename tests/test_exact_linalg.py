@@ -5,14 +5,17 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 import stratakit
+from stratakit import exact_linalg
 from stratakit.exact_linalg import (
     QQ,
+    KernelBasis,
     PrimeField,
-    RatMatrix,
     format_fraction,
+    identity_rows,
     kernel_cols,
     left_kernel_rows,
     mat_rank,
+    mat_vec,
     parse_fraction,
     quotient_coords,
     quotient_map,
@@ -31,72 +34,82 @@ def matrix_strategy(max_dim=4):
             lambda c: st.lists(st.lists(small_entries, min_size=c, max_size=c), min_size=r, max_size=r)))
 
 
+def _q(rows):
+    return [[Fraction(x) for x in row] for row in rows]
+
+
+def _columns(rows):
+    return [list(c) for c in zip(*rows)]
+
+
 def test_kernel_of_zero_matrix():
-    assert RatMatrix.zero(2, 3).kernel_basis().cols == 3
+    assert len(kernel_cols(_q([[0, 0, 0], [0, 0, 0]]), 3, QQ)) == 3
 
 
 def test_kernel_of_identity():
-    assert RatMatrix.identity(3).kernel_basis().cols == 0
+    assert kernel_cols(identity_rows(3, QQ), 3, QQ) == []
 
 
 def test_rank_one_kernel():
-    a = RatMatrix([[1, 2], [2, 4]])
-    k = a.kernel_basis()
-    assert k.cols == 1
-    v = k.column(0)
+    a = _q([[1, 2], [2, 4]])
+    k = kernel_cols(a, 2, QQ)
+    assert len(k) == 1
+    v = k[0]
     # spanned by (2, -1) up to scale
     assert v[0] * Fraction(-1) == v[1] * Fraction(2)
-    assert a.mul(k).is_zero()
+    assert mat_vec(a, v, QQ) == [0, 0]
 
 
 def test_solve_identity():
-    assert RatMatrix.identity(3).solve([1, 2, 3]) == [1, 2, 3]
+    assert solve_many(identity_rows(3, QQ), _q([[1, 2, 3]]), QQ) == _q([[1, 2, 3]])
+
+
+def _certificate(rows, b):
+    """The first left-kernel row y of rows with y b != 0 (y rows = 0 by construction)."""
+    return next(y for y in left_kernel_rows(rows, len(rows), QQ) if sum(yi * bi for yi, bi in zip(y, b)) != 0)
 
 
 def test_solve_inconsistent_certificate():
-    a = RatMatrix([[0]])
-    x, y = a.solve_certified([1])
-    assert x is None
+    a = _q([[0]])
+    assert solve_many(_columns(a), _q([[1]]), QQ) == [None]
+    y = _certificate(a, [Fraction(1)])
     assert sum(yi * 0 for yi in y) == 0
     assert sum(yi * b for yi, b in zip(y, [Fraction(1)])) != 0
-    assert a.solve([1]) == "inconsistent"
 
 
 def test_coker_projection_full_rank_square():
-    assert RatMatrix([[1, 1], [0, 1]]).coker_projection().rows == 0
+    assert left_kernel_rows(_q([[1, 1], [0, 1]]), 2, QQ) == []
 
 
 @settings(max_examples=60, deadline=None)
 @given(matrix_strategy())
 def test_rank_nullity_exact(rows):
-    a = RatMatrix(rows)
-    assert a.rank() + a.kernel_basis().cols == a.cols
-    assert a.mul(a.kernel_basis()).is_zero() or a.kernel_basis().cols == 0
+    a, ncols = _q(rows), len(rows[0])
+    k = kernel_cols(a, ncols, QQ)
+    assert mat_rank(a, ncols, QQ) + len(k) == ncols
+    assert all(mat_vec(a, v, QQ) == [0] * len(a) for v in k)
 
 
 @settings(max_examples=60, deadline=None)
 @given(matrix_strategy(), st.lists(small_entries, min_size=1, max_size=4))
 def test_solve_or_certify(rows, b):
-    a = RatMatrix(rows)
-    b = (b * 4)[: a.rows]
-    x, y = a.solve_certified(b)
+    a = _q(rows)
+    b = [Fraction(v) for v in (b * 4)[: len(a)]]
+    x = solve_many(_columns(a), [b], QQ)[0]
     if x is not None:
-        got = [sum(r[j] * x[j] for j in range(a.cols)) for r in a.entries]
-        assert got == [Fraction(v) for v in b]
+        assert mat_vec(a, x, QQ) == b
     else:
-        left = [sum(y[i] * a.entries[i][j] for i in range(a.rows)) for j in range(a.cols)]
-        assert all(v == 0 for v in left)
-        assert sum(yi * bi for yi, bi in zip(y, b)) != 0
+        y = _certificate(a, b)
+        assert all(v == 0 for v in mat_vec(_columns(a), y, QQ))
 
 
 @settings(max_examples=40, deadline=None)
 @given(matrix_strategy())
 def test_coker_projection_contract(rows):
-    a = RatMatrix(rows)
-    p = a.coker_projection()
-    assert p.rows == a.rows - a.rank()
-    if p.rows and a.cols:
-        assert p.mul(a).is_zero()
+    a, ncols = _q(rows), len(rows[0])
+    p = left_kernel_rows(a, len(a), QQ)
+    assert len(p) == len(a) - mat_rank(a, ncols, QQ)
+    assert all(v == 0 for y in p for v in mat_vec(_columns(a), y, QQ))
 
 
 def test_quotient_coords_reduction():
@@ -104,10 +117,6 @@ def test_quotient_coords_reduction():
     kept, coords = quotient_coords(3, [[QQ.one, QQ.one, QQ.zero]], QQ)
     assert len(kept) == 2
     assert coords[0] == [-c for c in coords[1]] or coords[1] == [-c for c in coords[0]]
-
-
-def _q(rows):
-    return [[Fraction(x) for x in row] for row in rows]
 
 
 def test_sub_map_known_restriction():
@@ -156,16 +165,16 @@ def test_quotient_map_empty_bases():
 def test_fraction_json_round_trip():
     for s in ["3", "-7/2", "0", "12/35"]:
         assert format_fraction(parse_fraction(s)) == s
-    m = RatMatrix([[Fraction(1, 2), 3], [0, Fraction(-5, 7)]])
-    assert RatMatrix.from_json(m.to_json()) == m
+    for x in [Fraction(1, 2), Fraction(3), Fraction(0), Fraction(-5, 7)]:
+        assert parse_fraction(format_fraction(x)) == x
 
 
 def test_image_basis_deterministic_pivots():
-    a = RatMatrix([[1, 2, 3], [2, 4, 6], [0, 0, 1]])
-    img = a.image_basis()
-    assert img.cols == a.rank() == 2
+    a = _q([[1, 2, 3], [2, 4, 6], [0, 0, 1]])
+    img = span_basis(_columns(a), 3, QQ)
+    assert len(img) == mat_rank(a, 3, QQ) == 2
     # pivot columns are the leftmost independent ones
-    assert img.column(0) == a.column(0)
+    assert img[0] == _columns(a)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -326,11 +335,12 @@ def test_degenerate_shapes():
 
 
 def test_solve_certified_on_empty_shapes():
-    x, y = RatMatrix.zero(0, 2).solve_certified([])
-    assert (x, y) == ([0, 0], None)
-    x, y = RatMatrix.zero(2, 0).solve_certified([0, 1])
-    assert x is None and y[1] != 0
-    assert RatMatrix.zero(2, 0).solve([0, 0]) == []
+    # a 0 x 2 matrix: every x solves it
+    assert solve_many([[], []], [[]], QQ) == [[0, 0]]
+    # a 2 x 0 matrix: only 0 lies in its image, and a left-kernel row certifies the rest
+    assert solve_many([], _q([[0, 1]]), QQ) == [None]
+    assert _certificate([[], []], _q([[0, 1]])[0])[1] != 0
+    assert solve_many([], _q([[0, 0]]), QQ) == [[]]
 
 
 # ---------------------------------------------------------------------------
@@ -388,3 +398,95 @@ def test_catmod_is_the_only_builder_of_windowed_categories():
                     or any(isinstance(a, ast.Name) and a.id == "SCategoryWindow" for a in node.args)):
                 problems.append(f"{path.name}:{node.lineno} constructs SCategoryWindow")
     assert problems == []
+
+
+# ---------------------------------------------------------------------------
+# Kernel bases: coordinates read off the free columns against elimination.
+# ---------------------------------------------------------------------------
+
+def _twin_solve_many(cols, vecs, field):
+    """The elimination solve_many runs on plain columns: pivot on the columns, carry the vectors."""
+    if not vecs:
+        return []
+    k, n = len(cols), len(vecs[0])
+    red, pivots = rref([[c[i] for c in cols] + [v[i] for v in vecs] for i in range(n)], k, field)
+    out = []
+    for j in range(k, k + len(vecs)):
+        if any(red[i][j] != field.zero for i in range(len(pivots), n)):
+            out.append(None)
+            continue
+        x = [field.zero] * k
+        for i, pc in enumerate(pivots):
+            x[pc] = red[i][j]
+        out.append(x)
+    return out
+
+
+class _RrefCount:
+    """Counts rref calls made through exact_linalg while active."""
+
+    def __enter__(self):
+        self.real, self.calls = exact_linalg.rref, 0
+
+        def counting(*args):
+            self.calls += 1
+            return self.real(*args)
+
+        exact_linalg.rref = counting
+        return self
+
+    def __exit__(self, *exc):
+        exact_linalg.rref = self.real
+
+
+@st.composite
+def _kernel_case(draw):
+    field = draw(st.sampled_from(FIELDS))
+    ncols = draw(st.integers(0, 5))
+    rows = [[field.of_int(draw(small_entries)) for _ in range(ncols)] for _ in range(draw(st.integers(0, 4)))]
+    return field, ncols, kernel_cols(rows, ncols, field)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data(), _kernel_case())
+def test_solve_many_on_kernel_bases_matches_elimination_twin(data, case):
+    field, ncols, basis = case
+    assert isinstance(basis, KernelBasis)
+    vecs = data.draw(_vectors(field, ncols, 4, basis))
+    with _RrefCount() as count:
+        got = solve_many(basis, vecs, field)
+    assert count.calls == 0
+    assert got == _twin_solve_many(list(basis), vecs, field)
+    with _RrefCount() as count:
+        plain = solve_many(list(basis), vecs, field)  # a plain list of the same columns is eliminated
+    assert count.calls == (1 if vecs else 0)
+    assert plain == got
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data(), _kernel_case(), st.integers(0, 4))
+def test_sub_map_on_kernel_bases_matches_elimination_twin(data, case, src_dim):
+    field, ncols, basis = case
+    # the images of the source columns: some inside the kernel, some not
+    m_cols = [data.draw(_vectors(field, ncols, 1, basis).filter(len))[0] for _ in range(src_dim)]
+    m = [[c[i] for c in m_cols] for i in range(ncols)]
+    src_cols = data.draw(_vectors(field, src_dim, 3))
+    want = _twin_sub_map(m, src_cols, list(basis), field)
+    with _RrefCount() as count:
+        assert sub_map(m, src_cols, basis, field) == want
+    assert count.calls == 0
+    assert sub_map(m, src_cols, list(basis), field) == want
+
+
+def test_kernel_bases_on_empty_shapes():
+    for field in FIELDS:
+        one, zero = field.one, field.zero
+        for basis in (kernel_cols([], 0, field), kernel_cols([[], []], 0, field)):
+            assert basis == [] and solve_many(basis, [[], []], field) == [[], []]
+        full = kernel_cols([[one, zero], [zero, one]], 2, field)  # the zero kernel
+        assert (full, full.free, full.pivots) == ([], [], [0, 1])
+        assert solve_many(full, [[zero, zero], [zero, one]], field) == [[], None]
+        ident = kernel_cols([], 2, field)  # no rows: the identity basis
+        assert (ident.free, ident.pivots) == ([0, 1], [])
+        assert solve_many(ident, [[one, one]], field) == [[one, one]]
+        assert sub_map([], [], full, field) == []

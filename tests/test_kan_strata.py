@@ -1021,6 +1021,23 @@ def test_window_rep_json_round_trip():
     assert again.to_json() == rep.to_json()
 
 
+def test_window_rep_from_json_checks_rational_matrices():
+    rep = random_window_rep(A2, Window(0, 2), random.Random(3), dim_choices=(1, 2))
+    data = rep.to_json()
+    key = next(k for k, m in sorted(data["mats"].items()) if len(m) >= 2)
+    for corrupt, msg in [(lambda m: m[0].append("1"), "ragged matrix"),
+                         (lambda m: m.pop(), "row count mismatch"),
+                         (lambda m: m[0].__setitem__(0, "x/y"), "bad rational 'x/y'")]:
+        bad = WindowRep.from_json(rep.to_json()).to_json()
+        corrupt(bad["mats"][key])
+        with pytest.raises(InvalidInputError) as info:
+            WindowRep.from_json(bad)
+        assert str(info.value) == msg
+    data["mats"][key][0][0] = "1/2"
+    parsed = WindowRep.from_json(data)
+    assert parsed.mats[next(a for a in parsed.mats if a.key() == key)][0][0] == Fraction(1, 2)
+
+
 # ---------------------------------------------------------------------------
 # Shared window slices.
 # ---------------------------------------------------------------------------
