@@ -121,10 +121,11 @@ def criterion_2(seed=DEFAULT_SEED):
     report = build_sing_quiver(q, None, w)
     count = report.arrow_count(u, u2)
     oracle = ext_oracle(q, None, w, u2, u, 1)
+    rad = len(window_category(q, None, w).generators(u, u2))  # dim rad/rad^2 (u, u2) in S itself
     elapsed = time.time() - t0
-    ok = count == 2 and oracle == 2 and elapsed < TIME_BOUNDS[2]
+    ok = count == 2 and oracle == 2 and rad == 2 and elapsed < TIME_BOUNDS[2]
     return ("D4 double arrow", ok,
-            f"arrow count {count}, Ext^1 oracle {oracle}, {_clock(elapsed, 2)}")
+            f"arrow count {count}, Ext^1 oracle {oracle}, dim rad/rad^2 {rad}, {_clock(elapsed, 2)}")
 
 
 def criterion_3(seed=DEFAULT_SEED):

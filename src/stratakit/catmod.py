@@ -25,6 +25,9 @@ from .quiver_core import Configuration, Quiver, RepVertex, Window, shared
 class SCategoryWindow:
     """The singular category S_C restricted to a window, with explicit Hom data."""
 
+    __slots__ = ("q", "config", "window", "field", "ctx", "objects", "obj_index",
+                 "_precomp", "_postcomp", "_syzygies", "_generators")
+
     def __init__(self, q: Quiver, config: Optional[Configuration], window: Window, field=QQ):
         self.q = q
         self.config = config if config is not None else Configuration.full()
@@ -36,6 +39,15 @@ class SCategoryWindow:
         self._precomp: Dict[tuple, list] = {}
         self._postcomp: Dict[tuple, list] = {}
         self._syzygies: Dict[RepVertex, List["CatModule"]] = {}
+        self._generators: Optional[Dict[tuple, List[int]]] = None  # made on first use
+
+    def release(self):
+        """Drop the memos; called when mesh_hom.clear_cache() drops a shared category,
+        so a module kept beyond it holds no composition matrices, generators or syzygies."""
+        self._precomp.clear()
+        self._postcomp.clear()
+        self._syzygies.clear()
+        self._generators = None
 
     def dim(self, u: RepVertex, v: RepVertex) -> int:
         if v.level < u.level:
@@ -52,6 +64,35 @@ class SCategoryWindow:
             for v in self.objects:
                 if v.level >= u.level and fun.dim(v) > 0:
                     yield u, v, fun.dim(v)
+
+    def generators(self, u: RepVertex, v: RepVertex) -> List[int]:
+        """The indices k of the basis morphisms s_k: u -> v spanning S(u,v) modulo rad^2(u,v).
+
+        Their number is the number of arrows u -> v in the quiver of S, and
+        every morphism u -> v is a sum of composites of them, so a module map
+        or a relation that holds along them holds along every morphism.  The
+        radical squared is spanned by the composites s o g through the objects
+        w strictly between u and v, with g among the generators u -> w (a
+        longer factor of g lies in rad(u,w') rad(w',w) and is counted at w'),
+        so only u and the objects it maps to are swept.  Identities are not
+        arrows: generators(u, u) is empty.
+        """
+        if self._generators is None:
+            self._generators = {}
+        gens = self._generators.get((u, v))
+        if gens is None:
+            gens = []
+            d = self.dim(u, v) if u != v else 0
+            if d:
+                rel_cols = []
+                for w in self.objects:
+                    gw = self.generators(u, w) if u.level < w.level < v.level else ()
+                    if gw and self.dim(w, v):
+                        for g in gw:
+                            rel_cols.extend(transpose_rows(self.precomposition(u, w, g, v)))
+                gens = quotient_coords(d, rel_cols, self.field)[0]
+            self._generators[(u, v)] = gens
+        return gens
 
     def precomposition(self, u: RepVertex, v: RepVertex, k: int, m: RepVertex):
         """Matrix of Hom(v,m) -> Hom(u,m), f |-> f o s_k, for the k-th basis morphism u -> v."""
@@ -76,8 +117,9 @@ def window_category(q: Quiver, config: Optional[Configuration], window: Window, 
     """The windowed singular category, one per (quiver, configuration, window, field).
 
     Shared by every caller until mesh_hom.clear_cache(), like the slices of
-    build_repetition, with its memos (composition matrices, syzygies); its
-    Hom data must not be modified.
+    build_repetition, with its memos (composition matrices, generators,
+    syzygies), which clear_cache() releases; its Hom data must not be
+    modified.
     """
     config = config if config is not None else Configuration.full()
     return shared(("category", q._key, config.key(), window, field.key), SCategoryWindow, q, config, window, field)
@@ -112,7 +154,10 @@ class CatModule:
         return mat
 
     def radical_cols(self, u: RepVertex):
-        """Columns spanning the radical part of M(u): images from later objects."""
+        """Columns spanning the radical part of M(u): images of the generators out of u.
+
+        The image of a composite lies in the image of its first factor, so
+        the generators' images span the radical part."""
         cols = []
         du = self.dim(u)
         if du == 0:
@@ -120,7 +165,7 @@ class CatModule:
         for v in self.cat.objects:
             if v == u or self.dim(v) == 0:
                 continue
-            for k in range(self.cat.dim(u, v)):
+            for k in self.cat.generators(u, v):
                 mat = self.act.get((u, v, k))
                 if mat is None:
                     continue
@@ -144,7 +189,8 @@ class CatModule:
         return gens
 
     def socle_dim(self, u: RepVertex) -> int:
-        """Multiplicity of the simple at u in the socle."""
+        """Multiplicity of the simple at u in the socle: the common kernel of the
+        generators into u (a composite's kernel contains its last factor's)."""
         du = self.dim(u)
         if du == 0:
             return 0
@@ -152,7 +198,7 @@ class CatModule:
         for w in self.cat.objects:
             if w == u:
                 continue
-            for k in range(self.cat.dim(w, u)):
+            for k in self.cat.generators(w, u):
                 mat = self.act.get((w, u, k))
                 if mat is not None:
                     rows.extend(mat)
@@ -427,6 +473,9 @@ class OpSCategoryWindow:
                 d = self.base.dim(v, u)
                 if d > 0:
                     yield u, v, d
+
+    def generators(self, u: RepVertex, v: RepVertex) -> List[int]:
+        return self.base.generators(v, u)
 
     def precomposition(self, u: RepVertex, v: RepVertex, k: int, m: RepVertex):
         # op-morphism u -> v is the k-th basis morphism v -> u of the base;

@@ -11,7 +11,8 @@ GFElement scalars).  The primitives are written against the field object
   quotient_coords (a basis of a quotient);
 * the maps a matrix induces on sub- and quotient spaces, sub_map and
   quotient_map;
-* products: mat_vec (skipping zero coordinates) and mat_mul.
+* products: mat_vec (skipping zero coordinates and zero entries) and
+  mat_mul.
 
 Empty shapes (no rows, no columns, no vectors) are valid inputs
 everywhere.  Everything is exact arithmetic: no floating point anywhere.
@@ -77,6 +78,9 @@ class GFElement:
         if other.v == 0:
             raise ZeroDivisionError("division by zero in GF(p)")
         return GFElement(self.v * pow(other.v, self.p - 2, self.p), self.p)
+
+    def __bool__(self):
+        return self.v != 0
 
     def __eq__(self, other):
         if isinstance(other, GFElement):
@@ -312,9 +316,18 @@ def quotient_map(m, src_kept, tgt_coords, field):
 
 
 def mat_vec(m, vec, field):
-    """The product m vec, summing over the nonzero coordinates of vec only."""
-    support = [(j, x) for j, x in enumerate(vec) if x != field.zero]
-    return [sum((row[j] * x for j, x in support), field.zero) for row in m]
+    """The product m vec, summing over the nonzero coordinates of vec and the
+    nonzero entries of m only (a scalar is zero exactly when it is falsy)."""
+    support = [(j, x) for j, x in enumerate(vec) if x]
+    out = []
+    for row in m:
+        acc = field.zero
+        for j, x in support:
+            c = row[j]
+            if c:
+                acc += c * x
+        out.append(acc)
+    return out
 
 
 def mat_mul(a, b, field):

@@ -430,21 +430,22 @@ def kan_right(M: SModulePoint, w: Window) -> KanRight:
     zero = field.zero
 
     # Every sweep and every naturality square u -> v of the system, read
-    # once per call: the square's basis morphism s_k and, when M(v) is
-    # nonzero, the nonzero entries of each row of M(s_k).
+    # once per call: the square's generator s_k and, when M(v) is nonzero,
+    # the nonzero entries of each row of M(s_k).  Squares along the
+    # generators of S imply those along their composites, so they cut out
+    # the same kernel as squares along every basis morphism.
     funs = {u: sweep(rc, u, w, field) for u in support}
     squares = []
     for u in support:
         for v in cat.objects:
             if v.level < u.level:
                 continue
-            dk = cat.dim(u, v)
-            if dk == 0:
+            if cat.dim(u, v) == 0:
                 continue
             if v not in funs:
                 funs[v] = sweep(rc, v, w, field)
             paths = cat.basis_paths(u, v)
-            for k in range(dk):
+            for k in cat.generators(u, v):
                 acts = None
                 if M.dim(v) > 0:
                     acts = [[(j2, c) for j2, c in enumerate(row) if c != zero]
@@ -606,10 +607,9 @@ def kan_left(M: SModulePoint, w: Window) -> KanLeft:
             for v in support:
                 if v.level < u.level:
                     continue
-                dk = cat.dim(u, v)
-                if dk == 0:
-                    continue
-                for k in range(dk):
+                # relations along the generators of S imply those along
+                # their composites, so they span the same relations
+                for k in cat.generators(u, v):
                     # Hom(x,u) -> Hom(x,v), g |-> s_k o g
                     post = postcomposition_matrix(rc, x, cat.basis_paths(u, v)[k], u, w, field)
                     amat = M.module.act_mat(u, v, k)

@@ -130,21 +130,34 @@ class HomFunctor:
         the cached sweep and never reach the disk; a walk that raised is not
         memoized.  Each call returns a fresh list.
         """
-        path = tuple(path)
-        vec = self._reduced.get(path)
-        if vec is None:
-            vec = self._reduced[path] = tuple(self._walk(path))
-        return list(vec)
+        return list(self._reduce(tuple(path)))
 
-    def _walk(self, path: Tuple[RepArrow, ...]):
-        if self.dim(self.source) == 0:
-            raise InvalidInputError(f"source {self.source} has no identity in this window")
-        at, vec = self.source, [self.field.one]
-        for arrow in path:
-            if arrow.source != at:
+    def _reduce(self, path: Tuple[RepArrow, ...]) -> tuple:
+        """The memoized reduction of a path: its last arrow applied to the
+        reduction of the longest memoized prefix, one arrow at a time, with
+        every prefix walked on the way memoized too.  Basis paths form a
+        prefix tree, so a path whose prefix was reduced costs one arrow
+        matrix."""
+        memo = self._reduced
+        vec = memo.get(path)
+        if vec is not None:
+            return vec
+        n = len(path) - 1
+        while n >= 0:
+            vec = memo.get(path[:n])
+            if vec is not None:
+                break
+            n -= 1
+        else:
+            if self.dim(self.source) == 0:
+                raise InvalidInputError(f"source {self.source} has no identity in this window")
+            vec = memo[()] = (self.field.one,)
+            n = 0
+        for i in range(n, len(path)):
+            arrow = path[i]
+            if arrow.source != (path[i - 1].target if i else self.source):
                 raise InvalidInputError(f"path does not start where expected at {arrow}")
-            vec = self.apply_arrow(arrow, vec)
-            at = arrow.target
+            vec = memo[path[:i + 1]] = tuple(self.apply_arrow(arrow, vec))
         return vec
 
 

@@ -503,7 +503,13 @@ def build_repetition(q: Quiver, frame: bool, w: Window, config: Optional[Configu
 
 def clear_slices():
     """Drop every shared object (the window slices, the windowed categories, the Serre
-    tables and the fiber stages) and the arrow key strings."""
+    tables and the fiber stages) and the arrow key strings.  An object with a release()
+    method (a windowed category) is told to give up its memos, so one still referenced
+    elsewhere holds no more than what it was built from."""
+    for obj in _SHARED.values():
+        release = getattr(obj, "release", None)
+        if release is not None:
+            release()
     _SHARED.clear()
     _ARROW_KEYS.clear()
 

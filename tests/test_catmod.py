@@ -1,4 +1,7 @@
-"""Kernels of projective covers: the summand-by-summand action against the dense twin."""
+"""Kernels of projective covers against the dense twin; the generators of the
+singular category against its quiver; radical and socle along the generators
+against their all-basis-morphism twins; the category memos across clear_cache()."""
+import random
 from fractions import Fraction
 
 import pytest
@@ -12,11 +15,18 @@ from stratakit.catmod import (
     ext_from_injective_multi,
     kernel_submodule,
     minimal_cover,
+    op_representable,
     radical_of_projective,
+    syzygy_modules,
+    window_category,
 )
 from stratakit.errors import InternalConsistencyError
-from stratakit.exact_linalg import kernel_cols, mat_vec, sub_map
+from stratakit.exact_linalg import kernel_cols, mat_rank, mat_vec, quotient_coords, sub_map
+from stratakit.kan_strata import restrict
+from stratakit.mesh_hom import clear_cache
 from stratakit.quiver_core import RepVertex, Window, a_n_quiver, d4_quiver, kronecker_quiver, parse_vertex
+from stratakit.randrep import random_window_rep
+from stratakit.sing_builder import build_sing_quiver
 
 A2 = a_n_quiver(2)
 
@@ -183,3 +193,186 @@ def test_kernel_not_closed_under_the_action_is_an_internal_fault(monkeypatch):
             monkeypatch.setitem(cat._precomp, key, [[2 * x for x in row] for row in mat])
     with pytest.raises(InternalConsistencyError, match="not closed under the action"):
         kernel_submodule(cover)
+
+
+# ---------------------------------------------------------------------------
+# The generators of S against the paper's quiver of S, and the radical and
+# socle along them against their all-basis-morphism twins.
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("q, window, arrows", [
+    (A2, (0, 6), 23), (a_n_quiver(3), (0, 5), 45), (d4_quiver(), (0, 4), 84), (kronecker_quiver(), (0, 4), 120)],
+    ids=["A2", "A3", "D4", "Kronecker"])
+def test_generators_count_the_arrows_of_the_singular_quiver(q, window, arrows):
+    """len(generators(u, v)) = dim rad/rad^2 (u, v) is the arrow count of build_sing_quiver,
+    an independent route through first extensions and mesh dimensions."""
+    clear_cache()
+    try:
+        w = Window(*window)
+        cat = window_category(q, None, w)
+        report = build_sing_quiver(q, None, w)
+        pairs = [(u, v) for u in cat.objects for v in cat.objects]
+        assert [len(cat.generators(u, v)) for u, v in pairs] == [report.arrow_count(u, v) for u, v in pairs]
+        assert sum(len(cat.generators(u, v)) for u, v in pairs) == arrows
+        # the generators are basis morphisms, and identities are not arrows
+        assert all(0 <= k < cat.dim(u, v) for u, v in pairs for k in cat.generators(u, v))
+        assert all(cat.generators(u, u) == [] for u in cat.objects)
+    finally:
+        clear_cache()
+
+
+def test_op_category_generators_are_the_reversed_base_generators():
+    cat, _, _ = _injective_case()
+    opcat = OpSCategoryWindow(cat)
+    pairs = [(u, v) for u in cat.objects if u.level <= 4 for v in cat.objects if v.level <= 4]
+    assert any(opcat.generators(v, u) for u, v in pairs)
+    assert all(opcat.generators(v, u) == cat.generators(u, v) for u, v in pairs)
+
+
+def _twin_radical_cols(mod, u):
+    """radical_cols as it was: the images of every basis morphism out of u."""
+    cols = []
+    du = mod.dim(u)
+    if du == 0:
+        return cols
+    for v in mod.cat.objects:
+        if v == u or mod.dim(v) == 0:
+            continue
+        for k in range(mod.cat.dim(u, v)):
+            mat = mod.act.get((u, v, k))
+            if mat is None:
+                continue
+            for j in range(mod.dim(v)):
+                col = [mat[i][j] for i in range(du)]
+                if any(x != mod.field.zero for x in col):
+                    cols.append(col)
+    return cols
+
+
+def _twin_socle_dim(mod, u):
+    """socle_dim as it was: the common kernel of every basis morphism into u."""
+    du = mod.dim(u)
+    if du == 0:
+        return 0
+    rows = []
+    for w in mod.cat.objects:
+        if w == u:
+            continue
+        for k in range(mod.cat.dim(w, u)):
+            mat = mod.act.get((w, u, k))
+            if mat is not None:
+                rows.extend(mat)
+    return du - mat_rank(rows, du, mod.field)
+
+
+def _same_span(a, b, dim, field):
+    return mat_rank(a, dim, field) == mat_rank(b, dim, field) == mat_rank(a + b, dim, field)
+
+
+def _assert_radical_and_socle_match_the_twins(mod):
+    """Same radical span, hence the same top generators, and the same socle, at every object."""
+    nonzero = 0
+    for u in mod.cat.objects:
+        d = mod.dim(u)
+        got, want = mod.radical_cols(u), _twin_radical_cols(mod, u)
+        assert _same_span(got, want, d, mod.field)
+        assert quotient_coords(d, got, mod.field) == quotient_coords(d, want, mod.field)
+        assert mod.socle_dim(u) == _twin_socle_dim(mod, u)
+        nonzero += len(want) > 0
+    return nonzero
+
+
+@pytest.mark.parametrize("q, window, top, depth", [c[:4] for c in CHAINS], ids=["A2", "A3", "D4", "K2", "K3"])
+def test_radical_and_socle_match_the_all_basis_twins_on_syzygy_chains(q, window, top, depth):
+    cat = SCategoryWindow(q, None, Window(*window))
+    nonzero = 0
+    for x in [u for u in cat.objects if u.level <= top]:
+        mod = radical_of_projective(cat, x)
+        for _ in range(depth - 1):
+            nonzero += _assert_radical_and_socle_match_the_twins(mod)
+            mod = kernel_submodule(minimal_cover(mod))[0]
+    assert nonzero > 0
+
+
+@pytest.mark.parametrize("q", [A2, a_n_quiver(3), d4_quiver(), kronecker_quiver()], ids=["A2", "A3", "D4", "Kronecker"])
+def test_radical_and_socle_match_the_all_basis_twins_on_random_points(q):
+    """Seeded points, where a module's action along parallel generators differs."""
+    nonzero = 0
+    for seed in range(6):
+        rep = random_window_rep(q, Window(0, 2), random.Random(seed), dim_choices=(0, 1, 1, 2))
+        nonzero += _assert_radical_and_socle_match_the_twins(restrict(rep).module)
+    assert nonzero > 0
+
+
+def test_radical_and_socle_see_every_parallel_generator():
+    """A Kronecker module acting by zero along one of two parallel arrows and by one along the other."""
+    cat = SCategoryWindow(kronecker_quiver(), None, Window(0, 2))
+    w, u = parse_vertex("1'@0"), parse_vertex("2'@1")
+    gens = cat.generators(w, u)
+    assert len(gens) == 2
+    for one in gens:
+        mod = CatModule(cat, {w: 1, u: 1}, {(w, u, k): [[Fraction(int(k == one))]] for k in gens})
+        assert _assert_radical_and_socle_match_the_twins(mod) == 1
+        assert mod.radical_cols(w) and mod.top_generators(w) == []
+        assert mod.socle_dim(u) == 0 and mod.socle_dim(w) == 1
+
+
+def test_radical_and_socle_match_the_all_basis_twins_on_the_op_resolution(monkeypatch):
+    """Every module ext_from_injective_multi resolves over the opposite category."""
+    cat, module, sources = _injective_case()
+    seen = []
+    real_cover = catmod.minimal_cover
+
+    def checked_cover(mod):
+        seen.append(_assert_radical_and_socle_match_the_twins(mod))
+        return real_cover(mod)
+
+    monkeypatch.setattr(catmod, "minimal_cover", checked_cover)
+    assert ext_from_injective_multi(cat, sources, module, 2) == {u: 0 for u in sources}
+    assert len(seen) == 4 and sum(seen) > 0
+
+
+# ---------------------------------------------------------------------------
+# Memos of the windowed categories across mesh_hom.clear_cache().
+# ---------------------------------------------------------------------------
+
+def _memo_sizes(cat):
+    return [len(cat._precomp), len(cat._postcomp), len(cat._syzygies), len(cat._generators or ())]
+
+
+def _fill_memos(cat):
+    x = cat.objects[2]
+    syzygy_modules(cat, x, 2)
+    op_representable(OpSCategoryWindow(cat), x)
+    for u in cat.objects:
+        for v in cat.objects:
+            cat.generators(u, v)
+
+
+def test_clear_cache_releases_the_memos_of_a_shared_category():
+    clear_cache()
+    try:
+        cat = window_category(A2, None, Window(0, 6))
+        _fill_memos(cat)
+        assert all(_memo_sizes(cat))
+        before = {(u, v): list(cat.generators(u, v)) for u in cat.objects for v in cat.objects}
+        clear_cache()
+        assert _memo_sizes(cat) == [0, 0, 0, 0]
+        assert window_category(A2, None, Window(0, 6)) is not cat
+        # a category kept beyond clear_cache() still answers, from fresh sweeps
+        assert {(u, v): cat.generators(u, v) for u in cat.objects for v in cat.objects} == before
+    finally:
+        clear_cache()
+
+
+def test_clear_cache_leaves_the_memos_of_a_category_built_directly():
+    clear_cache()
+    try:
+        cat = SCategoryWindow(A2, None, Window(0, 6))
+        _fill_memos(cat)
+        sizes = _memo_sizes(cat)
+        assert all(sizes)
+        clear_cache()
+        assert _memo_sizes(cat) == sizes
+    finally:
+        clear_cache()

@@ -8,6 +8,7 @@ import stratakit
 from stratakit import exact_linalg
 from stratakit.exact_linalg import (
     QQ,
+    GFElement,
     KernelBasis,
     PrimeField,
     format_fraction,
@@ -490,3 +491,47 @@ def test_kernel_bases_on_empty_shapes():
         assert (ident.free, ident.pivots) == ([0, 1], [])
         assert solve_many(ident, [[one, one]], field) == [[one, one]]
         assert sub_map([], [], full, field) == []
+
+
+# ---------------------------------------------------------------------------
+# mat_vec, which skips zero entries by truthiness, against the dense sum.
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 30), st.integers(2, 13))
+def test_gf_element_is_true_exactly_when_nonzero(v, p):
+    assert bool(GFElement(v, p)) == (v % p != 0)
+    assert bool(GFElement(-v, p)) == (v % p != 0)
+
+
+def _mostly_zero(field):
+    """Scalars of the field, zero about half the time."""
+    return st.one_of(st.just(0), small_entries).map(field.of_int)
+
+
+@st.composite
+def _mat_vec_case(draw):
+    field = draw(st.sampled_from(FIELDS + [PrimeField(2)]))
+    rows, cols = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    m = [draw(st.lists(_mostly_zero(field), min_size=cols, max_size=cols)) for _ in range(rows)]
+    if rows and draw(st.booleans()):
+        m[draw(st.integers(0, rows - 1))] = [field.zero] * cols  # a zero row
+    vec = draw(st.lists(_mostly_zero(field), min_size=cols, max_size=cols))
+    return field, m, vec
+
+
+@settings(max_examples=200, deadline=None)
+@given(_mat_vec_case())
+def test_mat_vec_matches_the_dense_sum(case):
+    field, m, vec = case
+    want = [sum((row[j] * vec[j] for j in range(len(vec))), field.zero) for row in m]
+    got = mat_vec(m, vec, field)
+    assert got == want
+    assert all(type(x) is type(field.zero) for x in got)
+
+
+def test_mat_vec_on_empty_shapes():
+    for field in FIELDS:
+        assert mat_vec([], [], field) == []
+        assert mat_vec([[], []], [], field) == [field.zero, field.zero]
+        assert mat_vec([], [field.one, field.zero], field) == []

@@ -393,9 +393,9 @@ def _twin_torsion_cols(rep):
 TWIN_QUIVERS = {"A2": A2, "A3": a_n_quiver(3), "D4": d4_quiver(), "K2": kronecker_quiver()}
 
 
-def _random_rep(q, seed, p, coeff_range=2, window=Window(0, 2)):
+def _random_rep(q, seed, p, coeff_range=2, window=Window(0, 2), config=None):
     """A random valid representation over QQ (p = 0) or GF(p)."""
-    rep = random_window_rep(q, window, random.Random(seed), dim_choices=(0, 1, 1, 2),
+    rep = random_window_rep(q, window, random.Random(seed), config, dim_choices=(0, 1, 1, 2),
                             coeff_range=coeff_range)
     if p:
         # one common scale clears the denominators and keeps every (quadratic) relator zero
@@ -664,6 +664,86 @@ def test_kan_right_rows_match_the_dense_row_twin(qname, p):
         kr = kan_right(M, rep.window)
         assert kr.basis_cols == _twin_kan_right_basis_cols(M, rep.window)
         nonzero += sum(map(len, kr.basis_cols.values()))
+    assert nonzero > 0
+
+
+def _twin_kan_left_quotients(M, w):
+    """kan_left's (kept, gen_coords) with the relations of every basis morphism, as it was."""
+    from stratakit.mesh_hom import postcomposition_matrix, sweep
+
+    cat, field = M.cat, M.field
+    rc = MeshContext(cat.q, "RC", cat.config)
+    support = [u for u in cat.objects if M.dim(u) > 0]
+    kept, coords = {}, {}
+    for x in zero_rep(cat.q, w, cat.config).rq.vertices:
+        fx = sweep(rc, x, w, field)
+        offsets, n = {}, 0
+        for u in support:
+            if fx.dim(u):
+                offsets[u] = n
+                n += fx.dim(u) * M.dim(u)
+        if n == 0:
+            kept[x], coords[x] = [], []
+            continue
+        rel_cols = []
+        for u in cat.objects:
+            du = fx.dim(u)
+            if du == 0:
+                continue
+            for v in support:
+                if v.level < u.level:
+                    continue
+                for k in range(cat.dim(u, v)):
+                    post = postcomposition_matrix(rc, x, cat.basis_paths(u, v)[k], u, w, field)
+                    amat = M.module.act_mat(u, v, k)
+                    for g in range(du):
+                        for j2 in range(M.dim(v)):
+                            col = [field.zero] * n
+                            if v in offsets:
+                                for l, r in enumerate(post):
+                                    col[offsets[v] + l * M.dim(v) + j2] += r[g]
+                            if u in offsets:
+                                for j in range(M.dim(u)):
+                                    col[offsets[u] + g * M.dim(u) + j] -= amat[j][j2]
+                            if any(c != field.zero for c in col):
+                                rel_cols.append(col)
+        kept[x], coords[x] = quotient_coords(n, rel_cols, field)
+    return kept, coords
+
+
+# A non-full configuration over A2: the frozen vertices 2'@0 and 1'@1 are dropped.
+A2_CONFIG = Configuration([parse_vertex(k) for k in ("1@0", "2@1", "1@2", "2@2", "1@3", "2@3")])
+KAN_TWIN_CASES = {"A2": (A2, None), "A3": (a_n_quiver(3), None), "D4": (d4_quiver(), None),
+                  "A2-config": (A2, A2_CONFIG)}
+
+
+@pytest.mark.parametrize("p", [0, 3])
+@pytest.mark.parametrize("case", sorted(KAN_TWIN_CASES))
+def test_kan_extensions_along_generators_match_the_all_basis_twins(case, p, monkeypatch):
+    """Squares and relations along the generators of S give what those along every
+    basis morphism gave: against kan_right and kan_left run with every basis
+    morphism as a generator, and against test-local copies of the old systems."""
+    q, config = KAN_TWIN_CASES[case]
+    nonzero = 0
+    for seed in range(3):
+        rep = _random_rep(q, 71 * seed + 5, p, config=config)
+        M, w = restrict(rep), rep.window
+        if config is not None:
+            assert len(M.cat.objects) < len(SCategoryWindow(q, None, w).objects)
+        kr, kl = kan_right(M, w), kan_left(M, w)
+        with monkeypatch.context() as mp:
+            mp.setattr(SCategoryWindow, "generators", lambda cat, u, v: range(cat.dim(u, v)))
+            kr_all, kl_all = kan_right(M, w), kan_left(M, w)
+        assert kr.amb_index == kr_all.amb_index
+        assert kr.basis_cols == kr_all.basis_cols == _twin_kan_right_basis_cols(M, w)
+        assert kr.rep.to_json() == kr_all.rep.to_json()  # dimensions and structure maps
+        assert kr.theta == kr_all.theta
+        assert kl.gen_index == kl_all.gen_index
+        assert (kl.kept, kl.gen_coords) == (kl_all.kept, kl_all.gen_coords) == _twin_kan_left_quotients(M, w)
+        assert kl.rep.to_json() == kl_all.rep.to_json()
+        nonzero += sum(map(len, kr.basis_cols.values())) + sum(map(len, kl.kept.values()))
+        # fewer squares than basis morphisms: the generators are a proper subset somewhere
+        assert any(len(M.cat.generators(u, v)) < M.cat.dim(u, v) for u in M.cat.objects for v in M.cat.objects)
     assert nonzero > 0
 
 

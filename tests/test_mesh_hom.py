@@ -438,6 +438,14 @@ def _extended_basis_paths(ctx, w):
     return out
 
 
+def _count_arrow_applications(monkeypatch):
+    applied = []
+    real_apply = mesh_hom.HomFunctor.apply_arrow
+    monkeypatch.setattr(mesh_hom.HomFunctor, "apply_arrow",
+                        lambda self, arrow, vec: applied.append(arrow) or real_apply(self, arrow, vec))
+    return applied
+
+
 @pytest.mark.parametrize("quiver,window", [(A2, Window(0, 4)), (kronecker_quiver(), Window(0, 3))],
                          ids=["A2", "Kronecker"])
 def test_reduce_path_memo_matches_a_fresh_walk(quiver, window, monkeypatch):
@@ -448,15 +456,23 @@ def test_reduce_path_memo_matches_a_fresh_walk(quiver, window, monkeypatch):
         assert len(cases) > 50
         for x, path in cases:
             sweep(ctx, x, window).reduce_path(path)
-        walks = []
-        real_walk = mesh_hom.HomFunctor._walk
-        monkeypatch.setattr(mesh_hom.HomFunctor, "_walk", lambda self, p: walks.append(p) or real_walk(self, p))
+        applied = _count_arrow_applications(monkeypatch)
         memo = [sweep(ctx, x, window).reduce_path(path) for x, path in cases]
-        assert walks == []  # every answer came from the memo
+        assert applied == []  # every answer came from the memo
+        monkeypatch.undo()
         clear_cache()
-        fresh = [sweep(ctx, x, window).reduce_path(path) for x, path in cases]
-        assert len(walks) == len({(x, path) for x, path in cases})
+        walkers = {}
+        fresh = [walkers.setdefault(x, _walker(sweep(ctx, x, window)))(path) for x, path in cases]
         assert memo == fresh
+        # a path whose prefix is memoized costs exactly one arrow application
+        clear_cache()
+        applied = _count_arrow_applications(monkeypatch)
+        for x, path in cases:
+            fun = sweep(ctx, x, window)
+            fun.reduce_path(path[:-1])
+            del applied[:]
+            assert fun.reduce_path(path) == walkers[x](path)
+            assert applied == [path[-1]]
     finally:
         clear_cache()
 
@@ -486,6 +502,13 @@ def test_reduce_path_from_the_wrong_vertex_raises_every_time():
         for _ in range(2):
             with pytest.raises(InvalidInputError):
                 fun.reduce_path((stray,))
+        # a walk that goes wrong after a valid prefix: the prefix is memoized, the walk is not
+        prefix = fun.basis_paths(parse_vertex("2@0"))[0]
+        assert prefix and prefix[-1].target != stray.source
+        for _ in range(2):
+            with pytest.raises(InvalidInputError, match="does not start where expected"):
+                fun.reduce_path(prefix + (stray,))
+        assert prefix in fun._reduced and prefix + (stray,) not in fun._reduced
     finally:
         clear_cache()
 
