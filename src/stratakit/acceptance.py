@@ -35,6 +35,7 @@ from .quiver_core import (
     Window,
     parse_vertex,
     a_n_quiver,
+    build_repetition,
     d4_quiver,
     kronecker_quiver,
     sigma_inv,
@@ -299,15 +300,12 @@ def criterion_8(seed=DEFAULT_SEED):
     w = Window(0, 3)
     wdims = {RepVertex("1", 1, True): 1, RepVertex("2", 1, True): 1,
              RepVertex("1", 2, True): 1, RepVertex("2", 0, True): 1}
+    # every frozen vertex is fixed (0 off wdims), so each draw has this w
+    frozen = {x: wdims.get(x, 0) for x in build_repetition(q, True, w, None).vertices if x.frozen}
     points = [SModulePoint.semisimple(q, w, wdims)]
-    while len(points) < 12:
-        rep = random_window_rep(q, w, rng, dim_choices=(0, 1, 1, 2), fixed_dims=wdims)
-        if any(rep.dim(u) != d for u, d in wdims.items()):
-            continue
-        pt = restrict(rep)
-        if pt.w_vector() == {u: d for u, d in wdims.items() if d}:
-            points.append(pt)
-    problems = []
+    points += [restrict(random_window_rep(q, w, rng, dim_choices=(0, 1, 1, 2), fixed_dims=frozen))
+               for _ in range(11)]
+    problems = [f"point {i} has w {M.w_vector()}" for i, M in enumerate(points) if M.w_vector() != wdims]
     results = [phi(M, w) for M in points]
     vs = [r.v for r in results]
     leq = [[degeneration_leq(points[i], points[j], w) for j in range(len(points))] for i in range(len(points))]

@@ -5,10 +5,14 @@ rationals (QQ, Fraction scalars) or a prime field GF(p) (PrimeField,
 GFElement scalars).  The primitives are written against the field object
 (zero, one, of_int, key):
 
-* rref, the only elimination, and what is read off it: mat_rank,
-  kernel_cols (a KernelBasis), left_kernel_rows, span_basis (the leftmost
-  spanning vectors), solve_many (coordinates in spanning columns) and
-  quotient_coords (a basis of a quotient);
+* rref, the only elimination of the program, on sparse rows (a dict from
+  column to nonzero value; a row may also come in as a list), and what is
+  read off it: mat_rank, kernel_cols (a KernelBasis), left_kernel_rows,
+  span_basis (the leftmost spanning vectors), solve_many (coordinates in
+  spanning columns) and quotient_coords (a basis of a quotient);
+* reference_rref, the dense elimination rref replaced, kept as the path
+  oracle's reference (mesh_hom.hom_dim_oracle and sweep_matches_oracle)
+  so that the oracle does not share the elimination it checks;
 * the maps a matrix induces on sub- and quotient spaces, sub_map and
   quotient_map;
 * products: mat_vec (skipping zero coordinates and zero entries) and
@@ -123,11 +127,81 @@ class PrimeField:
 
 
 # ---------------------------------------------------------------------------
-# Field-generic elimination on lists of rows.
+# Field-generic elimination: sparse rows, and the dense reference.
 # ---------------------------------------------------------------------------
 
-def rref(rows: Sequence[Sequence], ncols: int, field) -> Tuple[List[List], List[int]]:
-    """Reduced row echelon form and pivot column indices."""
+def rref(rows: Sequence, ncols: int, field) -> Tuple[List[List], List[int]]:
+    """Reduced row echelon form and pivot column indices, eliminating sparse rows.
+
+    Each row comes in as a list or as a dict from column to value; only the
+    first ncols columns are pivoted on, and any later columns (right-hand
+    sides) are carried along.  Rows are held as dicts of their nonzero
+    entries and reduced one at a time against the pivot rows so far, which
+    are kept fully reduced; a row left nonzero in the first ncols columns
+    becomes a new pivot row at its leftmost nonzero column.  The reduced
+    form is unique, so the pivots and the pivot rows on the first ncols
+    columns are those of the dense reference_rref.  Returns one list row
+    per row given, as wide as the widest row and at least ncols: the pivot
+    rows in pivot order, then the rest, which are zero in the first ncols
+    columns.
+    """
+    zero, one = field.zero, field.one
+    width = ncols
+    pivot_rows = {}   # pivot column -> its row, 1 at the pivot and 0 at every other pivot
+    rest = []
+    for r in rows:
+        if isinstance(r, dict):
+            row = {c: x for c, x in r.items() if x}
+            if row:
+                width = max(width, max(row) + 1)
+        else:
+            row = {c: x for c, x in enumerate(r) if x}
+            width = max(width, len(r))
+        for pc in [c for c in row if c in pivot_rows]:
+            _axpy(row, -row[pc], pivot_rows[pc])
+        lead = min(row, default=ncols)
+        if lead >= ncols:
+            rest.append(row)
+            continue
+        if row[lead] != one:
+            inv = one / row[lead]
+            row = {c: x * inv for c, x in row.items()}
+        for other in pivot_rows.values():
+            f = other.get(lead)
+            if f is not None:
+                _axpy(other, -f, row)
+        pivot_rows[lead] = row
+    pivots = sorted(pivot_rows)
+    out = []
+    for row in [pivot_rows[pc] for pc in pivots] + rest:
+        dense = [zero] * width
+        for c, x in row.items():
+            dense[c] = x
+        out.append(dense)
+    return out, pivots
+
+
+def _axpy(row: dict, f, other: dict):
+    """row += f * other on sparse rows, dropping the entries that cancel."""
+    for c, x in other.items():
+        y = row.get(c)
+        if y is None:
+            row[c] = f * x
+        else:
+            y += f * x
+            if y:
+                row[c] = y
+            else:
+                del row[c]
+
+
+def reference_rref(rows: Sequence[Sequence], ncols: int, field) -> Tuple[List[List], List[int]]:
+    """Dense reduced row echelon form and pivot column indices.
+
+    The path oracle's elimination (mesh_hom.hom_dim_oracle and
+    sweep_matches_oracle): it stays independent of rref, which the sweeps
+    it checks run on.
+    """
     m = [list(r) for r in rows]
     nrows = len(m)
     pivots = []

@@ -494,13 +494,8 @@ def kan_right(M: SModulePoint, w: Window) -> KanRight:
                         for j2, c in acts[j]:
                             pos = ov + i * mv + j2
                             entries[pos] = entries.get(pos, zero) - c
-                    row = None
-                    for pos, c in entries.items():
-                        if c != zero:
-                            if row is None:
-                                row = [zero] * nvars
-                            row[pos] = c
-                    if row is not None:
+                    row = {pos: c for pos, c in entries.items() if c}
+                    if row:
                         rows.append(row)
         basis_cols[x] = kernel_cols(rows, nvars, field)
 
@@ -1174,7 +1169,10 @@ def fiber(M: SModulePoint, v: Dict[RepVertex, int], p: int, w: Window, bound: in
     The GF(p) stage (see _FiberStage) is computed once per (M, p, w) and
     shared by later calls until mesh_hom.clear_cache(); each call checks
     its own bound, looks up its target and lifts and validates its witness.
+    A negative bound is an input error; bound 0 answers only when CK is zero.
     """
+    if bound < 0:
+        raise InvalidInputError("bound must be >= 0")
     if not is_dynkin(M.q).is_dynkin:
         raise InvalidInputError("fiber enumeration requires a Dynkin quiver")
     if isinstance(M.field, PrimeField) and M.field.p != p:

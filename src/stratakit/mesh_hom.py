@@ -6,7 +6,8 @@ element followed by an incoming arrow" and the mesh relator of the vertex
 is imposed once, as the image of Hom(a, tau(x)) inside the generator sum.
 Basis elements are therefore single paths, picked deterministically, and
 every arrow acts by an explicit matrix on the chosen bases.  Raw path
-enumeration plus Gaussian elimination is kept as the test oracle.
+enumeration plus dense Gaussian elimination (exact_linalg.reference_rref,
+not the sparse rref the sweep runs on) is kept as the test oracle.
 
 A Hom space computed on a window is exact (equal to the one of the full
 infinite category) whenever both endpoints lie in the window: every path
@@ -22,7 +23,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import InvalidInputError
-from .exact_linalg import QQ, mat_rank, mat_vec, quotient_coords
+from .exact_linalg import QQ, mat_vec, quotient_coords, reference_rref
 from .quiver_core import (
     Configuration,
     Quiver,
@@ -576,7 +577,7 @@ def hom_dim_oracle(ctx: MeshContext, x: RepVertex, y: RepVertex, w: Window) -> i
     if not paths:
         return 1 if x == y else 0
     rel_rows = _relator_rows(ctx, x, y, w, paths)
-    return len(paths) - mat_rank(rel_rows, len(paths), QQ)
+    return len(paths) - len(reference_rref(rel_rows, len(paths), QQ)[1])
 
 
 def sweep_matches_oracle(ctx: MeshContext, x: RepVertex, y: RepVertex, w: Window) -> bool:
@@ -591,7 +592,7 @@ def sweep_matches_oracle(ctx: MeshContext, x: RepVertex, y: RepVertex, w: Window
     if not paths:
         return hb.dim == (1 if x == y else 0)
     rel_rows = _relator_rows(ctx, x, y, w, paths)
-    base_rank = mat_rank(rel_rows, len(paths), QQ)
+    base_rank = len(reference_rref(rel_rows, len(paths), QQ)[1])
     if hb.dim != len(paths) - base_rank:
         return False
     index = {p: i for i, p in enumerate(paths)}
@@ -600,4 +601,4 @@ def sweep_matches_oracle(ctx: MeshContext, x: RepVertex, y: RepVertex, w: Window
         row = [QQ.zero] * len(paths)
         row[index[bp]] = QQ.one
         unit_rows.append(row)
-    return mat_rank(rel_rows + unit_rows, len(paths), QQ) == base_rank + hb.dim
+    return len(reference_rref(rel_rows + unit_rows, len(paths), QQ)[1]) == base_rank + hb.dim

@@ -134,6 +134,18 @@ def test_fiber_rejects_a_representation_over_another_prime(capsys):
     assert data["nonempty"] is True and data["field"] == 3 and data["witness"]["field"] == 3
 
 
+def test_fiber_negative_bound_exits_1_with_json_error(capsys):
+    rep = str(Path(__file__).parent / "golden" / "a2_fiber.json")
+    code, out, err = run(capsys, "fiber", "--rep", rep, "--v", "{}", "--bound", "-1")
+    assert code == 1 and out == ""
+    error = json.loads(err.strip())
+    assert error["error"] == "InvalidInputError" and "bound" in error["detail"]
+    code, out, _ = run(capsys, "fiber", "--rep", rep, "--v", "{}", "--bound", "0")
+    assert code == 0
+    data = json.loads(out)
+    assert data["nonempty"] is None and data["detail"] == "CK dimension 2 exceeds the bound 0"
+
+
 def test_ext_oracle_cli(capsys):
     code, out, _ = run(capsys, "ext-oracle", "--quiver", A2_JSON, "--window", "0", "6",
                        "--from", "1'@4", "--to", "1'@3", "--p", "1")

@@ -20,6 +20,7 @@ from stratakit.exact_linalg import (
     parse_fraction,
     quotient_coords,
     quotient_map,
+    reference_rref,
     rref,
     solve_many,
     span_basis,
@@ -373,6 +374,42 @@ def test_exact_linalg_is_the_only_elimination_core():
     assert problems == []
 
 
+# The routines read off rref: the oracle's ranks call none of them.
+RREF_ROUTES = {"rref", "mat_rank", "kernel_cols", "left_kernel_rows", "span_basis", "solve_many",
+               "quotient_coords", "sub_map"}
+ORACLES = {"hom_dim_oracle", "sweep_matches_oracle"}
+
+
+def _enclosing_functions(tree):
+    """Each node of tree with the name of the top-level function it sits in (None outside one)."""
+    for top in tree.body:
+        name = top.name if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef)) else None
+        for node in ast.walk(top):
+            yield name, node
+
+
+def test_reference_rref_ranks_only_for_the_path_oracle():
+    """The dense reference_rref is the path oracle's elimination, independent of rref: the two
+    oracle functions rank with it and call no rref route, and no other program code uses it."""
+    package = pathlib.Path(stratakit.__file__).parent
+    problems, oracle_calls = [], set()
+    for path in sorted(package.glob("*.py")):
+        for func, node in _enclosing_functions(ast.parse(path.read_text(), str(path))):
+            in_oracle = path.name == "mesh_hom.py" and func in ORACLES
+            named = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+            if named == "reference_rref":
+                if in_oracle and isinstance(node, ast.Name):
+                    oracle_calls.add(func)
+                else:
+                    problems.append(f"{path.name}:{node.lineno} uses reference_rref in {func}")
+            if isinstance(node, ast.alias) and node.name == "reference_rref" and path.name != "mesh_hom.py":
+                problems.append(f"{path.name} imports reference_rref")
+            if in_oracle and isinstance(node, ast.Call) and _called_name(node) in RREF_ROUTES:
+                problems.append(f"{path.name}:{node.lineno} {func} calls {_called_name(node)}")
+    assert problems == []
+    assert oracle_calls == ORACLES
+
+
 def test_mesh_hom_is_the_only_composition_routine():
     """Composites are read off mesh_hom's pre- and postcomposition matrices, never walked elsewhere."""
     package = pathlib.Path(stratakit.__file__).parent
@@ -535,3 +572,73 @@ def test_mat_vec_on_empty_shapes():
         assert mat_vec([], [], field) == []
         assert mat_vec([[], []], [], field) == [field.zero, field.zero]
         assert mat_vec([], [field.one, field.zero], field) == []
+
+
+# ---------------------------------------------------------------------------
+# The sparse rref against the dense reference_rref.
+# ---------------------------------------------------------------------------
+
+RREF_FIELDS = [QQ, PrimeField(2), PrimeField(3)]
+
+
+@st.composite
+def _rref_case(draw):
+    """Rows of an ncols-column matrix with extra augmented columns, each given as a list or a dict."""
+    field = draw(st.sampled_from(RREF_FIELDS))
+    ncols, extra = draw(st.integers(0, 6)), draw(st.integers(0, 3))
+    width = ncols + extra
+    dense = []
+    for _ in range(draw(st.integers(0, 6))):
+        if draw(st.integers(0, 4)) == 0:
+            dense.append([field.zero] * width)
+        else:
+            dense.append([field.of_int(draw(small_entries)) for _ in range(width)])
+    given = []
+    for row in dense:
+        kind = draw(st.sampled_from(["list", "dict", "dict-with-zeros"]))
+        if kind == "list":
+            given.append(list(row))
+        else:
+            given.append({c: x for c, x in enumerate(row) if kind == "dict-with-zeros" or x != field.zero})
+    return field, ncols, width, dense, given
+
+
+@settings(max_examples=300, deadline=None)
+@given(_rref_case())
+def test_rref_matches_the_dense_reference(case):
+    field, ncols, width, dense, given = case
+    snapshot = [dict(r) if isinstance(r, dict) else list(r) for r in given]
+    red, pivots = rref(given, ncols, field)
+    ref, ref_pivots = reference_rref(dense, ncols, field)
+    assert given == snapshot  # the rows given are left as they were
+    assert pivots == ref_pivots
+    rank = len(pivots)
+    assert len(red) == len(dense)
+    # one width for every row: at least ncols, and past ncols as far as an entry is given
+    assert len({len(row) for row in red}) <= 1 and all(ncols <= len(row) <= width for row in red)
+    # the reduced form on the first ncols columns is unique
+    assert [row[:ncols] for row in red[:rank]] == [row[:ncols] for row in ref[:rank]]
+    assert all(x == field.zero for row in red[rank:] for x in row[:ncols])
+    # an augmented column is consistent exactly when the rows past the rank are zero there,
+    # and then its entries in the pivot rows are the unique solution
+    def at(row, j):
+        return row[j] if j < len(row) else field.zero
+
+    for j in range(ncols, width):
+        consistent = all(at(row, j) == field.zero for row in red[rank:])
+        assert consistent == all(row[j] == field.zero for row in ref[rank:])
+        if consistent:
+            assert [at(row, j) for row in red[:rank]] == [row[j] for row in ref[:rank]]
+
+
+def test_rref_on_empty_shapes():
+    for field in RREF_FIELDS:
+        assert rref([], 0, field) == reference_rref([], 0, field) == ([], [])
+        assert rref([], 3, field) == reference_rref([], 3, field) == ([], [])
+        assert rref([[], []], 0, field) == reference_rref([[], []], 0, field) == ([[], []], [])
+        assert rref([{}, {}], 0, field) == ([[], []], [])
+        zero, one = field.zero, field.one
+        # no columns to pivot on: augmented entries are carried as they are
+        assert rref([[one, zero]], 0, field) == reference_rref([[one, zero]], 0, field) == ([[one, zero]], [])
+        assert rref([{1: one}], 0, field) == ([[zero, one]], [])
+        assert rref([{}], 2, field) == reference_rref([[zero, zero]], 2, field) == ([[zero, zero]], [])

@@ -891,6 +891,14 @@ def test_fiber_bound_gives_undetermined():
     assert res.nonempty is None
 
 
+def test_fiber_rejects_a_negative_bound():
+    rng = random.Random(6)
+    M = random_module_point(A2, Window(0, 4), rng, dim_choices=(1, 1), support=Window(0, 1))
+    with pytest.raises(InvalidInputError, match="bound must be >= 0"):
+        fiber(M, {}, 2, Window(0, 4), bound=-1)
+    assert fiber(M, {}, 2, Window(0, 4), bound=0).detail.endswith("exceeds the bound 0")
+
+
 def _twin_enumerate_subspaces(d, field):
     """_enumerate_subspaces as it was: one list holding every subspace."""
     values = field.elements()
