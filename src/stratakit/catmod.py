@@ -21,12 +21,15 @@ from .exact_linalg import (QQ, identity_rows, kernel_cols, mat_rank, mat_vec, qu
 from .mesh_hom import MeshContext, postcomposition_matrix, precomposition_matrix, sweep
 from .quiver_core import Configuration, Quiver, RepVertex, Window, shared
 
+# The levels a summand of the op-resolution in ext_from_injective_multi may climb per step.
+SHIFT_SPAN = 3
+
 
 class SCategoryWindow:
     """The singular category S_C restricted to a window, with explicit Hom data."""
 
     __slots__ = ("q", "config", "window", "field", "ctx", "objects", "obj_index",
-                 "_precomp", "_postcomp", "_syzygies", "_generators")
+                 "_precomp", "_postcomp", "_resolutions", "_generators")
 
     def __init__(self, q: Quiver, config: Optional[Configuration], window: Window, field=QQ):
         self.q = q
@@ -38,15 +41,15 @@ class SCategoryWindow:
         self.obj_index = {u: i for i, u in enumerate(self.objects)}
         self._precomp: Dict[tuple, list] = {}
         self._postcomp: Dict[tuple, list] = {}
-        self._syzygies: Dict[RepVertex, List["CatModule"]] = {}
+        self._resolutions: Dict[RepVertex, tuple] = {}  # x -> (S_x, the kept terms of its resolution)
         self._generators: Optional[Dict[tuple, List[int]]] = None  # made on first use
 
     def release(self):
         """Drop the memos; called when mesh_hom.clear_cache() drops a shared category,
-        so a module kept beyond it holds no composition matrices, generators or syzygies."""
+        so a module kept beyond it holds no composition matrices, generators or resolutions."""
         self._precomp.clear()
         self._postcomp.clear()
-        self._syzygies.clear()
+        self._resolutions.clear()
         self._generators = None
 
     def dim(self, u: RepVertex, v: RepVertex) -> int:
@@ -118,8 +121,8 @@ def window_category(q: Quiver, config: Optional[Configuration], window: Window, 
 
     Shared by every caller until mesh_hom.clear_cache(), like the slices of
     build_repetition, with its memos (composition matrices, generators,
-    syzygies), which clear_cache() releases; its Hom data must not be
-    modified.
+    the simples' resolutions), which clear_cache() releases; its Hom data
+    must not be modified.
     """
     config = config if config is not None else Configuration.full()
     return shared(("category", q._key, config.key(), window, field.key), SCategoryWindow, q, config, window, field)
@@ -229,18 +232,6 @@ def semisimple_module(cat: SCategoryWindow, w: Dict[RepVertex, int]) -> CatModul
     return CatModule(cat, dict(w), {})
 
 
-def projective_module(cat: SCategoryWindow, u0: RepVertex) -> CatModule:
-    """The free module Hom(?, u0)."""
-    dims = {u: cat.dim(u, u0) for u in cat.objects}
-    act = {}
-    for u, v, dk in cat.hom_pairs():
-        if dims.get(v, 0) == 0 or dims.get(u, 0) == 0:
-            continue
-        for k in range(dk):
-            act[(u, v, k)] = cat.precomposition(u, v, k, u0)
-    return CatModule(cat, dims, act)
-
-
 class ProjectiveCover:
     """A minimal cover P -> N: summand objects with generator vectors in N."""
 
@@ -318,68 +309,58 @@ def kernel_submodule(cover: ProjectiveCover) -> Tuple[CatModule, Dict[RepVertex,
     return CatModule(cat, dims, act), incl
 
 
-def radical_of_projective(cat: SCategoryWindow, u0: RepVertex) -> CatModule:
-    """rad Hom(?, u0): the free module with the identity component removed."""
-    proj = projective_module(cat, u0)
-    dims = dict(proj.dims)
-    dims[u0] = 0
-    act = {}
-    for key, mat in proj.act.items():
-        u, v, k = key
-        if dims.get(u, 0) == 0 or dims.get(v, 0) == 0:
-            continue
-        act[key] = mat
-    return CatModule(cat, dims, act)
+def _resolution(N: CatModule, steps: int, terms: list) -> list:
+    """Extend `terms`, the start of a minimal projective resolution of N, to `steps` terms.
 
-
-def syzygy_modules(cat: SCategoryWindow, x: RepVertex, p: int) -> List[CatModule]:
-    """[Omega^1 S_x, ..., Omega^p S_x] by iterated minimal covers.
-
-    Each simple's chain is kept on the category and extended on demand, so
-    every syzygy is covered and its kernel taken once per category; the
-    modules are shared with later callers and must not be modified.
-    """
-    if x not in cat.obj_index:
-        raise InvalidInputError(f"{x} is not an object of the windowed singular category")
-    chain = cat._syzygies.get(x)
-    if chain is None:
-        chain = cat._syzygies[x] = [radical_of_projective(cat, x)]
-    while len(chain) < p:
-        chain.append(kernel_submodule(minimal_cover(chain[-1]))[0])
-    return chain[:p]
-
-
-def ext_simple_multiplicity(cat: SCategoryWindow, x: RepVertex, y: RepVertex, p: int) -> int:
-    """dim Ext^p(S_x, S_y): the multiplicity of y's projective in the p-th cover."""
-    if p <= 0:
-        raise InvalidInputError("ext_simple_multiplicity needs p >= 1")
-    omega = syzygy_modules(cat, x, p)[-1]
-    return len(omega.top_generators(y))
-
-
-def _resolution(N: CatModule, steps: int):
-    """The first `steps` terms of a minimal projective resolution of N.
-
-    Each term is (cover, coeffs).  The cover's summands are the
-    representables of P_i; coeffs[t] writes the generator of summand t as
-    a vector of morphism coefficients over the summands of P_{i-1}, the
-    differential P_i -> P_{i-1} (None for P_0 -> N).
+    Term i is (cover, coeffs): the minimal cover P_i -> Omega^i N, whose
+    target is the i-th syzygy (Omega^0 N = N), and coeffs[t], which writes
+    the generator of summand t as a vector of morphism coefficients over
+    the summands of P_{i-1}: the differential P_i -> P_{i-1} (None for
+    P_0 -> N).  Omega^i N is the kernel of P_{i-1} -> Omega^{i-1} N, taken
+    only when term i is.  This is the one routine that covers and takes
+    kernels; the terms are extended in place and the first `steps` are
+    returned.
     """
     field = N.field
-    covers = []
-    cur = N
-    lift_cols = None  # inclusion of the current syzygy into the previous projective
-    for _ in range(steps):
+    while len(terms) < steps:
+        if terms:
+            cur, lift_cols = kernel_submodule(terms[-1][0])
+        else:
+            cur, lift_cols = N, None
         cover = minimal_cover(cur)
         coeffs = None
         if lift_cols is not None:
-            coeffs = []
-            for u, gen in cover.summands:
-                # gen lives in the syzygy's coordinates at u; push it into P_{i-1}(u)
-                coeffs.append(mat_vec(transpose_rows(lift_cols[u]), gen, field))
-        covers.append((cover, coeffs))
-        cur, lift_cols = kernel_submodule(cover)
-    return covers
+            # each generator lives in the syzygy's coordinates at u; push it into P_{i-1}(u)
+            coeffs = [mat_vec(transpose_rows(lift_cols[u]), gen, field) for u, gen in cover.summands]
+        terms.append((cover, coeffs))
+    return terms[:steps]
+
+
+def simple_resolution(cat: SCategoryWindow, x: RepVertex, steps: int) -> list:
+    """The first `steps` terms of the minimal resolution of the simple at x (see _resolution).
+
+    Each simple's resolution is kept on the category and extended on
+    demand, so every syzygy is covered and its kernel taken once per
+    category; the terms are shared with later callers and must not be
+    modified.
+    """
+    kept = cat._resolutions.get(x)
+    if kept is None:
+        kept = cat._resolutions[x] = (simple_module(cat, x), [])
+    return _resolution(kept[0], steps, kept[1])
+
+
+def syzygy_modules(cat: SCategoryWindow, x: RepVertex, p: int) -> List[CatModule]:
+    """[Omega^1 S_x, ..., Omega^p S_x], the targets of the kept covers P_1, ..., P_p."""
+    return [cover.target for cover, _ in simple_resolution(cat, x, p + 1)[1:]]
+
+
+def ext_simple_multiplicity(cat: SCategoryWindow, x: RepVertex, y: RepVertex, p: int) -> int:
+    """dim Ext^p(S_x, S_y): the number of summands at y of P_p in the minimal resolution of S_x."""
+    if p <= 0:
+        raise InvalidInputError("ext_simple_multiplicity needs p >= 1")
+    cover, _ = simple_resolution(cat, x, p + 1)[p]
+    return sum(1 for u, _ in cover.summands if u == y)
 
 
 def _hom_complex_dim(cat, covers, X: CatModule, p: int) -> int:
@@ -438,7 +419,7 @@ def ext_dim(cat: SCategoryWindow, N: CatModule, M: CatModule, p: int) -> int:
     """dim Ext^p(N, M) from a minimal resolution of N and the Yoneda identification."""
     if p < 0:
         raise InvalidInputError("negative Ext degree")
-    return _hom_complex_dim(cat, _resolution(N, p + 2), M, p)
+    return _hom_complex_dim(cat, _resolution(N, p + 2, []), M, p)
 
 
 # ---------------------------------------------------------------------------
@@ -509,40 +490,33 @@ def op_representable(opcat: OpSCategoryWindow, x0: RepVertex) -> CatModule:
     return CatModule(opcat, dims, act)
 
 
-def ext_from_injective(cat: SCategoryWindow, x0: RepVertex, M: CatModule, p: int,
-                       shift_span: int = 3) -> int:
-    """dim Ext^p from the cofree module at x0 into a finite module M.
+def ext_from_injective_multi(cat: SCategoryWindow, x0_list, M: CatModule, p: int):
+    """dim Ext^p from the cofree module at each x0 into a finite module M.
 
     The cofree module need not be finite-dimensional (for the full
     configuration it never is), so it cannot be truncated; instead the
     computation runs over the opposite category, resolving the k-dual of
-    M and mapping into the op-representable at x0.
+    M once and mapping into the op-representable at each x0.
     """
-    return ext_from_injective_multi(cat, [x0], M, p, shift_span)[x0]
-
-
-def ext_from_injective_multi(cat: SCategoryWindow, x0_list, M: CatModule, p: int,
-                             shift_span: int = 3):
-    """Ext^p from several cofree modules into M, sharing one op-resolution."""
     for x0 in x0_list:
         if x0 not in cat.obj_index:
             raise InvalidInputError(f"{x0} is not an object of the windowed singular category")
     if M.is_zero():
         return {x0: 0 for x0 in x0_list}
-    # Summand levels climb at most shift_span per step above the support of
+    # Summand levels climb at most SHIFT_SPAN per step above the support of
     # M; the bound is checked, and the window must leave that headroom so
     # no summand (whose Hom into a representable would not vanish) is missed.
     steps = p + 2
     top = max(u.level for u, d in M.dims.items() if d)
-    need = top + shift_span * steps + 1
+    need = top + SHIFT_SPAN * steps + 1
     if cat.window.hi < need:
         raise WindowInsufficiencyError(
             f"resolving the dual module needs window top >= {need}, have {cat.window.hi}")
     opcat = OpSCategoryWindow(cat)
-    covers = _resolution(dual_module(opcat, M), steps)
+    covers = _resolution(dual_module(opcat, M), steps, [])
     for step, (cover, _) in enumerate(covers):
         for u, _ in cover.summands:
-            if u.level > top + shift_span * step + 1:
+            if u.level > top + SHIFT_SPAN * step + 1:
                 raise InternalConsistencyError(
                     f"op-cover summand {u} above the shift bound at step {step}")
     out = {}

@@ -64,7 +64,7 @@ def _quiver(args) -> Quiver:
 def _window(args) -> Window:
     if args.window is None:
         raise InvalidInputError("--window LO HI is required")
-    return Window(args.window[0], args.window[1])
+    return Window.from_json(args.window)
 
 
 def _config(args) -> Configuration:

@@ -100,8 +100,14 @@ class GFElement:
         return f"{self.v}(mod {self.p})"
 
 
+# Primes are checked by trial division, which this bound keeps under 46,341 steps.
+MAX_PRIME = 2 ** 31
+
+
 class PrimeField:
     def __init__(self, p: int):
+        if p >= MAX_PRIME:
+            raise InvalidInputError(f"field characteristic {p} is not below {MAX_PRIME}")
         if p < 2 or any(p % d == 0 for d in range(2, int(p ** 0.5) + 1)):
             raise InvalidInputError(f"{p} is not prime")
         self.p = p

@@ -256,6 +256,11 @@ def sigma_arrow(q: Quiver, ra: RepArrow) -> RepArrow:
     return RepArrow("f", ra.base, RepVertex(ra.base, p - 1), RepVertex(ra.base, p - 1, True))
 
 
+# The most levels a window given as input may span: every level of it is
+# built, and the widest window the tests and the benchmark use is [0, 17].
+MAX_WINDOW_LEVELS = 1000
+
+
 @dataclass(frozen=True)
 class Window:
     """Inclusive level bounds [lo, hi].  No operation silently extends a window."""
@@ -281,10 +286,14 @@ class Window:
 
     @classmethod
     def from_json(cls, data) -> "Window":
-        try:
-            lo, hi = int(data[0]), int(data[1])
-        except (TypeError, ValueError, IndexError, OverflowError) as exc:
-            raise InvalidInputError(f"bad window {data!r}") from exc
+        """A window given as input: exactly two integers (no booleans) [lo, hi],
+        spanning at most MAX_WINDOW_LEVELS levels."""
+        if not (isinstance(data, (list, tuple)) and len(data) == 2
+                and all(isinstance(x, int) and not isinstance(x, bool) for x in data)):
+            raise InvalidInputError(f"bad window {data!r}: expected two integers [lo, hi]")
+        lo, hi = data
+        if hi - lo >= MAX_WINDOW_LEVELS:
+            raise InvalidInputError(f"window [{lo},{hi}] spans {hi - lo + 1} levels, more than {MAX_WINDOW_LEVELS}")
         return cls(lo, hi)
 
 

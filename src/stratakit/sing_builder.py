@@ -138,16 +138,17 @@ def ext_oracle(q: Quiver, config: Optional[Configuration], w: Window,
     """dim Ext^p between simple modules over the singular category, by syzygies.
 
     Builds the minimal projective resolution of the simple at x inside S_C
-    (covers from tops, kernels by exact elimination) and reads off the
-    multiplicity of y's projective at step p.  This is the independent
-    check of the closed-form counts; agreement is the test, not an input.
+    (covers from tops, kernels by exact elimination) and counts the
+    summands of P_p at y.  This is the independent check of the
+    closed-form counts; agreement is the test, not an input.
 
     The computation is exact on the sub-window between the two levels:
     cover summands below the target never contribute at or above it.  The
     shrink matters for non-Dynkin quivers, where framed morphism spaces
     grow exponentially with the level distance.  The category of that
     sub-window is the shared one of catmod.window_category, so every target
-    on one level reuses the simple's syzygies (syzygy_modules).
+    on one level reads the simple's one kept resolution
+    (catmod.simple_resolution).
     """
     if p not in (1, 2, 3):
         raise InvalidInputError("ext_oracle supports p in {1, 2, 3}")
@@ -165,7 +166,7 @@ def ext_oracle(q: Quiver, config: Optional[Configuration], w: Window,
 
 
 def second_syzygy_is_zero(q: Quiver, config: Optional[Configuration], w: Window, x: RepVertex) -> bool:
-    """Whether the second syzygy of the simple at x vanishes on the window."""
+    """Whether the second syzygy of the simple at x vanishes on the window, read off its kept resolution."""
     if not w.contains(x):
         raise WindowInsufficiencyError(f"{x} outside window")
     cat = window_category(q, config, Window(w.lo, x.level))

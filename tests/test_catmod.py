@@ -1,6 +1,10 @@
 """Kernels of projective covers against the dense twin; the generators of the
 singular category against its quiver; radical and socle along the generators
-against their all-basis-morphism twins; the category memos across clear_cache()."""
+against their all-basis-morphism twins; the category memos across clear_cache();
+_resolution as the one routine that covers and takes kernels."""
+import ast
+import inspect
+import pathlib
 import random
 from fractions import Fraction
 
@@ -16,7 +20,6 @@ from stratakit.catmod import (
     kernel_submodule,
     minimal_cover,
     op_representable,
-    radical_of_projective,
     syzygy_modules,
     window_category,
 )
@@ -35,6 +38,21 @@ A2 = a_n_quiver(2)
 # The dense twin: the projective cover as one module with block-diagonal
 # actions, and its kernel's action solved by elimination in plain lists.
 # ---------------------------------------------------------------------------
+
+def _twin_radical_of_projective(cat, u0):
+    """rad Hom(?, u0) built directly: the free module at u0 with its identity component removed."""
+    dims = {u: cat.dim(u, u0) for u in cat.objects}
+    dims[u0] = 0
+    act = {(u, v, k): cat.precomposition(u, v, k, u0)
+           for u, v, dk in cat.hom_pairs() if dims[u] and dims[v] for k in range(dk)}
+    return CatModule(cat, dims, act)
+
+
+def _first_syzygy(cat, x):
+    """Omega^1 S_x = ker(P_x -> S_x) from the kept resolution, checked against the twin."""
+    mod = _twin_radical_of_projective(cat, x)
+    assert syzygy_modules(cat, x, 1)[0].equal(mod)
+    return mod
 
 def _twin_block_diag(blocks, rows, cols, zero):
     out = [[zero] * cols for _ in range(rows)]
@@ -126,7 +144,7 @@ def test_kernel_submodule_matches_dense_twin_on_syzygy_chains(q, window, top, de
     cat = SCategoryWindow(q, None, Window(*window))
     covers = kernels = 0
     for x in [u for u in cat.objects if u.level <= top]:
-        mod = radical_of_projective(cat, x)
+        mod = _first_syzygy(cat, x)
         for _ in range(depth - 1):
             cover = minimal_cover(mod)
             covers += bool(cover.summands)
@@ -185,7 +203,7 @@ def test_kernels_eliminate_once_per_cover_vertex(monkeypatch):
 
 def test_kernel_not_closed_under_the_action_is_an_internal_fault(monkeypatch):
     cat = SCategoryWindow(A2, None, Window(0, 9))
-    cover = minimal_cover(radical_of_projective(cat, RepVertex("2", 5, True)))
+    cover = minimal_cover(_twin_radical_of_projective(cat, RepVertex("2", 5, True)))
     assert kernel_submodule(cover)[0].act  # and fills the category's precomposition memo
     first = cover.summands[0][0]
     for key, mat in list(cat._precomp.items()):
@@ -287,7 +305,7 @@ def test_radical_and_socle_match_the_all_basis_twins_on_syzygy_chains(q, window,
     cat = SCategoryWindow(q, None, Window(*window))
     nonzero = 0
     for x in [u for u in cat.objects if u.level <= top]:
-        mod = radical_of_projective(cat, x)
+        mod = _first_syzygy(cat, x)
         for _ in range(depth - 1):
             nonzero += _assert_radical_and_socle_match_the_twins(mod)
             mod = kernel_submodule(minimal_cover(mod))[0]
@@ -337,7 +355,7 @@ def test_radical_and_socle_match_the_all_basis_twins_on_the_op_resolution(monkey
 # ---------------------------------------------------------------------------
 
 def _memo_sizes(cat):
-    return [len(cat._precomp), len(cat._postcomp), len(cat._syzygies), len(cat._generators or ())]
+    return [len(cat._precomp), len(cat._postcomp), len(cat._resolutions), len(cat._generators or ())]
 
 
 def _fill_memos(cat):
@@ -376,3 +394,27 @@ def test_clear_cache_leaves_the_memos_of_a_category_built_directly():
         assert _memo_sizes(cat) == sizes
     finally:
         clear_cache()
+
+
+# ---------------------------------------------------------------------------
+# One minimal-resolution routine.
+# ---------------------------------------------------------------------------
+
+def test_resolution_is_the_only_routine_that_covers_and_takes_kernels():
+    """In the package, minimal_cover and kernel_submodule are called from catmod._resolution only;
+    the single-purpose chain builders are gone, and Ext from cofree modules takes no span option."""
+    package = pathlib.Path(catmod.__file__).parent
+    callers, names = set(), set()
+    for path in sorted(package.glob("*.py")):
+        for top in ast.parse(path.read_text(), str(path)).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call):
+                    func = node.func
+                    called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                    if called in ("minimal_cover", "kernel_submodule"):
+                        callers.add((path.name, getattr(top, "name", None), called))
+                names.update(n for n in (getattr(node, "name", None), getattr(node, "id", None),
+                                         getattr(node, "attr", None)) if isinstance(n, str))
+    assert callers == {("catmod.py", "_resolution", "minimal_cover"), ("catmod.py", "_resolution", "kernel_submodule")}
+    assert not names & {"radical_of_projective", "projective_module", "ext_from_injective", "shift_span"}
+    assert list(inspect.signature(ext_from_injective_multi).parameters) == ["cat", "x0_list", "M", "p"]

@@ -1,12 +1,14 @@
 import json
 import re
+import time
 from pathlib import Path
 
 import pytest
 
 from stratakit.cli import main
 from stratakit.kan_strata import SModulePoint, kan_intermediate, representable_rep
-from stratakit.quiver_core import Window, a_n_quiver, parse_vertex
+from stratakit.errors import InvalidInputError
+from stratakit.quiver_core import MAX_WINDOW_LEVELS, Window, a_n_quiver, parse_vertex
 
 
 A2_JSON = json.dumps({"vertices": ["1", "2"],
@@ -256,6 +258,33 @@ def test_bad_input_exits_1_with_json_error(capsys, argv):
     assert code == 1
     assert out == ""
     assert json.loads(err.strip())["error"] == "InvalidInputError"
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate", "--rep", json.dumps(dict(A2_REP, window=[0, 100000000]))],
+    ["hom", "--quiver", A2_JSON, "--window", "0", "100000000", "--from", "1@0", "--to", "1@1"],
+    ["sing-quiver", "--quiver", A2_JSON, "--window", "-100000000", "0"],
+    ["validate", "--rep", json.dumps(dict(A2_REP, window=[0, 2.7]))],
+    ["validate", "--rep", json.dumps(dict(A2_REP, window=[False, "3"]))],
+    ["validate", "--rep", json.dumps(dict(A2_REP, window=[0, 2, 5]))],
+    ["validate", "--rep", json.dumps(dict(A2_REP, field=100000000000031))],
+    ["validate", "--rep", json.dumps(dict(A2_REP, field=2 ** 89 - 1))],
+    ["fiber", "--rep", json.dumps(dict(A2_REP, dims={"1'@1": 1})), "--v", "{}", "--field", str(2 ** 89 - 1)],
+], ids=["rep-window-too-wide", "hom-window-too-wide", "sing-quiver-window-too-wide", "fractional-window",
+        "boolean-and-string-window", "three-entry-window", "prime-above-2-31", "mersenne-89", "fiber-mersenne-89"])
+def test_oversized_or_non_integer_input_exits_1_within_a_second(capsys, argv):
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 1 and out == ""
+    assert json.loads(err.strip())["error"] == "InvalidInputError"
+
+
+def test_window_input_takes_two_integers_spanning_at_most_the_limit():
+    assert Window.from_json([5, 5 + MAX_WINDOW_LEVELS - 1]) == Window(5, 5 + MAX_WINDOW_LEVELS - 1)
+    for bad in ([5, 5 + MAX_WINDOW_LEVELS], [0, 2.0], [False, 2], [0, "2"], [0], [0, 1, 2], "0 2", None):
+        with pytest.raises(InvalidInputError):
+            Window.from_json(bad)
 
 
 @pytest.mark.parametrize("where", ["regular-file", "under-a-file"])

@@ -2,14 +2,16 @@
 
 Arguments are drawn both as arbitrary JSON and as near-valid quivers,
 configurations, vertex maps and window representations, so that the
-draws reach past the first parse into the mesh categories.  Integers stay
-small, so each draw runs in milliseconds.
+draws reach past the first parse into the mesh categories.  Most integers
+are drawn small, but SCALARS also draws unbounded ones, so a window or a
+field characteristic can be huge: the input boundary must reject those
+before any work, as the pinned examples check.
 """
 import contextlib
 import io
 import json
 
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from stratakit import mesh_hom
 from stratakit.cli import main
@@ -78,6 +80,8 @@ COMMANDS = st.one_of(
 
 @settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(COMMANDS)
+@example(["validate", _arg("rep", dict(VALID_REP, window=[0, 100000000]))])
+@example(["validate", _arg("rep", dict(VALID_REP, field=2 ** 89 - 1))])
 def test_cli_json_arguments_end_in_a_result_or_a_json_error(argv):
     out, err = io.StringIO(), io.StringIO()
     mesh_hom.clear_cache()

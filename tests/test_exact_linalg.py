@@ -2,10 +2,12 @@ import ast
 import pathlib
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import stratakit
 from stratakit import exact_linalg
+from stratakit.errors import InvalidInputError
 from stratakit.exact_linalg import (
     QQ,
     GFElement,
@@ -162,6 +164,14 @@ def test_quotient_map_empty_bases():
     assert quotient_map([], [0, 1], [], QQ) == []
     _, zero = quotient_coords(2, _q([[1, 0], [0, 1]]), QQ)
     assert quotient_map(m, [0], zero, QQ) == []
+
+
+def test_prime_field_rejects_characteristics_from_2_to_the_31():
+    """Trial division stays under 46,341 steps: 2**31 - 1 is the largest prime accepted."""
+    assert PrimeField(2 ** 31 - 1).p == 2 ** 31 - 1
+    for p in (2 ** 31, 100000000000031, 2 ** 89 - 1, 10 ** 400):
+        with pytest.raises(InvalidInputError, match="not below 2147483648"):
+            PrimeField(p)
 
 
 def test_fraction_json_round_trip():

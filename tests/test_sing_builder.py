@@ -9,11 +9,9 @@ from stratakit.catmod import (
     SCategoryWindow,
     dual_module,
     ext_dim,
-    ext_from_injective,
+    ext_from_injective_multi,
     kernel_submodule,
     minimal_cover,
-    projective_module,
-    radical_of_projective,
     simple_module,
     syzygy_modules,
 )
@@ -34,6 +32,21 @@ from stratakit.quiver_core import (
 from stratakit.sing_builder import SingQuiverReport, build_sing_quiver, ext_oracle, second_syzygy_is_zero
 
 A2 = a_n_quiver(2)
+
+
+def projective_module(cat: SCategoryWindow, u0: RepVertex) -> CatModule:
+    """The free module Hom(?, u0)."""
+    dims = {u: cat.dim(u, u0) for u in cat.objects}
+    act = {(u, v, k): cat.precomposition(u, v, k, u0)
+           for u, v, dk in cat.hom_pairs() if dims[u] and dims[v] for k in range(dk)}
+    return CatModule(cat, dims, act)
+
+
+def radical_of_projective(cat: SCategoryWindow, u0: RepVertex) -> CatModule:
+    """rad Hom(?, u0): the free module with the identity component removed."""
+    proj = projective_module(cat, u0)
+    dims = {**proj.dims, u0: 0}
+    return CatModule(cat, dims, {(u, v, k): m for (u, v, k), m in proj.act.items() if dims[u] and dims[v]})
 
 
 def injective_module(cat: SCategoryWindow, u0: RepVertex) -> CatModule:
@@ -119,6 +132,7 @@ def test_projective_module_values_and_socle():
     assert simple.socle_dim(u0) == 1
     rad = radical_of_projective(cat, u0)
     assert rad.dim(u0) == 0
+    assert syzygy_modules(cat, u0, 1)[0].equal(rad)  # the kept first kernel is rad P_u0
 
 
 def test_kronecker_resolutions_stop():
@@ -149,7 +163,8 @@ def test_duality_self_check():
 def test_ext_from_injective_vanishes_high():
     cat = SCategoryWindow(A2, None, Window(0, 17))
     module = CatModule(cat, {parse_vertex("1'@0"): 1, parse_vertex("2'@1"): 1}, {})
-    vals = {p: ext_from_injective(cat, parse_vertex("1'@0"), module, p) for p in (2, 3)}
+    x0 = parse_vertex("1'@0")
+    vals = {p: ext_from_injective_multi(cat, [x0], module, p)[x0] for p in (2, 3)}
     assert vals == {2: 0, 3: 0}
 
 
@@ -332,10 +347,10 @@ def test_clear_cache_drops_the_shared_syzygies(monkeypatch):
     targets = [parse_vertex(k) for k in ("1'@1", "2'@1")]
     calls = _count_kernels(monkeypatch)
     first = [ext_oracle(A2, None, w, x, y, 2) for y in targets]
-    assert len(calls) == 1  # both targets read one chain
+    assert len(calls) == 2  # both targets read one resolution: the kernels Omega^1 and Omega^2
     categories = [obj for key, obj in quiver_core._SHARED.items() if key[0] == "category"]
-    assert len(categories) == 1 and list(categories[0]._syzygies) == [x]
+    assert len(categories) == 1 and list(categories[0]._resolutions) == [x]
     mesh_hom.clear_cache()
     assert quiver_core._SHARED == {}
     assert [ext_oracle(A2, None, w, x, y, 2) for y in targets] == first
-    assert len(calls) == 2
+    assert len(calls) == 4
