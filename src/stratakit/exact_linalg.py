@@ -1,9 +1,10 @@
 """The one exact linear-algebra core: fields, elimination and products.
 
 Every elimination in the package runs here, over one of two fields: the
-rationals (QQ, Fraction scalars) or a prime field GF(p) (PrimeField,
-GFElement scalars).  The primitives are written against the field object
-(zero, one, of_int, key):
+rationals (QQ: a scalar is an int while it is integral and a Fraction
+only when it is not) or a prime field GF(p) (PrimeField, GFElement
+scalars).  The primitives are written against the field object (zero,
+one, of_int, inv, key):
 
 * rref, the only elimination of the program, on sparse rows (a dict from
   column to nonzero value; a row may also come in as a list), and what is
@@ -34,15 +35,27 @@ from .errors import InvalidInputError
 
 
 class RationalField:
-    """The field of rationals, as the default scalar domain."""
+    """The field of rationals, as the default scalar domain.
 
-    zero = Fraction(0)
-    one = Fraction(1)
+    Its scalars are ints and Fractions: integral values may be either, and
+    ints and Fractions mix exactly.  Division happens only in inv, so an
+    int / int never makes a float.
+    """
+
+    zero = 0
+    one = 1
     key = "QQ"
 
     @staticmethod
-    def of_int(n: int) -> Fraction:
-        return Fraction(n)
+    def of_int(n: int) -> int:
+        return n
+
+    @staticmethod
+    def inv(x):
+        """1 / x; the inverse of an int stays an int when it is integral (+-1)."""
+        if type(x) is int:
+            return x if x == 1 or x == -1 else Fraction(1, x)
+        return 1 / x
 
     @staticmethod
     def encode(x) -> str:
@@ -118,6 +131,9 @@ class PrimeField:
     def of_int(self, n: int) -> GFElement:
         return GFElement(n, self.p)
 
+    def inv(self, x: GFElement) -> GFElement:
+        return self.one / x
+
     def encode(self, x: GFElement) -> str:
         """The JSON entry of x: its residue in 0..p-1, as a decimal string."""
         return str(x.v)
@@ -170,7 +186,7 @@ def rref(rows: Sequence, ncols: int, field) -> Tuple[List[List], List[int]]:
             rest.append(row)
             continue
         if row[lead] != one:
-            inv = one / row[lead]
+            inv = field.inv(row[lead])
             row = {c: x * inv for c, x in row.items()}
         for other in pivot_rows.values():
             f = other.get(lead)
@@ -206,8 +222,11 @@ def reference_rref(rows: Sequence[Sequence], ncols: int, field) -> Tuple[List[Li
 
     The path oracle's elimination (mesh_hom.hom_dim_oracle and
     sweep_matches_oracle): it stays independent of rref, which the sweeps
-    it checks run on.
+    it checks run on.  Over QQ its pivot division is by a Fraction one, so
+    int rows never divide into floats and the oracle's Fraction rows stay
+    Fractions.
     """
+    one = Fraction(1) if isinstance(field, RationalField) else field.one
     m = [list(r) for r in rows]
     nrows = len(m)
     pivots = []
@@ -221,7 +240,7 @@ def reference_rref(rows: Sequence[Sequence], ncols: int, field) -> Tuple[List[Li
         if pr is None:
             continue
         m[r], m[pr] = m[pr], m[r]
-        inv = field.one / m[r][c]
+        inv = one / m[r][c]
         m[r] = [x * inv for x in m[r]]
         for i in range(nrows):
             if i != r and m[i][c] != field.zero:
@@ -439,16 +458,22 @@ def transpose_rows(a):
     return [list(col) for col in zip(*a)]
 
 
-def format_fraction(x: Fraction) -> str:
+def format_fraction(x) -> str:
     """Lossless "num/den" encoding; integers drop the denominator."""
+    if type(x) is int:
+        return str(x)
     x = Fraction(x) if isinstance(x, (int, str)) else x
     if not isinstance(x, Fraction):
         raise InvalidInputError(f"not an exact rational: {x!r}")
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
-def parse_fraction(s) -> Fraction:
+def parse_fraction(s):
+    """A rational from its JSON form: an int when it is integral, else a Fraction."""
+    if type(s) is int:
+        return s
     try:
-        return Fraction(s)
+        x = Fraction(s)
     except (ValueError, ZeroDivisionError, TypeError) as exc:
         raise InvalidInputError(f"bad rational {s!r}") from exc
+    return x.numerator if x.denominator == 1 else x

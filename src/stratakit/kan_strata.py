@@ -90,7 +90,10 @@ class WindowRep:
             rows, cols = self.dim(a.source), self.dim(a.target)
             if not self.rq.has_vertex(a.source) or not self.rq.has_vertex(a.target):
                 raise InvalidInputError(f"arrow {a} leaves the window")
-            mm = [list(r) for r in m]
+            if field is QQ:  # integral entries as ints, the cheap scalars of the exact core
+                mm = [[x.numerator if x.denominator == 1 else x for x in r] for r in m]
+            else:
+                mm = [list(r) for r in m]
             if len(mm) != rows or any(len(r) != cols for r in mm):
                 raise InvalidInputError(f"matrix for {a} must be {rows}x{cols}")
             if any(x != self.field.zero for r in mm for x in r):
@@ -154,25 +157,6 @@ class WindowRep:
                     m[r1 + i][c1 + j] = m2[i][j]
             mats[a] = m
         return WindowRep(self.q, self.window, self.config, dims, mats, self.field)
-
-    def base_change(self, g: Dict[RepVertex, list]) -> "WindowRep":
-        """Conjugate by invertible matrices at the given (non-frozen) vertices."""
-        ginv = {}
-        for v, mat in g.items():
-            d = self.dim(v)
-            if len(mat) != d or any(len(row) != d for row in mat):
-                raise InvalidInputError(f"base change at {v} has wrong size")
-            inv = _invert(mat, self.field)
-            ginv[v] = inv
-        mats = {}
-        for a in self.mats:
-            m = self.mat(a)
-            if a.source in g:
-                m = mat_mul(g[a.source], m, self.field)
-            if a.target in ginv and m:
-                m = mat_mul(m, ginv[a.target], self.field)
-            mats[a] = m
-        return WindowRep(self.q, self.window, self.config, dict(self.dims), mats, self.field)
 
     def reduce_mod(self, field: PrimeField) -> "WindowRep":
         mats = {a: [[field.of_fraction(x) for x in row] for row in m] for a, m in self.mats.items()}
@@ -238,14 +222,6 @@ def _mul(a, b, n, k, m, field):
     if n == 0 or m == 0 or k == 0:
         return [[field.zero] * m for _ in range(n)]
     return mat_mul(a, b, field)
-
-
-def _invert(mat: list, field) -> list:
-    """The inverse of a square matrix: its columns solve mat x = e_j."""
-    cols = solve_many(transpose_rows(mat), identity_rows(len(mat), field), field)
-    if any(col is None for col in cols):
-        raise InvalidInputError("matrix is not invertible")
-    return transpose_rows(cols)
 
 
 def _sub_rep(rep: WindowRep, cols: Dict[RepVertex, list], failure_msg: str) -> WindowRep:

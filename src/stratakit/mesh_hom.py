@@ -385,10 +385,12 @@ def _pick(seq, i):
 def _decode(ctx: MeshContext, source: RepVertex, window: Window, key, raw: bytes) -> Optional[HomFunctor]:
     rq = ctx._slice(window)
     vertices, arrows = rq.vertices, rq.arrows
-    fracs: Dict[object, Fraction] = {}  # equal entries share one Fraction
+    fracs: Dict[str, Fraction] = {}  # equal "p/q" entries share one Fraction
 
     def rational(x):
-        if type(x) is not int and type(x) is not str:
+        if type(x) is int:
+            return x
+        if type(x) is not str:
             raise TypeError(x)
         f = fracs.get(x)
         if f is None:
@@ -447,19 +449,6 @@ class HomBasis:
     def reduce_path(self, path: Sequence[RepArrow]) -> Morphism:
         vec = self.functor.reduce_path(path)
         return Morphism(self.source, self.target, tuple(vec))
-
-    def element(self, coeffs) -> Morphism:
-        if len(coeffs) != self.dim:
-            raise InvalidInputError("coefficient length mismatch")
-        return Morphism(self.source, self.target, tuple(coeffs))
-
-    def basis_elements(self) -> List[Morphism]:
-        out = []
-        for i in range(self.dim):
-            co = [self.functor.field.zero] * self.dim
-            co[i] = self.functor.field.one
-            out.append(Morphism(self.source, self.target, tuple(co)))
-        return out
 
     def to_json(self):
         return {"dim": self.dim, "basis": [[a.key() for a in p] for p in self.basis]}
@@ -550,6 +539,10 @@ def enumerate_paths(ctx: MeshContext, a: RepVertex, b: RepVertex, w: Window) -> 
     return back(b)
 
 
+# The oracle's rows hold Fractions only, never the ints the sweeps run on.
+_ZERO, _ONE = Fraction(0), Fraction(1)
+
+
 def _relator_rows(ctx: MeshContext, x: RepVertex, y: RepVertex, w: Window, paths) -> List[list]:
     """One row per mesh-relator instance x -> tau(z) ~> z -> y, over the given paths x -> y."""
     index = {p: i for i, p in enumerate(paths)}
@@ -564,9 +557,9 @@ def _relator_rows(ctx: MeshContext, x: RepVertex, y: RepVertex, w: Window, paths
             branches = [(sigma_arrow(ctx.q, b), b) for b in ctx.in_arrows(z, w)]
             for hpath in heads:
                 for tpath in tails:
-                    row = [QQ.zero] * len(paths)
+                    row = [_ZERO] * len(paths)
                     for sb, b in branches:
-                        row[index[hpath + (sb, b) + tpath]] += QQ.one
+                        row[index[hpath + (sb, b) + tpath]] += _ONE
                     rel_rows.append(row)
     return rel_rows
 
@@ -598,7 +591,7 @@ def sweep_matches_oracle(ctx: MeshContext, x: RepVertex, y: RepVertex, w: Window
     index = {p: i for i, p in enumerate(paths)}
     unit_rows = []
     for bp in hb.basis:
-        row = [QQ.zero] * len(paths)
-        row[index[bp]] = QQ.one
+        row = [_ZERO] * len(paths)
+        row[index[bp]] = _ONE
         unit_rows.append(row)
     return len(reference_rref(rel_rows + unit_rows, len(paths), QQ)[1]) == base_rank + hb.dim

@@ -33,9 +33,6 @@ class SingQuiverReport:
     def arrow_count(self, u: RepVertex, v: RepVertex) -> int:
         return self.arrows.get((u, v), 0)
 
-    def relation_count(self, u: RepVertex, v: RepVertex) -> int:
-        return self.relations.get((u, v), 0)
-
     def out_arrow_total(self, u: RepVertex) -> int:
         return sum(n for (a, _), n in self.arrows.items() if a == u)
 

@@ -177,8 +177,14 @@ def test_prime_field_rejects_characteristics_from_2_to_the_31():
 def test_fraction_json_round_trip():
     for s in ["3", "-7/2", "0", "12/35"]:
         assert format_fraction(parse_fraction(s)) == s
-    for x in [Fraction(1, 2), Fraction(3), Fraction(0), Fraction(-5, 7)]:
+    for x in [Fraction(1, 2), Fraction(3), Fraction(0), Fraction(-5, 7), 3, -7, 0]:
         assert parse_fraction(format_fraction(x)) == x
+    # an integral value parses to an int, whatever its form; the rest to a Fraction
+    assert [(parse_fraction(x), type(parse_fraction(x))) for x in (3, "3", "6/2", Fraction(6, 2), "1/2")] == [
+        (3, int), (3, int), (3, int), (3, int), (Fraction(1, 2), Fraction)]
+    for bad in ("x/y", "1/0", None, [1]):
+        with pytest.raises(InvalidInputError):
+            parse_fraction(bad)
 
 
 def test_image_basis_deterministic_pivots():
@@ -589,6 +595,18 @@ def test_mat_vec_on_empty_shapes():
 # ---------------------------------------------------------------------------
 
 RREF_FIELDS = [QQ, PrimeField(2), PrimeField(3)]
+QQ_FORMS = ["int", "Fraction", "mixed"]
+
+
+def _qq_scalars(form):
+    """Rationals as ints, as Fractions (some not integral), or as either."""
+    ints = small_entries
+    fractions = st.builds(Fraction, small_entries, st.sampled_from([1, 1, 2, 3]))
+    return {"int": ints, "Fraction": fractions, "mixed": st.one_of(ints, fractions)}[form]
+
+
+def _exact(x):
+    return type(x) is int or type(x) is Fraction
 
 
 @st.composite
@@ -597,12 +615,14 @@ def _rref_case(draw):
     field = draw(st.sampled_from(RREF_FIELDS))
     ncols, extra = draw(st.integers(0, 6)), draw(st.integers(0, 3))
     width = ncols + extra
+    # over QQ the entries are ints, Fractions (some of them not integral) or a mix of both
+    scalar = _qq_scalars(draw(st.sampled_from(QQ_FORMS))) if field is QQ else st.builds(field.of_int, small_entries)
     dense = []
     for _ in range(draw(st.integers(0, 6))):
         if draw(st.integers(0, 4)) == 0:
             dense.append([field.zero] * width)
         else:
-            dense.append([field.of_int(draw(small_entries)) for _ in range(width)])
+            dense.append([draw(scalar) for _ in range(width)])
     given = []
     for row in dense:
         kind = draw(st.sampled_from(["list", "dict", "dict-with-zeros"]))
@@ -621,6 +641,8 @@ def test_rref_matches_the_dense_reference(case):
     red, pivots = rref(given, ncols, field)
     ref, ref_pivots = reference_rref(dense, ncols, field)
     assert given == snapshot  # the rows given are left as they were
+    if field is QQ:  # no float anywhere, whatever mix of ints and Fractions came in
+        assert all(_exact(x) for rows in (red, ref) for row in rows for x in row)
     assert pivots == ref_pivots
     rank = len(pivots)
     assert len(red) == len(dense)
@@ -652,3 +674,81 @@ def test_rref_on_empty_shapes():
         assert rref([[one, zero]], 0, field) == reference_rref([[one, zero]], 0, field) == ([[one, zero]], [])
         assert rref([{1: one}], 0, field) == ([[zero, one]], [])
         assert rref([{}], 2, field) == reference_rref([[zero, zero]], 2, field) == ([[zero, zero]], [])
+
+
+# ---------------------------------------------------------------------------
+# QQ scalars: an int while integral, a Fraction only when not.
+# ---------------------------------------------------------------------------
+
+def test_rational_field_scalars_are_ints_until_a_division():
+    assert (QQ.zero, QQ.one, QQ.of_int(-4)) == (0, 1, -4)
+    assert all(type(x) is int for x in (QQ.zero, QQ.one, QQ.of_int(-4)))
+    assert QQ.inv(1) == 1 and type(QQ.inv(1)) is int
+    assert QQ.inv(-1) == -1 and type(QQ.inv(-1)) is int
+    assert QQ.inv(2) == Fraction(1, 2) and type(QQ.inv(-3)) is Fraction and QQ.inv(-3) == Fraction(-1, 3)
+    assert QQ.inv(Fraction(2, 3)) == Fraction(3, 2) and type(QQ.inv(Fraction(1))) is Fraction
+    gf = PrimeField(5)
+    assert gf.inv(gf.of_int(2)) == gf.of_int(3)
+    with pytest.raises(ZeroDivisionError):
+        QQ.inv(0)
+
+
+@st.composite
+def _scalar_twins(draw):
+    """One QQ matrix and a few vectors, drawn as ints and given three ways: as ints, as
+    Fractions, and mixed (each entry an int or a Fraction at random)."""
+    nrows, ncols = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    rows = [[draw(small_entries) for _ in range(ncols)] for _ in range(nrows)]
+    vecs = [[draw(small_entries) for _ in range(nrows)] for _ in range(draw(st.integers(0, 3)))]
+    mixed = st.sampled_from([int, Fraction])
+    forms = [lambda x: x, Fraction, lambda x: draw(mixed)(x)]
+    return [([[f(x) for x in r] for r in rows], [[f(x) for x in v] for v in vecs], ncols) for f in forms]
+
+
+def _routes(rows, vecs, ncols):
+    """Every result the routes read off rref give on one input."""
+    cols = [list(c) for c in zip(*rows)] if rows else [[] for _ in range(ncols)]
+    red, pivots = rref(rows, ncols, QQ)
+    kernel = kernel_cols(rows, ncols, QQ)
+    return {
+        "rref": (red, pivots),
+        "kernel_cols": (list(kernel), kernel.free, kernel.pivots),
+        "solve_many": solve_many(cols, vecs, QQ) if rows else [],
+        "span_basis": span_basis(cols, len(rows), QQ),
+        "quotient_coords": quotient_coords(len(rows), cols, QQ),
+    }
+
+
+def _entries(x):
+    """Every number inside a nested result; its pivot and index lists are ints too."""
+    if isinstance(x, (list, tuple)):
+        for y in x:
+            yield from _entries(y)
+    elif x is not None:
+        yield x
+
+
+@settings(max_examples=200, deadline=None)
+@given(_scalar_twins())
+def test_rref_routes_agree_on_int_fraction_and_mixed_scalars(twins):
+    """ints, Fractions and a mix give the same pivots and equal values everywhere, and no
+    route ever returns a float."""
+    results = [_routes(*t) for t in twins]
+    assert results[0] == results[1] == results[2]
+    for res in results:
+        for name, value in res.items():
+            assert all(_exact(x) for x in _entries(value)), name
+
+
+def test_no_division_on_scalars_outside_the_exact_core():
+    """Only exact_linalg divides (QQ.inv and the oracle's reference_rref); anywhere else an
+    int / int would make a float out of two integral rationals."""
+    package = pathlib.Path(stratakit.__file__).parent
+    problems = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "exact_linalg.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
+                problems.append(f"{path.name}:{node.lineno} divides")
+    assert problems == []

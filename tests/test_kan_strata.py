@@ -11,7 +11,17 @@ from hypothesis import given, settings, strategies as st
 from stratakit import kan_strata, mesh_hom, quiver_core
 from stratakit.catmod import SCategoryWindow, CatModule
 from stratakit.errors import InternalConsistencyError, InvalidInputError, WindowInsufficiencyError
-from stratakit.exact_linalg import QQ, identity_rows, kernel_cols, mat_mul, mat_rank, quotient_coords, rref
+from stratakit.exact_linalg import (
+    QQ,
+    identity_rows,
+    kernel_cols,
+    mat_mul,
+    mat_rank,
+    quotient_coords,
+    rref,
+    solve_many,
+    transpose_rows,
+)
 from stratakit.kan_strata import (
     PrimeField,
     SModulePoint,
@@ -51,6 +61,33 @@ from stratakit.randrep import random_module_point, random_window_rep
 
 A2 = a_n_quiver(2)
 W = Window(0, 3)
+
+
+def _invert(mat: list, field) -> list:
+    """The inverse of a square matrix: its columns solve mat x = e_j."""
+    cols = solve_many(transpose_rows(mat), identity_rows(len(mat), field), field)
+    if any(col is None for col in cols):
+        raise InvalidInputError("matrix is not invertible")
+    return transpose_rows(cols)
+
+
+def base_change(rep: WindowRep, g) -> WindowRep:
+    """Conjugate by invertible matrices at the given (non-frozen) vertices."""
+    ginv = {}
+    for v, mat in g.items():
+        d = rep.dim(v)
+        if len(mat) != d or any(len(row) != d for row in mat):
+            raise InvalidInputError(f"base change at {v} has wrong size")
+        ginv[v] = _invert(mat, rep.field)
+    mats = {}
+    for a in rep.mats:
+        m = rep.mat(a)
+        if a.source in g:
+            m = mat_mul(g[a.source], m, rep.field)
+        if a.target in ginv and m:
+            m = mat_mul(m, ginv[a.target], rep.field)
+        mats[a] = m
+    return WindowRep(rep.q, rep.window, rep.config, dict(rep.dims), mats, rep.field)
 
 
 def zero_rep(q, window, config=None) -> WindowRep:
@@ -227,7 +264,7 @@ def test_restrict_simple_and_base_change_invariance():
     for v in rep.rq.vertices:
         if not v.frozen and rep.dim(v) == 2:
             g[v] = [[Fraction(1), Fraction(1)], [Fraction(0), Fraction(1)]]
-    moved = rep.base_change(g)
+    moved = base_change(rep, g)
     assert restrict(moved).equal(restrict(rep))
 
 
@@ -238,10 +275,10 @@ def test_base_change_rejects_a_singular_or_misshapen_matrix():
                 [[Fraction(0), Fraction(0)], [Fraction(0), Fraction(0)]],   # zero
                 [[Fraction(1), Fraction(0), Fraction(0)], [Fraction(0), Fraction(1), Fraction(0)]]):
         with pytest.raises(InvalidInputError):
-            rep.base_change({v: bad})
+            base_change(rep, {v: bad})
     gf = rep.reduce_mod(PrimeField(3))
     with pytest.raises(InvalidInputError):  # invertible over QQ (det 3), singular mod 3
-        gf.base_change({v: [[gf.field.of_int(1), gf.field.of_int(1)], [gf.field.of_int(-1), gf.field.of_int(2)]]})
+        base_change(gf, {v: [[gf.field.of_int(1), gf.field.of_int(1)], [gf.field.of_int(-1), gf.field.of_int(2)]]})
 
 
 def test_restrict_representable_values():
@@ -443,7 +480,7 @@ def test_same_stratum_reflexive_and_base_change():
     M = restrict(rep)
     assert same_stratum(M, M, W)
     g = {v: [[Fraction(2)]] for v in rep.rq.vertices if not v.frozen and rep.dim(v) == 1}
-    assert same_stratum(M, restrict(rep.base_change(g)), W)
+    assert same_stratum(M, restrict(base_change(rep, g)), W)
 
 
 def test_same_stratum_distinct_points():
@@ -1124,6 +1161,28 @@ def test_window_rep_from_json_checks_rational_matrices():
     data["mats"][key][0][0] = "1/2"
     parsed = WindowRep.from_json(data)
     assert parsed.mats[next(a for a in parsed.mats if a.key() == key)][0][0] == Fraction(1, 2)
+
+
+def test_window_rep_from_json_reads_integral_rationals_as_ints():
+    rep = random_window_rep(A2, Window(0, 2), random.Random(3), dim_choices=(1, 2))
+    data = rep.to_json()
+    key = next(k for k, m in sorted(data["mats"].items()) if len(m) >= 2)
+    m = data["mats"][key]
+    m[0][0], m[1][0] = 3, "1/2"
+    for given in (3, "3", "6/2"):
+        m[0][1] = given
+        parsed = WindowRep.from_json(data)
+        rows = parsed.mats[next(a for a in parsed.mats if a.key() == key)]
+        assert [type(x) for x in rows[0]] == [int, int] and rows[0] == [3, 3]
+        assert type(rows[1][0]) is Fraction and rows[1][0] == Fraction(1, 2)
+        out = parsed.to_json()
+        assert out["mats"][key][0][:2] == ["3", "3"] and out["mats"][key][1][0] == "1/2"
+        assert WindowRep.from_json(out).to_json() == out
+    # integral Fractions passed in directly are stored as ints as well
+    direct = WindowRep(A2, parsed.window, None, dict(parsed.dims),
+                       {a: [[Fraction(x) for x in row] for row in m] for a, m in parsed.mats.items()})
+    assert direct.mats == parsed.mats
+    assert all(type(x) is int or x.denominator != 1 for m in direct.mats.values() for row in m for x in row)
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -44,6 +45,13 @@ KZ = MeshContext(A2, "kZQ")
 RC = MeshContext(A2, "RC")
 
 
+def basis_elements(hb) -> list:
+    """The basis of a HomBasis as morphisms, one unit coordinate vector each."""
+    field = hb.functor.field
+    return [Morphism(hb.source, hb.target, tuple(field.one if j == i else field.zero for j in range(hb.dim)))
+            for i in range(hb.dim)]
+
+
 def identity_morphism(ctx, x, w) -> Morphism:
     return hom_basis(ctx, x, x, w).reduce_path(())
 
@@ -75,7 +83,7 @@ def test_a2_basic_dims():
 def test_identity_neutral_for_composition():
     x, y = parse_vertex("1@1"), parse_vertex("2@1")
     idx = identity_morphism(KZ, x, W6)
-    f = hom_basis(KZ, x, y, W6).basis_elements()[0]
+    f = basis_elements(hom_basis(KZ, x, y, W6))[0]
     assert compose(KZ, idx, f, W6) == f
     idy = identity_morphism(KZ, y, W6)
     assert compose(KZ, f, idy, W6) == f
@@ -109,9 +117,9 @@ def test_associativity_against_path_oracle():
         bzt = hom_basis(ctx, z, t, Window(0, 3))
         if 0 in (bxy.dim, byz.dim, bzt.dim):
             continue
-        f = bxy.basis_elements()[rng.randrange(bxy.dim)]
-        g = byz.basis_elements()[rng.randrange(byz.dim)]
-        h = bzt.basis_elements()[rng.randrange(bzt.dim)]
+        f = basis_elements(bxy)[rng.randrange(bxy.dim)]
+        g = basis_elements(byz)[rng.randrange(byz.dim)]
+        h = basis_elements(bzt)[rng.randrange(bzt.dim)]
         lhs = compose(ctx, compose(ctx, f, g, Window(0, 3)), h, Window(0, 3))
         rhs = compose(ctx, f, compose(ctx, g, h, Window(0, 3)), Window(0, 3))
         assert lhs == rhs
@@ -126,7 +134,7 @@ def test_basis_paths_concatenate_consistently():
     x, y, z = parse_vertex("1@0"), parse_vertex("2@0"), parse_vertex("1@1")
     bxy = hom_basis(ctx, x, y, w)
     byz = hom_basis(ctx, y, z, w)
-    f, g = bxy.basis_elements()[0], byz.basis_elements()[0]
+    f, g = basis_elements(bxy)[0], basis_elements(byz)[0]
     via_compose = compose(ctx, f, g, w)
     path = tuple(bxy.basis[0]) + tuple(byz.basis[0])
     via_reduce = hom_basis(ctx, x, z, w).reduce_path(path)
@@ -193,6 +201,49 @@ def test_cache_determinism_and_disk_round_trip(tmp_path):
     finally:
         enable_disk_cache(None)
         clear_cache()
+
+
+def test_disk_record_stored_loaded_and_stored_again_is_identical(tmp_path):
+    """A loaded sweep writes the bytes it was read from, and its integral entries load as ints."""
+    ctx, x, w = MeshContext(d4_quiver(), "RC"), parse_vertex("1'@0"), Window(0, 3)
+    clear_cache()
+    enable_disk_cache(str(tmp_path))
+    try:
+        computed = sweep(ctx, x, w)
+        (path,) = tmp_path.glob("hom-*.log")
+        first = path.read_bytes()
+        clear_cache()
+        loaded = sweep(ctx, x, w)  # read back from the log
+        assert loaded is not computed and loaded.mats == computed.mats
+        entries = [e for m in loaded.mats.values() for row in m for e in row]
+        assert entries and all(type(e) is int for e in entries)
+        path.unlink()
+        mesh_hom._disk_store(loaded, (ctx.cache_key(), w.lo, w.hi, x, "QQ"))
+        assert path.read_bytes() == first
+    finally:
+        enable_disk_cache(None)
+        clear_cache()
+
+
+def test_oracle_ranks_fraction_rows_only(monkeypatch):
+    """The path oracle never runs the int arithmetic the sweeps run on: every row it hands
+    to reference_rref holds Fractions only."""
+    seen = []
+    real = mesh_hom.reference_rref
+
+    def capturing(rows, ncols, field):
+        seen.extend(rows)
+        return real(rows, ncols, field)
+
+    monkeypatch.setattr(mesh_hom, "reference_rref", capturing)
+    w = Window(0, 3)
+    verts = RC.vertices_in(w)
+    for x in verts:
+        for y in verts:
+            if y.level >= x.level:
+                assert hom_dim_oracle(RC, x, y, w) == hom_dim(RC, x, y, w)
+                assert sweep_matches_oracle(RC, x, y, w)
+    assert seen and all(type(e) is Fraction for row in seen for e in row)
 
 
 def test_configured_flavor_changes_dims():
