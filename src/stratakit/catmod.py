@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from .errors import InternalConsistencyError, InvalidInputError, WindowInsufficiencyError
-from .exact_linalg import (QQ, identity_rows, kernel_cols, mat_rank, mat_vec, quotient_coords, solve_many,
+from .exact_linalg import (QQ, identity_rows, in_basis, kernel_cols, mat_rank, mat_vec, quotient_coords,
                            transpose_rows)
 from .mesh_hom import MeshContext, postcomposition_matrix, precomposition_matrix, sweep
 from .quiver_core import Configuration, Quiver, RepVertex, Window, shared
@@ -302,10 +302,9 @@ def kernel_submodule(cover: ProjectiveCover) -> Tuple[CatModule, Dict[RepVertex,
                     if any(x != field.zero for x in block):
                         img[u_off:u_off + du] = mat_vec(cat.precomposition(u, v, k, s), block, field)
                 images.append(img)
-            out_cols = solve_many(incl[u], images, field)
-            if any(c is None for c in out_cols):
+            act[(u, v, k)] = in_basis(images, incl[u], field)
+            if act[(u, v, k)] is None:
                 raise InternalConsistencyError("kernel is not closed under the action")
-            act[(u, v, k)] = [[c[i] for c in out_cols] for i in range(dims[u])]
     return CatModule(cat, dims, act), incl
 
 

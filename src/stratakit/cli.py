@@ -1,7 +1,8 @@
 """Command-line entry point: JSON in, JSON out, deterministic.
 
-Exit codes: 0 success, 1 invalid input (including violated relations),
-2 window insufficiency, 3 internal-consistency failure.  Setting
+Exit codes: 0 success, 1 invalid input (including violated relations and
+an input too large for the available memory), 2 window insufficiency,
+3 internal-consistency failure.  Setting
 STRATAKIT_CACHE_DIR persists rational Hom sweeps between runs, one
 append-only log per context, window and field in that directory; a path
 that is not a usable directory exits 1 with the JSON error.
@@ -302,9 +303,14 @@ def main(argv=None) -> int:
         _enable_cache_dir()
         rc = args.fn(args)
         return 0 if rc is None else rc
-    except StrataKitError as exc:
-        sys.stderr.write(json.dumps({"error": type(exc).__name__, "code": exc.exit_code, "detail": str(exc)}) + "\n")
-        return exc.exit_code
+    except MemoryError:
+        # reported once the handler has dropped the failed frames and what they held
+        exc = InvalidInputError(f"{args.command}: out of memory; the input needs more memory than is "
+                                "available (a narrower window needs less)")
+    except StrataKitError as caught:
+        exc = caught
+    sys.stderr.write(json.dumps({"error": type(exc).__name__, "code": exc.exit_code, "detail": str(exc)}) + "\n")
+    return exc.exit_code
 
 
 if __name__ == "__main__":

@@ -10,12 +10,16 @@ one, of_int, inv, key):
   column to nonzero value; a row may also come in as a list), and what is
   read off it: mat_rank, kernel_cols (a KernelBasis), left_kernel_rows,
   span_basis (the leftmost spanning vectors), solve_many (coordinates in
-  spanning columns) and quotient_coords (a basis of a quotient);
+  spanning columns) and quotient_coords (a basis of a quotient, from
+  relations given as lists or sparse dict rows);
 * reference_rref, the dense elimination rref replaced, kept as the path
   oracle's reference (mesh_hom.hom_dim_oracle and sweep_matches_oracle)
   so that the oracle does not share the elimination it checks;
-* the maps a matrix induces on sub- and quotient spaces, sub_map and
-  quotient_map;
+* in_basis, the one induced-map helper: the coordinates of vectors in
+  spanning columns, laid out as a matrix, or None when one leaves the
+  span; sub_map (a matrix restricted to subspaces) runs on it, and so
+  does every structure map that kan_strata and catmod build on a subspace;
+  quotient_map, the map a matrix induces on quotients;
 * products: mat_vec (skipping zero coordinates and zero entries) and
   mat_mul.
 
@@ -313,17 +317,20 @@ def span_basis(vecs: Sequence[Sequence], dim: int, field) -> List:
 def quotient_coords(gen_dim: int, rel_cols: Sequence[Sequence], field):
     """Coordinates in V / span(rel_cols) with V = field^gen_dim.
 
-    Returns (kept, coords) where kept lists the generator indices whose
-    classes form a basis of the quotient and coords[g] expresses the class
-    of generator g over that basis.  Generator g is dropped exactly when
-    some relation has its last nonzero entry at g, so only the relations
-    are eliminated, pivoting from the last generator down; a dropped
-    generator's class is read off its reduced relation.  One elimination
-    serves every generator, so two runs pick identical bases, and the
-    result depends only on span(rel_cols), since the reduced form is unique.
+    Each relation is a list or, as rref takes rows, a dict from generator
+    index to nonzero value.  Returns (kept, coords) where kept lists the
+    generator indices whose classes form a basis of the quotient and
+    coords[g] expresses the class of generator g over that basis.
+    Generator g is dropped exactly when some relation has its last nonzero
+    entry at g, so only the relations are eliminated, pivoting from the
+    last generator down; a dropped generator's class is read off its
+    reduced relation.  One elimination serves every generator, so two runs
+    pick identical bases, and the result depends only on span(rel_cols),
+    since the reduced form is unique.
     """
     last = gen_dim - 1
-    red, pivots = rref([[col[last - c] for c in range(gen_dim)] for col in rel_cols], gen_dim, field)
+    red, pivots = rref([{last - c: x for c, x in (col.items() if isinstance(col, dict) else enumerate(col)) if x}
+                        for col in rel_cols], gen_dim, field)
     dropped = {last - pc: red[i] for i, pc in enumerate(pivots)}
     kept = [g for g in range(gen_dim) if g not in dropped]
     kept_pos = {k: idx for idx, k in enumerate(kept)}
@@ -381,17 +388,28 @@ def _kernel_coords(basis: KernelBasis, vec, field):
     return x
 
 
+def in_basis(vecs, cols, field):
+    """The matrix whose t-th column is vecs[t] in the spanning cols, or None
+    when some vector leaves span(cols).
+
+    The one place coordinates are solved for and laid out as a matrix: the
+    induced maps (sub_map, the structure maps of kan_right and of kernels
+    in catmod, the canonical map K_L -> K_R) all read their matrices here.
+    One elimination of cols serves every vector, and none on a KernelBasis.
+    """
+    coords = solve_many(cols, vecs, field)
+    if any(co is None for co in coords):
+        return None
+    return [[co[i] for co in coords] for i in range(len(cols))]
+
+
 def sub_map(m, src_cols, tgt_cols, field):
     """The matrix of m restricted to span(src_cols) -> span(tgt_cols), in those bases.
 
     m maps the ambient space of src_cols to that of tgt_cols.  Returns None
-    when the image of some source column leaves span(tgt_cols).  One
-    elimination of tgt_cols serves every source column.
+    when the image of some source column leaves span(tgt_cols).
     """
-    out_cols = solve_many(tgt_cols, [mat_vec(m, col, field) for col in src_cols], field)
-    if any(co is None for co in out_cols):
-        return None
-    return [[c[i] for c in out_cols] for i in range(len(tgt_cols))]
+    return in_basis([mat_vec(m, col, field) for col in src_cols], tgt_cols, field)
 
 
 def quotient_map(m, src_kept, tgt_coords, field):

@@ -28,6 +28,7 @@ from .exact_linalg import (
     QQ,
     PrimeField,
     identity_rows,
+    in_basis,
     kernel_cols,
     mat_mul,
     mat_rank,
@@ -52,6 +53,7 @@ from .quiver_core import (
     parse_arrow_key,
     parse_vertex,
     rep_in_arrows,
+    rep_out_arrows,
     shared,
     sigma,
     sigma_arrow,
@@ -391,6 +393,54 @@ class KanRight:
         return len(self.basis_cols.get(x, []))
 
 
+def _naturality_rows(hom_dims, mdims, squares, field):
+    """One Kan extension's system at a vertex x: its variables and sparse rows.
+
+    hom_dims[u] is the dimension of the Hom space between u and x, for
+    every object u of the squares: Hom(u,x) for K_R, and Hom(x,u) for K_L,
+    which is K_R over the opposite category.  The variables are the
+    (u, i, j) with i below hom_dims[u] and j below mdims[u] = dim M(u), in
+    the order of hom_dims.  A square (a, b, comp, acts) is one generator s
+    of S between a and b: comp is the matrix Hom(b,x) -> Hom(a,x) of
+    composing with s, and acts[j] the nonzero entries (j2, c) of row j of
+    the action M(b) -> M(a) of s.  Its rows, one per i below hom_dims[b]
+    and j below mdims[a], are sum_l comp[l][i] (a, l, j) - sum c (b, i, j2),
+    each a dict of its nonzero entries.  Returns (index, offsets, rows),
+    offsets[u] being the position of the variable (u, 0, 0).
+    """
+    index, offsets = [], {}
+    for u, d in hom_dims.items():
+        if d and mdims[u]:
+            offsets[u] = len(index)
+            index.extend((u, i, j) for i in range(d) for j in range(mdims[u]))
+    zero = field.zero
+    rows = []
+    for a, b, comp, acts in squares:
+        ma, mb = mdims[a], mdims[b]
+        if not ma:
+            continue
+        oa, ob = offsets.get(a), offsets.get(b)
+        for i in range(hom_dims[b]):
+            col = [(oa + l * ma, r[i]) for l, r in enumerate(comp) if r[i]]
+            if not col and ob is None:
+                continue
+            for j in range(ma):
+                entries = {pos + j: c for pos, c in col}
+                if ob is not None:
+                    for j2, c in acts[j]:
+                        pos = ob + i * mb + j2
+                        entries[pos] = entries.get(pos, zero) - c
+                row = {pos: c for pos, c in entries.items() if c}
+                if row:
+                    rows.append(row)
+    return index, offsets, rows
+
+
+def _sparse_rows(m):
+    """The nonzero entries (j, c) of each row of m."""
+    return [[(j, c) for j, c in enumerate(row) if c] for row in m]
+
+
 def kan_right(M: SModulePoint, w: Window) -> KanRight:
     if w != M.window:
         raise WindowInsufficiencyError("kan_right must be computed on the module's own window")
@@ -399,101 +449,64 @@ def kan_right(M: SModulePoint, w: Window) -> KanRight:
     rc = MeshContext(cat.q, "RC", cat.config)
     rq = build_repetition(cat.q, True, w, cat.config)
     support = [u for u in cat.objects if M.dim(u) > 0]
-    sup_levels = M.support_levels()
-
-    amb_index: Dict[RepVertex, list] = {}
-    basis_cols: Dict[RepVertex, list] = {}
     zero = field.zero
 
     # Every sweep and every naturality square u -> v of the system, read
-    # once per call: the square's generator s_k and, when M(v) is nonzero,
-    # the nonzero entries of each row of M(s_k).  Squares along the
-    # generators of S imply those along their composites, so they cut out
-    # the same kernel as squares along every basis morphism.
+    # once per call: the square's generator s_k and the nonzero entries of
+    # each row of M(s_k).  Squares along the generators of S imply those
+    # along their composites, so they cut out the same kernel as squares
+    # along every basis morphism.
     funs = {u: sweep(rc, u, w, field) for u in support}
     squares = []
     for u in support:
         for v in cat.objects:
-            if v.level < u.level:
-                continue
-            if cat.dim(u, v) == 0:
+            if v.level < u.level or cat.dim(u, v) == 0:
                 continue
             if v not in funs:
                 funs[v] = sweep(rc, v, w, field)
             paths = cat.basis_paths(u, v)
             for k in cat.generators(u, v):
-                acts = None
-                if M.dim(v) > 0:
-                    acts = [[(j2, c) for j2, c in enumerate(row) if c != zero]
-                            for row in M.module.act_mat(u, v, k)]
-                squares.append((u, v, paths[k], acts))
+                squares.append((u, v, paths[k], _sparse_rows(M.module.act_mat(u, v, k))))
 
+    amb_index: Dict[RepVertex, list] = {}
+    basis_cols: Dict[RepVertex, list] = {}
+    offsets: Dict[RepVertex, dict] = {}
     for x in rq.vertices:
-        if sup_levels is None or x.level < sup_levels[0]:
-            amb_index[x] = []
-            basis_cols[x] = []
+        hom_dims = {u: f.dim(x) for u, f in funs.items()}
+        if not any(hom_dims[u] for u in support):
+            amb_index[x], basis_cols[x], offsets[x] = [], [], {}
             continue
-        index = []
-        offsets = {}
-        for u in support:
-            d = funs[u].dim(x)
-            if d == 0:
-                continue
-            offsets[u] = len(index)
-            for i in range(d):
-                for j in range(M.dim(u)):
-                    index.append((u, i, j))
-        amb_index[x] = index
-        nvars = len(index)
-        if nvars == 0:
-            basis_cols[x] = []
-            continue
-        rows = []
-        for u, v, s_path, acts in squares:
-            # when Hom(u,x) vanishes the left side of naturality is zero,
-            # but the square still forces M(s) phi_v(f) = 0, so keep going
-            dv_x = funs[v].dim(x)
-            if dv_x == 0:
-                continue
-            # Hom(v,x) -> Hom(u,x), f |-> f o s_k
-            pre = precomposition_matrix(rc, s_path, u, v, x, w, field)
-            mu, ou = M.dim(u), offsets.get(u)
-            ov = offsets.get(v) if acts is not None else None
-            mv = M.dim(v)
-            for i in range(dv_x):
-                comp = [(l, r[i]) for l, r in enumerate(pre) if r[i] != zero]
-                if not comp and ov is None:
-                    continue
-                for j in range(mu):
-                    entries = {ou + l * mu + j: c for l, c in comp}
-                    if ov is not None:
-                        for j2, c in acts[j]:
-                            pos = ov + i * mv + j2
-                            entries[pos] = entries.get(pos, zero) - c
-                    row = {pos: c for pos, c in entries.items() if c}
-                    if row:
-                        rows.append(row)
-        basis_cols[x] = kernel_cols(rows, nvars, field)
+        # Hom(v,x) -> Hom(u,x), f |-> f o s_k; when Hom(u,x) vanishes the
+        # square still forces M(s_k) phi_v(f) = 0
+        comps = [(u, v, precomposition_matrix(rc, s_path, u, v, x, w, field), acts)
+                 for u, v, s_path, acts in squares if hom_dims[v]]
+        amb_index[x], offsets[x], rows = _naturality_rows(hom_dims, M.module.dims, comps, field)
+        basis_cols[x] = kernel_cols(rows, len(amb_index[x]), field)
 
-    # Structure maps in kernel coordinates.
+    # Structure maps: a: x -> y sends a kernel column phi at y to phi o (a o -)
+    # at x, whose coordinate (u, l, j) sums phi(u, m, j) times the entry (m, l)
+    # of the sweep's matrix of a, Hom(u,x) -> Hom(u,y), f |-> a o f.
     dims = {x: len(basis_cols[x]) for x in rq.vertices}
     mats = {}
     for a in rq.arrows:
         x, y = a.source, a.target
-        if dims.get(x, 0) == 0 or dims.get(y, 0) == 0:
+        if not dims[x] or not dims[y]:
             continue
-        # ambient transform amb(y) -> amb(x)
-        idx_y = {t: pos for pos, t in enumerate(amb_index[y])}
-        amb = [[field.zero] * len(idx_y) for _ in amb_index[x]]
-        post = {}  # u -> the matrix of Hom(u,x) -> Hom(u,y), f |-> a o f
-        for pos, (u, l, j) in enumerate(amb_index[x]):
-            if u not in post:
-                post[u] = postcomposition_matrix(rc, u, (a,), x, w, field)
-            for m_i, row in enumerate(post[u]):
-                col = idx_y.get((u, m_i, j))
-                if row[l] != field.zero and col is not None:
-                    amb[pos][col] = row[l]
-        mats[a] = sub_map(amb, basis_cols[y], basis_cols[x], field)
+        post = {}  # u -> the nonzero entries (l, c) of each row m of the sweep's matrix of a
+        images = []
+        for col in basis_cols[y]:
+            img = [zero] * len(amb_index[x])
+            for (u, m_i, j), c in zip(amb_index[y], col):
+                if not c:
+                    continue
+                if u not in post:
+                    post[u] = _sparse_rows(funs[u].mats[a])
+                if post[u][m_i]:
+                    base, mu = offsets[x][u] + j, M.dim(u)
+                    for l, p in post[u][m_i]:
+                        img[base + l * mu] += p * c
+            images.append(img)
+        mats[a] = in_basis(images, basis_cols[x], field)
         if mats[a] is None:
             raise InternalConsistencyError("K_R structure map leaves the computed value space")
 
@@ -502,12 +515,8 @@ def kan_right(M: SModulePoint, w: Window) -> KanRight:
     theta = {}
     for u in cat.objects:
         mu = M.dim(u)
-        rows_t = []
-        pos_of = {t: pos for pos, t in enumerate(amb_index.get(u, []))}
-        for j in range(mu):
-            rows_t.append([col[pos_of[(u, 0, j)]] if (u, 0, j) in pos_of else field.zero
-                           for col in basis_cols.get(u, [])])
-        theta[u] = rows_t
+        o = offsets[u].get(u)  # Hom(u,u) is spanned by the identity, so (u, 0, j) sits at o + j
+        rows_t = theta[u] = [[col[o + j] for col in basis_cols[u]] for j in range(mu)]
         if rep.dim(u) != mu:
             raise InternalConsistencyError(f"res K_R at {u} has dimension {rep.dim(u)} != {mu}")
         if mat_rank(rows_t, mu, field) != mu:
@@ -534,6 +543,9 @@ class KanLeft:
 def kan_left(M: SModulePoint, w: Window) -> KanLeft:
     """K_L(M): the coend presentation, as the cokernel of the bilinearity relations.
 
+    The relations are kan_right's naturality rows over the opposite
+    category: Hom(x, -) in place of Hom(-, x), postcomposition in place of
+    precomposition and the actions of M transposed.
     Unsupported for non-Dynkin quivers, where K_L(M) has unbounded support.
     """
     if not is_dynkin(M.q).is_dynkin:
@@ -545,87 +557,54 @@ def kan_left(M: SModulePoint, w: Window) -> KanLeft:
     rc = MeshContext(cat.q, "RC", cat.config)
     rq = build_repetition(cat.q, True, w, cat.config)
     support = [u for u in cat.objects if M.dim(u) > 0]
+    zero = field.zero
 
-    def fun(z):
-        return sweep(rc, z, w, field)
+    # Every generator s_k: u -> v of S into the support, with the nonzero
+    # entries of each row of M(s_k) transposed; relations along the
+    # generators imply those along their composites, so they span the same
+    # relations as every basis morphism.
+    gens = [(u, v, cat.basis_paths(u, v)[k], _sparse_rows(transpose_rows(M.module.act_mat(u, v, k))))
+            for u in cat.objects for v in support if v.level >= u.level for k in cat.generators(u, v)]
 
     gen_index: Dict[RepVertex, list] = {}
     gen_coords: Dict[RepVertex, list] = {}
     kept: Dict[RepVertex, list] = {}
+    offsets: Dict[RepVertex, dict] = {}
     for x in rq.vertices:
-        index = []
-        offsets = {}
-        fx = fun(x)
-        for u in support:
-            d = fx.dim(u)
-            if d == 0:
-                continue
-            offsets[u] = len(index)
-            for g in range(d):
-                for j in range(M.dim(u)):
-                    index.append((u, g, j))
-        gen_index[x] = index
-        n = len(index)
-        if n == 0:
-            gen_coords[x] = []
-            kept[x] = []
+        fx = sweep(rc, x, w, field)
+        hom_dims = {u: fx.dim(u) for u in cat.objects}
+        if not any(hom_dims[u] for u in support):
+            gen_index[x], gen_coords[x], kept[x], offsets[x] = [], [], [], {}
             continue
-        rel_cols = []
-        for u in cat.objects:
-            du = fx.dim(u)
-            if du == 0:
-                continue
-            for v in support:
-                if v.level < u.level:
-                    continue
-                # relations along the generators of S imply those along
-                # their composites, so they span the same relations
-                for k in cat.generators(u, v):
-                    # Hom(x,u) -> Hom(x,v), g |-> s_k o g
-                    post = postcomposition_matrix(rc, x, cat.basis_paths(u, v)[k], u, w, field)
-                    amat = M.module.act_mat(u, v, k)
-                    for g in range(du):
-                        comp = [r[g] for r in post]
-                        for j2 in range(M.dim(v)):
-                            col = [field.zero] * n
-                            if v in offsets:
-                                for l, c in enumerate(comp):
-                                    if c != field.zero:
-                                        col[offsets[v] + l * M.dim(v) + j2] += c
-                            if u in offsets:
-                                for j in range(M.dim(u)):
-                                    c = amat[j][j2]
-                                    if c != field.zero:
-                                        col[offsets[u] + g * M.dim(u) + j] -= c
-                            if any(cv != field.zero for cv in col):
-                                rel_cols.append(col)
-        kx, coords = quotient_coords(n, rel_cols, field)
-        kept[x] = kx
-        gen_coords[x] = coords
+        # Hom(x,u) -> Hom(x,v), g |-> s_k o g
+        squares = [(v, u, postcomposition_matrix(rc, x, s_path, u, w, field), acts)
+                   for u, v, s_path, acts in gens if hom_dims[u]]
+        gen_index[x], offsets[x], rel_rows = _naturality_rows(hom_dims, M.module.dims, squares, field)
+        kept[x], gen_coords[x] = quotient_coords(len(gen_index[x]), rel_rows, field)
 
+    # Structure maps on the kept generators: a: x -> y sends the generator
+    # (u, g, j) at y to the class at x of sum_l pre[l][g] (u, l, j), pre being
+    # the matrix of Hom(y,u) -> Hom(x,u), f |-> f o a.
     dims = {x: len(kept[x]) for x in rq.vertices}
     mats = {}
     for a in rq.arrows:
         x, y = a.source, a.target
-        if dims.get(x, 0) == 0 or dims.get(y, 0) == 0:
+        if not dims[x] or not dims[y]:
             continue
-        idx_x = {t: pos for pos, t in enumerate(gen_index[x])}
-        # generator transform gen(y) -> gen(x), needed on the kept columns only
-        gen = [[field.zero] * len(gen_index[y]) for _ in gen_index[x]]
-        pre = {}  # u -> the matrix of Hom(y,u) -> Hom(x,u), f |-> f o a
-        for t in kept[y]:
-            (u, g, j) = gen_index[y][t]
+        m = [[zero] * dims[y] for _ in range(dims[x])]
+        pre = {}
+        for t_pos, t in enumerate(kept[y]):
+            u, g, j = gen_index[y][t]
             if u not in pre:
                 pre[u] = precomposition_matrix(rc, (a,), x, y, u, w, field)
             for l, row in enumerate(pre[u]):
-                c = row[g]
-                if c == field.zero:
+                p = row[g]
+                if not p:
                     continue
-                pos = idx_x.get((u, l, j))
-                if pos is None:
-                    raise InternalConsistencyError("K_L generator bookkeeping out of sync")
-                gen[pos][t] = c
-        mats[a] = quotient_map(gen, kept[y], gen_coords[x], field)
+                for r, c in enumerate(gen_coords[x][offsets[x][u] + l * M.dim(u) + j]):
+                    if c:
+                        m[r][t_pos] += p * c
+        mats[a] = m
     rep = WindowRep(cat.q, w, cat.config, dims, mats, field)
     return KanLeft(M, rep, gen_index, gen_coords, kept)
 
@@ -658,10 +637,9 @@ def can_matrices(M: SModulePoint, kl: KanLeft, kr: KanRight) -> Dict[RepVertex, 
                         s += row[i] * M.module.act_mat(u2, u, k)[j2][j]
                 vec[pos] = s
             vecs.append(vec)
-        cols = solve_many(kr.basis_cols[x], vecs, field)
-        if any(co is None for co in cols):
+        out[x] = in_basis(vecs, kr.basis_cols[x], field)
+        if out[x] is None:
             raise InternalConsistencyError("canonical map does not land in K_R (bug)")
-        out[x] = [[cols[jj][ii] for jj in range(len(cols))] for ii in range(dr)]
     return out
 
 
@@ -747,17 +725,6 @@ def _in_arrow_stack(rep: WindowRep, x: RepVertex):
     return rows
 
 
-def _out_arrow_stack(rep: WindowRep, x: RepVertex):
-    """Horizontal stack of mat(gamma) over arrows gamma: x -> y (maps into the x-space)."""
-    cols = []
-    for gamma in rep.rq.out_arrows(x):
-        m = rep.mat(gamma)
-        dy = rep.dim(gamma.target)
-        for j in range(dy):
-            cols.append([m[i][j] for i in range(rep.dim(x))])
-    return cols
-
-
 def is_stable(rep: WindowRep) -> bool:
     """No nonzero submodule supported on non-frozen vertices: trivial socles there."""
     for x in rep.rq.vertices:
@@ -773,9 +740,11 @@ def is_costable(rep: WindowRep) -> bool:
     for x in rep.rq.vertices:
         if x.frozen or rep.dim(x) == 0:
             continue
-        cols = _out_arrow_stack(rep, x)
-        rows = [[c[i] for c in cols] for i in range(rep.dim(x))]
-        if mat_rank(rows, len(cols), rep.field) < rep.dim(x):
+        # the horizontal stack of mat(gamma) over the arrows gamma: x -> y, read row by row
+        out = rep.rq.out_arrows(x)
+        mats = [rep.mat(gamma) for gamma in out]
+        rows = [[c for m in mats for c in m[i]] for i in range(rep.dim(x))]
+        if mat_rank(rows, sum(rep.dim(gamma.target) for gamma in out), rep.field) < rep.dim(x):
             return False
     return True
 
@@ -825,20 +794,14 @@ def ext1_simple_into(rep: WindowRep, x: RepVertex) -> int:
     field = rep.field
     arrows = [b for b in rep_in_arrows(rep.q, x) if not b.source.frozen or rep.config.retains(b.source)]
     tx = tau(x)
-    mid_dims = [rep.dim(b.source) for b in arrows]
-    mid_total = sum(mid_dims)
+    mid_total = sum(rep.dim(b.source) for b in arrows)
     if mid_total == 0:
         return 0
     a_rows = []
     for b in arrows:
         a_rows.extend(rep.mat(b))
-    b_cols = []
-    for b, d in zip(arrows, mid_dims):
-        sb = sigma_arrow(rep.q, b)
-        m = rep.mat(sb)
-        for j in range(d):
-            b_cols.append([m[i][j] for i in range(rep.dim(tx))])
-    b_rows = [[b_cols[j][i] for j in range(mid_total)] for i in range(rep.dim(tx))]
+    b_mats = [rep.mat(sigma_arrow(rep.q, b)) for b in arrows]
+    b_rows = [[c for m in b_mats for c in m[i]] for i in range(rep.dim(tx))]
     rank_a = mat_rank(a_rows, rep.dim(x), field)
     rank_b = mat_rank(b_rows, mid_total, field)
     if any(v != field.zero for r in mat_mul(b_rows, a_rows, field) for v in r):
@@ -982,10 +945,8 @@ def resolution_shape(M: SModulePoint, w: Window) -> dict:
     field = M.field
     I0, I1f, P0, P1f = {}, {}, {}, {}
     for u in M.cat.objects:
-        xprev = RepVertex(u.node, u.level)          # tau of sigma^{-1}(u)
-        xnext = RepVertex(u.node, u.level + 1)      # sigma^{-1}(u)
-        b = RepArrow("f", u.node, xprev, u)
-        c = RepArrow("c", u.node, u, xnext)
+        (b,), (c,) = rep_in_arrows(M.q, u), rep_out_arrows(M.q, u)
+        xprev, xnext = b.source, c.target           # tau of sigma^{-1}(u), and sigma^{-1}(u)
         mb = klr.mat(b) if klr.window.contains(u) else []
         rank_b = mat_rank(mb, klr.dim(u), field)
         ker_b = klr.dim(u) - rank_b

@@ -305,3 +305,21 @@ def test_unusable_cache_dir_exits_1_with_json_error(capsys, tmp_path, monkeypatc
     error = json.loads(err.strip())
     assert error["error"] == "InvalidInputError" and "STRATAKIT_CACHE_DIR" in error["detail"]
     assert [p.name for p in tmp_path.iterdir()] == ["not-a-dir"] and blocker.read_text() == ""
+
+
+def test_out_of_memory_exits_1_with_json_error(capsys, monkeypatch):
+    """A command that runs out of memory (here a stand-in raising MemoryError, as sing-quiver
+    over [0, 999] did) reports the JSON error and exit code 1, and the next command runs as before."""
+    from stratakit import cli
+
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "build_sing_quiver", exhausted)
+    code, out, err = run(capsys, "sing-quiver", "--quiver", A2_JSON, "--window", "0", "999")
+    assert code == 1 and out == ""
+    error = json.loads(err.strip())
+    assert (error["error"], error["code"]) == ("InvalidInputError", 1)
+    assert error["detail"].startswith("sing-quiver: out of memory")
+    code, out, err = run(capsys, "hom", "--quiver", A2_JSON, "--from", "1@0", "--to", "2@0", "--window", "0", "2")
+    assert code == 0 and err == "" and json.loads(out)["dim"] == 1

@@ -15,6 +15,7 @@ from stratakit.exact_linalg import (
     PrimeField,
     format_fraction,
     identity_rows,
+    in_basis,
     kernel_cols,
     left_kernel_rows,
     mat_rank,
@@ -285,6 +286,14 @@ def test_quotient_coords_matches_identity_augmented_twin(case):
 
 
 @settings(max_examples=150, deadline=None)
+@given(_span_case(min_dim=0))
+def test_quotient_coords_takes_relations_as_sparse_dict_rows(case):
+    field, dim, rel_cols = case
+    sparse = [{g: x for g, x in enumerate(col) if x} for col in rel_cols]
+    assert quotient_coords(dim, sparse, field) == quotient_coords(dim, rel_cols, field)
+
+
+@settings(max_examples=150, deadline=None)
 @given(st.data(), _span_case(min_dim=1))
 def test_solve_many_matches_twin(data, case):
     field, dim, cols = case
@@ -392,7 +401,7 @@ def test_exact_linalg_is_the_only_elimination_core():
 
 # The routines read off rref: the oracle's ranks call none of them.
 RREF_ROUTES = {"rref", "mat_rank", "kernel_cols", "left_kernel_rows", "span_basis", "solve_many",
-               "quotient_coords", "sub_map"}
+               "quotient_coords", "sub_map", "in_basis"}
 ORACLES = {"hom_dim_oracle", "sweep_matches_oracle"}
 
 
@@ -437,6 +446,40 @@ def test_mesh_hom_is_the_only_composition_routine():
             if isinstance(node, ast.Call) and _called_name(node) == "reduce_path":
                 problems.append(f"{path.name}:{node.lineno} calls reduce_path")
     assert problems == []
+
+
+def _qualified_calls(tree, prefix=""):
+    """(qualified name of the enclosing functions and classes, called name) for each call in tree."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield from _qualified_calls(node, prefix + node.name + ".")
+            continue
+        if isinstance(node, ast.Call):
+            yield prefix.rstrip("."), _called_name(node)
+        yield from _qualified_calls(node, prefix)
+
+
+# The two solves that are not induced maps: theta's inverse columns and the span test of a fiber stage.
+SOLVE_MANY_CALLERS = {("kan_strata.py", "kan_intermediate"), ("kan_strata.py", "_FiberStage.attained")}
+
+
+def test_kan_extensions_share_one_system_and_maps_go_through_in_basis():
+    """kan_right and kan_left both build their systems with _naturality_rows, and outside
+    exact_linalg solve_many runs only where no induced map is read: every other solve
+    goes through in_basis, the one place coordinates are solved for and laid out."""
+    package = pathlib.Path(stratakit.__file__).parent
+    builders, solves = set(), set()
+    for path in sorted(package.glob("*.py")):
+        if path.name == "exact_linalg.py":
+            continue
+        for func, called in _qualified_calls(ast.parse(path.read_text(), str(path))):
+            if called == "_naturality_rows":
+                builders.add((path.name, func))
+            if called == "solve_many":  # a function nested in an allowed caller counts as that caller
+                solves.add(next(((n, c) for n, c in SOLVE_MANY_CALLERS
+                                 if n == path.name and (func == c or func.startswith(c + "."))), (path.name, func)))
+    assert builders == {("kan_strata.py", "kan_right"), ("kan_strata.py", "kan_left")}
+    assert solves == SOLVE_MANY_CALLERS
 
 
 def test_catmod_is_the_only_builder_of_windowed_categories():
@@ -544,6 +587,52 @@ def test_kernel_bases_on_empty_shapes():
         assert (ident.free, ident.pivots) == ([0, 1], [])
         assert solve_many(ident, [[one, one]], field) == [[one, one]]
         assert sub_map([], [], full, field) == []
+
+
+# ---------------------------------------------------------------------------
+# in_basis, the one induced-map helper, against a solve per vector.
+# ---------------------------------------------------------------------------
+
+IN_BASIS_FIELDS = [QQ, PrimeField(2), PrimeField(3)]
+
+
+def _twin_in_basis(vecs, cols, field):
+    """Each vector solved on its own, by the identity-augmented elimination, then laid out as columns."""
+    coords = [_twin_coords_in_col_span(list(cols), vec, field) for vec in vecs]
+    if any(co is None for co in coords):
+        return None
+    return [[co[i] for co in coords] for i in range(len(cols))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data(), st.sampled_from(IN_BASIS_FIELDS), st.booleans())
+def test_in_basis_matches_the_per_vector_twin(data, field, from_kernel):
+    if from_kernel:  # a KernelBasis, whose coordinates are read off its free columns
+        dim = data.draw(st.integers(0, 5))
+        rows = [[field.of_int(data.draw(small_entries)) for _ in range(dim)]
+                for _ in range(data.draw(st.integers(0, 4)))]
+        cols = kernel_cols(rows, dim, field)
+    else:  # plain spanning columns, possibly dependent, which are eliminated
+        dim = data.draw(st.integers(1, 5))
+        cols = data.draw(_vectors(field, dim, 4))
+    # vectors inside the span and, drawn freely, mostly outside it
+    vecs = data.draw(_vectors(field, dim, 4, cols))
+    want = _twin_in_basis(vecs, cols, field)
+    assert in_basis(vecs, cols, field) == want
+    if from_kernel:
+        assert in_basis(vecs, list(cols), field) == want
+
+
+def test_in_basis_on_kernel_bases_and_vectors_leaving_the_span():
+    for field in IN_BASIS_FIELDS:
+        one, zero, two = field.one, field.zero, field.of_int(2)
+        basis = kernel_cols([[one, one, zero]], 3, field)  # x0 = -x1: columns (-1, 1, 0), (0, 0, 1)
+        assert isinstance(basis, KernelBasis)
+        assert in_basis([[-two, two, one], [zero, zero, zero]], basis, field) == [[two, zero], [one, zero]]
+        assert in_basis([[-two, two, one], [one, zero, zero]], basis, field) is None
+        assert in_basis([], basis, field) == [[], []]
+        assert in_basis([[zero, zero, zero]], kernel_cols(identity_rows(3, field), 3, field), field) == []
+        assert in_basis([[one, zero, zero]], kernel_cols(identity_rows(3, field), 3, field), field) is None
 
 
 # ---------------------------------------------------------------------------

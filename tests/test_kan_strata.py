@@ -18,8 +18,10 @@ from stratakit.exact_linalg import (
     mat_mul,
     mat_rank,
     quotient_coords,
+    quotient_map,
     rref,
     solve_many,
+    sub_map,
     transpose_rows,
 )
 from stratakit.kan_strata import (
@@ -782,6 +784,78 @@ def test_kan_extensions_along_generators_match_the_all_basis_twins(case, p, monk
         # fewer squares than basis morphisms: the generators are a proper subset somewhere
         assert any(len(M.cat.generators(u, v)) < M.cat.dim(u, v) for u in M.cat.objects for v in M.cat.objects)
     assert nonzero > 0
+
+
+def _twin_kan_right_rep(kr):
+    """K_R with its structure maps built as they were: a dense ambient transform
+    amb(x) x amb(y) per arrow from postcomposition_matrix, restricted by sub_map."""
+    from stratakit.mesh_hom import postcomposition_matrix
+
+    M = kr.M
+    cat, field, w = M.cat, M.field, M.window
+    rc = MeshContext(cat.q, "RC", cat.config)
+    mats = {}
+    for a in kr.rep.rq.arrows:
+        x, y = a.source, a.target
+        if kr.dim(x) == 0 or kr.dim(y) == 0:
+            continue
+        idx_y = {t: pos for pos, t in enumerate(kr.amb_index[y])}
+        amb = [[field.zero] * len(idx_y) for _ in kr.amb_index[x]]
+        post = {}  # u -> the matrix of Hom(u,x) -> Hom(u,y), f |-> a o f
+        for pos, (u, l, j) in enumerate(kr.amb_index[x]):
+            if u not in post:
+                post[u] = postcomposition_matrix(rc, u, (a,), x, w, field)
+            for m_i, row in enumerate(post[u]):
+                col = idx_y.get((u, m_i, j))
+                if row[l] != field.zero and col is not None:
+                    amb[pos][col] = row[l]
+        mats[a] = sub_map(amb, kr.basis_cols[y], kr.basis_cols[x], field)
+        assert mats[a] is not None
+    return WindowRep(cat.q, w, cat.config, {x: kr.dim(x) for x in kr.rep.rq.vertices}, mats, field)
+
+
+def _twin_kan_left_rep(kl):
+    """K_L with its structure maps built as they were: a dense generator transform
+    gen(x) x gen(y) per arrow from precomposition_matrix, pushed to the quotients by quotient_map."""
+    from stratakit.mesh_hom import precomposition_matrix
+
+    M = kl.M
+    cat, field, w = M.cat, M.field, M.window
+    rc = MeshContext(cat.q, "RC", cat.config)
+    mats = {}
+    for a in kl.rep.rq.arrows:
+        x, y = a.source, a.target
+        if kl.dim(x) == 0 or kl.dim(y) == 0:
+            continue
+        idx_x = {t: pos for pos, t in enumerate(kl.gen_index[x])}
+        gen = [[field.zero] * len(kl.gen_index[y]) for _ in kl.gen_index[x]]
+        pre = {}  # u -> the matrix of Hom(y,u) -> Hom(x,u), f |-> f o a
+        for t in kl.kept[y]:
+            (u, g, j) = kl.gen_index[y][t]
+            if u not in pre:
+                pre[u] = precomposition_matrix(rc, (a,), x, y, u, w, field)
+            for l, row in enumerate(pre[u]):
+                if row[g] != field.zero:
+                    gen[idx_x[(u, l, j)]][t] = row[g]
+        mats[a] = quotient_map(gen, kl.kept[y], kl.gen_coords[x], field)
+    return WindowRep(cat.q, w, cat.config, {x: kl.dim(x) for x in kl.rep.rq.vertices}, mats, field)
+
+
+@pytest.mark.parametrize("p", [0, 3])
+@pytest.mark.parametrize("case", sorted(KAN_TWIN_CASES))
+def test_kan_structure_maps_match_the_dense_transform_twins(case, p):
+    """K_R's structure maps, read off the sweeps' arrow matrices column by column, and K_L's,
+    read on the kept generators only, equal the dense transforms they replaced."""
+    q, config = KAN_TWIN_CASES[case]
+    maps = 0
+    for seed in range(3):
+        rep = _random_rep(q, 71 * seed + 5, p, config=config)
+        M, w = restrict(rep), rep.window
+        kr, kl = kan_right(M, w), kan_left(M, w)
+        assert kr.rep.to_json() == _twin_kan_right_rep(kr).to_json()
+        assert kl.rep.to_json() == _twin_kan_left_rep(kl).to_json()
+        maps += len(kr.rep.mats) + len(kl.rep.mats)
+    assert maps > 0
 
 
 def test_degeneration_pairs_run_kan_intermediate_once_per_point(monkeypatch):
