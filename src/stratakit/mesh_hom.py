@@ -12,6 +12,14 @@ not the sparse rref the sweep runs on) is kept as the test oracle.
 A Hom space computed on a window is exact (equal to the one of the full
 infinite category) whenever both endpoints lie in the window: every path
 and every relator instance between them lives on the intermediate levels.
+
+In a tau-invariant context (kZQ, and RC and SC under the full
+configuration) tau is an automorphism of the category, so
+Hom(tau^-s x, tau^-s y) = Hom(x, y).  There a sweep is loaded or computed
+only when no sweep held from the same node is at least as tall (reaches
+as many levels above its source); every other one is the translate of the
+tallest held, sharing its arrow matrices, kept in memory and never stored.
+_sweep is the only code that computes a sweep.
 """
 from __future__ import annotations
 
@@ -69,6 +77,8 @@ class MeshContext:
         if not self.framed and config is not None and not config.is_full():
             raise InvalidInputError("configurations only apply to the framed flavors")
         self.config = config if config is not None else Configuration.full()
+        # tau is an automorphism of kZQ, and of RC and SC under the full configuration
+        self.tau_invariant = self.config.is_full()
         fl = "RC" if flavor == "SC" else flavor  # SC shares the RC sweeps
         self._cache_key = f"{q.key()}|{fl}|{self.config.key() if self.framed else '-'}"
 
@@ -168,73 +178,72 @@ def _sweep(ctx: MeshContext, source: RepVertex, window: Window, field) -> HomFun
     if not ctx.contains(source):
         raise InvalidInputError(f"{source} is not an object of the {ctx.flavor} category")
     fun = HomFunctor(ctx, source, window, field)
-    for v in ctx.vertices_in(window):
+    dims, paths, mats = fun.dims, fun.paths, fun.mats
+    rq = ctx._slice(window)
+    for v in rq.vertices:
         if v.level < source.level:
-            fun.dims[v] = 0
-            fun.paths[v] = []
+            dims[v] = 0
+            paths[v] = []
             continue
-        in_arrows = ctx.in_arrows(v, window)
+        in_arrows = rq.in_arrows(v)
         if v == source:
-            fun.dims[v] = 1
-            fun.paths[v] = [()]
+            dims[v] = 1
+            paths[v] = [()]
             for b in in_arrows:
-                fun.mats[b] = [[] for _ in range(1)]
+                mats[b] = [[] for _ in range(1)]
             continue
-        blocks = []
         offsets = []
         gen_dim = 0
         for b in in_arrows:
             offsets.append(gen_dim)
-            gen_dim += fun.dim(b.source)
-            blocks.append(b)
+            gen_dim += dims[b.source]
         if gen_dim == 0:
-            fun.dims[v] = 0
-            fun.paths[v] = []
+            dims[v] = 0
+            paths[v] = []
             for b in in_arrows:
-                fun.mats[b] = []
+                mats[b] = []
             continue
         rel_cols = []
         if ctx.imposes_relator(v, window):
-            tv = tau(v)
-            dt = fun.dim(tv)
-            for k in range(dt):
-                unit = [field.zero] * dt
-                unit[k] = field.one
-                col = [field.zero] * gen_dim
-                for b, off in zip(blocks, offsets):
-                    sb = sigma_arrow(ctx.q, b)
-                    img = fun.apply_arrow(sb, unit)
-                    for j, x in enumerate(img):
-                        col[off + j] = x
+            # column k of the relator: column k of each sigma-arrow's matrix, at its block
+            sigma_mats = [(mats.get(sigma_arrow(ctx.q, b)), off) for b, off in zip(in_arrows, offsets)]
+            for k in range(dims[tau(v)]):
+                col = {}
+                for m, off in sigma_mats:
+                    if m is not None:
+                        for j, row in enumerate(m):
+                            x = row[k]
+                            if x:
+                                col[off + j] = x
                 rel_cols.append(col)
         kept, coords = quotient_coords(gen_dim, rel_cols, field)
         dim_v = len(kept)
-        fun.dims[v] = dim_v
+        dims[v] = dim_v
         gen_path = []
-        for b, off in zip(blocks, offsets):
-            for k in range(fun.dim(b.source)):
-                gen_path.append(fun.paths[b.source][k] + (b,))
-        fun.paths[v] = [gen_path[g] for g in kept]
-        for b, off in zip(blocks, offsets):
-            db = fun.dim(b.source)
-            mat = [[field.zero] * db for _ in range(dim_v)]
-            for k in range(db):
-                cv = coords[off + k]
-                for i in range(dim_v):
-                    mat[i][k] = cv[i]
-            fun.mats[b] = mat
+        for b in in_arrows:
+            for p in paths[b.source]:
+                gen_path.append(p + (b,))
+        paths[v] = [gen_path[g] for g in kept]
+        for b, off in zip(in_arrows, offsets):
+            db = dims[b.source]
+            mats[b] = [list(row) for row in zip(*coords[off:off + db])] if db else [[] for _ in range(dim_v)]
     return fun
 
 
 # ---------------------------------------------------------------------------
 # Cache.  Append-only: concurrent readers are safe, insertion is exclusive.
 # On disk, one append-only log per (context, window, field) holds one line
-# per stored sweep: the escaped source key, a tab, then the compact JSON
-# [version, repr(key), paths, mats].  Vertices and arrows are positions in
-# the window slice (build_repetition); rationals are ints or "p/q" strings.
+# per stored sweep (translates are never stored): the escaped source key, a
+# tab, then the compact JSON [version, repr(key), paths, mats].  Vertices and
+# arrows are positions in the window slice (build_repetition); rationals are
+# ints or "p/q" strings.
 # ---------------------------------------------------------------------------
 
 _CACHE: Dict[tuple, HomFunctor] = {}
+# The tallest sweep loaded or computed so far per (context key, node, frozen,
+# field), for the tau-invariant contexts only: every shorter request from the
+# same node is its translate (_translate), held in _CACHE and never on disk.
+_TALLEST: Dict[tuple, HomFunctor] = {}
 _CACHE_LOCK = threading.Lock()
 _DISK_DIR: Optional[str] = None
 _DISK_VERSION = 2
@@ -275,10 +284,12 @@ _LOGS: Dict[tuple, _Log] = {}
 
 
 def clear_cache():
-    """Drop every cached sweep, with its path memo, every read log index and every shared
-    window slice, category, Serre table and fiber stage (quiver_core.shared)."""
+    """Drop every cached sweep, with its path memo, the tallest sweep held per node, every
+    read log index and every shared window slice, category, Serre table and fiber stage
+    (quiver_core.shared)."""
     with _CACHE_LOCK:
         _CACHE.clear()
+        _TALLEST.clear()
         _LOGS.clear()
         clear_slices()
 
@@ -292,21 +303,78 @@ def enable_disk_cache(directory: Optional[str]):
     _LOGS.clear()
 
 
+def _height(fun: HomFunctor) -> int:
+    return fun.window.hi - fun.source.level
+
+
 def sweep(ctx: MeshContext, source: RepVertex, window: Window, field=QQ) -> HomFunctor:
+    """Hom(source, -) on the window: the cached sweep, else in a tau-invariant
+    context the translate of the tallest sweep held from the source's node if
+    that is at least as tall (window.hi - source.level), else the stored or a
+    newly computed (and stored) sweep, which becomes its node's tallest."""
     fkey = field.key
     key = (ctx.cache_key(), window.lo, window.hi, source, fkey)
     fun = _CACHE.get(key)
     if fun is not None:
         return fun
-    on_disk = _DISK_DIR and fkey == "QQ"
-    if on_disk:
-        fun = _disk_load(ctx, source, window, key)
+    node_key = None
+    if ctx.tau_invariant and window.contains(source) and ctx.contains(source):
+        node_key = (key[0], source.node, source.frozen, fkey)
+        base = _TALLEST.get(node_key)
+        if base is not None and _height(base) >= window.hi - source.level:
+            fun = _translate(ctx, base, source, window, field)
     if fun is None:
-        fun = _sweep(ctx, source, window, field)
+        on_disk = _DISK_DIR and fkey == "QQ"
         if on_disk:
-            _disk_store(fun, key)
+            fun = _disk_load(ctx, source, window, key)
+        if fun is None:
+            fun = _sweep(ctx, source, window, field)
+            if on_disk:
+                _disk_store(fun, key)
     with _CACHE_LOCK:
-        return _CACHE.setdefault(key, fun)
+        fun = _CACHE.setdefault(key, fun)
+        if node_key is not None:  # a translate is at most as tall as its base: it never replaces it
+            held = _TALLEST.get(node_key)
+            if held is None or _height(held) < _height(fun):
+                _TALLEST[node_key] = fun
+        return fun
+
+
+def _translate(ctx: MeshContext, base: HomFunctor, source: RepVertex, window: Window, field) -> HomFunctor:
+    """The sweep of Hom(source, -) on the window, read off the sweep base from
+    a vertex of the same node, at least as tall, in a tau-invariant context.
+
+    tau^-s, s the level difference, is an automorphism of the category, and a
+    sweep at and above its source does not depend on the levels below it, so
+    dims and basis paths are the base's shifted by s levels and each arrow
+    acts by the base's matrix (the same list object).  Spaces below the
+    source are zero, an arrow into the source level from below acts by an
+    empty-column matrix, and every dict has the key order _sweep gives it.
+    """
+    s = source.level - base.source.level
+    fun = HomFunctor(ctx, source, window, field)
+    dims, paths, mats = fun.dims, fun.paths, fun.mats
+    bdims, bpaths, bmats = base.dims, base.paths, base.mats
+    moved: Dict[RepArrow, RepArrow] = {}  # base arrow -> its translate
+    lo = source.level
+    rq = ctx._slice(window)
+    for v in rq.vertices:
+        if v.level < lo:
+            dims[v] = 0
+            paths[v] = []
+            continue
+        bv = RepVertex(v.node, v.level - s, v.frozen)
+        d = dims[v] = bdims[bv]
+        for b in rq.in_arrows(v):
+            u = b.source
+            if u.level < lo:
+                mats[b] = [[] for _ in range(d)]
+                continue
+            bb = RepArrow(b.kind, b.base, RepVertex(u.node, u.level - s, u.frozen), bv)
+            moved[bb] = b
+            mats[b] = bmats[bb]
+        paths[v] = [tuple(map(moved.__getitem__, p)) for p in bpaths[bv]]
+    return fun
 
 
 def _disk_path(key) -> str:
@@ -328,6 +396,14 @@ def _source_key(source: RepVertex) -> bytes:
     return source.key().encode("unicode_escape")  # no raw tab or newline
 
 
+def _stored_row(row):
+    """A matrix row as JSON takes it: a row of ints as it is, else each integral entry as
+    its numerator and any other as a "p/q" string."""
+    if all(type(x) is int for x in row):
+        return row
+    return [x.numerator if x.denominator == 1 else f"{x.numerator}/{x.denominator}" for x in row]
+
+
 def _disk_store(fun: HomFunctor, key):
     rq = fun.ctx._slice(fun.window)
     index = rq.arrow_index
@@ -335,9 +411,7 @@ def _disk_store(fun: HomFunctor, key):
     # Encoded vertex by vertex and arrow by arrow: one encode of the whole
     # record would hold a string per number until the end.
     paths = ",".join(compact([[index[a] for a in p] for p in fun.paths[v]]) for v in rq.vertices)
-    mats = ",".join(compact([index[a], [[x.numerator if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-                                         for x in row] for row in m]])
-                    for a, m in fun.mats.items())
+    mats = ",".join(compact([index[a], [_stored_row(row) for row in m]]) for a, m in fun.mats.items())
     skey = _source_key(fun.source).decode("ascii")
     line = f"\n{skey}\t[{_DISK_VERSION},{compact(repr(key))},[{paths}],[{mats}]]\n"
     del paths, mats

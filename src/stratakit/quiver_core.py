@@ -30,7 +30,8 @@ class Quiver:
     """A finite acyclic quiver.  Parallel arrows are allowed, cycles are not.
 
     Immutable once built: vertices and arrows are never reassigned, so the
-    identity string returned by key() is computed once, at construction.
+    identity string returned by key() and the arrows by id (arrow_by_id)
+    are computed once, at construction.
     """
 
     def __init__(self, vertices: Iterable[str], arrows: Iterable[QArrow]):
@@ -45,6 +46,7 @@ class Quiver:
         for a in self.arrows:
             if a.source not in vset or a.target not in vset:
                 raise InvalidInputError(f"arrow {a.id} has endpoint outside vertex set")
+        self.arrow_by_id = {a.id: a for a in self.arrows}
         self._topo = self._topological_order()
         self.topo_index = {v: i for i, v in enumerate(self._topo)}
         self._key = json.dumps(self.to_json(), sort_keys=True)
@@ -229,7 +231,7 @@ def parse_arrow_key(q: Quiver, key: str) -> RepArrow:
     except ValueError as exc:
         raise InvalidInputError(f"bad arrow key {key!r}") from exc
     if kind in ("a", "s"):
-        arr = next((a for a in q.arrows if a.id == base), None)
+        arr = q.arrow_by_id.get(base)
         if arr is None:
             raise InvalidInputError(f"unknown base arrow {base!r} in key {key!r}")
         if kind == "a":
@@ -246,10 +248,10 @@ def sigma_arrow(q: Quiver, ra: RepArrow) -> RepArrow:
     """sigma on arrows; sigma^2 = tau (shift one level down)."""
     p = ra.target.level
     if ra.kind == "a":
-        arr = next(a for a in q.arrows if a.id == ra.base)
+        arr = q.arrow_by_id[ra.base]
         return RepArrow("s", ra.base, RepVertex(arr.target, p - 1), RepVertex(arr.source, p))
     if ra.kind == "s":
-        arr = next(a for a in q.arrows if a.id == ra.base)
+        arr = q.arrow_by_id[ra.base]
         return RepArrow("a", ra.base, RepVertex(arr.source, p - 1), RepVertex(arr.target, p - 1))
     if ra.kind == "f":
         return RepArrow("c", ra.base, RepVertex(ra.base, p - 1, True), RepVertex(ra.base, p))

@@ -26,7 +26,7 @@ from stratakit.mesh_hom import (
     sweep,
     sweep_matches_oracle,
 )
-from stratakit.exact_linalg import QQ
+from stratakit.exact_linalg import QQ, PrimeField
 from stratakit.quiver_core import (
     Configuration,
     QArrow,
@@ -351,8 +351,9 @@ def _counting_sweep(monkeypatch):
 
 
 def _same_sweep(fun, other):
-    return (dict(fun.dims) == dict(other.dims) and dict(fun.paths) == dict(other.paths)
-            and dict(fun.mats) == dict(other.mats))
+    """Equal dims, paths and matrices, each dict with the same key order."""
+    return all(list(a.items()) == list(b.items())
+               for a, b in ((fun.dims, other.dims), (fun.paths, other.paths), (fun.mats, other.mats)))
 
 
 @pytest.mark.parametrize("damage", ["wrong-shape", "truncated", "short-matrix", "not-an-object", "missing-matrix"])
@@ -619,7 +620,7 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), 
 LOG_SCRIPT = """
 import json, sys
 from stratakit import mesh_hom
-from stratakit.exact_linalg import QQ
+from stratakit.exact_linalg import QQ, PrimeField
 from stratakit.mesh_hom import MeshContext
 from stratakit.quiver_core import Window, a_n_quiver
 ctx, w = MeshContext(a_n_quiver(2), "RC"), Window(0, 4)
@@ -852,3 +853,71 @@ def test_two_cli_runs_on_one_cache_directory_agree(tmp_path):
     # Every rational sweep computed with the cache on is appended to its log, so
     # logs left byte-identical mean the second run computed none.
     assert len(logs[0]) == 2 and logs[1] == logs[0]
+
+
+# ---------------------------------------------------------------------------
+# Translated sweeps: in a tau-invariant context every sweep no taller than
+# the tallest one held for its node is read off that one.
+# ---------------------------------------------------------------------------
+
+def _counting_translate(monkeypatch):
+    translated = []
+    real = mesh_hom._translate
+    monkeypatch.setattr(mesh_hom, "_translate", lambda *a: translated.append(a[2]) or real(*a))
+    return translated
+
+
+@pytest.mark.parametrize("flavor", ["kZQ", "RC", "SC"])
+@pytest.mark.parametrize("quiver", [a_n_quiver(2), a_n_quiver(3), d4_quiver(), kronecker_quiver(2)],
+                         ids=["A2", "A3", "D4", "K2"])
+def test_translated_sweeps_equal_their_twin_sweeps(quiver, flavor, monkeypatch):
+    monkeypatch.setattr(mesh_hom, "_DISK_DIR", None)
+    translated = _counting_translate(monkeypatch)
+    ctx = MeshContext(quiver, flavor)
+    for field in (QQ, PrimeField(2)):
+        requests = [(v, Window(lo, hi)) for lo in range(-2, 4) for hi in range(lo, lo + 5)
+                    for v in ctx.vertices_in(Window(lo, hi)) if flavor != "SC" or v.frozen]
+        random.Random(f"{flavor}{field.key}").shuffle(requests)
+        clear_cache()
+        try:
+            for v, w in requests:
+                assert _same_sweep(sweep(ctx, v, w, field), mesh_hom._sweep(ctx, v, w, field)), (v, w)
+        finally:
+            clear_cache()
+    assert translated
+
+
+@pytest.mark.parametrize("config", [Configuration([parse_vertex("1@0")], period=2),
+                                    Configuration([parse_vertex("1@0"), parse_vertex("2@2")])],
+                         ids=["periodic", "arbitrary"])
+def test_configured_contexts_are_never_translated(config, monkeypatch):
+    monkeypatch.setattr(mesh_hom, "_DISK_DIR", None)
+    translated = _counting_translate(monkeypatch)
+    ctx = MeshContext(A2, "RC", config)
+    clear_cache()
+    try:
+        for w in (Window(0, 4), Window(1, 3), Window(-1, 2)):
+            for v in ctx.vertices_in(w):
+                assert _same_sweep(sweep(ctx, v, w), mesh_hom._sweep(ctx, v, w, QQ))
+    finally:
+        clear_cache()
+    assert translated == []
+
+
+def test_ascending_sweeps_store_one_record_per_node_and_load_in_a_fresh_process(tmp_path, monkeypatch):
+    clear_cache()
+    enable_disk_cache(str(tmp_path))
+    try:
+        computed = _counting_sweep(monkeypatch)
+        sources = RC.vertices_in(RC4)
+        for s in sources:  # ascending levels: the first source of each node is its tallest
+            sweep(RC, s, RC4)
+        assert computed == [s for s in sources if s.level == 0]
+    finally:
+        enable_disk_cache(None)
+        clear_cache()
+    (path,) = tmp_path.iterdir()
+    assert [prefix for prefix, _ in _records(path)] == [b"1@0", b"1'@0", b"2@0", b"2'@0"]
+    reader = _log_process("read", tmp_path)
+    out, _ = reader.communicate(timeout=120)
+    assert json.loads(out) == {"computed": 0, "same": len(sources), "sources": len(sources)}

@@ -263,12 +263,19 @@ def test_report_sweeps_once_per_source(monkeypatch):
     monkeypatch.setattr(mesh_hom, "_DISK_DIR", None)
     monkeypatch.setattr(mesh_hom, "_sweep", lambda *args: computed.append(args) or real(*args))
     mesh_hom.clear_cache()
+    # kZQ is tau-invariant: the Serre search sweeps each node from level 0
+    # over the whole window, and every source of the report is a translate.
     report = build_sing_quiver(A2, None, Window(0, 9))
-    assert len(computed) == 36
+    assert [(args[1], args[2]) for args in computed] == [(parse_vertex("1@0"), Window(0, 9)),
+                                                         (parse_vertex("2@0"), Window(0, 9))]
     mesh_hom.clear_cache()
     computed.clear()
+    # the twin's first pair asks for the one-level window [1, 1]; the Serre
+    # search then sweeps from level 0 over the whole window, which serves the rest
     _per_pair_report(A2, None, Window(0, 9))
-    assert len(computed) == 108
+    assert [(args[1], args[2]) for args in computed] == [(parse_vertex("1@1"), Window(1, 1)),
+                                                         (parse_vertex("1@0"), Window(0, 9)),
+                                                         (parse_vertex("2@0"), Window(0, 9))]
     mesh_hom.clear_cache()
     assert report.to_json() == build_sing_quiver(A2, None, Window(0, 9)).to_json()
 
