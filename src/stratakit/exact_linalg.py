@@ -8,10 +8,11 @@ one, of_int, inv, key):
 
 * rref, the only elimination of the program, on sparse rows (a dict from
   column to nonzero value; a row may also come in as a list), and what is
-  read off it: mat_rank, kernel_cols (a KernelBasis), left_kernel_rows,
-  span_basis (the leftmost spanning vectors), solve_many (coordinates in
-  spanning columns) and quotient_coords (a basis of a quotient, from
-  relations given as lists or sparse dict rows);
+  read off it: mat_rank, kernel_cols (a KernelBasis), span_kernel_basis
+  (the KernelBasis kernel_cols would give, from vectors spanning the
+  kernel), left_kernel_rows, span_basis (the leftmost spanning vectors),
+  solve_many (coordinates in spanning columns) and quotient_coords (a
+  basis of a quotient, from relations given as lists or sparse dict rows);
 * reference_rref, the dense elimination rref replaced, kept as the path
   oracle's reference (mesh_hom.hom_dim_oracle and sweep_matches_oracle)
   so that the oracle does not share the elimination it checks;
@@ -292,6 +293,36 @@ def kernel_cols(rows, ncols, field) -> KernelBasis:
             v[pc] = -red[i][free]
         basis.append(v)
     return basis
+
+
+def span_kernel_basis(vecs, ncols, field):
+    """The basis kernel_cols gives for any system whose kernel is span(vecs),
+    with the coefficients of each basis column over vecs.
+
+    vecs are independent vectors of field^ncols, each a dict of its nonzero
+    entries.  A column of that basis is 1 at its free column, 0 at every
+    other free column and supported at the pivots before it, so read with
+    the columns reversed the basis is the reduced row echelon form of the
+    kernel, which depends only on the subspace.  One rref of the vecs,
+    columns reversed and an identity block carried, therefore gives the
+    KernelBasis (free columns ascending) and, in the carried block, each of
+    its columns as a combination of the vecs.  Returns (basis, coefficient
+    rows), or None when the vecs are dependent.
+    """
+    last = ncols - 1
+    rows = []
+    for t, v in enumerate(vecs):
+        row = {last - c: x for c, x in v.items()}
+        row[ncols + t] = field.one
+        rows.append(row)
+    red, pivots = rref(rows, ncols, field)
+    if len(pivots) != len(vecs):
+        return None
+    basis = KernelBasis(row[last::-1] for row in reversed(red))
+    basis.free = [last - pc for pc in reversed(pivots)]
+    free = set(basis.free)
+    basis.pivots = [c for c in range(ncols) if c not in free]
+    return basis, [row[ncols:] for row in reversed(red)]
 
 
 def left_kernel_rows(rows, nrows: int, field):

@@ -10,6 +10,12 @@ representation space rep(R_C^op, v, w).
 Points of the affine variety M_0(w) are entered as restrictions of window
 representations; semisimple points need only the frozen dimension vector.
 
+K_R(M) is computed by one recursion over the window, in the order the Hom
+sweeps run (kan_right): the Yoneda image of M at a frozen vertex, the
+kernel of the mesh relator's map at a non-frozen one.  Its bases are those
+of the naturality system's kernel, which survives as a test twin.  K_L(M)
+is the cokernel of that system over the opposite category (kan_left).
+
 Two independent computations back every stratum invariant: the
 multiplicity formula w o sigma - C_q v and the mesh-homology Ext^1 count.
 A disagreement raises InternalConsistencyError and is never smoothed over.
@@ -39,6 +45,7 @@ from .exact_linalg import (
     rref,  # not called here; perfbench/selfcheck.py looks the name up on this module
     solve_many,
     span_basis,
+    span_kernel_basis,
     sub_map,
     transpose_rows,
 )
@@ -374,12 +381,14 @@ def restrict(rep: WindowRep) -> SModulePoint:
 class KanRight:
     """K_R(M) on the window, with the ambient data needed by later stages.
 
-    The value at x is the space of module maps res(x^) -> M, realized as
-    the kernel of the naturality system over the coordinates phi_u(f_i)[j],
-    u running over frozen objects in the support of M and f_i over a Hom
-    basis of R_C(u, x).  Values at window vertices are exact: every
-    morphism and every constraint between the support and x lives on the
-    intermediate levels.
+    The value at x is the space of module maps res(x^) -> M, held as
+    columns over the coordinates phi_u(f_i)[j], u running over frozen
+    objects in the support of M and f_i over the sweep's Hom basis of
+    R_C(u, x).  Its basis is the KernelBasis that kernel_cols picks for
+    the naturality system at x, though kan_right builds no such system
+    (see there).  Values at window vertices are exact: every morphism and
+    every constraint between the support and x lives on the intermediate
+    levels.
     """
 
     def __init__(self, M: SModulePoint, rep: WindowRep, amb_index, basis_cols, theta):
@@ -394,11 +403,13 @@ class KanRight:
 
 
 def _naturality_rows(hom_dims, mdims, squares, field):
-    """One Kan extension's system at a vertex x: its variables and sparse rows.
+    """kan_left's system at a vertex x: its variables and sparse rows.
 
-    hom_dims[u] is the dimension of the Hom space between u and x, for
-    every object u of the squares: Hom(u,x) for K_R, and Hom(x,u) for K_L,
-    which is K_R over the opposite category.  The variables are the
+    K_L's coend relations are K_R's naturality system over the opposite
+    category; the tests build that system for K_R itself as kan_right's
+    twin.  hom_dims[u] is the dimension of the Hom space between u and x,
+    for every object u of the squares: Hom(x,u) for K_L (Hom(u,x) for
+    K_R).  The variables are the
     (u, i, j) with i below hom_dims[u] and j below mdims[u] = dim M(u), in
     the order of hom_dims.  A square (a, b, comp, acts) is one generator s
     of S between a and b: comp is the matrix Hom(b,x) -> Hom(a,x) of
@@ -442,75 +453,137 @@ def _sparse_rows(m):
 
 
 def kan_right(M: SModulePoint, w: Window) -> KanRight:
+    """K_R(M), by one recursion over the window in slice order, as the sweeps run.
+
+    A frozen u takes the Yoneda image of M(u): e_j has the coordinate
+    act_mat(u', u, i)[j'][j] at (u', i, j').  A non-frozen x takes the
+    kernel of (+)_b K_R(y_b) -> K_R(tau x) over its in-arrows b: y_b -> x,
+    the map being sum_b K_R(sigma b) where the sweep imposes the mesh
+    relator at x and zero elsewhere: the sweep makes each Hom(u, x) the
+    cokernel of that relator, and Hom_S(-, M) is left exact.  A kernel
+    vector enters the ambient coordinates by copying, since the sweep
+    builds each basis path f_i of Hom(u, x) as a basis path p of
+    Hom(u, y_b) followed by b: coordinate (u, i, j) is coordinate
+    (u, index of p, j) of component b.  exact_linalg.span_kernel_basis
+    turns the embedded vectors into the basis kernel_cols picks for the
+    naturality system at x, and its coefficients give each in-arrow's
+    matrix, the projection to component b.  Only the framing arrows
+    x -> u solve, through in_basis.
+    """
     if w != M.window:
         raise WindowInsufficiencyError("kan_right must be computed on the module's own window")
-    cat = M.cat
-    field = M.field
-    rc = MeshContext(cat.q, "RC", cat.config)
-    rq = build_repetition(cat.q, True, w, cat.config)
-    support = [u for u in cat.objects if M.dim(u) > 0]
+    cat, field, q = M.cat, M.field, M.q
+    rc = MeshContext(q, "RC", cat.config)
+    rq = build_repetition(q, True, w, cat.config)
+    mdims = M.module.dims
+    support = [u for u in cat.objects if mdims[u]]
     zero = field.zero
-
-    # Every sweep and every naturality square u -> v of the system, read
-    # once per call: the square's generator s_k and the nonzero entries of
-    # each row of M(s_k).  Squares along the generators of S imply those
-    # along their composites, so they cut out the same kernel as squares
-    # along every basis morphism.
     funs = {u: sweep(rc, u, w, field) for u in support}
-    squares = []
-    for u in support:
-        for v in cat.objects:
-            if v.level < u.level or cat.dim(u, v) == 0:
-                continue
-            if v not in funs:
-                funs[v] = sweep(rc, v, w, field)
-            paths = cat.basis_paths(u, v)
-            for k in cat.generators(u, v):
-                squares.append((u, v, paths[k], _sparse_rows(M.module.act_mat(u, v, k))))
+    path_pos: Dict[tuple, dict] = {}  # (u, y) -> {basis path of Hom(u,y): its index}
 
     amb_index: Dict[RepVertex, list] = {}
     basis_cols: Dict[RepVertex, list] = {}
     offsets: Dict[RepVertex, dict] = {}
-    for x in rq.vertices:
-        hom_dims = {u: f.dim(x) for u, f in funs.items()}
-        if not any(hom_dims[u] for u in support):
-            amb_index[x], basis_cols[x], offsets[x] = [], [], {}
-            continue
-        # Hom(v,x) -> Hom(u,x), f |-> f o s_k; when Hom(u,x) vanishes the
-        # square still forces M(s_k) phi_v(f) = 0
-        comps = [(u, v, precomposition_matrix(rc, s_path, u, v, x, w, field), acts)
-                 for u, v, s_path, acts in squares if hom_dims[v]]
-        amb_index[x], offsets[x], rows = _naturality_rows(hom_dims, M.module.dims, comps, field)
-        basis_cols[x] = kernel_cols(rows, len(amb_index[x]), field)
-
-    # Structure maps: a: x -> y sends a kernel column phi at y to phi o (a o -)
-    # at x, whose coordinate (u, l, j) sums phi(u, m, j) times the entry (m, l)
-    # of the sweep's matrix of a, Hom(u,x) -> Hom(u,y), f |-> a o f.
-    dims = {x: len(basis_cols[x]) for x in rq.vertices}
+    dims: Dict[RepVertex, int] = {}
     mats = {}
-    for a in rq.arrows:
-        x, y = a.source, a.target
-        if not dims[x] or not dims[y]:
+    for x in rq.vertices:
+        amb = amb_index[x] = []
+        off = offsets[x] = {}
+        for u in support:
+            d = funs[u].dim(x)
+            if d:
+                off[u] = len(amb)
+                amb.extend((u, i, j) for i in range(d) for j in range(mdims[u]))
+        if not amb:
+            basis_cols[x], dims[x] = [], 0
+            continue
+        if x.frozen:
+            vecs = [{} for _ in range(mdims[x])]
+            for u, o in off.items():
+                for i in range(funs[u].dim(x)):
+                    for j2, row in enumerate(M.module.act_mat(u, x, i)):
+                        for j, c in enumerate(row):
+                            if c:
+                                vecs[j][o + i * mdims[u] + j2] = c
+        else:
+            # the kernel of the relator map, one block of columns per in-arrow b with K_R(y_b) != 0
+            blocks, total = [], 0
+            for b in rq.in_arrows(x):
+                if dims[b.source]:
+                    blocks.append((b, total))
+                    total += dims[b.source]
+            rel = []
+            if rc.imposes_relator(x, w) and dims[tau(x)]:
+                rel = [{} for _ in range(dims[tau(x)])]
+                for b, ob in blocks:
+                    for row, r in zip(mats.get(sigma_arrow(q, b), ()), rel):
+                        for t, c in enumerate(row):
+                            if c:
+                                r[ob + t] = c
+            kernel = kernel_cols(rel, total, field) if total else []
+            # copy pairs (position at x, position at y_b) of each in-arrow b
+            pairs = {b: [] for b, _ in blocks}
+            for u, o in off.items():
+                fun, mu = funs[u], mdims[u]
+                for i, f in enumerate(fun.basis_paths(x)):
+                    pb = pairs.get(f[-1])
+                    if pb is None:
+                        continue
+                    y = f[-1].source
+                    pos = path_pos.get((u, y))
+                    if pos is None:
+                        pos = path_pos[(u, y)] = {p: k for k, p in enumerate(fun.basis_paths(y))}
+                    oy = offsets[y][u] + pos[f[:-1]] * mu
+                    pb.extend((o + i * mu + j, oy + j) for j in range(mu))
+            vecs = []
+            for z in kernel:
+                vec = {}
+                for b, ob in blocks:
+                    terms = [(col, z[ob + t]) for t, col in enumerate(basis_cols[b.source]) if z[ob + t]]
+                    for px, py in pairs[b] if terms else ():
+                        s = sum((col[py] * c for col, c in terms if col[py]), zero)
+                        if s:
+                            vec[px] = s
+                vecs.append(vec)
+        got = span_kernel_basis(vecs, len(amb), field)
+        if got is None:
+            raise InternalConsistencyError(f"K_R at {x} does not embed in its Hom spaces")
+        basis_cols[x], coefs = got
+        dims[x] = len(coefs)
+        if not dims[x]:
+            continue
+        if not x.frozen:
+            # column f of the matrix of b is component b of sum_t coefs[f][t] kernel[t]
+            for b, ob in blocks:
+                db = dims[b.source]
+                mats[b] = transpose_rows(mat_mul(coefs, [z[ob:ob + db] for z in kernel], field))
+            continue
+        # The framing arrow a: x0 -> x sends a column phi at x to phi o (a o -) at
+        # x0, whose coordinate (u, l, j) sums phi(u, m, j) times the entry (m, l)
+        # of the sweep's matrix of a, Hom(u,x0) -> Hom(u,x), f |-> a o f.
+        (a,) = rq.in_arrows(x)
+        x0 = a.source
+        if not dims[x0]:
             continue
         post = {}  # u -> the nonzero entries (l, c) of each row m of the sweep's matrix of a
         images = []
-        for col in basis_cols[y]:
-            img = [zero] * len(amb_index[x])
-            for (u, m_i, j), c in zip(amb_index[y], col):
+        for col in basis_cols[x]:
+            img = [zero] * len(amb_index[x0])
+            for (u, m_i, j), c in zip(amb, col):
                 if not c:
                     continue
                 if u not in post:
                     post[u] = _sparse_rows(funs[u].mats[a])
                 if post[u][m_i]:
-                    base, mu = offsets[x][u] + j, M.dim(u)
+                    base, mu = offsets[x0][u] + j, mdims[u]
                     for l, p in post[u][m_i]:
                         img[base + l * mu] += p * c
             images.append(img)
-        mats[a] = in_basis(images, basis_cols[x], field)
+        mats[a] = in_basis(images, basis_cols[x0], field)
         if mats[a] is None:
             raise InternalConsistencyError("K_R structure map leaves the computed value space")
 
-    rep = WindowRep(cat.q, w, cat.config, dims, mats, field)
+    rep = WindowRep(q, w, cat.config, dims, mats, field)
 
     theta = {}
     for u in cat.objects:

@@ -20,6 +20,16 @@ from .mesh_hom import MeshContext, hom_dim
 from .quiver_core import Configuration, Quiver, RepVertex, Window, sigma, sigma_inv
 
 
+# The most sweep work build_sing_quiver takes on, counted before any sweep as
+# the sum over its sources of the levels each source's sweep may cover (its
+# sources times its swept levels).  The widest reports the tests and the
+# benchmark ask for stay far below it: A2 over [0, 9] needs 90, A3 over
+# [0, 9] 135, D4 over [0, 5] 60 and K3 over [0, 4] with span 2 14.  A2 over
+# [0, 99] needs 9,900 and runs in 0.3 s on a shared 2-core machine; A2 over
+# [0, 999] needs 999,000.
+MAX_SING_QUIVER_WORK = 10_000
+
+
 @dataclass
 class SingQuiverReport:
     """Arrow and minimal-relation counts between retained frozen vertices."""
@@ -78,14 +88,20 @@ def build_sing_quiver(q: Quiver, config: Optional[Configuration], w: Window,
     are exact.  max_span caps the level distance of reported pairs: for
     non-Dynkin quivers the mesh dimensions grow exponentially with the
     distance, so a full table over a wide window is not a feasible exact
-    computation; capped pairs are simply omitted, never guessed.
+    computation; capped pairs are simply omitted, never guessed.  A report
+    whose sweep work (_sweep_work) exceeds MAX_SING_QUIVER_WORK is an input
+    error, raised before any sweep.
     """
     if max_span is not None and max_span < 0:
         raise InvalidInputError("max_span must be >= 0")
     config = config if config is not None else Configuration.full()
+    objects = [v for v in MeshContext(q, "RC", config).vertices_in(w) if v.frozen]
+    work = _sweep_work(objects, w, max_span)
+    if work > MAX_SING_QUIVER_WORK:
+        raise InvalidInputError(f"the singular quiver on this window needs {work} source-levels of sweeps, "
+                                f"above the limit {MAX_SING_QUIVER_WORK}; narrow the window or cap max_span")
     info = is_dynkin(q)
     ctx = MeshContext(q, "kZQ")
-    objects = [v for v in MeshContext(q, "RC", config).vertices_in(w) if v.frozen]
     arrows: Dict[Tuple[RepVertex, RepVertex], int] = {}
     relations: Dict[Tuple[RepVertex, RepVertex], int] = {}
     partial: List[RepVertex] = []
@@ -128,6 +144,24 @@ def build_sing_quiver(q: Quiver, config: Optional[Configuration], w: Window,
         if src_partial:
             partial.append(u)
     return SingQuiverReport(objects, arrows, relations, sorted(set(partial)), info)
+
+
+def _sweep_work(objects: List[RepVertex], w: Window, max_span: Optional[int]) -> int:
+    """The levels build_sing_quiver may sweep, summed over its sources sigma^{-1}(u).
+
+    A source's sweep runs from its level up to the highest target of u, a
+    twin of some u2 at most max_span levels above u (relation targets lie
+    lower), and never above the window: an upper bound on the real work,
+    counted without sweeping.
+    """
+    total = 0
+    for u in objects:
+        lo = u.level + 1  # the level of sigma^{-1}(u)
+        if lo > w.hi:
+            continue
+        top = w.hi if max_span is None else min(w.hi, u.level + max_span)
+        total += max(top, lo) - lo + 1
+    return total
 
 
 def ext_oracle(q: Quiver, config: Optional[Configuration], w: Window,

@@ -307,9 +307,22 @@ def test_unusable_cache_dir_exits_1_with_json_error(capsys, tmp_path, monkeypatc
     assert [p.name for p in tmp_path.iterdir()] == ["not-a-dir"] and blocker.read_text() == ""
 
 
+def test_sing_quiver_over_its_work_budget_exits_1_at_once(capsys):
+    """sing-quiver over A2 [0, 999] needs 999,000 source-levels of sweeps: it is refused
+    before any sweep, with the JSON error, and never gets near running out of memory."""
+    start = time.perf_counter()
+    code, out, err = run(capsys, "sing-quiver", "--quiver", A2_JSON, "--window", "0", "999")
+    assert time.perf_counter() - start < 1.0
+    assert code == 1 and out == ""
+    error = json.loads(err.strip())
+    assert (error["error"], error["code"]) == ("InvalidInputError", 1)
+    assert "999000 source-levels" in error["detail"] and "limit 10000" in error["detail"]
+
+
 def test_out_of_memory_exits_1_with_json_error(capsys, monkeypatch):
     """A command that runs out of memory (here a stand-in raising MemoryError, as sing-quiver
-    over [0, 999] did) reports the JSON error and exit code 1, and the next command runs as before."""
+    over [0, 999] did before its work budget) reports the JSON error and exit code 1, and the
+    next command runs as before."""
     from stratakit import cli
 
     def exhausted(*args, **kwargs):

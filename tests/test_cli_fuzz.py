@@ -2,7 +2,9 @@
 
 Arguments are drawn both as arbitrary JSON and as near-valid quivers,
 configurations, vertex maps and window representations, so that the
-draws reach past the first parse into the mesh categories.  Most integers
+draws reach past the first parse into the mesh categories, and the
+representations on into the Kan extensions, Phi and the closure order
+(phi, klr, stratum with and without --other, degen).  Most integers
 are drawn small, but SCALARS also draws unbounded ones, so a window or a
 field characteristic can be huge: the input boundary must reject those
 before any work, as the pinned examples check.
@@ -75,7 +77,10 @@ COMMANDS = st.one_of(
               QUIVER, WINDOW, VERTEX_MAP),
     st.builds(lambda q, w, c: ["check-config", _arg("quiver", q), "--window", *w, _arg("config", c)],
               QUIVER, WINDOW, CONFIG),
-    st.builds(lambda r: ["validate", _arg("rep", r)], REP))
+    st.builds(lambda cmd, r: [cmd, _arg("rep", r)], st.sampled_from(["validate", "phi", "klr", "stratum"]), REP),
+    # the second point is often the first, so that pairs with equal w reach Phi and the closure order
+    st.builds(lambda cmd, ro: [cmd, _arg("rep", ro[0]), _arg("other", ro[1])], st.sampled_from(["stratum", "degen"]),
+              REP.flatmap(lambda r: st.tuples(st.just(r), st.one_of(st.just(r), REP)))))
 
 
 @settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])

@@ -27,6 +27,7 @@ from stratakit.exact_linalg import (
     rref,
     solve_many,
     span_basis,
+    span_kernel_basis,
     sub_map,
 )
 
@@ -400,8 +401,8 @@ def test_exact_linalg_is_the_only_elimination_core():
 
 
 # The routines read off rref: the oracle's ranks call none of them.
-RREF_ROUTES = {"rref", "mat_rank", "kernel_cols", "left_kernel_rows", "span_basis", "solve_many",
-               "quotient_coords", "sub_map", "in_basis"}
+RREF_ROUTES = {"rref", "mat_rank", "kernel_cols", "span_kernel_basis", "left_kernel_rows", "span_basis",
+               "solve_many", "quotient_coords", "sub_map", "in_basis"}
 ORACLES = {"hom_dim_oracle", "sweep_matches_oracle"}
 
 
@@ -464,9 +465,10 @@ SOLVE_MANY_CALLERS = {("kan_strata.py", "kan_intermediate"), ("kan_strata.py", "
 
 
 def test_kan_extensions_share_one_system_and_maps_go_through_in_basis():
-    """kan_right and kan_left both build their systems with _naturality_rows, and outside
-    exact_linalg solve_many runs only where no induced map is read: every other solve
-    goes through in_basis, the one place coordinates are solved for and laid out."""
+    """kan_left builds its system with _naturality_rows, and nothing else in the package
+    does (kan_right runs its recursion instead; the tests build K_R's system as its twin),
+    and outside exact_linalg solve_many runs only where no induced map is read: every other
+    solve goes through in_basis, the one place coordinates are solved for and laid out."""
     package = pathlib.Path(stratakit.__file__).parent
     builders, solves = set(), set()
     for path in sorted(package.glob("*.py")):
@@ -478,7 +480,7 @@ def test_kan_extensions_share_one_system_and_maps_go_through_in_basis():
             if called == "solve_many":  # a function nested in an allowed caller counts as that caller
                 solves.add(next(((n, c) for n, c in SOLVE_MANY_CALLERS
                                  if n == path.name and (func == c or func.startswith(c + "."))), (path.name, func)))
-    assert builders == {("kan_strata.py", "kan_right"), ("kan_strata.py", "kan_left")}
+    assert builders == {("kan_strata.py", "kan_left")}
     assert solves == SOLVE_MANY_CALLERS
 
 
@@ -587,6 +589,25 @@ def test_kernel_bases_on_empty_shapes():
         assert (ident.free, ident.pivots) == ([0, 1], [])
         assert solve_many(ident, [[one, one]], field) == [[one, one]]
         assert sub_map([], [], full, field) == []
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data(), _kernel_case())
+def test_span_kernel_basis_is_the_kernel_cols_basis(data, case):
+    """Any independent vectors spanning a kernel give the basis kernel_cols gave, with
+    its free and pivot columns, and coefficients that rebuild each column from them."""
+    field, ncols, basis = case
+    # an invertible upper-triangular recombination of the basis spans the same kernel
+    mix = [[field.of_int(data.draw(small_entries)) if t > s else (field.one if t == s else field.zero)
+            for t in range(len(basis))] for s in range(len(basis))]
+    vecs = [[sum((m * col[i] for m, col in zip(row, basis)), field.zero) for i in range(ncols)] for row in mix]
+    got, coefs = span_kernel_basis([{i: x for i, x in enumerate(v) if x} for v in vecs], ncols, field)
+    assert (got, got.free, got.pivots) == (list(basis), basis.free, basis.pivots)
+    for col, co in zip(got, coefs):
+        assert col == [sum((c * v[i] for c, v in zip(co, vecs)), field.zero) for i in range(ncols)]
+    if vecs:  # a repeated vector makes them dependent
+        assert span_kernel_basis([{i: x for i, x in enumerate(v) if x} for v in vecs + vecs[:1]],
+                                 ncols, field) is None
 
 
 # ---------------------------------------------------------------------------

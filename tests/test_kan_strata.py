@@ -1,3 +1,5 @@
+import ast
+import inspect
 import itertools
 import math
 import random
@@ -10,9 +12,11 @@ from hypothesis import given, settings, strategies as st
 
 from stratakit import kan_strata, mesh_hom, quiver_core
 from stratakit.catmod import SCategoryWindow, CatModule
+from stratakit.dq_engine import is_dynkin
 from stratakit.errors import InternalConsistencyError, InvalidInputError, WindowInsufficiencyError
 from stratakit.exact_linalg import (
     QQ,
+    KernelBasis,
     identity_rows,
     kernel_cols,
     mat_mul,
@@ -750,40 +754,108 @@ def _twin_kan_left_quotients(M, w):
     return kept, coords
 
 
+def _twin_amb_index(M, w):
+    """kan_right's ambient coordinates as the naturality system numbered its variables:
+    (u, i, j) for u in the support, f_i over the sweep basis of Hom(u,x), j over M(u)."""
+    from stratakit.mesh_hom import sweep
+
+    cat, field = M.cat, M.field
+    rc = MeshContext(cat.q, "RC", cat.config)
+    support = [u for u in cat.objects if M.dim(u) > 0]
+    return {x: [(u, i, j) for u in support for i in range(sweep(rc, u, w, field).dim(x)) for j in range(M.dim(u))]
+            for x in zero_rep(cat.q, w, cat.config).rq.vertices}
+
+
+def _twin_theta(M, amb_index, basis_cols):
+    """theta at each frozen u: the coordinates (u, 0, j) of each basis column, the identity's."""
+    return {u: [[col[amb_index[u].index((u, 0, j))] for col in basis_cols[u]] for j in range(M.dim(u))]
+            for u in M.cat.objects}
+
+
 # A non-full configuration over A2: the frozen vertices 2'@0 and 1'@1 are dropped.
 A2_CONFIG = Configuration([parse_vertex(k) for k in ("1@0", "2@1", "1@2", "2@2", "1@3", "2@3")])
-KAN_TWIN_CASES = {"A2": (A2, None), "A3": (a_n_quiver(3), None), "D4": (d4_quiver(), None),
-                  "A2-config": (A2, A2_CONFIG)}
+# (quiver, configuration, window): K2 has parallel arrows into one vertex, and A2-lo1 a window above level 0.
+KAN_TWIN_CASES = {"A2": (A2, None, Window(0, 2)), "A3": (a_n_quiver(3), None, Window(0, 2)),
+                  "D4": (d4_quiver(), None, Window(0, 2)), "A2-config": (A2, A2_CONFIG, Window(0, 2)),
+                  "K2": (kronecker_quiver(), None, Window(0, 2)), "A2-lo1": (A2, None, Window(1, 4))}
 
 
 @pytest.mark.parametrize("p", [0, 3])
 @pytest.mark.parametrize("case", sorted(KAN_TWIN_CASES))
 def test_kan_extensions_along_generators_match_the_all_basis_twins(case, p, monkeypatch):
-    """Squares and relations along the generators of S give what those along every
-    basis morphism gave: against kan_right and kan_left run with every basis
-    morphism as a generator, and against test-local copies of the old systems."""
-    q, config = KAN_TWIN_CASES[case]
+    """kan_right's recursion gives what the naturality system along every basis morphism
+    gave (a test-local twin): the same ambient coordinates, kernel bases with the same
+    free and pivot columns, and theta.  kan_left's relations along the generators of S
+    give what those along every basis morphism gave, against kan_left run with every
+    basis morphism as a generator and a test-local copy of the old relations."""
+    q, config, w = KAN_TWIN_CASES[case]
     nonzero = 0
     for seed in range(3):
-        rep = _random_rep(q, 71 * seed + 5, p, config=config)
-        M, w = restrict(rep), rep.window
+        rep = _random_rep(q, 71 * seed + 5, p, window=w, config=config)
+        M = restrict(rep)
         if config is not None:
             assert len(M.cat.objects) < len(SCategoryWindow(q, None, w).objects)
-        kr, kl = kan_right(M, w), kan_left(M, w)
+        kr, twin_cols = kan_right(M, w), _twin_kan_right_basis_cols(M, w)
+        assert kr.amb_index == _twin_amb_index(M, w)
+        assert kr.basis_cols == twin_cols
+        for x, cols in twin_cols.items():
+            got = kr.basis_cols[x]
+            assert type(got) is type(cols)
+            if isinstance(cols, KernelBasis):
+                assert (got.free, got.pivots) == (cols.free, cols.pivots)
+        assert kr.theta == _twin_theta(M, kr.amb_index, twin_cols)
+        nonzero += sum(map(len, kr.basis_cols.values()))
+        if not is_dynkin(q).is_dynkin:
+            continue
+        kl = kan_left(M, w)
         with monkeypatch.context() as mp:
             mp.setattr(SCategoryWindow, "generators", lambda cat, u, v: range(cat.dim(u, v)))
-            kr_all, kl_all = kan_right(M, w), kan_left(M, w)
-        assert kr.amb_index == kr_all.amb_index
-        assert kr.basis_cols == kr_all.basis_cols == _twin_kan_right_basis_cols(M, w)
-        assert kr.rep.to_json() == kr_all.rep.to_json()  # dimensions and structure maps
-        assert kr.theta == kr_all.theta
+            kl_all = kan_left(M, w)
         assert kl.gen_index == kl_all.gen_index
         assert (kl.kept, kl.gen_coords) == (kl_all.kept, kl_all.gen_coords) == _twin_kan_left_quotients(M, w)
         assert kl.rep.to_json() == kl_all.rep.to_json()
-        nonzero += sum(map(len, kr.basis_cols.values())) + sum(map(len, kl.kept.values()))
-        # fewer squares than basis morphisms: the generators are a proper subset somewhere
+        nonzero += sum(map(len, kl.kept.values()))
+        # fewer relations than basis morphisms: the generators are a proper subset somewhere
         assert any(len(M.cat.generators(u, v)) < M.cat.dim(u, v) for u in M.cat.objects for v in M.cat.objects)
     assert nonzero > 0
+
+
+def test_kan_right_builds_no_naturality_system():
+    """kan_right reads neither the generators of S nor precomposition matrices, and
+    builds no naturality rows: its values come from the recursion over the window."""
+    tree = ast.parse(inspect.getsource(kan_strata))
+    (fn,) = [node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "kan_right"]
+    called = set()
+    for node in ast.walk(fn):
+        if isinstance(node, ast.Call):
+            f = node.func
+            called.add(f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None))
+    assert called  # the walk sees the calls it should
+    assert "sweep" in called and "span_kernel_basis" in called
+    assert not called & {"_naturality_rows", "generators", "precomposition_matrix"}
+
+
+@pytest.mark.parametrize("case", ["A2", "K2", "A2-config"])
+def test_kan_right_solves_only_for_the_framing_arrows(case, monkeypatch):
+    """in_basis, kan_right's only solve, runs once per framing arrow x -> u with
+    K_R(x) and K_R(u) both nonzero; every other structure map is read off."""
+    q, config, w = KAN_TWIN_CASES[case]
+    calls = []
+    inner = kan_strata.in_basis
+
+    def counted(vecs, cols, field):
+        calls.append(len(vecs))
+        return inner(vecs, cols, field)
+
+    monkeypatch.setattr(kan_strata, "in_basis", counted)
+    framing = 0
+    for seed in range(3):
+        rep = _random_rep(q, 71 * seed + 5, 0, window=w, config=config)
+        kr = kan_right(restrict(rep), w)
+        framing += sum(1 for a in kr.rep.rq.arrows
+                       if a.kind == "f" and kr.dim(a.source) and kr.dim(a.target))
+    assert framing > 0
+    assert len(calls) == framing
 
 
 def _twin_kan_right_rep(kr):
@@ -844,17 +916,23 @@ def _twin_kan_left_rep(kl):
 @pytest.mark.parametrize("p", [0, 3])
 @pytest.mark.parametrize("case", sorted(KAN_TWIN_CASES))
 def test_kan_structure_maps_match_the_dense_transform_twins(case, p):
-    """K_R's structure maps, read off the sweeps' arrow matrices column by column, and K_L's,
-    read on the kept generators only, equal the dense transforms they replaced."""
-    q, config = KAN_TWIN_CASES[case]
+    """K_R's structure maps, read off the recursion's coefficients (a framing arrow's through
+    the sweeps' arrow matrices and in_basis), and K_L's, read on the kept generators only,
+    equal the dense transforms they replaced, K_R's in the slice's arrow order."""
+    q, config, w = KAN_TWIN_CASES[case]
     maps = 0
     for seed in range(3):
-        rep = _random_rep(q, 71 * seed + 5, p, config=config)
-        M, w = restrict(rep), rep.window
-        kr, kl = kan_right(M, w), kan_left(M, w)
-        assert kr.rep.to_json() == _twin_kan_right_rep(kr).to_json()
-        assert kl.rep.to_json() == _twin_kan_left_rep(kl).to_json()
-        maps += len(kr.rep.mats) + len(kl.rep.mats)
+        rep = _random_rep(q, 71 * seed + 5, p, window=w, config=config)
+        M = restrict(rep)
+        kr = kan_right(M, w)
+        twin = _twin_kan_right_rep(kr)
+        assert kr.rep.to_json() == twin.to_json()
+        assert list(kr.rep.mats) == list(twin.mats)  # both in the slice's arrow order
+        maps += len(kr.rep.mats)
+        if is_dynkin(q).is_dynkin:
+            kl = kan_left(M, w)
+            assert kl.rep.to_json() == _twin_kan_left_rep(kl).to_json()
+            maps += len(kl.rep.mats)
     assert maps > 0
 
 

@@ -29,7 +29,14 @@ from stratakit.quiver_core import (
     sigma,
     sigma_inv,
 )
-from stratakit.sing_builder import SingQuiverReport, build_sing_quiver, ext_oracle, second_syzygy_is_zero
+from stratakit.sing_builder import (
+    MAX_SING_QUIVER_WORK,
+    SingQuiverReport,
+    _sweep_work,
+    build_sing_quiver,
+    ext_oracle,
+    second_syzygy_is_zero,
+)
 
 A2 = a_n_quiver(2)
 
@@ -278,6 +285,44 @@ def test_report_sweeps_once_per_source(monkeypatch):
                                                          (parse_vertex("2@0"), Window(0, 9))]
     mesh_hom.clear_cache()
     assert report.to_json() == build_sing_quiver(A2, None, Window(0, 9)).to_json()
+
+
+def _objects(q, w):
+    return [v for v in MeshContext(q, "RC").vertices_in(w) if v.frozen]
+
+
+@pytest.mark.parametrize("q, hi, span", [
+    (A2, 9, None), (a_n_quiver(3), 9, None), (d4_quiver(), 5, None), (kronecker_quiver(2), 5, None),
+    (kronecker_quiver(3), 4, 2),
+], ids=["A2", "A3", "D4", "K2", "K3-span2"])
+def test_the_widest_reports_in_use_stay_under_the_work_budget(q, hi, span, monkeypatch):
+    """The widest windows the tests, golden files and benchmark report on are counted
+    below the budget, and the count bounds the levels the report really sweeps."""
+    w = Window(0, hi)
+    work = _sweep_work(_objects(q, w), w, span)
+    assert work <= MAX_SING_QUIVER_WORK
+    swept = []
+    real = mesh_hom._sweep
+    monkeypatch.setattr(mesh_hom, "_sweep", lambda ctx, source, window, field: swept.append(
+        window.hi - window.lo + 1) or real(ctx, source, window, field))
+    mesh_hom.clear_cache()
+    build_sing_quiver(q, None, w, span)
+    mesh_hom.clear_cache()
+    assert swept and sum(swept) <= work
+
+
+def test_sing_quiver_over_the_work_budget_is_rejected_before_any_sweep(monkeypatch):
+    """Just over the budget raises InvalidInputError before any sweep; max_span brings the
+    same window under it."""
+    w = Window(0, 100)  # A2 over [0, 100]: 10,100 source-levels
+    assert _sweep_work(_objects(A2, w), w, None) == 10_100 > MAX_SING_QUIVER_WORK
+    monkeypatch.setattr(mesh_hom, "_sweep", lambda *args: pytest.fail("swept before the budget check"))
+    with pytest.raises(InvalidInputError, match="10100 source-levels of sweeps, above the limit 10000"):
+        build_sing_quiver(A2, None, w)
+    assert _sweep_work(_objects(A2, w), w, 3) <= MAX_SING_QUIVER_WORK
+    monkeypatch.undo()
+    mesh_hom.clear_cache()
+    assert build_sing_quiver(A2, None, w, 3).arrows
 
 
 def test_negative_max_span_is_rejected():
