@@ -5,9 +5,11 @@ mesh-category dimensions: p = 0 is a plain Hom, p = 1 goes through the
 Auslander-Reiten formula, and in the Dynkin case arbitrary shifts go
 through the vertex map Sigma = tau^{-1} nu.  The Serre vertex map nu is
 found by searching for its defining Hom-dimension pattern, never by
-per-type closed formulas; a window certificate (vanishing of the relevant
-Hom rows on the boundary levels) guarantees the search saw the whole
-support, so a returned value is always correct.
+per-type closed formulas.  nu commutes with tau, so one certified search
+per quiver, on the smallest window [0, top] above which no Hom((i, 1), -)
+reaches, gives its node map i -> (j, d), nu(i, p) = (j, p + d).  The
+window certificates of a call on w (the Hom support of the vertex stays
+inside w) are read off that map, so a returned value is always correct.
 """
 from __future__ import annotations
 
@@ -15,7 +17,9 @@ from dataclasses import dataclass
 from typing import Dict, Optional
 
 from .errors import InternalConsistencyError, InvalidInputError, WindowInsufficiencyError
-from .mesh_hom import MeshContext, hom_dim, sweep
+from . import mesh_hom
+from .exact_linalg import QQ
+from .mesh_hom import MeshContext, hom_dim
 from .quiver_core import Quiver, RepVertex, Window, rep_in_arrows, rep_out_arrows, shared, tau, tau_inv
 
 
@@ -77,70 +81,68 @@ def _require_nonfrozen(x: RepVertex):
         raise InvalidInputError(f"{x} is frozen; derived-category vertices are non-frozen")
 
 
-class _SerreTable:
-    """The Hom dimensions between the vertices of one window of kZQ, for the nu searches.
+def _serre_search(q: Quiver):
+    """nu on the nodes: the maps i -> (j, d) with nu(i, p) = (j, p + d), and back.
 
-    rows[x] lists dim Hom(x, y) over every window vertex y; by_row and
-    by_col list vertices by their outgoing (rows[x]) and incoming (dim
-    Hom(y, z) over y) patterns, in window order.  Rows are swept level by
-    level, as far up as a search needs: a candidate's identity must match
-    the pattern, so it lies in the support searched, and Hom into a vertex
-    vanishes from every level above it, so its column is complete once
-    the rows up to its level are.
+    nu commutes with tau, so nu(i, 1) fixes the map at node i.  Each node's
+    Hom((i, 0), -) is swept, for the search alone (neither cached nor
+    stored), over [0, top], top raised from the last node's until
+    Hom((i, 1), -) misses the top level: its support is an interval of
+    levels, so it was seen whole.  By tau-invariance dim Hom((i, p), (j, l))
+    is the (i, 0) sweep's dimension at (j, l - p).  nu(i, 1) is the unique
+    vertex of [0, top] whose incoming pattern equals the outgoing pattern of
+    (i, 1); the level below (i, 1) certifies the candidate's incoming
+    support as the top level certifies the outgoing one.
     """
+    ctx = MeshContext(q, "kZQ")
+    funs = {}
+    top = 2  # Hom((i, 1), (i, 1)) is nonzero, so level 1 is never the top
+    for i in q.vertices:
+        while True:
+            funs[i] = mesh_hom._sweep(ctx, RepVertex(i, 0), Window(0, top), QQ)
+            if not any(funs[i].dim(RepVertex(j, top - 1)) for j in q.vertices):
+                break
+            top += 1
+    w = Window(0, top)
+    verts = ctx.vertices_in(w)
 
-    def __init__(self, q: Quiver, w: Window):
-        self.ctx = MeshContext(q, "kZQ")
-        self.window = w
-        self.verts = self.ctx.vertices_in(w)
-        self.index = {y: i for i, y in enumerate(self.verts)}
-        self.rows: Dict[RepVertex, tuple] = {}
-        self.by_row: Dict[tuple, list] = {}
-        self.by_col: Dict[tuple, list] = {}
-        self.top = w.lo - 1  # the highest level swept so far
+    def dim(y: RepVertex, z: RepVertex) -> int:
+        return funs[y.node].dim(RepVertex(z.node, z.level - y.level)) if z.level >= y.level else 0
 
-    def require(self, x: RepVertex):
-        if x not in self.index:
-            raise InvalidInputError(f"{x} is not an object of the kZQ category")
-
-    def row(self, x: RepVertex) -> tuple:
-        """dim Hom(x, y) over every window vertex y."""
-        r = self.rows.get(x)
-        if r is None:
-            fun = sweep(self.ctx, x, self.window)
-            r = tuple(fun.dim(y) if y.level >= x.level else 0 for y in self.verts)
-        return r
-
-    def sweep_to(self, level: int):
-        """Sweep every vertex up to level and index the new rows and columns."""
-        for lv in range(self.top + 1, level + 1):
-            new = [x for x in self.verts if x.level == lv]
-            for x in new:
-                self.rows[x] = self.row(x)
-                self.by_row.setdefault(self.rows[x], []).append(x)
-            for z in new:
-                self.by_col.setdefault(self.column(z), []).append(z)
-        self.top = max(self.top, level)
-
-    def column(self, z: RepVertex) -> tuple:
-        """dim Hom(y, z) over every window vertex y, once the rows up to z's level are swept."""
-        iz = self.index[z]
-        return tuple(self.rows[y][iz] if y in self.rows else 0 for y in self.verts)
+    by_incoming: Dict[tuple, list] = {}
+    for z in verts:
+        by_incoming.setdefault(tuple(dim(y, z) for y in verts), []).append(z)
+    nu: Dict[str, tuple] = {}
+    nu_inv: Dict[str, tuple] = {}
+    for i in q.vertices:
+        x = RepVertex(i, 1)
+        candidates = by_incoming.get(tuple(dim(x, y) for y in verts), [])
+        if len(candidates) != 1:
+            raise InternalConsistencyError(f"{len(candidates)} nu candidates for {x} in window {w.to_json()}")
+        z = candidates[0]
+        nu[i] = (z.node, z.level - 1)
+        nu_inv[z.node] = (i, 1 - z.level)
+    return nu, nu_inv
 
 
-def _serre_table(q: Quiver, w: Window) -> _SerreTable:
-    """One table per (quiver, window), shared until mesh_hom.clear_cache()."""
-    return shared(("serre", q._key, w), _SerreTable, q, w)
+def _moved(q: Quiver, x: RepVertex, inverse: bool) -> RepVertex:
+    """nu(x), or nu^{-1}(x), by the node maps of one search per quiver, kept in
+    quiver_core.shared until mesh_hom.clear_cache()."""
+    if x.node not in q.topo_index:
+        raise InvalidInputError(f"{x} is not an object of the kZQ category")
+    node, d = shared(("serre", q._key), _serre_search, q)[inverse][x.node]
+    return RepVertex(node, x.level + d)
 
 
 def nu_vertex(q: Quiver, x: RepVertex, w: Window) -> RepVertex:
     """The Serre vertex: the unique z with dim Hom(y,z) = dim Hom(x,y) for all y.
 
-    Certificates make the window search exact: Hom(x,-) must vanish on the
-    whole top window level (so its support was seen completely), and x must
-    sit strictly above the bottom level (so a match certifies the incoming
-    support of the candidate by the same level-cut argument).  Candidates
-    are looked up by pattern in the window's Serre table.
+    Read off the node map of _serre_search.  The window certificates of a
+    search on w follow from it: Hom(x,-) is supported on exactly the levels
+    from x's to nu(x)'s (a nonzero path x -> nu(x) crosses each of them, and
+    Serre duality puts every support vertex on such a path), so it vanishes
+    on the window top exactly when nu(x) lies below it; and x must sit
+    strictly above the bottom level.
     """
     _require_nonfrozen(x)
     if not is_dynkin(q).is_dynkin:
@@ -149,22 +151,18 @@ def nu_vertex(q: Quiver, x: RepVertex, w: Window) -> RepVertex:
         raise WindowInsufficiencyError(f"{x} outside window")
     if x.level <= w.lo:
         raise WindowInsufficiencyError(f"nu search needs a level below {x} inside the window")
-    table = _serre_table(q, w)
-    table.require(x)
-    out = table.row(x)
-    if any(d for y, d in zip(table.verts, out) if y.level == w.hi):
+    z = _moved(q, x, False)
+    if z.level >= w.hi:
         raise WindowInsufficiencyError(f"Hom support of {x} reaches the window top {w.hi}")
-    table.sweep_to(max(y.level for y, d in zip(table.verts, out) if d))
-    candidates = table.by_col.get(out, [])
-    if len(candidates) == 1:
-        return candidates[0]
-    if not candidates:
-        raise WindowInsufficiencyError(f"no nu candidate for {x} in window {w.to_json()}")
-    raise InternalConsistencyError(f"multiple nu candidates for {x}: {candidates}")
+    return z
 
 
 def nu_inv_vertex(q: Quiver, z: RepVertex, w: Window) -> RepVertex:
-    """Inverse Serre vertex: the unique x with dim Hom(x,y) = dim Hom(y,z) for all y."""
+    """Inverse Serre vertex: the unique x with dim Hom(x,y) = dim Hom(y,z) for all y.
+
+    The incoming Hom support of z spans the levels from nu^{-1}(z)'s to z's,
+    so it reaches the window bottom exactly when nu^{-1}(z) does.
+    """
     _require_nonfrozen(z)
     if not is_dynkin(q).is_dynkin:
         raise InvalidInputError("nu is only defined for Dynkin quivers")
@@ -172,18 +170,10 @@ def nu_inv_vertex(q: Quiver, z: RepVertex, w: Window) -> RepVertex:
         raise WindowInsufficiencyError(f"{z} outside window")
     if z.level >= w.hi:
         raise WindowInsufficiencyError(f"inverse nu search needs a level above {z} inside the window")
-    table = _serre_table(q, w)
-    table.require(z)
-    if any(table.row(y)[table.index[z]] for y in table.verts if y.level == w.lo):
+    x = _moved(q, z, True)
+    if x.level <= w.lo:
         raise WindowInsufficiencyError(f"incoming Hom support of {z} reaches the window bottom {w.lo}")
-    table.sweep_to(z.level)
-    inc = table.column(z)
-    candidates = table.by_row.get(inc, [])
-    if len(candidates) == 1:
-        return candidates[0]
-    if not candidates:
-        raise WindowInsufficiencyError(f"no inverse nu candidate for {z} in window {w.to_json()}")
-    raise InternalConsistencyError(f"multiple inverse nu candidates for {z}: {candidates}")
+    return x
 
 
 def sigma_shift_vertex(q: Quiver, x: RepVertex, w: Window) -> RepVertex:
@@ -237,20 +227,15 @@ def zq_in_neighbours(q: Quiver, x: RepVertex):
     return [a.source for a in rep_in_arrows(q, x, framed=False)]
 
 
-def cartan_apply(q: Quiver, v: Dict[RepVertex, int], w: Optional[Window] = None) -> Dict[RepVertex, int]:
+def cartan_apply(q: Quiver, v: Dict[RepVertex, int]) -> Dict[RepVertex, int]:
     """(C_q v)(x) = v(x) - sum over arrows y -> x of v(y) + v(tau(x)).
 
     The sum ranges over the arrows of the plain repetition quiver of Q (no
     framing).  The result of a finitely supported v is finitely supported,
-    with levels at most one above the input; when a window is supplied, the
-    input and the result must both fit inside it.
+    with levels at most one above the input.
     """
     for u in v:
         _require_nonfrozen(u)
-    if w is not None:
-        for u in v:
-            if v[u] and not w.contains(u):
-                raise WindowInsufficiencyError(f"support vertex {u} outside window")
     affected = set()
     for u, val in v.items():
         if not val:
@@ -263,10 +248,6 @@ def cartan_apply(q: Quiver, v: Dict[RepVertex, int], w: Optional[Window] = None)
         val = v.get(x, 0) - sum(v.get(y, 0) for y in zq_in_neighbours(q, x)) + v.get(tau(x), 0)
         if val:
             out[x] = val
-    if w is not None:
-        for x in out:
-            if not w.contains(x):
-                raise WindowInsufficiencyError(f"halo missing: C_q value lands on {x} outside window")
     return out
 
 

@@ -984,19 +984,19 @@ def degeneration_leq(M1: SModulePoint, M2: SModulePoint, w: Window) -> bool:
     return by_v
 
 
-def closed_orbit(rep: WindowRep, w: Optional[Window] = None) -> Tuple[WindowRep, Dict[RepVertex, int]]:
+def closed_orbit(rep: WindowRep) -> Tuple[WindowRep, Dict[RepVertex, int]]:
     """The closed-orbit representative under the stable representation's orbit closure.
 
-    Returns the intermediate extension of the restriction together with the
-    non-frozen dimension vector of the semisimple complement.
+    Returns the intermediate extension of the restriction, on the
+    representation's window, together with the non-frozen dimension vector
+    of the semisimple complement.
     """
-    w = w or rep.window
     if validate(rep):
         raise InvalidInputError("representation violates mesh relations")
     if not is_stable(rep):
         raise InvalidInputError("closed_orbit needs a stable representation")
     M = restrict(rep)
-    klr = kan_intermediate(M, w).rep
+    klr = kan_intermediate(M, rep.window).rep
     complement = {}
     for x, d in rep.nonfrozen_dims().items():
         c = d - klr.dim(x)

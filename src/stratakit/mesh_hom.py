@@ -19,7 +19,8 @@ Hom(tau^-s x, tau^-s y) = Hom(x, y).  There a sweep is loaded or computed
 only when no sweep held from the same node is at least as tall (reaches
 as many levels above its source); every other one is the translate of the
 tallest held, sharing its arrow matrices, kept in memory and never stored.
-_sweep is the only code that computes a sweep.
+_sweep is the only code that computes a sweep, and it refuses one that
+would hold more than MAX_SWEEP_ENTRIES matrix entries.
 """
 from __future__ import annotations
 
@@ -172,6 +173,17 @@ class HomFunctor:
         return vec
 
 
+# The most matrix entries one sweep may hold.  A vertex with gen_dim generators
+# holds at most gen_dim**2 before its arrow matrices are laid out: the reduced
+# relator rows and the generators' coordinates over the kept ones.  _sweep
+# refuses, before its elimination, the vertex that takes that total past the
+# limit.  The largest sweep in the tests counts 12.0 M (the 3-Kronecker RC from
+# 1'@0 over [0, 4]), in the benchmark 56 K; the 3-Kronecker kZQ from 1@0 over
+# [0, 4] would lay out 61 M arrow-matrix entries (5 s and 0.9 GiB on a shared
+# 2-core machine).
+MAX_SWEEP_ENTRIES = 16_000_000
+
+
 def _sweep(ctx: MeshContext, source: RepVertex, window: Window, field) -> HomFunctor:
     if not window.contains(source):
         raise InvalidInputError(f"hom source {source} outside window {window.to_json()}")
@@ -180,6 +192,7 @@ def _sweep(ctx: MeshContext, source: RepVertex, window: Window, field) -> HomFun
     fun = HomFunctor(ctx, source, window, field)
     dims, paths, mats = fun.dims, fun.paths, fun.mats
     rq = ctx._slice(window)
+    entries = 0
     for v in rq.vertices:
         if v.level < source.level:
             dims[v] = 0
@@ -203,6 +216,11 @@ def _sweep(ctx: MeshContext, source: RepVertex, window: Window, field) -> HomFun
             for b in in_arrows:
                 mats[b] = []
             continue
+        entries += gen_dim * gen_dim
+        if entries > MAX_SWEEP_ENTRIES:
+            raise InvalidInputError(
+                f"the sweep of Hom({source}, -) on the window {window.to_json()} would hold more than "
+                f"the limit of {MAX_SWEEP_ENTRIES} matrix entries at {v}; narrow the window")
         rel_cols = []
         if ctx.imposes_relator(v, window):
             # column k of the relator: column k of each sigma-arrow's matrix, at its block
@@ -285,7 +303,7 @@ _LOGS: Dict[tuple, _Log] = {}
 
 def clear_cache():
     """Drop every cached sweep, with its path memo, the tallest sweep held per node, every
-    read log index and every shared window slice, category, Serre table and fiber stage
+    read log index and every shared window slice, category, Serre node map and fiber stage
     (quiver_core.shared)."""
     with _CACHE_LOCK:
         _CACHE.clear()

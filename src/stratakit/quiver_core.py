@@ -488,7 +488,8 @@ class RepQuiver:
 
 
 # Objects shared by every caller until clear_slices(), keyed by a kind tag
-# ("slice", "category", "serre", "fiber") followed by what identifies the object.
+# ("slice", "category", "serre", "fiber") followed by what identifies the object:
+# a window slice, a windowed category, the Serre node map of a quiver, a fiber stage.
 _SHARED: Dict[tuple, object] = {}
 # The key string of each arrow (RepArrow.key), also kept until clear_slices().
 _ARROW_KEYS: Dict[RepArrow, str] = {}
@@ -514,7 +515,7 @@ def build_repetition(q: Quiver, frame: bool, w: Window, config: Optional[Configu
 
 def clear_slices():
     """Drop every shared object (the window slices, the windowed categories, the Serre
-    tables and the fiber stages) and the arrow key strings.  An object with a release()
+    node maps and the fiber stages) and the arrow key strings.  An object with a release()
     method (a windowed category) is told to give up its memos, so one still referenced
     elsewhere holds no more than what it was built from."""
     for obj in _SHARED.values():
@@ -525,14 +526,10 @@ def clear_slices():
     _ARROW_KEYS.clear()
 
 
-def mesh_relators(rq: RepQuiver, w: Optional[Window] = None):
-    """One relator per non-frozen vertex x with lo < level(x) <= hi."""
-    w = w or rq.window
-    out = []
-    for x in rq.vertices:
-        if not x.frozen and w.lo < x.level <= w.hi and rq.window.contains(x):
-            out.append(rq.relator(x))
-    return out
+def mesh_relators(rq: RepQuiver):
+    """One relator per non-frozen vertex of the slice above its window's bottom level."""
+    w = rq.window
+    return [rq.relator(x) for x in rq.vertices if not x.frozen and w.lo < x.level]
 
 
 def check_configuration(q: Quiver, config: Configuration, w: Window) -> dict:

@@ -8,6 +8,7 @@ import pytest
 from stratakit.cli import main
 from stratakit.kan_strata import SModulePoint, kan_intermediate, representable_rep
 from stratakit.errors import InvalidInputError
+from stratakit.mesh_hom import MAX_SWEEP_ENTRIES
 from stratakit.quiver_core import MAX_WINDOW_LEVELS, Window, a_n_quiver, parse_vertex
 
 
@@ -317,6 +318,25 @@ def test_sing_quiver_over_its_work_budget_exits_1_at_once(capsys):
     error = json.loads(err.strip())
     assert (error["error"], error["code"]) == ("InvalidInputError", 1)
     assert "999000 source-levels" in error["detail"] and "limit 10000" in error["detail"]
+
+
+K3_JSON = json.dumps({"vertices": ["1", "2"], "arrows": [{"id": f"k{i}", "source": "1", "target": "2"}
+                                                         for i in (1, 2, 3)]})
+
+
+@pytest.mark.parametrize("argv", [
+    ["hom", "--quiver", K3_JSON, "--flavor", "kZQ", "--from", "1@0", "--to", "2@5", "--window", "0", "5"],
+    ["sing-quiver", "--quiver", K3_JSON, "--window", "0", "6"],
+], ids=["hom-K3-0-5", "sing-quiver-K3-0-6"])
+def test_a_sweep_over_its_entry_limit_exits_1_with_json_error(capsys, argv):
+    """The 3-Kronecker Hom spaces grow exponentially with the level distance: a sweep
+    that would hold more than mesh_hom.MAX_SWEEP_ENTRIES matrix entries is refused with
+    the JSON error naming the limit, long before it could exhaust memory."""
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    error = json.loads(err.strip())
+    assert (error["error"], error["code"]) == ("InvalidInputError", 1)
+    assert f"the limit of {MAX_SWEEP_ENTRIES} matrix entries" in error["detail"]
 
 
 def test_out_of_memory_exits_1_with_json_error(capsys, monkeypatch):

@@ -2,9 +2,11 @@
 
 Arguments are drawn both as arbitrary JSON and as near-valid quivers,
 configurations, vertex maps and window representations, so that the
-draws reach past the first parse into the mesh categories, and the
-representations on into the Kan extensions, Phi and the closure order
-(phi, klr, stratum with and without --other, degen).  Most integers
+draws reach past the first parse into the mesh categories, the Serre
+and suspension vertex maps (hom-dq, sing-quiver with and without
+--max-span, ext-oracle), and the representations on into the Kan
+extensions, Phi and the closure order (phi, klr, stratum with and
+without --other, degen).  Most integers
 are drawn small, but SCALARS also draws unbounded ones, so a window or a
 field characteristic can be huge: the input boundary must reject those
 before any work, as the pinned examples check.
@@ -63,6 +65,15 @@ REP = st.one_of(
     st.sampled_from(sorted(REP_FIELDS)).flatmap(
         lambda k: REP_FIELDS[k].map(lambda v: dict(VALID_REP, **{k: v}))))
 WINDOW = st.tuples(SMALL, st.integers(-1, 3)).map(lambda t: [str(t[0]), str(t[0] + t[1])])
+# Dynkin quivers, vertices and windows wide enough that the draws reach nu and Sigma
+A3 = {"vertices": ["1", "2", "3"], "arrows": [{"id": "a", "source": "1", "target": "2"},
+                                              {"id": "b", "source": "3", "target": "2"}]}
+DQ_QUIVER = st.one_of(QUIVER, st.sampled_from([A2, A3]))
+DQ_VERTEX = st.one_of(VERTEX_KEYS, st.builds("{}{}@{}".format, NODES, st.sampled_from(["", "'"]),
+                                             st.integers(-2, 9)))
+DQ_WINDOW = st.one_of(WINDOW, st.tuples(SMALL, st.integers(3, 6)).map(lambda t: [str(t[0]), str(t[0] + t[1])]))
+DQ_CONFIG = st.one_of(st.none(), CONFIG)
+FROZEN_VERTEX = st.one_of(DQ_VERTEX, st.builds("{}'@{}".format, NODES, st.integers(-2, 9)))
 
 
 def _arg(flag, value):
@@ -73,8 +84,17 @@ COMMANDS = st.one_of(
     st.builds(lambda q, w, c, f, x, y: ["hom", _arg("quiver", q), "--window", *w, _arg("config", c),
                                         f"--flavor={f}", f"--from={x}", f"--to={y}"],
               QUIVER, WINDOW, CONFIG, st.sampled_from(["kZQ", "RC", "SC"]), VERTEX_KEYS, VERTEX_KEYS),
+    st.builds(lambda q, w, x, p, y: ["hom-dq", _arg("quiver", q), "--window", *w, f"--from={x}", f"--p={p}",
+                                     f"--to={y}"],
+              DQ_QUIVER, DQ_WINDOW, DQ_VERTEX, SMALL, DQ_VERTEX),
     st.builds(lambda q, w, m: ["cartan-solve", _arg("quiver", q), "--window", *w, _arg("m", m)],
               QUIVER, WINDOW, VERTEX_MAP),
+    st.builds(lambda q, w, c, span: ["sing-quiver", _arg("quiver", q), "--window", *w, _arg("config", c)]
+              + ([] if span is None else [f"--max-span={span}"]),
+              DQ_QUIVER, DQ_WINDOW, DQ_CONFIG, st.one_of(st.none(), SMALL)),
+    st.builds(lambda q, w, c, x, y, p: ["ext-oracle", _arg("quiver", q), "--window", *w, _arg("config", c),
+                                        f"--from={x}", f"--to={y}", f"--p={p}"],
+              DQ_QUIVER, DQ_WINDOW, DQ_CONFIG, FROZEN_VERTEX, FROZEN_VERTEX, SMALL),
     st.builds(lambda q, w, c: ["check-config", _arg("quiver", q), "--window", *w, _arg("config", c)],
               QUIVER, WINDOW, CONFIG),
     st.builds(lambda cmd, r: [cmd, _arg("rep", r)], st.sampled_from(["validate", "phi", "klr", "stratum"]), REP),

@@ -15,7 +15,7 @@ from stratakit.dq_engine import (
     sigma_shift_vertex,
     zq_in_neighbours,
 )
-from stratakit import mesh_hom
+from stratakit import mesh_hom, quiver_core
 from stratakit.errors import InternalConsistencyError, InvalidInputError, WindowInsufficiencyError
 from stratakit.mesh_hom import MeshContext, hom_dim, sweep
 from stratakit.quiver_core import (
@@ -145,10 +145,11 @@ def _outcome(fn, *args):
 
 
 # (quiver, window, answers found among the nu and inverse nu calls; the rest are errors)
-SERRE_CASES = [(A2, 0, 6, 18), (a_n_quiver(3), 0, 8, 36), (d4_quiver(), 0, 5, 16), (A2, 2, 3, 0)]
+SERRE_CASES = [(A2, 0, 6, 18), (a_n_quiver(3), 0, 8, 36), (d4_quiver(), 0, 5, 16), (A2, 2, 3, 0),
+               (a_n_quiver(4), 0, 8, 44)]
 
 
-@pytest.mark.parametrize("q, lo, hi, found", SERRE_CASES, ids=["A2", "A3", "D4", "A2-narrow"])
+@pytest.mark.parametrize("q, lo, hi, found", SERRE_CASES, ids=["A2", "A3", "D4", "A2-narrow", "A4"])
 def test_serre_table_matches_the_per_vertex_search(q, lo, hi, found):
     w = Window(lo, hi)
     verts = [RepVertex(n, p) for p in range(lo - 1, hi + 2) for n in q.vertices]
@@ -159,6 +160,32 @@ def test_serre_table_matches_the_per_vertex_search(q, lo, hi, found):
         want = [(_outcome(_twin_nu_vertex, q, x, w), _outcome(_twin_nu_inv_vertex, q, x, w)) for x in order]
         assert got == want
     assert sum(isinstance(o, RepVertex) for pair in got for o in pair) == found
+
+
+def test_nu_on_a_wide_window_runs_one_search_per_quiver(monkeypatch):
+    """Over A3 [0, 999], nu, its inverse and Sigma compute only the search's sweeps: each
+    node from level 0 on [0, top], top raised from the last node's until Hom((i, 1), -)
+    misses the top level, five sweeps in all.  nu permutes the nodes, and no object of the
+    wide window is left in quiver_core.shared."""
+    computed = []
+    real = mesh_hom._sweep
+    monkeypatch.setattr(mesh_hom, "_sweep", lambda *args: computed.append(args) or real(*args))
+    mesh_hom.clear_cache()
+    a3 = a_n_quiver(3)
+    wide = Window(0, 999)
+    near = {RepVertex(n, 1): nu_vertex(a3, RepVertex(n, 1), Window(0, 8)) for n in a3.vertices}
+    assert {x.node: (z.node, z.level - x.level) for x, z in near.items()} == {"1": ("3", 0), "2": ("2", 1),
+                                                                              "3": ("1", 2)}
+    for level in (1, 2, 500, 996):
+        for x, z in near.items():
+            x, z = RepVertex(x.node, level), RepVertex(z.node, z.level + level - 1)
+            assert nu_vertex(a3, x, wide) == z
+            assert nu_inv_vertex(a3, z, wide) == x
+            assert sigma_shift_vertex(a3, x, wide) == RepVertex(z.node, z.level + 1)
+    assert [(args[1], args[2]) for args in computed] == [
+        (RepVertex(n, 0), Window(0, top)) for n, top in (("1", 2), ("2", 2), ("2", 3), ("3", 3), ("3", 4))]
+    assert not [key for key in quiver_core._SHARED if wide in key]
+    mesh_hom.clear_cache()
 
 
 def test_serre_table_rejects_non_dynkin_quivers():

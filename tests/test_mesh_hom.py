@@ -921,3 +921,41 @@ def test_ascending_sweeps_store_one_record_per_node_and_load_in_a_fresh_process(
     reader = _log_process("read", tmp_path)
     out, _ = reader.communicate(timeout=120)
     assert json.loads(out) == {"computed": 0, "same": len(sources), "sources": len(sources)}
+
+
+def _held_entries(fun):
+    """The twin count of the sweep's entry bound: gen_dim**2 summed over the vertices above
+    the source."""
+    rq = fun.ctx._slice(fun.window)
+    gens = [sum(fun.dim(b.source) for b in rq.in_arrows(v)) for v in rq.vertices
+            if v.level >= fun.source.level and v != fun.source]
+    return sum(g * g for g in gens)
+
+
+@pytest.mark.parametrize("quiver, flavor, source, w", [
+    (kronecker_quiver(3), "kZQ", "1@0", Window(0, 3)),
+    (kronecker_quiver(2), "RC", "1'@0", Window(0, 4)),
+    (d4_quiver(), "kZQ", "0@0", Window(0, 5)),
+], ids=["K3-kZQ", "K2-RC", "D4-kZQ"])
+def test_a_sweep_is_refused_before_the_vertex_that_passes_its_entry_limit(quiver, flavor, source, w,
+                                                                          monkeypatch):
+    """_sweep counts gen_dim**2 per vertex: at a limit equal to that count the sweep runs,
+    one entry below it raises InvalidInputError before the elimination of the vertex
+    that passes it, which is the last one with generators."""
+    ctx, x = MeshContext(quiver, flavor), parse_vertex(source)
+    fun = mesh_hom._sweep(ctx, x, w, QQ)
+    held = _held_entries(fun)
+    assert held <= mesh_hom.MAX_SWEEP_ENTRIES
+    monkeypatch.setattr(mesh_hom, "MAX_SWEEP_ENTRIES", held)
+    assert _same_sweep(mesh_hom._sweep(ctx, x, w, QQ), fun)
+    monkeypatch.setattr(mesh_hom, "MAX_SWEEP_ENTRIES", held - 1)
+    eliminated = []
+    real = mesh_hom.quotient_coords
+    monkeypatch.setattr(mesh_hom, "quotient_coords", lambda *args: eliminated.append(args) or real(*args))
+    with pytest.raises(InvalidInputError, match=f"more than the limit of {held - 1} matrix entries") as refused:
+        mesh_hom._sweep(ctx, x, w, QQ)
+    rq = ctx._slice(w)
+    generated = [v for v in rq.vertices if v.level >= x.level and v != x
+                 and any(fun.dim(b.source) for b in rq.in_arrows(v))]
+    assert len(eliminated) == len(generated) - 1
+    assert f"at {generated[-1]};" in str(refused.value)

@@ -270,19 +270,23 @@ def test_report_sweeps_once_per_source(monkeypatch):
     monkeypatch.setattr(mesh_hom, "_DISK_DIR", None)
     monkeypatch.setattr(mesh_hom, "_sweep", lambda *args: computed.append(args) or real(*args))
     mesh_hom.clear_cache()
-    # kZQ is tau-invariant: the Serre search sweeps each node from level 0
-    # over the whole window, and every source of the report is a translate.
+    # the Serre search sweeps each node from level 0 on [0, 2] and node 2, whose
+    # support reaches level 2, again on [0, 3], for itself alone (neither cached
+    # nor stored); kZQ is tau-invariant, so the report then computes its first
+    # source per node, the tallest, and every other source is a translate
+    search = [(parse_vertex(v), Window(0, top)) for v, top in (("1@0", 2), ("2@0", 2), ("2@0", 3))]
     report = build_sing_quiver(A2, None, Window(0, 9))
-    assert [(args[1], args[2]) for args in computed] == [(parse_vertex("1@0"), Window(0, 9)),
-                                                         (parse_vertex("2@0"), Window(0, 9))]
+    assert [(args[1], args[2]) for args in computed] == search + [(parse_vertex("1@1"), Window(1, 9)),
+                                                                  (parse_vertex("2@1"), Window(1, 9))]
     mesh_hom.clear_cache()
     computed.clear()
-    # the twin's first pair asks for the one-level window [1, 1]; the Serre
-    # search then sweeps from level 0 over the whole window, which serves the rest
+    # the twin's first pair asks for the one-level window [1, 1], then the Serre
+    # search runs; each node's sweeps from level 1 then grow with the pair's target
     _per_pair_report(A2, None, Window(0, 9))
-    assert [(args[1], args[2]) for args in computed] == [(parse_vertex("1@1"), Window(1, 1)),
-                                                         (parse_vertex("1@0"), Window(0, 9)),
-                                                         (parse_vertex("2@0"), Window(0, 9))]
+    assert [(args[1], args[2]) for args in computed] == (
+        [(parse_vertex("1@1"), Window(1, 1))] + search
+        + [(parse_vertex("1@1"), Window(1, hi)) for hi in range(2, 10)]
+        + [(parse_vertex("2@1"), Window(1, hi)) for hi in range(1, 10)])
     mesh_hom.clear_cache()
     assert report.to_json() == build_sing_quiver(A2, None, Window(0, 9)).to_json()
 
