@@ -118,8 +118,11 @@ def cmd_cartan_solve(args):
 def cmd_sing_quiver(args):
     report = build_sing_quiver(_quiver(args), _config(args), _window(args), max_span=args.max_span)
     if args.dot:
-        with open(args.dot, "w") as fh:
-            fh.write(report.to_dot() + "\n")
+        try:
+            with open(args.dot, "w") as fh:
+                fh.write(report.to_dot() + "\n")
+        except OSError as exc:
+            raise InvalidInputError(f"cannot write the DOT graph to {args.dot!r}: {exc}") from exc
     _emit(report.to_json())
 
 

@@ -10,9 +10,9 @@ one, of_int, inv, key):
   column to nonzero value; a row may also come in as a list), and what is
   read off it: mat_rank, kernel_cols (a KernelBasis), span_kernel_basis
   (the KernelBasis kernel_cols would give, from vectors spanning the
-  kernel), left_kernel_rows, span_basis (the leftmost spanning vectors),
-  solve_many (coordinates in spanning columns) and quotient_coords (a
-  basis of a quotient, from relations given as lists or sparse dict rows);
+  kernel), span_basis (the leftmost spanning vectors), solve_many
+  (coordinates in spanning columns) and quotient_coords (a basis of a
+  quotient, from relations given as lists or sparse dict rows);
 * reference_rref, the dense elimination rref replaced, kept as the path
   oracle's reference (mesh_hom.hom_dim_oracle and sweep_matches_oracle)
   so that the oracle does not share the elimination it checks;
@@ -323,14 +323,6 @@ def span_kernel_basis(vecs, ncols, field):
     free = set(basis.free)
     basis.pivots = [c for c in range(ncols) if c not in free]
     return basis, [row[ncols:] for row in reversed(red)]
-
-
-def left_kernel_rows(rows, nrows: int, field):
-    """Rows spanning the left kernel {y : y A = 0} of the nrows-row matrix A.
-
-    A matrix with no columns (or no rows given) has the identity as its left kernel.
-    """
-    return kernel_cols(transpose_rows(rows), nrows, field)
 
 
 def span_basis(vecs: Sequence[Sequence], dim: int, field) -> List:

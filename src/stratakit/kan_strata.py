@@ -63,7 +63,6 @@ from .quiver_core import (
     rep_out_arrows,
     shared,
     sigma,
-    sigma_arrow,
     sigma_inv,
     tau,
     tau_inv,
@@ -122,9 +121,6 @@ class WindowRep:
 
     def nonfrozen_dims(self) -> Dict[RepVertex, int]:
         return {v: d for v, d in self.dims.items() if not v.frozen}
-
-    def frozen_dims(self) -> Dict[RepVertex, int]:
-        return {v: d for v, d in self.dims.items() if v.frozen}
 
     def support_levels(self) -> Optional[Tuple[int, int]]:
         if not self.dims:
@@ -261,29 +257,50 @@ def _quotient_rep(rep: WindowRep, rel_cols: Dict[RepVertex, list]):
     return WindowRep(rep.q, rep.window, rep.config, dims, mats, rep.field), kept
 
 
-def validate(rep: WindowRep) -> list:
-    """All in-window mesh relators violated by the representation, with residuals.
+def relator_row(rq, x: RepVertex, dims, mats):
+    """The mesh relator's block row [M(sigma b_1) | ... | M(sigma b_k)] at x, or None where none is imposed.
 
-    For each non-frozen x with tau(x) in the window, the residual is the sum
-    over arrows beta: y -> x of mat(sigma beta) mat(beta), a matrix from the
-    space at x to the space at tau(x); it must vanish exactly.  Only arrows
-    with a matrix contribute: an absent matrix is zero, so its term
-    vanishes, and a vertex with no term has nothing to check.
+    One sparse dict row per coordinate of tau(x); block i, for the term (sigma b_i, b_i) with
+    b_i: y_i -> x (RepQuiver.relator), takes dims[y_i] columns, and an absent matrix is zero.
+    Returns (rows, width).  kan_right and randrep extend by its kernel, ext1_simple_into
+    subtracts its rank, and at tau^-1(x) it is the stack of the arrows out of x (is_costable).
     """
-    bad = []
-    for x in rep.rq.vertices:
-        if x.frozen or not rep.window.contains(tau(x)):
+    rel = rq.relator(x)
+    if rel is None:
+        return None
+    rows = [{} for _ in range(dims.get(tau(x), 0))]
+    width = 0
+    for sb, b in rel.terms:
+        m = mats.get(sb)
+        if m is not None:
+            for row, r in zip(m, rows):
+                for t, c in enumerate(row):
+                    if c:
+                        r[width + t] = c
+        width += dims.get(b.source, 0)
+    return rows, width
+
+
+def mesh_residual(rep: WindowRep, x: RepVertex):
+    """sum_b mat(sigma b) mat(b) over the relator's terms at x, a matrix from the space at x to the
+    one at tau(x), when it is nonzero, else None.  An absent matrix is zero, so a term lacking one
+    vanishes, and a vertex with no term (or no relator) has nothing to check."""
+    rel = rep.rq.relator(x)
+    residual = None
+    for sb, b in rel.terms if rel is not None else ():
+        m_sb, m_b = rep.mats.get(sb), rep.mats.get(b)
+        if m_sb is None or m_b is None:
             continue
-        residual = None
-        for beta in rep.rq.in_arrows(x):
-            m_sb, m_beta = rep.mats.get(sigma_arrow(rep.q, beta)), rep.mats.get(beta)
-            if m_sb is None or m_beta is None:
-                continue
-            part = mat_mul(m_sb, m_beta, rep.field)
-            residual = part if residual is None else [[a + b for a, b in zip(r, t)] for r, t in zip(residual, part)]
-        if residual is not None and any(xv != rep.field.zero for r in residual for xv in r):
-            bad.append((x, residual))
-    return bad
+        part = mat_mul(m_sb, m_b, rep.field)
+        residual = part if residual is None else [[a + c for a, c in zip(r, t)] for r, t in zip(residual, part)]
+    if residual is not None and any(xv != rep.field.zero for r in residual for xv in r):
+        return residual
+    return None
+
+
+def validate(rep: WindowRep) -> list:
+    """All in-window mesh relators violated by the representation, with residuals (mesh_residual)."""
+    return [(x, r) for x in rep.rq.vertices if (r := mesh_residual(rep, x)) is not None]
 
 
 # ---------------------------------------------------------------------------
@@ -512,15 +529,8 @@ def kan_right(M: SModulePoint, w: Window) -> KanRight:
                 if dims[b.source]:
                     blocks.append((b, total))
                     total += dims[b.source]
-            rel = []
-            if rc.imposes_relator(x, w) and dims[tau(x)]:
-                rel = [{} for _ in range(dims[tau(x)])]
-                for b, ob in blocks:
-                    for row, r in zip(mats.get(sigma_arrow(q, b), ()), rel):
-                        for t, c in enumerate(row):
-                            if c:
-                                r[ob + t] = c
-            kernel = kernel_cols(rel, total, field) if total else []
+            rel = relator_row(rq, x, dims, mats)
+            kernel = kernel_cols(rel[0] if rel else [], total, field) if total else []
             # copy pairs (position at x, position at y_b) of each in-arrow b
             pairs = {b: [] for b, _ in blocks}
             for u, o in off.items():
@@ -809,15 +819,14 @@ def is_stable(rep: WindowRep) -> bool:
 
 
 def is_costable(rep: WindowRep) -> bool:
-    """The frozen part generates everything: non-frozen values are hit from outgoing arrows."""
+    """The frozen part generates everything: non-frozen values are hit from outgoing arrows.
+    The arrows out of x are the sigma-images of those into tau^-1(x), so the relator row at
+    tau^-1(x), which may lie one level above the window, must have full rank."""
     for x in rep.rq.vertices:
         if x.frozen or rep.dim(x) == 0:
             continue
-        # the horizontal stack of mat(gamma) over the arrows gamma: x -> y, read row by row
-        out = rep.rq.out_arrows(x)
-        mats = [rep.mat(gamma) for gamma in out]
-        rows = [[c for m in mats for c in m[i]] for i in range(rep.dim(x))]
-        if mat_rank(rows, sum(rep.dim(gamma.target) for gamma in out), rep.field) < rep.dim(x):
+        rows, width = relator_row(rep.rq, tau_inv(x), rep.dims, rep.mats)
+        if mat_rank(rows, width, rep.field) < rep.dim(x):
             return False
     return True
 
@@ -862,24 +871,18 @@ def ext1_simple_into(rep: WindowRep, x: RepVertex) -> int:
 
     The representation is treated as extended by zero outside its window,
     which is exact for intermediate extensions (their support certifiably
-    stays inside).
+    stays inside); the middle term is read off the relator row, which
+    answers one level above the window too.
     """
     field = rep.field
-    arrows = [b for b in rep_in_arrows(rep.q, x) if not b.source.frozen or rep.config.retains(b.source)]
-    tx = tau(x)
-    mid_total = sum(rep.dim(b.source) for b in arrows)
+    row = relator_row(rep.rq, x, rep.dims, rep.mats)
+    b_rows, mid_total = row if row is not None else ([], sum(rep.dim(b.source) for b in rep.rq.in_arrows(x)))
     if mid_total == 0:
         return 0
-    a_rows = []
-    for b in arrows:
-        a_rows.extend(rep.mat(b))
-    b_mats = [rep.mat(sigma_arrow(rep.q, b)) for b in arrows]
-    b_rows = [[c for m in b_mats for c in m[i]] for i in range(rep.dim(tx))]
-    rank_a = mat_rank(a_rows, rep.dim(x), field)
-    rank_b = mat_rank(b_rows, mid_total, field)
-    if any(v != field.zero for r in mat_mul(b_rows, a_rows, field) for v in r):
+    if mesh_residual(rep, x) is not None:
         raise InternalConsistencyError(f"mesh relator at {x} not satisfied by the representation")
-    return (mid_total - rank_b) - rank_a
+    rank_a = mat_rank(_in_arrow_stack(rep, x), rep.dim(x), field)
+    return (mid_total - mat_rank(b_rows, mid_total, field)) - rank_a
 
 
 @dataclass

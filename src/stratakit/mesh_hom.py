@@ -41,7 +41,6 @@ from .quiver_core import (
     Window,
     build_repetition,
     clear_slices,
-    sigma_arrow,
     tau,
 )
 
@@ -105,9 +104,6 @@ class MeshContext:
     def _slice(self, w: Window):
         """The shared window slice of this category's quiver: its objects and arrows."""
         return build_repetition(self.q, self.framed, w, self.config)
-
-    def imposes_relator(self, v: RepVertex, w: Window) -> bool:
-        return (not v.frozen) and w.contains(tau(v))
 
 
 class HomFunctor:
@@ -222,9 +218,10 @@ def _sweep(ctx: MeshContext, source: RepVertex, window: Window, field) -> HomFun
                 f"the sweep of Hom({source}, -) on the window {window.to_json()} would hold more than "
                 f"the limit of {MAX_SWEEP_ENTRIES} matrix entries at {v}; narrow the window")
         rel_cols = []
-        if ctx.imposes_relator(v, window):
+        rel = rq.relator(v)
+        if rel is not None:
             # column k of the relator: column k of each sigma-arrow's matrix, at its block
-            sigma_mats = [(mats.get(sigma_arrow(ctx.q, b)), off) for b, off in zip(in_arrows, offsets)]
+            sigma_mats = [(mats.get(sb), off) for (sb, _), off in zip(rel.terms, offsets)]
             for k in range(dims[tau(v)]):
                 col = {}
                 for m, off in sigma_mats:
@@ -638,19 +635,20 @@ _ZERO, _ONE = Fraction(0), Fraction(1)
 def _relator_rows(ctx: MeshContext, x: RepVertex, y: RepVertex, w: Window, paths) -> List[list]:
     """One row per mesh-relator instance x -> tau(z) ~> z -> y, over the given paths x -> y."""
     index = {p: i for i, p in enumerate(paths)}
+    rq = ctx._slice(w)
     rel_rows = []
     for p in range(x.level, y.level + 1):
         for node in ctx.q._topo:
             z = RepVertex(node, p)
-            if not ctx.imposes_relator(z, w) or tau(z).level < x.level:
+            rel = rq.relator(z)
+            if rel is None or tau(z).level < x.level:
                 continue
             heads = enumerate_paths(ctx, x, tau(z), w)
             tails = enumerate_paths(ctx, z, y, w)
-            branches = [(sigma_arrow(ctx.q, b), b) for b in ctx.in_arrows(z, w)]
             for hpath in heads:
                 for tpath in tails:
                     row = [_ZERO] * len(paths)
-                    for sb, b in branches:
+                    for sb, b in rel.terms:
                         row[index[hpath + (sb, b) + tpath]] += _ONE
                     rel_rows.append(row)
     return rel_rows

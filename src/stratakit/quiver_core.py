@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, Iterable, NamedTuple, Optional
 
-from .errors import InvalidInputError, WindowInsufficiencyError
+from .errors import InvalidInputError
 from .exact_linalg import QQ, mat_rank
 
 
@@ -105,14 +105,22 @@ class Quiver:
 
     @classmethod
     def from_json(cls, data) -> "Quiver":
+        """A quiver given as input: ids and endpoints must be strings, and no vertex id may end in
+        the frozen marker ', so every vertex key reads back as the vertex it names (parse_vertex)."""
         try:
             vertices = data["vertices"]
-            arrows = [QArrow(str(a["id"]), str(a["source"]), str(a["target"])) for a in data["arrows"]]
+            arrows = [(a["id"], a["source"], a["target"]) for a in data["arrows"]]
         except (KeyError, TypeError) as exc:
             raise InvalidInputError(f"malformed quiver JSON: {exc}") from exc
         if not isinstance(vertices, list):
             raise InvalidInputError(f"quiver vertices must be a list, got {vertices!r}")
-        return cls(vertices, arrows)
+        for x in vertices + [x for a in arrows for x in a]:
+            if not isinstance(x, str):
+                raise InvalidInputError(f"quiver vertex and arrow ids must be strings, got {x!r}")
+        for v in vertices:
+            if v.endswith("'"):
+                raise InvalidInputError(f"vertex id {v!r} ends in the frozen marker '")
+        return cls(vertices, [QArrow(*a) for a in arrows])
 
     def __repr__(self):
         return f"Quiver({list(self.vertices)}, {len(self.arrows)} arrows)"
@@ -274,11 +282,8 @@ class Window:
         if self.lo > self.hi:
             raise InvalidInputError(f"empty window [{self.lo},{self.hi}]")
 
-    def contains_level(self, p: int) -> bool:
-        return self.lo <= p <= self.hi
-
     def contains(self, v: RepVertex) -> bool:
-        return self.contains_level(v.level)
+        return self.lo <= v.level <= self.hi
 
     def levels(self):
         return range(self.lo, self.hi + 1)
@@ -381,9 +386,10 @@ class Configuration:
         return f"Configuration({self.key()})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MeshRelator:
-    """The mesh relator at a non-frozen vertex: one (sigma(beta), beta) term per incoming arrow beta."""
+    """The mesh relator at a non-frozen vertex x: one (sigma(beta), beta) term per arrow
+    beta: y -> x with y in the slice (RepQuiver.relator)."""
 
     vertex: RepVertex
     terms: tuple  # tuple of (RepArrow, RepArrow) pairs, each a path tau(x) -> y -> x
@@ -445,6 +451,7 @@ class RepQuiver:
         self._vset = frozenset(vertices)
         self._in: Dict[RepVertex, tuple] = {}
         self._out: Dict[RepVertex, tuple] = {}
+        self._rel: Dict[RepVertex, Optional[MeshRelator]] = {}
 
     @cached_property
     def arrows(self):
@@ -478,13 +485,26 @@ class RepQuiver:
                                           if a.target in self._vset)
         return arrows
 
-    def relator(self, x: RepVertex) -> MeshRelator:
-        if x.frozen:
-            raise InvalidInputError("mesh relators are attached to non-frozen vertices only")
-        if not self.window.contains(tau(x)):
-            raise WindowInsufficiencyError(f"relator at {x} needs tau({x}) = {tau(x)} inside the window")
-        terms = tuple((sigma_arrow(self.q, b), b) for b in self.in_arrows(x))
-        return MeshRelator(x, terms)
+    def relator(self, x: RepVertex) -> Optional[MeshRelator]:
+        """The mesh relator at x, or None where none is imposed; memoized, as in_arrows is.
+
+        A relator is imposed exactly at a non-frozen x with tau(x) in the window, so x may lie one
+        level above it.  The terms pair each arrow b: y -> x with y in the slice (in_arrows(x) at a
+        vertex of the slice) with sigma(b): tau(x) -> y: the one place arrows meet their sigma-images.
+        """
+        if x in self._rel:
+            return self._rel[x]
+        rel = None
+        if not x.frozen and self.window.contains(tau(x)):
+            bs = (self.in_arrows(x) if x in self._vset
+                  else [b for b in rep_in_arrows(self.q, x, self.framed) if b.source in self._vset])
+            terms = []
+            for b in bs:  # sigma(b) ends at b.source: the memo keeps the slice's own copy of it
+                sb = sigma_arrow(self.q, b)
+                terms.append((next(a for a in self.in_arrows(b.source) if a == sb), b))
+            rel = MeshRelator(x, tuple(terms))
+        self._rel[x] = rel
+        return rel
 
 
 # Objects shared by every caller until clear_slices(), keyed by a kind tag
@@ -528,8 +548,7 @@ def clear_slices():
 
 def mesh_relators(rq: RepQuiver):
     """One relator per non-frozen vertex of the slice above its window's bottom level."""
-    w = rq.window
-    return [rq.relator(x) for x in rq.vertices if not x.frozen and w.lo < x.level]
+    return [rel for rel in map(rq.relator, rq.vertices) if rel is not None]
 
 
 def check_configuration(q: Quiver, config: Configuration, w: Window) -> dict:

@@ -12,8 +12,8 @@ import random
 from typing import Dict, Optional
 
 from .exact_linalg import QQ, kernel_cols
-from .kan_strata import WindowRep, restrict, SModulePoint
-from .quiver_core import Configuration, Quiver, RepVertex, Window, build_repetition, sigma_arrow, tau
+from .kan_strata import SModulePoint, WindowRep, relator_row, restrict
+from .quiver_core import Configuration, Quiver, RepVertex, Window, build_repetition
 
 
 def random_window_rep(q: Quiver, window: Window, rng: random.Random,
@@ -32,15 +32,7 @@ def random_window_rep(q: Quiver, window: Window, rng: random.Random,
             dims[v] = 0
             continue
         dims[v] = rng.choice(dim_choices)
-    mats = {}
     chosen = {}
-
-    def mat_of(a):
-        m = chosen.get(a)
-        if m is None:
-            return [[QQ.zero] * dims[a.target] for _ in range(dims[a.source])]
-        return m
-
     for x in rq.vertices:
         incoming = rq.in_arrows(x)
         dx = dims[x]
@@ -48,18 +40,10 @@ def random_window_rep(q: Quiver, window: Window, rng: random.Random,
             for b in incoming:
                 chosen[b] = [[QQ.zero] * dx for _ in range(dims[b.source])]
             continue
-        if (not x.frozen) and window.contains(tau(x)) and dims[tau(x)] > 0:
+        row = relator_row(rq, x, dims, chosen)
+        if row is not None and row[0]:
             # columns of the stacked arrow matrices must lie in ker of [mat(sigma b1) | ...]
-            blocks = [sigma_arrow(q, b) for b in incoming]
-            widths = [dims[b.source] for b in incoming]
-            rows = []
-            for i in range(dims[tau(x)]):
-                row = []
-                for sb, wd in zip(blocks, widths):
-                    m = mat_of(sb)
-                    row.extend(m[i][:wd] if m else [QQ.zero] * wd)
-                rows.append(row)
-            total = sum(widths)
+            rows, total = row
             ker = kernel_cols(rows, total, QQ)
             stacked_cols = []
             for _ in range(dx):
@@ -71,17 +55,15 @@ def random_window_rep(q: Quiver, window: Window, rng: random.Random,
                             col[i] += c * kv[i]
                 stacked_cols.append(col)
             off = 0
-            for b, wd in zip(incoming, widths):
-                m = [[stacked_cols[j][off + i] for j in range(dx)] for i in range(wd)]
-                chosen[b] = m
+            for b in incoming:
+                wd = dims[b.source]
+                chosen[b] = [[stacked_cols[j][off + i] for j in range(dx)] for i in range(wd)]
                 off += wd
         else:
             for b in incoming:
                 chosen[b] = [[QQ.of_int(rng.randint(-coeff_range, coeff_range)) for _ in range(dx)]
                              for _ in range(dims[b.source])]
-    for a, m in chosen.items():
-        mats[a] = m
-    return WindowRep(q, window, config, {v: d for v, d in dims.items() if d}, mats)
+    return WindowRep(q, window, config, {v: d for v, d in dims.items() if d}, chosen)
 
 
 def random_module_point(q: Quiver, window: Window, rng: random.Random,

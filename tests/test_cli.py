@@ -112,6 +112,43 @@ def test_sing_quiver_dot_output(capsys, tmp_path):
     assert dot.read_text().startswith("digraph")
 
 
+@pytest.mark.parametrize("where", ["missing-dir", "under-a-file"])
+def test_sing_quiver_dot_to_an_unwritable_path_exits_1_with_json_error(capsys, tmp_path, where):
+    blocker = tmp_path / "not-a-dir"
+    blocker.write_text("")
+    dot = (tmp_path / "missing" if where == "missing-dir" else blocker) / "s.dot"
+    code, out, err = run(capsys, "sing-quiver", "--quiver", A2_JSON, "--window", "0", "3", "--dot", str(dot))
+    assert code == 1 and out == ""
+    error = json.loads(err.strip())
+    assert error["error"] == "InvalidInputError" and "DOT" in error["detail"]
+
+
+@pytest.mark.parametrize("quiver", [
+    {"vertices": [1, "2"], "arrows": []},
+    {"vertices": [None], "arrows": []},
+    {"vertices": [["x"]], "arrows": []},
+    {"vertices": ["1", "2"], "arrows": [{"id": 1, "source": "1", "target": "2"}]},
+    {"vertices": ["1", "2"], "arrows": [{"id": "a", "source": None, "target": "2"}]},
+    {"vertices": ["1", "2"], "arrows": [{"id": "a", "source": "1", "target": ["2"]}]},
+], ids=["int-vertex", "null-vertex", "list-vertex", "int-arrow-id", "null-source", "list-target"])
+def test_non_string_quiver_ids_exit_1_with_json_error(capsys, quiver):
+    code, out, err = run(capsys, "sing-quiver", "--quiver", json.dumps(quiver), "--window", "0", "2")
+    assert code == 1 and out == ""
+    error = json.loads(err.strip())
+    assert error["error"] == "InvalidInputError" and "must be strings" in error["detail"]
+
+
+def test_vertex_ids_ending_in_the_frozen_marker_exit_1_with_json_error(capsys):
+    """The key of a vertex x' at level 0 would read back as the frozen companion of x."""
+    quiver = {"vertices": ["x'", "y"], "arrows": [{"id": "a", "source": "x'", "target": "y"}]}
+    for argv in (["hom", "--quiver", json.dumps(quiver), "--window", "0", "1", "--from", "x'@0", "--to", "y@0"],
+                 ["phi", "--rep", json.dumps(dict(A2_REP, quiver=quiver, dims={}))]):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        error = json.loads(err.strip())
+        assert error["error"] == "InvalidInputError" and "frozen marker" in error["detail"]
+
+
 def test_fiber_cli(capsys):
     semis = {"quiver": json.loads(A2_JSON), "framed": True, "window": [0, 4],
              "configuration": None, "dims": {"1'@1": 1}, "mats": {}}

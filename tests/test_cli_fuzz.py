@@ -5,8 +5,8 @@ configurations, vertex maps and window representations, so that the
 draws reach past the first parse into the mesh categories, the Serre
 and suspension vertex maps (hom-dq, sing-quiver with and without
 --max-span, ext-oracle), and the representations on into the Kan
-extensions, Phi and the closure order (phi, klr, stratum with and
-without --other, degen).  Most integers
+extensions, Phi, the closure order, closed orbits and resolutions (phi,
+klr, stratum with and without --other, degen, orbit, resolve).  Most integers
 are drawn small, but SCALARS also draws unbounded ones, so a window or a
 field characteristic can be huge: the input boundary must reject those
 before any work, as the pinned examples check.
@@ -14,6 +14,7 @@ before any work, as the pinned examples check.
 import contextlib
 import io
 import json
+from pathlib import Path
 
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
@@ -97,7 +98,8 @@ COMMANDS = st.one_of(
               DQ_QUIVER, DQ_WINDOW, DQ_CONFIG, FROZEN_VERTEX, FROZEN_VERTEX, SMALL),
     st.builds(lambda q, w, c: ["check-config", _arg("quiver", q), "--window", *w, _arg("config", c)],
               QUIVER, WINDOW, CONFIG),
-    st.builds(lambda cmd, r: [cmd, _arg("rep", r)], st.sampled_from(["validate", "phi", "klr", "stratum"]), REP),
+    st.builds(lambda cmd, r: [cmd, _arg("rep", r)],
+              st.sampled_from(["validate", "phi", "klr", "stratum", "orbit", "resolve"]), REP),
     # the second point is often the first, so that pairs with equal w reach Phi and the closure order
     st.builds(lambda cmd, ro: [cmd, _arg("rep", ro[0]), _arg("other", ro[1])], st.sampled_from(["stratum", "degen"]),
               REP.flatmap(lambda r: st.tuples(st.just(r), st.one_of(st.just(r), REP)))))
@@ -107,6 +109,7 @@ COMMANDS = st.one_of(
 @given(COMMANDS)
 @example(["validate", _arg("rep", dict(VALID_REP, window=[0, 100000000]))])
 @example(["validate", _arg("rep", dict(VALID_REP, field=2 ** 89 - 1))])
+@example(["sing-quiver", _arg("quiver", A2), "--window", "0", "3", f"--dot={Path(__file__) / 'x.dot'}"])
 def test_cli_json_arguments_end_in_a_result_or_a_json_error(argv):
     out, err = io.StringIO(), io.StringIO()
     mesh_hom.clear_cache()

@@ -17,7 +17,6 @@ from stratakit.exact_linalg import (
     identity_rows,
     in_basis,
     kernel_cols,
-    left_kernel_rows,
     mat_rank,
     mat_vec,
     parse_fraction,
@@ -29,7 +28,17 @@ from stratakit.exact_linalg import (
     span_basis,
     span_kernel_basis,
     sub_map,
+    transpose_rows,
 )
+
+
+def left_kernel_rows(rows, nrows: int, field):
+    """Rows spanning the left kernel {y : y A = 0} of the nrows-row matrix A: the kernel of its transpose.
+
+    A matrix with no columns (or no rows given) has the identity as its left kernel.
+    """
+    return kernel_cols(transpose_rows(rows), nrows, field)
+
 
 small_entries = st.integers(min_value=-4, max_value=4)
 
@@ -401,8 +410,8 @@ def test_exact_linalg_is_the_only_elimination_core():
 
 
 # The routines read off rref: the oracle's ranks call none of them.
-RREF_ROUTES = {"rref", "mat_rank", "kernel_cols", "span_kernel_basis", "left_kernel_rows", "span_basis",
-               "solve_many", "quotient_coords", "sub_map", "in_basis"}
+RREF_ROUTES = {"rref", "mat_rank", "kernel_cols", "span_kernel_basis", "span_basis", "solve_many",
+               "quotient_coords", "sub_map", "in_basis"}
 ORACLES = {"hom_dim_oracle", "sweep_matches_oracle"}
 
 

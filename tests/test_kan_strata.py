@@ -60,6 +60,8 @@ from stratakit.quiver_core import (
     d4_quiver,
     kronecker_quiver,
     parse_vertex,
+    rep_in_arrows,
+    sigma_arrow,
     sigma_inv,
     tau,
 )
@@ -120,7 +122,7 @@ def _oracle_hom(ctx, x, y, w):
     for p in range(x.level, y.level + 1):
         for node in ctx.q._topo:
             z = RepVertex(node, p)
-            if not ctx.imposes_relator(z, w) or tau_v(z).level < x.level:
+            if z.frozen or not w.contains(tau_v(z)) or tau_v(z).level < x.level:
                 continue
             heads = enumerate_paths(ctx, x, tau_v(z), w) if tau_v(z) != x else [()]
             tails = enumerate_paths(ctx, z, y, w) if z != y else ([()] if z == y else [])
@@ -461,6 +463,124 @@ def test_stabilize_matches_intersect_and_preimage_twin(seed, qname, p, coeff_ran
         assert rank_new == len(new[x]) and rank_old == len(old[x])
         assert rank_new == rank_old == mat_rank(new[x] + old[x], d, rep.field)
     assert stabilize(rep).to_json() == _quotient_rep(rep, old)[0].to_json()
+
+
+# The consumers of the mesh relator as they were before they read it off the
+# slice (RepQuiver.relator) and kan_strata.relator_row, each pairing arrows with
+# their sigma-images itself, kept here as the references they must reproduce.
+
+def _twin_validate(rep):
+    bad = []
+    for x in rep.rq.vertices:
+        if x.frozen or not rep.window.contains(tau(x)):
+            continue
+        residual = None
+        for beta in rep.rq.in_arrows(x):
+            m_sb, m_beta = rep.mats.get(sigma_arrow(rep.q, beta)), rep.mats.get(beta)
+            if m_sb is None or m_beta is None:
+                continue
+            part = mat_mul(m_sb, m_beta, rep.field)
+            residual = part if residual is None else [[a + b for a, b in zip(r, t)] for r, t in zip(residual, part)]
+        if residual is not None and any(xv != rep.field.zero for r in residual for xv in r):
+            bad.append((x, residual))
+    return bad
+
+
+def _twin_is_stable(rep):
+    for x in rep.rq.vertices:
+        if x.frozen or rep.dim(x) == 0:
+            continue
+        rows = [r for beta in rep.rq.in_arrows(x) for r in rep.mat(beta)]
+        if mat_rank(rows, rep.dim(x), rep.field) < rep.dim(x):
+            return False
+    return True
+
+
+def _twin_is_costable(rep):
+    for x in rep.rq.vertices:
+        if x.frozen or rep.dim(x) == 0:
+            continue
+        out = rep.rq.out_arrows(x)
+        mats = [rep.mat(gamma) for gamma in out]
+        rows = [[c for m in mats for c in m[i]] for i in range(rep.dim(x))]
+        if mat_rank(rows, sum(rep.dim(gamma.target) for gamma in out), rep.field) < rep.dim(x):
+            return False
+    return True
+
+
+def _twin_ext1_simple_into(rep, x):
+    field = rep.field
+    arrows = [b for b in rep_in_arrows(rep.q, x) if not b.source.frozen or rep.config.retains(b.source)]
+    tx = tau(x)
+    mid_total = sum(rep.dim(b.source) for b in arrows)
+    if mid_total == 0:
+        return 0
+    a_rows = [r for b in arrows for r in rep.mat(b)]
+    b_mats = [rep.mat(sigma_arrow(rep.q, b)) for b in arrows]
+    b_rows = [[c for m in b_mats for c in m[i]] for i in range(rep.dim(tx))]
+    rank_a = mat_rank(a_rows, rep.dim(x), field)
+    rank_b = mat_rank(b_rows, mid_total, field)
+    if any(v != field.zero for r in mat_mul(b_rows, a_rows, field) for v in r):
+        raise InternalConsistencyError(f"mesh relator at {x} not satisfied by the representation")
+    return (mid_total - rank_b) - rank_a
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except InternalConsistencyError:
+        return InternalConsistencyError
+
+
+def _relator_consumers(rep):
+    """What validate (residuals encoded), is_stable, is_costable and ext1_simple_into
+    say of rep, by the code under test and by its twins; ext1 at every non-frozen
+    vertex from one level below the window to two above it."""
+    w, enc = rep.window, rep.field.encode
+    xs = [RepVertex(n, p) for p in range(w.lo - 1, w.hi + 3) for n in rep.q.vertices]
+    got, want = [], []
+    for out, (val, stable, costable, ext1) in ((got, (validate, is_stable, is_costable, kan_strata.ext1_simple_into)),
+                                                (want, (_twin_validate, _twin_is_stable, _twin_is_costable,
+                                                        _twin_ext1_simple_into))):
+        out.append([(x, [[enc(c) for c in row] for row in r]) for x, r in val(rep)])
+        out += [stable(rep), costable(rep)] + [_outcome(ext1, rep, x) for x in xs]
+    return got, want
+
+
+A2_PERIODIC = Configuration([parse_vertex("1@0"), parse_vertex("2@1")], period=2)
+RELATOR_TWIN_CASES = {"A2": (A2, None, Window(0, 3)), "A3": (a_n_quiver(3), None, Window(0, 2)),
+                      "D4": (d4_quiver(), None, Window(0, 2)), "K2": (kronecker_quiver(), None, Window(0, 2)),
+                      "A2-periodic": (A2, A2_PERIODIC, Window(0, 3))}
+
+
+@pytest.mark.parametrize("case", sorted(RELATOR_TWIN_CASES))
+def test_relator_consumers_match_their_own_pairing_twins(case):
+    """Random reps, each with one entry perturbed, their reductions to GF(3) and
+    GF(5), and the K_LR and stabilize outputs of the valid ones (random reps are
+    almost never stable): every answer agrees with the twins."""
+    q, config, w = RELATOR_TWIN_CASES[case]
+    seen = {"stable and costable": 0, "unstable": 0, "invalid": 0}
+    for seed in range(10):
+        rng = random.Random(7919 * seed + 3)
+        rep = random_window_rep(q, w, rng, config, dim_choices=(0, 1, 1, 2))
+        a = rng.choice(sorted(rep.mats, key=lambda a: a.key()))
+        mats = {b: [list(row) for row in m] for b, m in rep.mats.items()}
+        mats[a][rng.randrange(len(mats[a]))][0] += 1
+        reps = [rep, WindowRep(q, w, config, dict(rep.dims), mats)]
+        for r in list(reps):
+            for p in (3, 5):
+                try:
+                    reps.append(r.reduce_mod(PrimeField(p)))
+                except InvalidInputError:  # a denominator divisible by p
+                    pass
+        reps += [kan_intermediate(restrict(rep), w).rep, stabilize(rep)]
+        for r in reps:
+            got, want = _relator_consumers(r)
+            assert got == want
+            seen["stable and costable"] += want[1] and want[2]
+            seen["unstable"] += not want[1]
+            seen["invalid"] += bool(want[0])
+    assert all(seen.values()), seen
 
 
 # ---------------------------------------------------------------------------

@@ -123,6 +123,52 @@ def test_kronecker_relator_has_parallel_terms():
     assert len(rel.terms) == 3
 
 
+@pytest.mark.parametrize("framed", [True, False])
+def test_relator_is_imposed_exactly_where_tau_x_lies_in_the_window(framed):
+    """None at frozen vertices and wherever tau(x) leaves the window; one level above
+    the window the terms are the arrows from inside the slice.  Memoized."""
+    q, w = d4_quiver(), Window(1, 3)
+    rq = build_repetition(q, framed, w)
+    for p in range(w.lo - 1, w.hi + 3):
+        for node in q.vertices:
+            x, u = RepVertex(node, p), RepVertex(node, p, True)
+            assert rq.relator(u) is None
+            rel = rq.relator(x)
+            if not w.lo < p <= w.hi + 1:
+                assert rel is None
+                continue
+            assert rel.vertex == x and rq.relator(x) is rel
+            want = [b for b in rep_in_arrows(q, x, framed) if rq.has_vertex(b.source)]
+            assert [b for _, b in rel.terms] == want
+            if p <= w.hi:
+                assert want == list(rq.in_arrows(x))
+            assert all(sb == sigma_arrow(q, b) and rq.has_vertex(sb.source) for sb, b in rel.terms)
+
+
+def test_sigma_arrow_is_called_only_by_the_relator():
+    """RepQuiver.relator is the one place the package pairs arrows with their
+    sigma-images, and MeshContext no longer decides where a relator is imposed."""
+    import ast
+    import pathlib
+
+    users = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}")
+                continue
+            if (isinstance(child, ast.Name) and child.id == "sigma_arrow"
+                    or isinstance(child, ast.Attribute) and child.attr == "sigma_arrow"):
+                users.add(scope)
+            visit(child, scope)
+
+    for path in sorted(pathlib.Path(quiver_core.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text()), path.stem)
+    assert users == {"quiver_core.RepQuiver.relator"}
+    assert not hasattr(mesh_hom.MeshContext, "imposes_relator")
+
+
 def test_configuration_membership_and_period():
     c = Configuration([parse_vertex("1@0")], period=2)
     assert c.contains(parse_vertex("1@4"))
