@@ -448,11 +448,13 @@ class OpSCategoryWindow:
         return self.base.dim(v, u)
 
     def hom_pairs(self):
-        for u in self.objects:
+        # base.dim(v, u) sweeps from v: the lowest v is asked first, so in a tau-invariant
+        # context each node's first sweep is its tallest and serves the others by translation
+        dims = {v: [self.base.dim(v, u) for u in self.objects] for v in self.base.objects}
+        for i, u in enumerate(self.objects):
             for v in self.objects:
-                d = self.base.dim(v, u)
-                if d > 0:
-                    yield u, v, d
+                if dims[v][i] > 0:
+                    yield u, v, dims[v][i]
 
     def generators(self, u: RepVertex, v: RepVertex) -> List[int]:
         return self.base.generators(v, u)

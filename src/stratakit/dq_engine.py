@@ -199,22 +199,23 @@ def hom_dq(q: Quiver, x: RepVertex, p: int, y: RepVertex, w: Window) -> int:
     Dispatch: p = 0 is the mesh dimension, p = 1 uses Serre duality in the
     form Ext^1(X,Y) = D Hom(Y, tau X).  For Dynkin quivers general p goes
     through the Sigma vertex map; otherwise every |p| >= 2 (and every
-    negative p between heart-like objects) vanishes.
+    negative p between heart-like objects) vanishes.  Once both endpoints
+    lie in w, the dimension is swept over the levels between them only,
+    which carry every path and relator between them (as in sing_builder).
     """
     _require_nonfrozen(x)
     _require_nonfrozen(y)
-    ctx = MeshContext(q, "kZQ")
-    if p == 0:
-        return hom_dim(ctx, x, y, w)
     if p == 1:
-        tx = tau(x)
-        if not w.contains(tx):
+        if not w.contains(tau(x)):
             raise WindowInsufficiencyError(f"tau({x}) outside window")
-        return hom_dim(ctx, y, tx, w)
-    if not is_dynkin(q).is_dynkin:
-        return 0
-    z = iterate_shift(q, y, p, w)
-    return hom_dim(ctx, x, z, w)
+        x, y = y, tau(x)
+    elif p != 0:
+        if not is_dynkin(q).is_dynkin:
+            return 0
+        y = iterate_shift(q, y, p, w)
+    if x.level <= y.level and w.contains(x) and w.contains(y):
+        w = Window(x.level, y.level)
+    return hom_dim(MeshContext(q, "kZQ"), x, y, w)
 
 
 # ---------------------------------------------------------------------------

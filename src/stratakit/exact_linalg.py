@@ -12,7 +12,8 @@ one, of_int, inv, key):
   (the KernelBasis kernel_cols would give, from vectors spanning the
   kernel), span_basis (the leftmost spanning vectors), solve_many
   (coordinates in spanning columns) and quotient_coords (a basis of a
-  quotient, from relations given as lists or sparse dict rows);
+  quotient, from relations given as lists or sparse dict rows, with each
+  generator's class as a dict of its nonzero coordinates);
 * reference_rref, the dense elimination rref replaced, kept as the path
   oracle's reference (mesh_hom.hom_dim_oracle and sweep_matches_oracle)
   so that the oracle does not share the elimination it checks;
@@ -162,17 +163,30 @@ def rref(rows: Sequence, ncols: int, field) -> Tuple[List[List], List[int]]:
 
     Each row comes in as a list or as a dict from column to value; only the
     first ncols columns are pivoted on, and any later columns (right-hand
-    sides) are carried along.  Rows are held as dicts of their nonzero
-    entries and reduced one at a time against the pivot rows so far, which
-    are kept fully reduced; a row left nonzero in the first ncols columns
-    becomes a new pivot row at its leftmost nonzero column.  The reduced
-    form is unique, so the pivots and the pivot rows on the first ncols
-    columns are those of the dense reference_rref.  Returns one list row
-    per row given, as wide as the widest row and at least ncols: the pivot
-    rows in pivot order, then the rest, which are zero in the first ncols
-    columns.
+    sides) are carried along.  The reduced form is unique, so the pivots and
+    the pivot rows on the first ncols columns are those of the dense
+    reference_rref.  Returns one list row per row given, as wide as the
+    widest row and at least ncols: the pivot rows in pivot order, then the
+    rest, which are zero in the first ncols columns.
     """
-    zero, one = field.zero, field.one
+    pivot_rows, rest, width = _eliminate(rows, ncols, field)
+    pivots = sorted(pivot_rows)
+    out = []
+    for row in [pivot_rows[pc] for pc in pivots] + rest:
+        dense = [field.zero] * width
+        for c, x in row.items():
+            dense[c] = x
+        out.append(dense)
+    return out, pivots
+
+
+def _eliminate(rows: Sequence, ncols: int, field):
+    """rref's elimination, returning (pivot rows by pivot column, the other rows, width).
+
+    Rows are held as dicts of their nonzero entries and reduced one at a time against the
+    pivot rows so far, which are kept fully reduced; a row left nonzero in the first ncols
+    columns becomes a new pivot row at its leftmost nonzero column, scaled to 1 there."""
+    one = field.one
     width = ncols
     pivot_rows = {}   # pivot column -> its row, 1 at the pivot and 0 at every other pivot
     rest = []
@@ -198,14 +212,7 @@ def rref(rows: Sequence, ncols: int, field) -> Tuple[List[List], List[int]]:
             if f is not None:
                 _axpy(other, -f, row)
         pivot_rows[lead] = row
-    pivots = sorted(pivot_rows)
-    out = []
-    for row in [pivot_rows[pc] for pc in pivots] + rest:
-        dense = [zero] * width
-        for c, x in row.items():
-            dense[c] = x
-        out.append(dense)
-    return out, pivots
+    return pivot_rows, rest, width
 
 
 def _axpy(row: dict, f, other: dict):
@@ -343,29 +350,28 @@ def quotient_coords(gen_dim: int, rel_cols: Sequence[Sequence], field):
     Each relation is a list or, as rref takes rows, a dict from generator
     index to nonzero value.  Returns (kept, coords) where kept lists the
     generator indices whose classes form a basis of the quotient and
-    coords[g] expresses the class of generator g over that basis.
-    Generator g is dropped exactly when some relation has its last nonzero
-    entry at g, so only the relations are eliminated, pivoting from the
-    last generator down; a dropped generator's class is read off its
-    reduced relation.  One elimination serves every generator, so two runs
-    pick identical bases, and the result depends only on span(rel_cols),
-    since the reduced form is unique.
+    coords[g] is the class of generator g over that basis, as a dict of its
+    nonzero coordinates in ascending order.  Generator g is dropped exactly
+    when some relation has its last nonzero entry at g, so only the
+    relations are eliminated, pivoting from the last generator down; a
+    dropped generator's class is read off its reduced relation, whose other
+    entries all sit at kept generators.  One elimination serves every
+    generator, so two runs pick identical bases, and the result depends only
+    on span(rel_cols), since the reduced form is unique.
     """
     last = gen_dim - 1
-    red, pivots = rref([{last - c: x for c, x in (col.items() if isinstance(col, dict) else enumerate(col)) if x}
-                        for col in rel_cols], gen_dim, field)
-    dropped = {last - pc: red[i] for i, pc in enumerate(pivots)}
-    kept = [g for g in range(gen_dim) if g not in dropped]
+    pivot_rows, _, _ = _eliminate([{last - c: x for c, x in (col.items() if isinstance(col, dict) else enumerate(col))
+                                    if x} for col in rel_cols], gen_dim, field)
+    kept = [g for g in range(gen_dim) if last - g not in pivot_rows]
     kept_pos = {k: idx for idx, k in enumerate(kept)}
     coords = []
     for g in range(gen_dim):
-        if g in kept_pos:
-            v = [field.zero] * len(kept)
-            v[kept_pos[g]] = field.one
-        else:
-            row = dropped[g]
-            v = [-row[last - k] for k in kept]
-        coords.append(v)
+        idx = kept_pos.get(g)
+        if idx is not None:
+            coords.append({idx: field.one})
+            continue
+        pc = last - g
+        coords.append({kept_pos[last - c]: -x for c, x in sorted(pivot_rows[pc].items(), reverse=True) if c != pc})
     return kept, coords
 
 
@@ -435,24 +441,22 @@ def sub_map(m, src_cols, tgt_cols, field):
     return in_basis([mat_vec(m, col, field) for col in src_cols], tgt_cols, field)
 
 
-def quotient_map(m, src_kept, tgt_coords, field):
+def quotient_map(m, src_kept, tgt, field):
     """The map m induces between quotients, in the bases quotient_coords picked.
 
     src_kept lists the source generators whose classes form the source
-    quotient basis; tgt_coords[i] is the class of target generator i over
-    the target quotient basis.
+    quotient basis; tgt is the (kept, coords) quotient_coords gave for the
+    target, coords[i] being the class of target generator i.
     """
-    dim = len(tgt_coords[0]) if tgt_coords else 0
-    out_cols = []
-    for t in src_kept:
-        vec = [field.zero] * dim
-        for row, co in zip(m, tgt_coords):
+    kept, coords = tgt
+    out = [[field.zero] * len(src_kept) for _ in kept]
+    for j, t in enumerate(src_kept):
+        for row, co in zip(m, coords):
             c = row[t]
-            if c != field.zero:
-                for r in range(dim):
-                    vec[r] += c * co[r]
-        out_cols.append(vec)
-    return [[c[i] for c in out_cols] for i in range(dim)]
+            if c:
+                for r, x in co.items():
+                    out[r][j] += c * x
+    return out
 
 
 def mat_vec(m, vec, field):

@@ -251,7 +251,7 @@ def _quotient_rep(rep: WindowRep, rel_cols: Dict[RepVertex, list]):
     mats = {}
     for a in rep.rq.arrows:
         if proj[a.source][0] and proj[a.target][0]:
-            mats[a] = quotient_map(rep.mat(a), proj[a.target][0], proj[a.source][1], rep.field)
+            mats[a] = quotient_map(rep.mat(a), proj[a.target][0], proj[a.source], rep.field)
     kept = {x: k for x, (k, _) in proj.items()}
     dims = {x: len(k) for x, k in kept.items()}
     return WindowRep(rep.q, rep.window, rep.config, dims, mats, rep.field), kept
@@ -570,24 +570,24 @@ def kan_right(M: SModulePoint, w: Window) -> KanRight:
             continue
         # The framing arrow a: x0 -> x sends a column phi at x to phi o (a o -) at
         # x0, whose coordinate (u, l, j) sums phi(u, m, j) times the entry (m, l)
-        # of the sweep's matrix of a, Hom(u,x0) -> Hom(u,x), f |-> a o f.
+        # of the sweep's matrix of a, Hom(u,x0) -> Hom(u,x), f |-> a o f: column l
+        # of that matrix holds the entries (m, l) that are nonzero.
         (a,) = rq.in_arrows(x)
         x0 = a.source
         if not dims[x0]:
             continue
-        post = {}  # u -> the nonzero entries (l, c) of each row m of the sweep's matrix of a
         images = []
         for col in basis_cols[x]:
             img = [zero] * len(amb_index[x0])
-            for (u, m_i, j), c in zip(amb, col):
-                if not c:
-                    continue
-                if u not in post:
-                    post[u] = _sparse_rows(funs[u].mats[a])
-                if post[u][m_i]:
-                    base, mu = offsets[x0][u] + j, mdims[u]
-                    for l, p in post[u][m_i]:
-                        img[base + l * mu] += p * c
+            for u, o in off.items():
+                mu = mdims[u]
+                for l, post in enumerate(funs[u].mats[a]):
+                    base = offsets[x0][u] + l * mu
+                    for m_i, p in post.items():
+                        for j in range(mu):
+                            c = col[o + m_i * mu + j]
+                            if c:
+                                img[base + j] += p * c
             images.append(img)
         mats[a] = in_basis(images, basis_cols[x0], field)
         if mats[a] is None:
@@ -684,9 +684,8 @@ def kan_left(M: SModulePoint, w: Window) -> KanLeft:
                 p = row[g]
                 if not p:
                     continue
-                for r, c in enumerate(gen_coords[x][offsets[x][u] + l * M.dim(u) + j]):
-                    if c:
-                        m[r][t_pos] += p * c
+                for r, c in gen_coords[x][offsets[x][u] + l * M.dim(u) + j].items():
+                    m[r][t_pos] += p * c
         mats[a] = m
     rep = WindowRep(cat.q, w, cat.config, dims, mats, field)
     return KanLeft(M, rep, gen_index, gen_coords, kept)

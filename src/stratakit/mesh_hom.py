@@ -5,7 +5,7 @@ topological order: at each vertex the generators are "previous basis
 element followed by an incoming arrow" and the mesh relator of the vertex
 is imposed once, as the image of Hom(a, tau(x)) inside the generator sum.
 Basis elements are therefore single paths, picked deterministically, and
-every arrow acts by an explicit matrix on the chosen bases.  Raw path
+every arrow acts by an explicit (sparse) matrix on the chosen bases.  Raw path
 enumeration plus dense Gaussian elimination (exact_linalg.reference_rref,
 not the sparse rref the sweep runs on) is kept as the test oracle.
 
@@ -107,7 +107,13 @@ class MeshContext:
 
 
 class HomFunctor:
-    """Hom(source, -) on a window: dimensions, basis paths, arrow actions."""
+    """Hom(source, -) on a window: dimensions, basis paths, arrow actions.
+
+    The matrix of an arrow b: y -> v is held as its columns, one per basis
+    element of Hom(source, y), each a dict of its nonzero coordinates in
+    the basis at v.  kept[v] lists the generators whose classes form that
+    basis (see _sweep): 0, the identity, at the source.
+    """
 
     def __init__(self, ctx: MeshContext, source: RepVertex, window: Window, field):
         self.ctx = ctx
@@ -116,7 +122,8 @@ class HomFunctor:
         self.field = field
         self.dims: Dict[RepVertex, int] = {}
         self.paths: Dict[RepVertex, List[Tuple[RepArrow, ...]]] = {}
-        self.mats: Dict[RepArrow, List[List]] = {}
+        self.kept: Dict[RepVertex, List[int]] = {}
+        self.mats: Dict[RepArrow, List[Dict[int, object]]] = {}
         self._reduced: Dict[Tuple[RepArrow, ...], tuple] = {}
 
     def dim(self, y: RepVertex) -> int:
@@ -126,10 +133,12 @@ class HomFunctor:
         return self.paths.get(y, [])
 
     def apply_arrow(self, arrow: RepArrow, vec):
-        mat = self.mats.get(arrow)
-        if mat is None:
-            return [self.field.zero] * self.dim(arrow.target)
-        return mat_vec(mat, vec, self.field)
+        out = [self.field.zero] * self.dim(arrow.target)
+        for x, col in zip(vec, self.mats.get(arrow, ())):
+            if x:
+                for r, c in col.items():
+                    out[r] += c * x
+        return out
 
     def reduce_path(self, path: Sequence[RepArrow]):
         """Coordinates of a path from the source in the basis at its endpoint.
@@ -169,15 +178,28 @@ class HomFunctor:
         return vec
 
 
-# The most matrix entries one sweep may hold.  A vertex with gen_dim generators
-# holds at most gen_dim**2 before its arrow matrices are laid out: the reduced
-# relator rows and the generators' coordinates over the kept ones.  _sweep
-# refuses, before its elimination, the vertex that takes that total past the
-# limit.  The largest sweep in the tests counts 12.0 M (the 3-Kronecker RC from
-# 1'@0 over [0, 4]), in the benchmark 56 K; the 3-Kronecker kZQ from 1@0 over
-# [0, 4] would lay out 61 M arrow-matrix entries (5 s and 0.9 GiB on a shared
-# 2-core machine).
+# The most elimination entries one sweep may take on.  A vertex with gen_dim
+# generators counts gen_dim**2, the size of the square system its elimination
+# reduces (relator rows gen_dim wide, one class per generator); the arrow
+# matrices are held sparse and never laid out dense.  _sweep refuses, before
+# its elimination, the vertex that takes that total past the limit.  The
+# largest sweep in the tests counts 12.0 M (the 3-Kronecker RC from 1'@0 over
+# [0, 4], whose matrices hold 7,652 nonzero entries), in the benchmark 56 K.
 MAX_SWEEP_ENTRIES = 16_000_000
+
+
+def _kept_paths(in_arrows, paths, kept) -> list:
+    """The basis paths named by increasing generator indices at a vertex: generator
+    offset_b + j is the j-th basis path at the source of the in-arrow b (in slice order),
+    followed by b."""
+    out, i, off = [], 0, 0
+    for g in kept:
+        while g - off >= len(paths[in_arrows[i].source]):
+            off += len(paths[in_arrows[i].source])
+            i += 1
+        b = in_arrows[i]
+        out.append(paths[b.source][g - off] + (b,))
+    return out
 
 
 def _sweep(ctx: MeshContext, source: RepVertex, window: Window, field) -> HomFunctor:
@@ -186,20 +208,18 @@ def _sweep(ctx: MeshContext, source: RepVertex, window: Window, field) -> HomFun
     if not ctx.contains(source):
         raise InvalidInputError(f"{source} is not an object of the {ctx.flavor} category")
     fun = HomFunctor(ctx, source, window, field)
-    dims, paths, mats = fun.dims, fun.paths, fun.mats
+    dims, paths, kept, mats = fun.dims, fun.paths, fun.kept, fun.mats
     rq = ctx._slice(window)
     entries = 0
     for v in rq.vertices:
         if v.level < source.level:
-            dims[v] = 0
-            paths[v] = []
+            dims[v], paths[v], kept[v] = 0, [], []
             continue
         in_arrows = rq.in_arrows(v)
+        for b in in_arrows:  # every arrow into the levels swept has a matrix, in slice order
+            mats[b] = []
         if v == source:
-            dims[v] = 1
-            paths[v] = [()]
-            for b in in_arrows:
-                mats[b] = [[] for _ in range(1)]
+            dims[v], paths[v], kept[v] = 1, [()], [0]
             continue
         offsets = []
         gen_dim = 0
@@ -207,10 +227,7 @@ def _sweep(ctx: MeshContext, source: RepVertex, window: Window, field) -> HomFun
             offsets.append(gen_dim)
             gen_dim += dims[b.source]
         if gen_dim == 0:
-            dims[v] = 0
-            paths[v] = []
-            for b in in_arrows:
-                mats[b] = []
+            dims[v], paths[v], kept[v] = 0, [], []
             continue
         entries += gen_dim * gen_dim
         if entries > MAX_SWEEP_ENTRIES:
@@ -221,27 +238,13 @@ def _sweep(ctx: MeshContext, source: RepVertex, window: Window, field) -> HomFun
         rel = rq.relator(v)
         if rel is not None:
             # column k of the relator: column k of each sigma-arrow's matrix, at its block
-            sigma_mats = [(mats.get(sb), off) for (sb, _), off in zip(rel.terms, offsets)]
-            for k in range(dims[tau(v)]):
-                col = {}
-                for m, off in sigma_mats:
-                    if m is not None:
-                        for j, row in enumerate(m):
-                            x = row[k]
-                            if x:
-                                col[off + j] = x
-                rel_cols.append(col)
-        kept, coords = quotient_coords(gen_dim, rel_cols, field)
-        dim_v = len(kept)
-        dims[v] = dim_v
-        gen_path = []
-        for b in in_arrows:
-            for p in paths[b.source]:
-                gen_path.append(p + (b,))
-        paths[v] = [gen_path[g] for g in kept]
+            blocks = [(mats[sb], off) for (sb, _), off in zip(rel.terms, offsets) if sb in mats]
+            rel_cols = [{off + j: x for m, off in blocks for j, x in m[k].items()} for k in range(dims[tau(v)])]
+        kept[v], coords = quotient_coords(gen_dim, rel_cols, field)
+        dims[v] = len(kept[v])
+        paths[v] = _kept_paths(in_arrows, paths, kept[v])
         for b, off in zip(in_arrows, offsets):
-            db = dims[b.source]
-            mats[b] = [list(row) for row in zip(*coords[off:off + db])] if db else [[] for _ in range(dim_v)]
+            mats[b] = coords[off:off + dims[b.source]]
     return fun
 
 
@@ -249,9 +252,11 @@ def _sweep(ctx: MeshContext, source: RepVertex, window: Window, field) -> HomFun
 # Cache.  Append-only: concurrent readers are safe, insertion is exclusive.
 # On disk, one append-only log per (context, window, field) holds one line
 # per stored sweep (translates are never stored): the escaped source key, a
-# tab, then the compact JSON [version, repr(key), paths, mats].  Vertices and
-# arrows are positions in the window slice (build_repetition); rationals are
-# ints or "p/q" strings.
+# tab, then the compact JSON [version, repr(key), kept, mats].  kept holds
+# each slice vertex's kept generator indices, from which the basis paths are
+# rebuilt (_kept_paths); mats holds, for each arrow into the levels the sweep
+# covers in slice order, its columns as alternating row indices and nonzero
+# rationals (ints or "p/q" strings).
 # ---------------------------------------------------------------------------
 
 _CACHE: Dict[tuple, HomFunctor] = {}
@@ -261,7 +266,7 @@ _CACHE: Dict[tuple, HomFunctor] = {}
 _TALLEST: Dict[tuple, HomFunctor] = {}
 _CACHE_LOCK = threading.Lock()
 _DISK_DIR: Optional[str] = None
-_DISK_VERSION = 2
+_DISK_VERSION = 3
 
 
 class _Log:
@@ -361,34 +366,33 @@ def _translate(ctx: MeshContext, base: HomFunctor, source: RepVertex, window: Wi
 
     tau^-s, s the level difference, is an automorphism of the category, and a
     sweep at and above its source does not depend on the levels below it, so
-    dims and basis paths are the base's shifted by s levels and each arrow
-    acts by the base's matrix (the same list object).  Spaces below the
-    source are zero, an arrow into the source level from below acts by an
-    empty-column matrix, and every dict has the key order _sweep gives it.
+    dims, kept generators and basis paths are the base's shifted by s levels
+    and each arrow acts by the base's matrix (the same list object).  Spaces
+    below the source are zero, an arrow into the source level from below
+    acts by a matrix with no columns, and every dict has the key order _sweep
+    gives it.
     """
     s = source.level - base.source.level
     fun = HomFunctor(ctx, source, window, field)
-    dims, paths, mats = fun.dims, fun.paths, fun.mats
-    bdims, bpaths, bmats = base.dims, base.paths, base.mats
+    dims, paths, kept, mats = fun.dims, fun.paths, fun.kept, fun.mats
     moved: Dict[RepArrow, RepArrow] = {}  # base arrow -> its translate
     lo = source.level
     rq = ctx._slice(window)
     for v in rq.vertices:
         if v.level < lo:
-            dims[v] = 0
-            paths[v] = []
+            dims[v], paths[v], kept[v] = 0, [], []
             continue
         bv = RepVertex(v.node, v.level - s, v.frozen)
-        d = dims[v] = bdims[bv]
+        dims[v], kept[v] = base.dims[bv], base.kept[bv]
         for b in rq.in_arrows(v):
             u = b.source
             if u.level < lo:
-                mats[b] = [[] for _ in range(d)]
+                mats[b] = []
                 continue
             bb = RepArrow(b.kind, b.base, RepVertex(u.node, u.level - s, u.frozen), bv)
             moved[bb] = b
-            mats[b] = bmats[bb]
-        paths[v] = [tuple(map(moved.__getitem__, p)) for p in bpaths[bv]]
+            mats[b] = base.mats[bb]
+        paths[v] = [tuple(map(moved.__getitem__, p)) for p in base.paths[bv]]
     return fun
 
 
@@ -411,25 +415,26 @@ def _source_key(source: RepVertex) -> bytes:
     return source.key().encode("unicode_escape")  # no raw tab or newline
 
 
-def _stored_row(row):
-    """A matrix row as JSON takes it: a row of ints as it is, else each integral entry as
-    its numerator and any other as a "p/q" string."""
-    if all(type(x) is int for x in row):
-        return row
-    return [x.numerator if x.denominator == 1 else f"{x.numerator}/{x.denominator}" for x in row]
+def _stored_column(col) -> list:
+    """A sparse column as JSON takes it: row index and value, alternating, each integral
+    value as its numerator and any other as a "p/q" string."""
+    out = []
+    for r, x in col.items():
+        out.append(r)
+        out.append(x if type(x) is int else x.numerator if x.denominator == 1 else f"{x.numerator}/{x.denominator}")
+    return out
 
 
 def _disk_store(fun: HomFunctor, key):
     rq = fun.ctx._slice(fun.window)
-    index = rq.arrow_index
     compact = json.JSONEncoder(separators=(",", ":")).encode
-    # Encoded vertex by vertex and arrow by arrow: one encode of the whole
-    # record would hold a string per number until the end.
-    paths = ",".join(compact([[index[a] for a in p] for p in fun.paths[v]]) for v in rq.vertices)
-    mats = ",".join(compact([index[a], [_stored_row(row) for row in m]]) for a, m in fun.mats.items())
+    kept = compact([fun.kept[v] for v in rq.vertices])
+    # Encoded arrow by arrow, in slice order: one encode of the whole record
+    # would hold a string per number until the end.
+    mats = ",".join(compact([_stored_column(col) for col in m]) for m in fun.mats.values())
     skey = _source_key(fun.source).decode("ascii")
-    line = f"\n{skey}\t[{_DISK_VERSION},{compact(repr(key))},[{paths}],[{mats}]]\n"
-    del paths, mats
+    line = f"\n{skey}\t[{_DISK_VERSION},{compact(repr(key))},{kept},[{mats}]]\n"
+    del kept, mats
     data = line.encode()
     del line
     # One write on an O_APPEND descriptor: concurrent appends never interleave,
@@ -465,45 +470,49 @@ def _disk_load(ctx: MeshContext, source: RepVertex, window: Window, key) -> Opti
             return None
 
 
-def _pick(seq, i):
-    if type(i) is not int or i < 0:
-        raise IndexError(i)
-    return seq[i]
-
-
 def _decode(ctx: MeshContext, source: RepVertex, window: Window, key, raw: bytes) -> Optional[HomFunctor]:
+    """The sweep a record holds, or None unless each kept list increases within its vertex's
+    generators ([0] at the source) and each column lists rows of its matrix once, nonzero."""
     rq = ctx._slice(window)
-    vertices, arrows = rq.vertices, rq.arrows
+    vertices = rq.vertices
     fracs: Dict[str, Fraction] = {}  # equal "p/q" entries share one Fraction
 
-    def rational(x):
-        if type(x) is int:
-            return x
-        if type(x) is not str:
+    def rational(x):  # a nonzero int, or a "p/q" string of a rational that is not one
+        if type(x) is str:
+            x = fracs.get(x) or fracs.setdefault(x, Fraction(x))
+            if x.denominator == 1:
+                raise ValueError(x)
+        elif type(x) is not int:
             raise TypeError(x)
-        f = fracs.get(x)
-        if f is None:
-            f = fracs[x] = Fraction(x)
-        return f
+        if not x:
+            raise ValueError(x)
+        return x
 
     try:
-        version, rkey, paths, mats = json.loads(raw)
-        if version != _DISK_VERSION or rkey != repr(key) or len(paths) != len(vertices):
+        version, rkey, kept, mats = json.loads(raw)
+        if version != _DISK_VERSION or rkey != repr(key) or len(kept) != len(vertices):
             return None
         fun = HomFunctor(ctx, source, window, QQ)
-        dims = fun.dims
-        for v, ps in zip(vertices, paths):
-            fun.paths[v] = [tuple(_pick(arrows, i) for i in p) for p in ps]
-            dims[v] = len(ps)
-        for i, m in mats:
-            a = _pick(arrows, i)
-            if (a.target.level < source.level or type(m) is not list or len(m) != dims[a.target]
-                    or any(type(row) is not list or len(row) != dims[a.source] for row in m)):
+        dims, paths = fun.dims, fun.paths
+        for v, ks in zip(vertices, kept):
+            if (type(ks) is not list or any(type(g) is not int for g in ks) or ks != sorted(set(ks))
+                    or ks and ks[0] < 0 or (v == source and ks != [0])):
                 return None
-            fun.mats[a] = [[rational(x) for x in row] for row in m]
-        # one matrix for every arrow into the levels the sweep covers, each once
-        if len(fun.mats) != len(mats) or len(mats) != sum(a.target.level >= source.level for a in arrows):
+            fun.kept[v], dims[v] = ks, len(ks)
+            # an index past the vertex's generators raises IndexError in _kept_paths
+            paths[v] = [()] if v == source else _kept_paths(rq.in_arrows(v), paths, ks)
+        arrows = [b for b in rq.arrows if b.target.level >= source.level]  # one matrix each, in slice order
+        if type(mats) is not list or len(mats) != len(arrows):
             return None
+        for b, m in zip(arrows, mats):
+            rows = dims[b.target]
+            if type(m) is not list or len(m) != dims[b.source] or any(type(flat) is not list for flat in m):
+                return None
+            cols = fun.mats[b] = [{flat[i]: rational(flat[i + 1]) for i in range(0, len(flat), 2)} for flat in m]
+            # each column lists rows inside the matrix, each once
+            if any(2 * len(col) != len(flat) or any(type(r) is not int or not 0 <= r < rows for r in col)
+                   for col, flat in zip(cols, m)):
+                return None
     except (ValueError, TypeError, IndexError, ZeroDivisionError):
         return None  # unreadable, truncated or malformed: try the next record, else recompute
     return fun

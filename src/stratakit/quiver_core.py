@@ -31,12 +31,20 @@ class Quiver:
 
     Immutable once built: vertices and arrows are never reassigned, so the
     identity string returned by key() and the arrows by id (arrow_by_id)
-    are computed once, at construction.
+    are computed once, at construction.  Ids and endpoints must be strings,
+    and no vertex id may end in the frozen marker ', so every vertex key
+    reads back as the vertex it names (parse_vertex).
     """
 
     def __init__(self, vertices: Iterable[str], arrows: Iterable[QArrow]):
-        self.vertices = tuple(str(v) for v in vertices)
+        self.vertices = tuple(vertices)
         self.arrows = tuple(arrows)
+        for x in self.vertices + tuple(x for a in self.arrows for x in (a.id, a.source, a.target)):
+            if not isinstance(x, str):
+                raise InvalidInputError(f"quiver vertex and arrow ids must be strings, got {x!r}")
+        for v in self.vertices:
+            if v.endswith("'"):
+                raise InvalidInputError(f"vertex id {v!r} ends in the frozen marker '")
         if len(set(self.vertices)) != len(self.vertices):
             raise InvalidInputError("duplicate vertex ids")
         ids = [a.id for a in self.arrows]
@@ -105,8 +113,7 @@ class Quiver:
 
     @classmethod
     def from_json(cls, data) -> "Quiver":
-        """A quiver given as input: ids and endpoints must be strings, and no vertex id may end in
-        the frozen marker ', so every vertex key reads back as the vertex it names (parse_vertex)."""
+        """A quiver given as input, checked as every quiver is at construction."""
         try:
             vertices = data["vertices"]
             arrows = [(a["id"], a["source"], a["target"]) for a in data["arrows"]]
@@ -114,12 +121,6 @@ class Quiver:
             raise InvalidInputError(f"malformed quiver JSON: {exc}") from exc
         if not isinstance(vertices, list):
             raise InvalidInputError(f"quiver vertices must be a list, got {vertices!r}")
-        for x in vertices + [x for a in arrows for x in a]:
-            if not isinstance(x, str):
-                raise InvalidInputError(f"quiver vertex and arrow ids must be strings, got {x!r}")
-        for v in vertices:
-            if v.endswith("'"):
-                raise InvalidInputError(f"vertex id {v!r} ends in the frozen marker '")
         return cls(vertices, [QArrow(*a) for a in arrows])
 
     def __repr__(self):
@@ -456,11 +457,6 @@ class RepQuiver:
     @cached_property
     def arrows(self):
         return tuple(a for v in self.vertices for a in self.in_arrows(v))
-
-    @cached_property
-    def arrow_index(self) -> Dict[RepArrow, int]:
-        """Position of each arrow in self.arrows (the slice's deterministic order)."""
-        return {a: i for i, a in enumerate(self.arrows)}
 
     def has_vertex(self, v: RepVertex) -> bool:
         return v in self._vset

@@ -3,8 +3,7 @@
 Arrows are chosen in topological order of their targets: once a vertex x
 is reached, the matrices of all arrows ending at x are drawn from the
 kernel of the already-fixed half of the mesh relator at x, so every
-relator is satisfied by construction.  The same sweep with one entry
-perturbed yields controlled invalid inputs for negative tests.
+relator is satisfied by construction.
 """
 from __future__ import annotations
 

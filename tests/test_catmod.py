@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from stratakit import catmod, exact_linalg
+from stratakit import catmod, exact_linalg, mesh_hom
 from stratakit.catmod import (
     CatModule,
     OpSCategoryWindow,
@@ -199,6 +199,24 @@ def test_kernels_eliminate_once_per_cover_vertex(monkeypatch):
     monkeypatch.setattr(catmod, "kernel_submodule", counting_kernel)
     assert ext_from_injective_multi(cat, sources, module, 2) == {u: 0 for u in sources}
     assert 0 < seen["rref"] <= seen["allowed"]
+
+
+def test_ext_from_injectives_computes_one_sweep_per_node(monkeypatch):
+    """The opposite category asks for its Hom spaces lowest source first, so over A2 [0, 14]
+    each frozen node's sweep from level 0 is the only one computed: every other is its translate."""
+    computed = []
+    real = mesh_hom._sweep
+    monkeypatch.setattr(mesh_hom, "_sweep", lambda *args: computed.append(args[1]) or real(*args))
+    monkeypatch.setattr(mesh_hom, "_DISK_DIR", None)
+    mesh_hom.clear_cache()
+    try:
+        cat, module, sources = _injective_case()
+        assert ext_from_injective_multi(cat, sources, module, 2) == {u: 0 for u in sources}
+        assert [ext_from_injective_multi(cat, sources, module, p) for p in (0, 1)] == [
+            {u: 0 for u in sources}, {u: 1 for u in sources}]
+        assert computed == [parse_vertex("1'@0"), parse_vertex("2'@0")]
+    finally:
+        mesh_hom.clear_cache()
 
 
 def test_kernel_not_closed_under_the_action_is_an_internal_fault(monkeypatch):

@@ -209,6 +209,30 @@ def test_hom_dq_dispatch_consistency():
             assert direct == shifted, (x, p, y)
 
 
+def test_hom_dq_sweeps_only_the_levels_between_its_endpoints(monkeypatch):
+    """On A3 over [0, 999] every sweep hom_dq computes, its own and the Serre search's, is
+    a few levels tall, and each answer is the one over [0, 20]; an endpoint outside the
+    window fails as it does on the window itself."""
+    heights = []
+    real = mesh_hom._sweep
+    monkeypatch.setattr(mesh_hom, "_sweep", lambda *args: heights.append(args[2].hi - args[1].level) or real(*args))
+    mesh_hom.clear_cache()
+    a3 = a_n_quiver(3)
+    cases = [(RepVertex(a, i), p, RepVertex(b, j)) for a in a3.vertices for b in a3.vertices
+             for i in (3, 5) for j in (3, 5) for p in (0, 1, 2, 3)]
+    wide = [hom_dq(a3, x, p, y, Window(0, 999)) for x, p, y in cases]
+    assert heights and max(heights) < 20  # the window holds sweeps 996 levels tall
+    mesh_hom.clear_cache()
+    assert wide == [hom_dq(a3, x, p, y, Window(0, 20)) for x, p, y in cases]
+    for x, y in ((RepVertex("1", 1000), RepVertex("1", 1000)), (RepVertex("1", 5), RepVertex("1", 1000))):
+        with pytest.raises(InvalidInputError) as shrunk:
+            hom_dq(a3, x, 0, y, Window(0, 999))
+        with pytest.raises(InvalidInputError) as direct:
+            hom_dim(MeshContext(a3, "kZQ"), x, y, Window(0, 999))
+        assert str(shrunk.value) == str(direct.value)
+    mesh_hom.clear_cache()
+
+
 def test_hom_dq_identity_and_vanishing():
     w = Window(0, 6)
     x = parse_vertex("1@2")

@@ -131,7 +131,7 @@ def test_quotient_coords_reduction():
     # quotient of k^3 by span((1,1,0)): generators 0 and 1 agree up to sign
     kept, coords = quotient_coords(3, [[QQ.one, QQ.one, QQ.zero]], QQ)
     assert len(kept) == 2
-    assert coords[0] == [-c for c in coords[1]] or coords[1] == [-c for c in coords[0]]
+    assert coords[0] == {k: -c for k, c in coords[1].items()} or coords[1] == {k: -c for k, c in coords[0].items()}
 
 
 def test_sub_map_known_restriction():
@@ -159,21 +159,22 @@ def test_sub_map_empty_bases():
 
 def test_quotient_map_known_quotient():
     # target k^3 / span((1,1,0)): the classes of e0 and e2 form the basis, e1 = -e0
-    kept, coords = quotient_coords(3, _q([[1, 1, 0]]), QQ)
+    tgt = kept, coords = quotient_coords(3, _q([[1, 1, 0]]), QQ)
     assert kept == [0, 2]
-    assert coords == _q([[1, 0], [-1, 0], [0, 1]])
+    assert coords == [{0: 1}, {0: -1}, {1: 1}]  # the nonzero coordinates only
     m = _q([[1, 0, 0], [0, 1, 0], [0, 0, 1]])  # k^3 -> k^3, columns are images
-    assert quotient_map(m, [0, 1, 2], coords, QQ) == _q([[1, -1, 0], [0, 0, 1]])
+    assert quotient_map(m, [0, 1, 2], tgt, QQ) == _q([[1, -1, 0], [0, 0, 1]])
     # a quotient source keeps only some generators: the map is read on those columns
-    assert quotient_map(_q([[2, 5], [3, 7], [0, 1]]), [1], coords, QQ) == _q([[-2], [1]])
+    assert quotient_map(_q([[2, 5], [3, 7], [0, 1]]), [1], tgt, QQ) == _q([[-2], [1]])
 
 
 def test_quotient_map_empty_bases():
-    kept, coords = quotient_coords(2, [], QQ)
+    whole = quotient_coords(2, [], QQ)
     m = _q([[1, 2], [3, 4]])
-    assert quotient_map(m, [], coords, QQ) == [[], []]
-    assert quotient_map([], [0, 1], [], QQ) == []
-    _, zero = quotient_coords(2, _q([[1, 0], [0, 1]]), QQ)
+    assert quotient_map(m, [], whole, QQ) == [[], []]
+    assert quotient_map([], [0, 1], ([], []), QQ) == []
+    zero = quotient_coords(2, _q([[1, 0], [0, 1]]), QQ)
+    assert zero == ([], [{}, {}])
     assert quotient_map(m, [0], zero, QQ) == []
 
 
@@ -243,7 +244,7 @@ def _twin_quotient_coords(gen_dim, rel_cols, field):
             for i, pc in enumerate(pivots):
                 if pc >= nrel:
                     v[kept_pos[pc - nrel]] = red[i][nrel + g]
-        coords.append(v)
+        coords.append({i: x for i, x in enumerate(v) if x})
     return kept, coords
 
 
@@ -840,7 +841,9 @@ def _routes(rows, vecs, ncols):
 
 def _entries(x):
     """Every number inside a nested result; its pivot and index lists are ints too."""
-    if isinstance(x, (list, tuple)):
+    if isinstance(x, dict):
+        yield from _entries(list(x.values()))
+    elif isinstance(x, (list, tuple)):
         for y in x:
             yield from _entries(y)
     elif x is not None:

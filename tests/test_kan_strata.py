@@ -179,13 +179,12 @@ def kan_right_dims_oracle(M, w):
                     for iv in kept_v:
                         f_path = paths_v[iv]
                         whole = tuple(s_path) + tuple(f_path)
-                        comp = coords_u[index_u[whole]] if whole in index_u else [QQ.zero] * len(kept_u)
+                        comp = coords_u[index_u[whole]] if whole in index_u else {}
                         amat = M.module.act_mat(u, v, list(kept_s).index(ks)) if M.dim(v) else None
                         for j in range(M.dim(u)):
                             row = [QQ.zero] * nvars
-                            for li, c in enumerate(comp):
-                                if c != QQ.zero:
-                                    row[offsets[u] + li * M.dim(u) + j] = c
+                            for li, c in comp.items():
+                                row[offsets[u] + li * M.dim(u) + j] = c
                             if amat is not None and v in offsets:
                                 for j2 in range(M.dim(v)):
                                     c = amat[j][j2]
@@ -1029,7 +1028,7 @@ def _twin_kan_left_rep(kl):
             for l, row in enumerate(pre[u]):
                 if row[g] != field.zero:
                     gen[idx_x[(u, l, j)]][t] = row[g]
-        mats[a] = quotient_map(gen, kl.kept[y], kl.gen_coords[x], field)
+        mats[a] = quotient_map(gen, kl.kept[y], (kl.kept[x], kl.gen_coords[x]), field)
     return WindowRep(cat.q, w, cat.config, {x: kl.dim(x) for x in kl.rep.rq.vertices}, mats, field)
 
 

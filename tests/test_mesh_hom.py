@@ -215,7 +215,7 @@ def test_disk_record_stored_loaded_and_stored_again_is_identical(tmp_path):
         clear_cache()
         loaded = sweep(ctx, x, w)  # read back from the log
         assert loaded is not computed and loaded.mats == computed.mats
-        entries = [e for m in loaded.mats.values() for row in m for e in row]
+        entries = [e for m in loaded.mats.values() for col in m for e in col.values()]
         assert entries and all(type(e) is int for e in entries)
         path.unlink()
         mesh_hom._disk_store(loaded, (ctx.cache_key(), w.lo, w.hi, x, "QQ"))
@@ -291,7 +291,7 @@ def test_second_sweep_returns_cached_functor():
 
 def test_disk_file_name_keeps_its_key_format(tmp_path):
     # The log name hashes repr((quiver JSON|flavor|configuration, lo, hi, field)); each
-    # line is the source key, a tab and [version, repr(sweep key), paths, mats].
+    # line is the source key, a tab and [version, repr(sweep key), kept, mats].
     clear_cache()
     enable_disk_cache(str(tmp_path))
     try:
@@ -304,9 +304,9 @@ def test_disk_file_name_keeps_its_key_format(tmp_path):
         assert mesh_hom._disk_path(key) == str(expected)
         assert mesh_hom._disk_path(key[:3] + (parse_vertex("2@1"), "QQ")) == str(expected)
         assert list(tmp_path.glob("hom-*")) == [expected]
-        assert expected.read_bytes().startswith(b"\n1'@0\t[2,")
+        assert expected.read_bytes().startswith(b"\n1'@0\t[3,")
         ((prefix, record),) = _records(expected)
-        assert prefix == b"1'@0" and record[:2] == [2, repr(key)]
+        assert prefix == b"1'@0" and record[:2] == [3, repr(key)]
     finally:
         enable_disk_cache(None)
         clear_cache()
@@ -350,44 +350,78 @@ def _counting_sweep(monkeypatch):
     return computed
 
 
+def _dense(fun, a):
+    """The matrix of the arrow a in fun as rows: zero where a column holds no entry."""
+    cols = fun.mats.get(a, ())
+    return [[col.get(r, QQ.zero) for col in cols] for r in range(fun.dim(a.target))]
+
+
 def _same_sweep(fun, other):
     """Equal dims, paths and matrices, each dict with the same key order."""
     return all(list(a.items()) == list(b.items())
                for a, b in ((fun.dims, other.dims), (fun.paths, other.paths), (fun.mats, other.mats)))
 
 
-@pytest.mark.parametrize("damage", ["wrong-shape", "truncated", "short-matrix", "not-an-object", "missing-matrix"])
-def test_malformed_disk_file_is_a_miss(tmp_path, damage):
+def _damage(data, damage):
+    """A version-3 record [version, key, kept, mats] with one fault."""
+    kept, mats = data[2], data[3]
+    ks = next(ks for ks in kept if len(ks) > 1)
+    col = next(col for m in mats for col in m if col)
+    if damage == "wrong-shape":
+        del kept[-1]  # one vertex short
+    elif damage == "short-matrix":
+        next(m for m in mats if m).pop()  # one column short
+    elif damage == "missing-matrix":
+        mats.pop()  # an arrow would act by zero
+    elif damage == "extra-matrix":
+        mats.append([])
+    elif damage == "kept-out-of-range":
+        ks[-1] = 10 ** 6
+    elif damage == "kept-not-increasing":
+        ks[0], ks[1] = ks[1], ks[0]
+    elif damage == "kept-repeated":
+        ks[1] = ks[0]
+    elif damage == "kept-negative":
+        ks[0] = -1
+    elif damage == "row-outside":
+        col[0] = 10 ** 6
+    elif damage == "row-negative":
+        col[0] = -1
+    elif damage == "row-repeated":
+        col.extend(col[:2])
+    elif damage == "stored-zero":
+        col[1] = 0
+    elif damage == "integral-fraction":
+        col[1] = f"{2 * col[1]}/2"
+    elif damage == "odd-column":
+        col.pop()
+    elif damage == "not-an-object":
+        return {"record": data}
+    return data
+
+
+@pytest.mark.parametrize("damage", ["wrong-shape", "truncated", "short-matrix", "not-an-object", "missing-matrix",
+                                    "extra-matrix", "kept-out-of-range", "kept-not-increasing", "kept-repeated",
+                                    "kept-negative", "row-outside", "row-negative", "row-repeated", "stored-zero",
+                                    "integral-fraction", "odd-column"])
+def test_malformed_disk_file_is_a_miss(tmp_path, monkeypatch, damage):
     # A record with the right version and key but broken content is recomputed, not trusted.
+    ctx, source, w = MeshContext(kronecker_quiver(), "kZQ"), parse_vertex("1@0"), Window(0, 3)
     clear_cache()
     enable_disk_cache(str(tmp_path))
     try:
-        source, w = parse_vertex("1@0"), Window(0, 3)
-        good = sweep(KZ, source, w)
-        dims, mats = dict(good.dims), {a.key(): m for a, m in good.mats.items()}
+        good = sweep(ctx, source, w)
         (path,) = tmp_path.glob("hom-*.log")
         ((prefix, data),) = _records(path)
-        if damage == "wrong-shape":
-            data[2] = data[2][:-1]  # one vertex short
-            text = _record_line(prefix, data)
-        elif damage == "truncated":
-            text = _record_line(prefix, data)
+        text = _record_line(prefix, _damage(data, damage))
+        if damage == "truncated":
             text = text[:len(text) // 2]
-        elif damage == "short-matrix":
-            entry = next(e for e in data[3] if e[1] and e[1][0])
-            entry[1] = [row[:-1] for row in entry[1]]
-            text = _record_line(prefix, data)
-        elif damage == "not-an-object":
-            text = _record_line(prefix, {"record": data})
-        else:
-            data[3] = data[3][:-1]  # an arrow would act by zero
-            text = _record_line(prefix, data)
         path.write_bytes(text)
         clear_cache()
-        again = sweep(KZ, source, w)
-        assert again is not good
-        assert dict(again.dims) == dims
-        assert {a.key(): m for a, m in again.mats.items()} == mats
+        computed = _counting_sweep(monkeypatch)
+        again = sweep(ctx, source, w)
+        assert again is not good and computed == [source]
+        assert _same_sweep(again, good)
     finally:
         enable_disk_cache(None)
         clear_cache()
@@ -468,8 +502,7 @@ def test_postcomposition_by_one_arrow_is_the_sweep_arrow_matrix(quiver, flavor, 
             fun = sweep(ctx, u, window)
             for y in verts:
                 for a in ctx.out_arrows(y, window):
-                    zeros = [[QQ.zero] * fun.dim(y) for _ in range(fun.dim(a.target))]
-                    assert postcomposition_matrix(ctx, u, (a,), y, window) == fun.mats.get(a, zeros)
+                    assert postcomposition_matrix(ctx, u, (a,), y, window) == _dense(fun, a)
     finally:
         clear_cache()
 
@@ -592,7 +625,7 @@ def test_failed_or_partial_append_is_a_miss_and_is_recomputed(tmp_path, monkeypa
         (path,) = tmp_path.iterdir()
         assert path.name == os.path.basename(mesh_hom._disk_path((KZ.cache_key(), w.lo, w.hi, source, "QQ")))
         torn = path.read_bytes()
-        assert len(torn) == 40 and torn.startswith(b"\n1@0\t[2,") and not torn.endswith(b"\n")
+        assert len(torn) == 40 and torn.startswith(b"\n1@0\t[3,") and not torn.endswith(b"\n")
         monkeypatch.undo()
         clear_cache()
         computed = _counting_sweep(monkeypatch)
@@ -747,7 +780,7 @@ def test_malformed_record_before_a_good_one_is_skipped(tmp_path, monkeypatch):
         path, first, _, (line1, _) = _two_records(tmp_path)
         prefix, record = line1.split(b"\t")
         bad = json.loads(record)
-        bad[3][0][1] = [[]]  # a matrix of the wrong shape
+        next(m for m in bad[3] if m).append([])  # a matrix of the wrong shape
         path.write_bytes(_record_line(prefix, bad) + b"\n" + line1 + b"\n")
         size = path.stat().st_size
         computed = _counting_sweep(monkeypatch)
@@ -762,14 +795,15 @@ def test_malformed_record_before_a_good_one_is_skipped(tmp_path, monkeypatch):
         clear_cache()
 
 
-def test_negative_arrow_index_is_a_miss(tmp_path, monkeypatch):
+def test_negative_kept_index_is_a_miss(tmp_path, monkeypatch):
     clear_cache()
     try:
         path, first, _, (line1, _) = _two_records(tmp_path)
         prefix, record = line1.split(b"\t")
         data = json.loads(record)
-        paths = next(ps for ps in data[2] if ps and ps[0])
-        paths[0][0] = paths[0][0] - len(RC._slice(RC4).arrows)  # the same arrow, counted from the end
+        rq, fun = RC._slice(RC4), mesh_hom._sweep(RC, first, RC4, QQ)
+        v, kept = next((v, ks) for v, ks in zip(rq.vertices, data[2]) if len(ks) == 1 and v != first)
+        kept[0] -= sum(fun.dim(b.source) for b in rq.in_arrows(v))  # the same generator, counted from the end
         path.write_bytes(_record_line(prefix, data))
         computed = _counting_sweep(monkeypatch)
         again = sweep(RC, first, RC4)
@@ -959,3 +993,101 @@ def test_a_sweep_is_refused_before_the_vertex_that_passes_its_entry_limit(quiver
                  and any(fun.dim(b.source) for b in rq.in_arrows(v))]
     assert len(eliminated) == len(generated) - 1
     assert f"at {generated[-1]};" in str(refused.value)
+
+
+# ---------------------------------------------------------------------------
+# Version-3 records: kept generator indices and the nonzero matrix entries.
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("quiver, flavor, w", [(A2, "RC", Window(0, 4)), (d4_quiver(), "kZQ", Window(0, 3)),
+                                               (kronecker_quiver(), "RC", Window(0, 3))],
+                         ids=["A2-RC", "D4-kZQ", "K2-RC"])
+def test_stored_sweeps_load_as_they_were_computed(tmp_path, monkeypatch, quiver, flavor, w):
+    """Every sweep of a window, stored, dropped by clear_cache() and loaded, equals a fresh
+    _sweep, and so does every translate read off a loaded sweep."""
+    ctx, real = MeshContext(quiver, flavor), mesh_hom._sweep
+    sources = ctx.vertices_in(w)
+    clear_cache()
+    enable_disk_cache(str(tmp_path))
+    try:
+        for s in sources:  # ascending: one record per node, the rest translates
+            sweep(ctx, s, w)
+        clear_cache()
+        computed, translated = _counting_sweep(monkeypatch), _counting_translate(monkeypatch)
+        for s in sources:
+            assert _same_sweep(sweep(ctx, s, w), real(ctx, s, w, QQ)), s
+        assert computed == [] and len(translated) == len(sources) - len({(s.node, s.frozen) for s in sources})
+    finally:
+        enable_disk_cache(None)
+        clear_cache()
+
+
+def test_fraction_entries_round_trip_through_a_record(tmp_path, monkeypatch):
+    """The disk layer keeps any rational: entries set to 1/2 and -3/4 load as those Fractions,
+    every other entry as an int, and the loaded sweep stores the same bytes."""
+    source, key = parse_vertex("1@0"), (RC.cache_key(), RC4.lo, RC4.hi, parse_vertex("1@0"), "QQ")
+    fun = mesh_hom._sweep(RC, source, RC4, QQ)
+    cols = [col for m in fun.mats.values() for col in m if col]
+    for col, x in ((cols[0], Fraction(1, 2)), (cols[-1], Fraction(-3, 4))):
+        col[next(iter(col))] = x
+    clear_cache()
+    enable_disk_cache(str(tmp_path))
+    try:
+        mesh_hom._disk_store(fun, key)
+        (path,) = tmp_path.iterdir()
+        first = path.read_bytes()
+        assert b'"1/2"' in first and b'"-3/4"' in first
+        clear_cache()  # the log index skips the records this process appended
+        computed = _counting_sweep(monkeypatch)
+        loaded = sweep(RC, source, RC4)
+        assert computed == [] and loaded is not fun and _same_sweep(loaded, fun)
+        entries = [x for m in loaded.mats.values() for col in m for x in col.values()]
+        assert sorted(x for x in entries if type(x) is Fraction) == [Fraction(-3, 4), Fraction(1, 2)]
+        assert all(type(x) in (int, Fraction) for x in entries)
+        path.unlink()
+        mesh_hom._disk_store(loaded, key)
+        assert path.read_bytes() == first
+    finally:
+        enable_disk_cache(None)
+        clear_cache()
+
+
+def test_a_source_without_its_identity_is_a_miss(tmp_path, monkeypatch):
+    """The source's kept list is [0], its identity: a record of a sweep from the top of the
+    window, where no other vertex has a generator, is refused with [] there."""
+    ctx, source, w = MeshContext(kronecker_quiver(), "kZQ"), parse_vertex("2@3"), Window(0, 3)
+    clear_cache()
+    enable_disk_cache(str(tmp_path))
+    try:
+        good = sweep(ctx, source, w)
+        (path,) = tmp_path.iterdir()
+        ((prefix, data),) = _records(path)
+        at = ctx._slice(w).vertices.index(source)
+        assert data[2] == [[0] if i == at else [] for i in range(len(data[2]))]
+        data[2][at] = []
+        path.write_bytes(_record_line(prefix, data))
+        clear_cache()
+        computed = _counting_sweep(monkeypatch)
+        assert _same_sweep(sweep(ctx, source, w), good) and computed == [source]
+    finally:
+        enable_disk_cache(None)
+        clear_cache()
+
+
+def test_version_2_records_are_skipped_and_recomputed(tmp_path, monkeypatch):
+    clear_cache()
+    try:
+        path, first, _, (line1, _) = _two_records(tmp_path)
+        prefix, record = line1.split(b"\t")
+        old = json.loads(record)
+        old[0] = 2
+        path.write_bytes(_record_line(prefix, old))
+        computed = _counting_sweep(monkeypatch)
+        again = sweep(RC, first, RC4)
+        assert computed == [first]
+        assert [data[0] for _, data in _records(path)] == [2, 3]  # the recomputed sweep is appended
+        clear_cache()
+        assert _same_sweep(sweep(RC, first, RC4), again) and computed == [first]
+    finally:
+        enable_disk_cache(None)
+        clear_cache()

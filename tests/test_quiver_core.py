@@ -40,6 +40,22 @@ def test_cyclic_quiver_rejected():
         Quiver(["1", "2"], [QArrow("a", "1", "2"), QArrow("b", "2", "1")])
 
 
+@pytest.mark.parametrize("vertices, arrows, message", [
+    (["x'", "y"], [], "frozen marker"),
+    (["1", "2'"], [QArrow("a", "1", "2'")], "frozen marker"),
+    ([1, 2], [], "must be strings"),
+    (["1", "2"], [QArrow(3, "1", "2")], "must be strings"),
+    (["1", "2"], [QArrow("a", "1", 2)], "must be strings"),
+], ids=["frozen-id", "frozen-endpoint", "int-vertices", "int-arrow-id", "int-endpoint"])
+def test_direct_construction_checks_vertex_and_arrow_ids(vertices, arrows, message):
+    """Quiver() itself refuses what from_json refuses: a vertex read back from its key is the one it names."""
+    with pytest.raises(InvalidInputError, match=message):
+        Quiver(vertices, arrows)
+    with pytest.raises(InvalidInputError, match=message):
+        Quiver.from_json({"vertices": vertices, "arrows": [{"id": a.id, "source": a.source, "target": a.target}
+                                                           for a in arrows]})
+
+
 def test_vertex_keys_round_trip():
     for key in ["1@0", "2'@-3", "center@17"]:
         assert parse_vertex(key).key() == key
