@@ -29,7 +29,6 @@ from .quiver_core import (
     check_configuration,
     d4_quiver,
     kronecker_quiver,
-    mesh_relators,
     parse_vertex,
     sigma,
     sigma_inv,

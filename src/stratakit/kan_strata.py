@@ -14,7 +14,10 @@ K_R(M) is computed by one recursion over the window, in the order the Hom
 sweeps run (kan_right): the Yoneda image of M at a frozen vertex, the
 kernel of the mesh relator's map at a non-frozen one.  Its bases are those
 of the naturality system's kernel, which survives as a test twin.  K_L(M)
-is the cokernel of that system over the opposite category (kan_left).
+is computed by the mirror recursion down the window (kan_left): the
+kernel of the Yoneda map to M at a frozen vertex, the relations pulled
+back along the out-arrows at a non-frozen one.  Its bases are those of
+the coend presentation's quotient, also a test twin.
 
 Two independent computations back every stratum invariant: the
 multiplicity formula w o sigma - C_q v and the mesh-homology Ext^1 count.
@@ -198,7 +201,7 @@ class WindowRep:
             config = Configuration.from_json(data.get("configuration"))
             dims = {parse_vertex(k): d for k, d in dims_data.items()}
             field_tag = data.get("field", "QQ")
-            field = QQ if field_tag == "QQ" else PrimeField(int(field_tag))
+            field = QQ if field_tag == "QQ" else PrimeField(_gf_int(field_tag, "field tag"))
             mats = {}
             for key, rowsdata in mats_data.items():
                 a = parse_arrow_key(q, key)
@@ -215,10 +218,11 @@ class WindowRep:
         return cls(q, window, config, dims, mats, field)
 
 
-def _gf_int(x) -> int:
-    """An entry over GF(p): an integer or its decimal string, never a float that int() would truncate."""
+def _gf_int(x, what: str = "GF(p) entry") -> int:
+    """An entry over GF(p), or the prime itself: an integer or its decimal string, never a
+    float that int() would truncate or a boolean."""
     if isinstance(x, bool) or not isinstance(x, (int, str)):
-        raise InvalidInputError(f"bad GF(p) entry {x!r}: expected an integer")
+        raise InvalidInputError(f"bad {what} {x!r}: expected an integer")
     return int(x)
 
 
@@ -419,56 +423,6 @@ class KanRight:
         return len(self.basis_cols.get(x, []))
 
 
-def _naturality_rows(hom_dims, mdims, squares, field):
-    """kan_left's system at a vertex x: its variables and sparse rows.
-
-    K_L's coend relations are K_R's naturality system over the opposite
-    category; the tests build that system for K_R itself as kan_right's
-    twin.  hom_dims[u] is the dimension of the Hom space between u and x,
-    for every object u of the squares: Hom(x,u) for K_L (Hom(u,x) for
-    K_R).  The variables are the
-    (u, i, j) with i below hom_dims[u] and j below mdims[u] = dim M(u), in
-    the order of hom_dims.  A square (a, b, comp, acts) is one generator s
-    of S between a and b: comp is the matrix Hom(b,x) -> Hom(a,x) of
-    composing with s, and acts[j] the nonzero entries (j2, c) of row j of
-    the action M(b) -> M(a) of s.  Its rows, one per i below hom_dims[b]
-    and j below mdims[a], are sum_l comp[l][i] (a, l, j) - sum c (b, i, j2),
-    each a dict of its nonzero entries.  Returns (index, offsets, rows),
-    offsets[u] being the position of the variable (u, 0, 0).
-    """
-    index, offsets = [], {}
-    for u, d in hom_dims.items():
-        if d and mdims[u]:
-            offsets[u] = len(index)
-            index.extend((u, i, j) for i in range(d) for j in range(mdims[u]))
-    zero = field.zero
-    rows = []
-    for a, b, comp, acts in squares:
-        ma, mb = mdims[a], mdims[b]
-        if not ma:
-            continue
-        oa, ob = offsets.get(a), offsets.get(b)
-        for i in range(hom_dims[b]):
-            col = [(oa + l * ma, r[i]) for l, r in enumerate(comp) if r[i]]
-            if not col and ob is None:
-                continue
-            for j in range(ma):
-                entries = {pos + j: c for pos, c in col}
-                if ob is not None:
-                    for j2, c in acts[j]:
-                        pos = ob + i * mb + j2
-                        entries[pos] = entries.get(pos, zero) - c
-                row = {pos: c for pos, c in entries.items() if c}
-                if row:
-                    rows.append(row)
-    return index, offsets, rows
-
-
-def _sparse_rows(m):
-    """The nonzero entries (j, c) of each row of m."""
-    return [[(j, c) for j, c in enumerate(row) if c] for row in m]
-
-
 def kan_right(M: SModulePoint, w: Window) -> KanRight:
     """K_R(M), by one recursion over the window in slice order, as the sweeps run.
 
@@ -624,50 +578,91 @@ class KanLeft:
 
 
 def kan_left(M: SModulePoint, w: Window) -> KanLeft:
-    """K_L(M): the coend presentation, as the cokernel of the bilinearity relations.
+    """K_L(M), by one recursion down the window, kan_right's mirror.
 
-    The relations are kan_right's naturality rows over the opposite
-    category: Hom(x, -) in place of Hom(-, x), postcomposition in place of
-    precomposition and the actions of M transposed.
-    Unsupported for non-Dynkin quivers, where K_L(M) has unbounded support.
+    The generators at x are the (u, g, j) with u in the support, g over the
+    sweep's Hom basis of R_C(x, u) and j over M(u); K_L(M)(x) is their span
+    modulo the coend relations R(x).  A frozen x takes the kernel of the
+    Yoneda map to M(x), (u, g, j) |-> M(g) e_j: one row per generator with
+    u != x, whose image is spanned by the (x, 0, j').  Every morphism out of
+    a non-frozen x but the identity factors through an out-arrow b: x -> z,
+    so R(x) is the sum of the images of the R(z) under f |-> f o b; R(z) is
+    spanned by e_t - (the class of t) over the dropped generators t.  The
+    basis quotient_coords picks depends only on span R(x).  Unsupported for
+    non-Dynkin quivers, where K_L(M) has unbounded support.
     """
     if not is_dynkin(M.q).is_dynkin:
         raise InvalidInputError("kan_left requires a Dynkin quiver (K_L has unbounded support otherwise)")
     if w != M.window:
         raise WindowInsufficiencyError("kan_left must be computed on the module's own window")
-    cat = M.cat
-    field = M.field
-    rc = MeshContext(cat.q, "RC", cat.config)
-    rq = build_repetition(cat.q, True, w, cat.config)
-    support = [u for u in cat.objects if M.dim(u) > 0]
-    zero = field.zero
+    cat, field, q = M.cat, M.field, M.q
+    rc = MeshContext(q, "RC", cat.config)
+    rq = build_repetition(q, True, w, cat.config)
+    mdims = M.module.dims
+    support = [u for u in cat.objects if mdims[u]]
+    zero, one = field.zero, field.one
+    pre: Dict[tuple, list] = {}  # (a: x -> y, u) -> the matrix of Hom(y,u) -> Hom(x,u), f |-> f o a
 
-    # Every generator s_k: u -> v of S into the support, with the nonzero
-    # entries of each row of M(s_k) transposed; relations along the
-    # generators imply those along their composites, so they span the same
-    # relations as every basis morphism.
-    gens = [(u, v, cat.basis_paths(u, v)[k], _sparse_rows(transpose_rows(M.module.act_mat(u, v, k))))
-            for u in cat.objects for v in support if v.level >= u.level for k in cat.generators(u, v)]
+    def precompose(a, u):
+        mat = pre.get((a, u))
+        if mat is None:
+            mat = pre[(a, u)] = precomposition_matrix(rc, (a,), a.source, a.target, u, w, field)
+        return mat
 
     gen_index: Dict[RepVertex, list] = {}
     gen_coords: Dict[RepVertex, list] = {}
     kept: Dict[RepVertex, list] = {}
     offsets: Dict[RepVertex, dict] = {}
-    for x in rq.vertices:
+    for x in reversed(rq.vertices):
         fx = sweep(rc, x, w, field)
-        hom_dims = {u: fx.dim(u) for u in cat.objects}
-        if not any(hom_dims[u] for u in support):
-            gen_index[x], gen_coords[x], kept[x], offsets[x] = [], [], [], {}
+        index = gen_index[x] = []
+        off = offsets[x] = {}
+        for u in support:
+            d = fx.dim(u)
+            if d:
+                off[u] = len(index)
+                index.extend((u, g, j) for g in range(d) for j in range(mdims[u]))
+        if not index:
+            kept[x], gen_coords[x] = [], []
             continue
-        # Hom(x,u) -> Hom(x,v), g |-> s_k o g
-        squares = [(v, u, postcomposition_matrix(rc, x, s_path, u, w, field), acts)
-                   for u, v, s_path, acts in gens if hom_dims[u]]
-        gen_index[x], offsets[x], rel_rows = _naturality_rows(hom_dims, M.module.dims, squares, field)
-        kept[x], gen_coords[x] = quotient_coords(len(gen_index[x]), rel_rows, field)
+        rows = []
+        if x.frozen:
+            ox = off.get(x)
+            for u, o in off.items():
+                if u == x:
+                    continue
+                mu = mdims[u]
+                for g in range(fx.dim(u)):
+                    act = M.module.act_mat(x, u, g)
+                    for j in range(mu):
+                        row = {o + g * mu + j: one}
+                        for j2, r in enumerate(act):
+                            if r[j]:
+                                row[ox + j2] = -r[j]
+                        rows.append(row)
+        else:
+            for b in rq.out_arrows(x):
+                z = b.target
+                kept_z = set(kept[z])
+                for t, cls in enumerate(gen_coords[z]):
+                    if t in kept_z:
+                        continue
+                    # the relation e_t - cls at z, each generator (u, g, j) sent to sum_l pre[l][g] (u, l, j)
+                    row = {}
+                    for s, c in [(t, one)] + [(kept[z][r], -c) for r, c in cls.items()]:
+                        u, g, j = gen_index[z][s]
+                        mu = mdims[u]
+                        for l, r in enumerate(precompose(b, u)):
+                            if r[g]:
+                                pos = off[u] + l * mu + j
+                                row[pos] = row.get(pos, zero) + r[g] * c
+                    row = {pos: c for pos, c in row.items() if c}
+                    if row:
+                        rows.append(row)
+        kept[x], gen_coords[x] = quotient_coords(len(index), rows, field)
 
     # Structure maps on the kept generators: a: x -> y sends the generator
-    # (u, g, j) at y to the class at x of sum_l pre[l][g] (u, l, j), pre being
-    # the matrix of Hom(y,u) -> Hom(x,u), f |-> f o a.
+    # (u, g, j) at y to the class at x of sum_l pre[l][g] (u, l, j).
     dims = {x: len(kept[x]) for x in rq.vertices}
     mats = {}
     for a in rq.arrows:
@@ -675,19 +670,16 @@ def kan_left(M: SModulePoint, w: Window) -> KanLeft:
         if not dims[x] or not dims[y]:
             continue
         m = [[zero] * dims[y] for _ in range(dims[x])]
-        pre = {}
         for t_pos, t in enumerate(kept[y]):
             u, g, j = gen_index[y][t]
-            if u not in pre:
-                pre[u] = precomposition_matrix(rc, (a,), x, y, u, w, field)
-            for l, row in enumerate(pre[u]):
+            for l, row in enumerate(precompose(a, u)):
                 p = row[g]
                 if not p:
                     continue
-                for r, c in gen_coords[x][offsets[x][u] + l * M.dim(u) + j].items():
+                for r, c in gen_coords[x][offsets[x][u] + l * mdims[u] + j].items():
                     m[r][t_pos] += p * c
         mats[a] = m
-    rep = WindowRep(cat.q, w, cat.config, dims, mats, field)
+    rep = WindowRep(q, w, cat.config, dims, mats, field)
     return KanLeft(M, rep, gen_index, gen_coords, kept)
 
 
@@ -1084,8 +1076,9 @@ def _enumerate_subspaces(d: int, field: PrimeField):
 
     A generator: the subspaces are made one at a time, in order of
     dimension, then pivot positions, then free entries, never all at once.
+    The field's elements are listed only for a pivot pattern with free
+    entries, so a large prime costs nothing where every stalk is a line.
     """
-    values = field.elements()
     yield []
     for k in range(1, d + 1):
         for pivots in itertools.combinations(range(d), k):
@@ -1094,6 +1087,7 @@ def _enumerate_subspaces(d: int, field: PrimeField):
                 for c in range(p + 1, d):
                     if c not in pivots:
                         free_pos.append((i, c))
+            values = field.elements() if free_pos else ()
             for assign in itertools.product(values, repeat=len(free_pos)):
                 rows = [[field.zero] * d for _ in range(k)]
                 for i, p in enumerate(pivots):

@@ -542,11 +542,6 @@ def clear_slices():
     _ARROW_KEYS.clear()
 
 
-def mesh_relators(rq: RepQuiver):
-    """One relator per non-frozen vertex of the slice above its window's bottom level."""
-    return [rel for rel in map(rq.relator, rq.vertices) if rel is not None]
-
-
 def check_configuration(q: Quiver, config: Configuration, w: Window) -> dict:
     """Report on condition (R) and on the two left-exact mesh sequences.
 

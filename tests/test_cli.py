@@ -287,10 +287,15 @@ def test_cache_dir_env_wiring(capsys, tmp_path, monkeypatch):
     ["validate", "--rep", "[]"],
     ["check-config", "--quiver", A2_JSON, "--window", "0", "4", "--config", '{"members": ["7@0"]}'],
     ["sing-quiver", "--quiver", A2_JSON, "--window", "0", "4", "--max-span", "-1"],
+    ["validate", "--rep", json.dumps(dict(A2_REP, field=3.9))],
+    ["klr", "--rep", json.dumps(dict(A2_REP, field=2.5))],
+    ["validate", "--rep", json.dumps(dict(A2_REP, field=True))],
+    ["klr", "--rep", json.dumps(dict(A2_REP, field="QQ(2)"))],
 ], ids=["non-integer-entry", "string-period", "non-string-members", "unknown-node", "fractional-entry",
         "boolean-entry", "fiber-fractional-entry", "null-vertices", "cartan-unknown-node", "dims-not-an-object",
         "fractional-dimension", "infinite-field", "infinite-window", "fractional-gf-entry", "rep-not-an-object",
-        "config-unknown-node", "negative-max-span"])
+        "config-unknown-node", "negative-max-span", "fractional-field", "klr-fractional-field", "boolean-field",
+        "unknown-field-tag"])
 def test_bad_input_exits_1_with_json_error(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 1

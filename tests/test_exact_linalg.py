@@ -472,25 +472,36 @@ def _qualified_calls(tree, prefix=""):
 
 # The two solves that are not induced maps: theta's inverse columns and the span test of a fiber stage.
 SOLVE_MANY_CALLERS = {("kan_strata.py", "kan_intermediate"), ("kan_strata.py", "_FiberStage.attained")}
+# Who reads the generators of S: catmod's own modules and criterion 2's count of rad/rad^2.
+GENERATORS_CALLERS = {("acceptance.py", "criterion_2"), ("catmod.py", "SCategoryWindow.generators"),
+                      ("catmod.py", "CatModule.radical_cols"), ("catmod.py", "CatModule.socle_dim"),
+                      ("catmod.py", "OpSCategoryWindow.generators")}
 
 
-def test_kan_extensions_share_one_system_and_maps_go_through_in_basis():
-    """kan_left builds its system with _naturality_rows, and nothing else in the package
-    does (kan_right runs its recursion instead; the tests build K_R's system as its twin),
-    and outside exact_linalg solve_many runs only where no induced map is read: every other
+def test_no_program_code_builds_a_naturality_system_and_solves_go_through_in_basis():
+    """No program code builds a naturality system: nothing defines or calls _naturality_rows,
+    and no Kan extension reads the generators of S, along which such a system runs (both
+    extensions are recursions over the window; the tests build their systems as twins).
+    Outside exact_linalg solve_many runs only where no induced map is read: every other
     solve goes through in_basis, the one place coordinates are solved for and laid out."""
     package = pathlib.Path(stratakit.__file__).parent
-    builders, solves = set(), set()
+    builders, readers, solves = set(), set(), set()
     for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        builders.update((path.name, node.name) for node in ast.walk(tree)
+                        if isinstance(node, ast.FunctionDef) and node.name == "_naturality_rows")
         if path.name == "exact_linalg.py":
             continue
-        for func, called in _qualified_calls(ast.parse(path.read_text(), str(path))):
+        for func, called in _qualified_calls(tree):
             if called == "_naturality_rows":
                 builders.add((path.name, func))
+            if called == "generators":
+                readers.add((path.name, func))
             if called == "solve_many":  # a function nested in an allowed caller counts as that caller
                 solves.add(next(((n, c) for n, c in SOLVE_MANY_CALLERS
                                  if n == path.name and (func == c or func.startswith(c + "."))), (path.name, func)))
-    assert builders == {("kan_strata.py", "kan_left")}
+    assert builders == set()
+    assert readers == GENERATORS_CALLERS
     assert solves == SOLVE_MANY_CALLERS
 
 

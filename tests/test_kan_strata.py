@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from stratakit import kan_strata, mesh_hom, quiver_core
-from stratakit.catmod import SCategoryWindow, CatModule
+from stratakit.catmod import SCategoryWindow, CatModule, ext_dim
 from stratakit.dq_engine import is_dynkin
 from stratakit.errors import InternalConsistencyError, InvalidInputError, WindowInsufficiencyError
 from stratakit.exact_linalg import (
@@ -830,16 +830,18 @@ def test_kan_right_rows_match_the_dense_row_twin(qname, p):
 
 
 def _twin_kan_left_quotients(M, w):
-    """kan_left's (kept, gen_coords) with the relations of every basis morphism, as it was."""
+    """kan_left's (gen_index, kept, gen_coords) from the coend presentation at each vertex:
+    the relations of every basis morphism of S, built as they were before the recursion."""
     from stratakit.mesh_hom import postcomposition_matrix, sweep
 
     cat, field = M.cat, M.field
     rc = MeshContext(cat.q, "RC", cat.config)
     support = [u for u in cat.objects if M.dim(u) > 0]
-    kept, coords = {}, {}
+    index, kept, coords = {}, {}, {}
     for x in zero_rep(cat.q, w, cat.config).rq.vertices:
         fx = sweep(rc, x, w, field)
         offsets, n = {}, 0
+        index[x] = [(u, g, j) for u in support for g in range(fx.dim(u)) for j in range(M.dim(u))]
         for u in support:
             if fx.dim(u):
                 offsets[u] = n
@@ -870,7 +872,7 @@ def _twin_kan_left_quotients(M, w):
                             if any(c != field.zero for c in col):
                                 rel_cols.append(col)
         kept[x], coords[x] = quotient_coords(n, rel_cols, field)
-    return kept, coords
+    return index, kept, coords
 
 
 def _twin_amb_index(M, w):
@@ -901,12 +903,12 @@ KAN_TWIN_CASES = {"A2": (A2, None, Window(0, 2)), "A3": (a_n_quiver(3), None, Wi
 
 @pytest.mark.parametrize("p", [0, 3])
 @pytest.mark.parametrize("case", sorted(KAN_TWIN_CASES))
-def test_kan_extensions_along_generators_match_the_all_basis_twins(case, p, monkeypatch):
+def test_kan_extensions_along_generators_match_the_all_basis_twins(case, p):
     """kan_right's recursion gives what the naturality system along every basis morphism
     gave (a test-local twin): the same ambient coordinates, kernel bases with the same
-    free and pivot columns, and theta.  kan_left's relations along the generators of S
-    give what those along every basis morphism gave, against kan_left run with every
-    basis morphism as a generator and a test-local copy of the old relations."""
+    free and pivot columns, and theta.  kan_left's recursion down the window gives what
+    the coend relations along every basis morphism gave (a test-local twin): the same
+    generators, kept generators and coordinates."""
     q, config, w = KAN_TWIN_CASES[case]
     nonzero = 0
     for seed in range(3):
@@ -927,31 +929,79 @@ def test_kan_extensions_along_generators_match_the_all_basis_twins(case, p, monk
         if not is_dynkin(q).is_dynkin:
             continue
         kl = kan_left(M, w)
-        with monkeypatch.context() as mp:
-            mp.setattr(SCategoryWindow, "generators", lambda cat, u, v: range(cat.dim(u, v)))
-            kl_all = kan_left(M, w)
-        assert kl.gen_index == kl_all.gen_index
-        assert (kl.kept, kl.gen_coords) == (kl_all.kept, kl_all.gen_coords) == _twin_kan_left_quotients(M, w)
-        assert kl.rep.to_json() == kl_all.rep.to_json()
+        assert (kl.gen_index, kl.kept, kl.gen_coords) == _twin_kan_left_quotients(M, w)
         nonzero += sum(map(len, kl.kept.values()))
-        # fewer relations than basis morphisms: the generators are a proper subset somewhere
-        assert any(len(M.cat.generators(u, v)) < M.cat.dim(u, v) for u in M.cat.objects for v in M.cat.objects)
     assert nonzero > 0
 
 
-def test_kan_right_builds_no_naturality_system():
-    """kan_right reads neither the generators of S nor precomposition matrices, and
-    builds no naturality rows: its values come from the recursion over the window."""
+def _names_called_in(name):
+    """The names that kan_strata's top-level function name calls, nested functions included."""
     tree = ast.parse(inspect.getsource(kan_strata))
-    (fn,) = [node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "kan_right"]
+    (fn,) = [node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == name]
     called = set()
     for node in ast.walk(fn):
         if isinstance(node, ast.Call):
             f = node.func
             called.add(f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None))
+    return called
+
+
+def _yoneda_kan_dims(M, w):
+    """dim K_R(M)(x) and dim K_L(M)(x) at every window vertex x by catmod's Yoneda route,
+    which shares no code with either recursion: K_R(M)(x) = Hom_S(N_x, M) with
+    N_x = R_C(?, x)|_S acting by precomposition, and K_L(M)(x) is dual to
+    Hom_S(M, D R_C(x, ?)|_S) acting by transposed postcomposition; each Hom is
+    catmod.ext_dim in degree 0, read off a minimal presentation."""
+    from stratakit.mesh_hom import postcomposition_matrix, precomposition_matrix, sweep
+
+    cat, field = M.cat, M.field
+    rc = MeshContext(cat.q, "RC", cat.config)
+    morphisms = [(u, v, k, cat.basis_paths(u, v)[k]) for u, v, d in cat.hom_pairs() if u != v for k in range(d)]
+    right, left = {}, {}
+    for x in zero_rep(cat.q, w, cat.config).rq.vertices:
+        into = {u: sweep(rc, u, w, field).dim(x) for u in cat.objects}
+        out_of = {u: sweep(rc, x, w, field).dim(u) for u in cat.objects}
+        n_act = {(u, v, k): precomposition_matrix(rc, s, u, v, x, w, field)
+                 for u, v, k, s in morphisms if into[u] and into[v]}
+        d_act = {(u, v, k): transpose_rows(postcomposition_matrix(rc, x, s, u, w, field))
+                 for u, v, k, s in morphisms if out_of[u] and out_of[v]}
+        right[x] = ext_dim(cat, CatModule(cat, into, n_act), M.module, 0)
+        left[x] = ext_dim(cat, M.module, CatModule(cat, out_of, d_act), 0)
+    return right, left
+
+
+@pytest.mark.parametrize("qname, window", [("A2", Window(0, 3)), ("A3", Window(0, 2)), ("D4", Window(0, 2))],
+                         ids=["A2", "A3", "D4"])
+def test_kan_extension_dims_match_the_yoneda_route(qname, window):
+    """Every value dimension of K_R and K_L equals the Yoneda route's, over QQ and GF(3)."""
+    nonzero_r = nonzero_l = 0
+    for seed in range(5 if qname == "A2" else 4):
+        rep = _random_rep(TWIN_QUIVERS[qname], 29 * seed + 3, 3 * (seed % 2), window=window)
+        M = restrict(rep)
+        right, left = _yoneda_kan_dims(M, window)
+        kr, kl = kan_right(M, window), kan_left(M, window)
+        assert {x: kr.dim(x) for x in right} == right
+        assert {x: kl.dim(x) for x in left} == left
+        nonzero_r += sum(1 for d in right.values() if d)
+        nonzero_l += sum(1 for d in left.values() if d)
+    assert nonzero_r > 0 and nonzero_l > 0
+
+
+def test_kan_right_builds_no_naturality_system():
+    """kan_right reads neither the generators of S nor precomposition matrices, and
+    builds no naturality rows: its values come from the recursion over the window."""
+    called = _names_called_in("kan_right")
     assert called  # the walk sees the calls it should
     assert "sweep" in called and "span_kernel_basis" in called
     assert not called & {"_naturality_rows", "generators", "precomposition_matrix"}
+
+
+def test_kan_left_builds_no_naturality_system():
+    """kan_left reads neither the generators of S nor postcomposition matrices: its
+    relations come from the recursion down the window, through single-arrow precomposition."""
+    called = _names_called_in("kan_left")
+    assert "sweep" in called and "quotient_coords" in called and "precomposition_matrix" in called
+    assert not called & {"_naturality_rows", "generators", "postcomposition_matrix"}
 
 
 @pytest.mark.parametrize("case", ["A2", "K2", "A2-config"])
@@ -1247,6 +1297,27 @@ def test_subspace_enumeration_holds_one_subspace_at_a_time():
     assert peak < 1 << 20
 
 
+def test_lines_over_a_large_prime_list_no_field_elements(monkeypatch):
+    """A one-dimensional stalk has no free entries, so its 2 subspaces come without
+    listing the field: fiber over GF(2^31 - 1) answers as over GF(2) at once."""
+    def unlisted(field):
+        raise AssertionError(f"GF({field.p}) listed its elements")
+
+    big = 2147483647
+    u = parse_vertex("1'@1")
+    x = sigma_inv(u)
+    w4 = Window(0, 4)
+    M = SModulePoint.semisimple(A2, w4, {u: 1})
+    small = fiber(M, {x: 1}, 2, w4)
+    monkeypatch.setattr(PrimeField, "elements", unlisted)
+    field = PrimeField(big)
+    assert list(_enumerate_subspaces(1, field)) == [[], [[field.one]]]
+    res = fiber(M, {x: 1}, big, w4)
+    assert len(res.attained) == 3  # CK has two one-dimensional stalks
+    assert (res.nonempty, res.v0, res.attained) == (small.nonempty, small.v0, small.attained)
+    assert res.witness.nonfrozen_dims() == {x: 1}
+
+
 def test_fiber_field_reduction_guard():
     u = parse_vertex("1'@1")
     M = SModulePoint.semisimple(A2, Window(0, 4), {u: 1})
@@ -1429,6 +1500,10 @@ def test_window_rep_from_json_checks_rational_matrices():
         with pytest.raises(InvalidInputError) as info:
             WindowRep.from_json(bad)
         assert str(info.value) == msg
+    for tag in (3.9, 2.5, True):
+        with pytest.raises(InvalidInputError) as info:
+            WindowRep.from_json({**data, "field": tag})
+        assert str(info.value) == f"bad field tag {tag!r}: expected an integer"
     data["mats"][key][0][0] = "1/2"
     parsed = WindowRep.from_json(data)
     assert parsed.mats[next(a for a in parsed.mats if a.key() == key)][0][0] == Fraction(1, 2)

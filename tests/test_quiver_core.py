@@ -18,7 +18,6 @@ from stratakit.quiver_core import (
     check_configuration,
     d4_quiver,
     kronecker_quiver,
-    mesh_relators,
     parse_arrow_key,
     parse_vertex,
     rep_in_arrows,
@@ -119,7 +118,7 @@ def test_arrows_weakly_increase_level():
 def test_mesh_relators_enumeration():
     q = a_n_quiver(2)
     rq = build_repetition(q, True, Window(0, 2))
-    rels = mesh_relators(rq)
+    rels = [r for r in map(rq.relator, rq.vertices) if r is not None]
     eligible = [x for x in rq.vertices if not x.frozen and 0 < x.level <= 2]
     assert sorted(r.vertex for r in rels) == sorted(eligible)
     for r in rels:
