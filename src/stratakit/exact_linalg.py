@@ -150,9 +150,6 @@ class PrimeField:
             raise InvalidInputError(f"denominator of {x} not invertible mod {self.p}")
         return GFElement(x.numerator * pow(x.denominator % self.p, self.p - 2, self.p), self.p)
 
-    def elements(self):
-        return [GFElement(i, self.p) for i in range(self.p)]
-
 
 # ---------------------------------------------------------------------------
 # Field-generic elimination: sparse rows, and the dense reference.

@@ -535,7 +535,7 @@ def kan_right(M: SModulePoint, w: Window) -> KanRight:
             img = [zero] * len(amb_index[x0])
             for u, o in off.items():
                 mu = mdims[u]
-                for l, post in enumerate(funs[u].mats[a]):
+                for l, post in enumerate(funs[u].columns(a)):
                     base = offsets[x0][u] + l * mu
                     for m_i, p in post.items():
                         for j in range(mu):
@@ -1071,13 +1071,36 @@ class FiberResult:
         }
 
 
+def _field_words(field: PrimeField, n: int):
+    """Every n-tuple of field elements, lexicographic in their values 0, ..., p - 1,
+    made one at a time: an element is made when a word first takes its value, so
+    no pool of the field's elements is listed up front."""
+    made = [field.zero]  # made[i] is the element of value i
+    top = field.p - 1
+    values = [0] * n
+    word = [field.zero] * n
+    while True:
+        yield tuple(word)
+        j = n - 1
+        while j >= 0 and values[j] == top:
+            values[j] = 0
+            word[j] = field.zero
+            j -= 1
+        if j < 0:
+            return
+        i = values[j] = values[j] + 1
+        if i == len(made):
+            made.append(field.of_int(i))
+        word[j] = made[i]
+
+
 def _enumerate_subspaces(d: int, field: PrimeField):
     """Every subspace of field^d, each as a fresh list of basis columns (RREF rows).
 
     A generator: the subspaces are made one at a time, in order of
     dimension, then pivot positions, then free entries, never all at once.
-    The field's elements are listed only for a pivot pattern with free
-    entries, so a large prime costs nothing where every stalk is a line.
+    The free entries are drawn one word at a time (_field_words), so a
+    large prime costs time only for the subspaces actually taken.
     """
     yield []
     for k in range(1, d + 1):
@@ -1087,11 +1110,11 @@ def _enumerate_subspaces(d: int, field: PrimeField):
                 for c in range(p + 1, d):
                     if c not in pivots:
                         free_pos.append((i, c))
-            values = field.elements() if free_pos else ()
-            for assign in itertools.product(values, repeat=len(free_pos)):
-                rows = [[field.zero] * d for _ in range(k)]
-                for i, p in enumerate(pivots):
-                    rows[i][p] = field.one
+            pivot_rows = [[field.zero] * d for _ in range(k)]
+            for i, p in enumerate(pivots):
+                pivot_rows[i][p] = field.one
+            for assign in _field_words(field, len(free_pos)):
+                rows = [r[:] for r in pivot_rows]
                 for (i, c), val in zip(free_pos, assign):
                     rows[i][c] = val
                 yield rows

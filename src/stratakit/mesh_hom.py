@@ -17,8 +17,9 @@ In a tau-invariant context (kZQ, and RC and SC under the full
 configuration) tau is an automorphism of the category, so
 Hom(tau^-s x, tau^-s y) = Hom(x, y).  There a sweep is loaded or computed
 only when no sweep held from the same node is at least as tall (reaches
-as many levels above its source); every other one is the translate of the
-tallest held, sharing its arrow matrices, kept in memory and never stored.
+as many levels above its source); every other one is a translate: a view
+that reads the tallest held s levels lower, one vertex or arrow at a time
+when asked, copies nothing, and is kept in memory and never stored.
 _sweep is the only code that computes a sweep, and it refuses one that
 would hold more than MAX_SWEEP_ENTRIES matrix entries.
 """
@@ -109,10 +110,12 @@ class MeshContext:
 class HomFunctor:
     """Hom(source, -) on a window: dimensions, basis paths, arrow actions.
 
-    The matrix of an arrow b: y -> v is held as its columns, one per basis
-    element of Hom(source, y), each a dict of its nonzero coordinates in
-    the basis at v.  kept[v] lists the generators whose classes form that
-    basis (see _sweep): 0, the identity, at the source.
+    It is read only through dim, basis_paths and columns, which a translate
+    (_Translate) answers from its base.  The matrix of an arrow b: y -> v
+    is held as its columns, one per basis element of Hom(source, y), each a
+    dict of its nonzero coordinates in the basis at v.  kept[v] lists the
+    generators whose classes form that basis (see _sweep): 0, the identity,
+    at the source.
     """
 
     def __init__(self, ctx: MeshContext, source: RepVertex, window: Window, field):
@@ -132,9 +135,14 @@ class HomFunctor:
     def basis_paths(self, y: RepVertex):
         return self.paths.get(y, [])
 
+    def columns(self, b: RepArrow):
+        """The columns of the matrix of the arrow b; none for an arrow into a level
+        below the source or outside the window."""
+        return self.mats.get(b, ())
+
     def apply_arrow(self, arrow: RepArrow, vec):
         out = [self.field.zero] * self.dim(arrow.target)
-        for x, col in zip(vec, self.mats.get(arrow, ())):
+        for x, col in zip(vec, self.columns(arrow)):
             if x:
                 for r, c in col.items():
                     out[r] += c * x
@@ -251,18 +259,18 @@ def _sweep(ctx: MeshContext, source: RepVertex, window: Window, field) -> HomFun
 # ---------------------------------------------------------------------------
 # Cache.  Append-only: concurrent readers are safe, insertion is exclusive.
 # On disk, one append-only log per (context, window, field) holds one line
-# per stored sweep (translates are never stored): the escaped source key, a
-# tab, then the compact JSON [version, repr(key), kept, mats].  kept holds
-# each slice vertex's kept generator indices, from which the basis paths are
-# rebuilt (_kept_paths); mats holds, for each arrow into the levels the sweep
-# covers in slice order, its columns as alternating row indices and nonzero
-# rationals (ints or "p/q" strings).
+# per stored sweep (a translate is a view of one and is never stored): the
+# escaped source key, a tab, then the compact JSON [version, repr(key), kept,
+# mats].  kept holds each slice vertex's kept generator indices, from which
+# the basis paths are rebuilt (_kept_paths); mats holds, for each arrow into
+# the levels the sweep covers in slice order, its columns as alternating row
+# indices and nonzero rationals (ints or "p/q" strings).
 # ---------------------------------------------------------------------------
 
 _CACHE: Dict[tuple, HomFunctor] = {}
 # The tallest sweep loaded or computed so far per (context key, node, frozen,
 # field), for the tau-invariant contexts only: every shorter request from the
-# same node is its translate (_translate), held in _CACHE and never on disk.
+# same node is a view of it (_Translate), held in _CACHE and never on disk.
 _TALLEST: Dict[tuple, HomFunctor] = {}
 _CACHE_LOCK = threading.Lock()
 _DISK_DIR: Optional[str] = None
@@ -329,7 +337,7 @@ def _height(fun: HomFunctor) -> int:
 
 def sweep(ctx: MeshContext, source: RepVertex, window: Window, field=QQ) -> HomFunctor:
     """Hom(source, -) on the window: the cached sweep, else in a tau-invariant
-    context the translate of the tallest sweep held from the source's node if
+    context a view translating the tallest sweep held from the source's node if
     that is at least as tall (window.hi - source.level), else the stored or a
     newly computed (and stored) sweep, which becomes its node's tallest."""
     fkey = field.key
@@ -342,7 +350,7 @@ def sweep(ctx: MeshContext, source: RepVertex, window: Window, field=QQ) -> HomF
         node_key = (key[0], source.node, source.frozen, fkey)
         base = _TALLEST.get(node_key)
         if base is not None and _height(base) >= window.hi - source.level:
-            fun = _translate(ctx, base, source, window, field)
+            fun = _Translate(base, source, window)
     if fun is None:
         on_disk = _DISK_DIR and fkey == "QQ"
         if on_disk:
@@ -360,40 +368,63 @@ def sweep(ctx: MeshContext, source: RepVertex, window: Window, field=QQ) -> HomF
         return fun
 
 
-def _translate(ctx: MeshContext, base: HomFunctor, source: RepVertex, window: Window, field) -> HomFunctor:
-    """The sweep of Hom(source, -) on the window, read off the sweep base from
-    a vertex of the same node, at least as tall, in a tau-invariant context.
+class _Translate(HomFunctor):
+    """The sweep of Hom(source, -) on the window as a view of base, the sweep
+    from a vertex of the same node, shift levels lower and at least as tall,
+    in a tau-invariant context.
 
-    tau^-s, s the level difference, is an automorphism of the category, and a
-    sweep at and above its source does not depend on the levels below it, so
-    dims, kept generators and basis paths are the base's shifted by s levels
-    and each arrow acts by the base's matrix (the same list object).  Spaces
-    below the source are zero, an arrow into the source level from below
-    acts by a matrix with no columns, and every dict has the key order _sweep
-    gives it.
+    tau^-shift is an automorphism of the category, and a sweep at and above
+    its source does not depend on the levels below it, so the space at y is
+    the base's at y shifted down, with each basis path shifted up, and each
+    arrow acts by the base's matrix of the arrow shifted down (the same list
+    object).  Spaces below the source and above the window are zero.
+    Nothing is copied: each accessor reads the base the first time a vertex
+    or arrow is asked for and memoizes the answer.
     """
-    s = source.level - base.source.level
-    fun = HomFunctor(ctx, source, window, field)
-    dims, paths, kept, mats = fun.dims, fun.paths, fun.kept, fun.mats
-    moved: Dict[RepArrow, RepArrow] = {}  # base arrow -> its translate
-    lo = source.level
-    rq = ctx._slice(window)
-    for v in rq.vertices:
-        if v.level < lo:
-            dims[v], paths[v], kept[v] = 0, [], []
-            continue
-        bv = RepVertex(v.node, v.level - s, v.frozen)
-        dims[v], kept[v] = base.dims[bv], base.kept[bv]
-        for b in rq.in_arrows(v):
-            u = b.source
-            if u.level < lo:
-                mats[b] = []
-                continue
-            bb = RepArrow(b.kind, b.base, RepVertex(u.node, u.level - s, u.frozen), bv)
-            moved[bb] = b
-            mats[b] = base.mats[bb]
-        paths[v] = [tuple(map(moved.__getitem__, p)) for p in base.paths[bv]]
-    return fun
+
+    def __init__(self, base: HomFunctor, source: RepVertex, window: Window):
+        super().__init__(base.ctx, source, window, base.field)
+        self.base = base
+        self.shift = source.level - base.source.level
+        self._moved: Dict[RepArrow, RepArrow] = {}  # base arrow -> its translate
+
+    def _covers(self, v: RepVertex) -> bool:
+        return self.source.level <= v.level <= self.window.hi
+
+    def _down(self, v: RepVertex) -> RepVertex:
+        """The base's vertex that v translates."""
+        return RepVertex(v.node, v.level - self.shift, v.frozen)
+
+    def _up(self, bb: RepArrow) -> RepArrow:
+        """The translate of the base's arrow bb: the window slice's own arrow object, so
+        basis paths compare by identity wherever a sweep's would."""
+        b = self._moved.get(bb)
+        if b is None:
+            u, v, s = bb.source, bb.target, self.shift
+            b = RepArrow(bb.kind, bb.base, RepVertex(u.node, u.level + s, u.frozen), RepVertex(v.node, v.level + s, v.frozen))
+            self._moved[bb] = b
+        return b
+
+    def dim(self, y: RepVertex) -> int:
+        d = self.dims.get(y)
+        if d is None:
+            d = self.dims[y] = self.base.dim(self._down(y)) if self._covers(y) else 0
+        return d
+
+    def basis_paths(self, y: RepVertex):
+        ps = self.paths.get(y)
+        if ps is None:
+            ps = self.paths[y] = ([tuple(map(self._up, p)) for p in self.base.basis_paths(self._down(y))]
+                                  if self._covers(y) else [])
+        return ps
+
+    def columns(self, b: RepArrow):
+        cols = self.mats.get(b)
+        if cols is None:
+            cols = self.mats[b] = (self.base.columns(RepArrow(b.kind, b.base, self._down(b.source),
+                                                              self._down(b.target)))
+                                   if self._covers(b.target) else ())
+        return cols
 
 
 def _disk_path(key) -> str:

@@ -3,6 +3,7 @@ import inspect
 import itertools
 import math
 import random
+import time
 from fractions import Fraction
 
 import tracemalloc
@@ -1259,7 +1260,7 @@ def test_fiber_rejects_a_negative_bound():
 
 def _twin_enumerate_subspaces(d, field):
     """_enumerate_subspaces as it was: one list holding every subspace."""
-    values = field.elements()
+    values = [field.of_int(i) for i in range(field.p)]
     out = [[]]
     for k in range(1, d + 1):
         for pivots in itertools.combinations(range(d), k):
@@ -1297,19 +1298,31 @@ def test_subspace_enumeration_holds_one_subspace_at_a_time():
     assert peak < 1 << 20
 
 
-def test_lines_over_a_large_prime_list_no_field_elements(monkeypatch):
-    """A one-dimensional stalk has no free entries, so its 2 subspaces come without
-    listing the field: fiber over GF(2^31 - 1) answers as over GF(2) at once."""
-    def unlisted(field):
-        raise AssertionError(f"GF({field.p}) listed its elements")
+def test_planes_over_a_large_prime_draw_their_free_entries_one_at_a_time():
+    """The first 4 subspaces of GF(1,000,003)^2, in the old order, come at once and in
+    little memory: no pool of field elements is listed for the lines with a free entry."""
+    field = PrimeField(1_000_003)
+    start = time.perf_counter()
+    tracemalloc.start()
+    try:
+        first = list(itertools.islice(_enumerate_subspaces(2, field), 4))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - start < 0.1
+    assert peak < 1 << 20
+    assert first == [[]] + [[[field.one, field.of_int(c)]] for c in range(3)]
 
+
+def test_lines_over_a_large_prime_list_no_field_elements():
+    """A one-dimensional stalk has no free entries, so its 2 subspaces come at once:
+    fiber over GF(2^31 - 1) answers as over GF(2)."""
     big = 2147483647
     u = parse_vertex("1'@1")
     x = sigma_inv(u)
     w4 = Window(0, 4)
     M = SModulePoint.semisimple(A2, w4, {u: 1})
     small = fiber(M, {x: 1}, 2, w4)
-    monkeypatch.setattr(PrimeField, "elements", unlisted)
     field = PrimeField(big)
     assert list(_enumerate_subspaces(1, field)) == [[], [[field.one]]]
     res = fiber(M, {x: 1}, big, w4)

@@ -157,7 +157,7 @@ def test_pointwise_finiteness_row_sums():
     # total Hom dimension out of any vertex over a window is finite and,
     # for Dynkin quivers, stabilizes level by level (here: vanishes above)
     fun = sweep(KZ, parse_vertex("1@0"), W6)
-    total = sum(fun.dims.values())
+    total = sum(fun.dim(v) for v in KZ.vertices_in(W6))
     assert 0 < total <= 3
     assert all(fun.dim(RepVertex(n, 4)) == 0 for n in A2.vertices)
 
@@ -191,12 +191,9 @@ def test_cache_determinism_and_disk_round_trip(tmp_path):
     enable_disk_cache(str(tmp_path))
     try:
         f1 = sweep(KZ, parse_vertex("1@0"), Window(0, 2))
-        dims1 = dict(f1.dims)
-        mats1 = {a.key(): m for a, m in f1.mats.items()}
         clear_cache()
         f2 = sweep(KZ, parse_vertex("1@0"), Window(0, 2))  # now loaded from disk
-        assert dict(f2.dims) == dims1
-        assert {a.key(): m for a, m in f2.mats.items()} == mats1
+        assert f2 is not f1 and _same_sweep(f2, f1)
         assert list(tmp_path.glob("hom-*.log"))
     finally:
         enable_disk_cache(None)
@@ -214,8 +211,8 @@ def test_disk_record_stored_loaded_and_stored_again_is_identical(tmp_path):
         first = path.read_bytes()
         clear_cache()
         loaded = sweep(ctx, x, w)  # read back from the log
-        assert loaded is not computed and loaded.mats == computed.mats
-        entries = [e for m in loaded.mats.values() for col in m for e in col.values()]
+        assert loaded is not computed and _same_sweep(loaded, computed)
+        entries = _entries(loaded)
         assert entries and all(type(e) is int for e in entries)
         path.unlink()
         mesh_hom._disk_store(loaded, (ctx.cache_key(), w.lo, w.hi, x, "QQ"))
@@ -352,14 +349,23 @@ def _counting_sweep(monkeypatch):
 
 def _dense(fun, a):
     """The matrix of the arrow a in fun as rows: zero where a column holds no entry."""
-    cols = fun.mats.get(a, ())
-    return [[col.get(r, QQ.zero) for col in cols] for r in range(fun.dim(a.target))]
+    return [[col.get(r, QQ.zero) for col in fun.columns(a)] for r in range(fun.dim(a.target))]
 
 
 def _same_sweep(fun, other):
-    """Equal dims, paths and matrices, each dict with the same key order."""
-    return all(list(a.items()) == list(b.items())
-               for a, b in ((fun.dims, other.dims), (fun.paths, other.paths), (fun.mats, other.mats)))
+    """fun and other read alike through the accessors: dim, basis_paths and columns at every
+    vertex and arrow of fun's window slice widened by a level each way (so the zero answers
+    below the source and above the window count too), and reduce_path of every basis path."""
+    rq = fun.ctx._slice(Window(fun.window.lo - 1, fun.window.hi + 1))
+    return (all(fun.dim(v) == other.dim(v) and fun.basis_paths(v) == other.basis_paths(v)
+                for v in rq.vertices)
+            and all(list(fun.columns(b)) == list(other.columns(b)) for b in rq.arrows)
+            and all(fun.reduce_path(p) == other.reduce_path(p) for v in rq.vertices for p in fun.basis_paths(v)))
+
+
+def _entries(fun):
+    """Every matrix entry of a sweep, read through columns over its window slice."""
+    return [x for b in fun.ctx._slice(fun.window).arrows for col in fun.columns(b) for x in col.values()]
 
 
 def _damage(data, damage):
@@ -660,6 +666,7 @@ ctx, w = MeshContext(a_n_quiver(2), "RC"), Window(0, 4)
 sources = [s for s in ctx.vertices_in(w) if len(sys.argv) < 4 or s.key() in sys.argv[3:]]
 mesh_hom.enable_disk_cache(sys.argv[2])
 real = mesh_hom._sweep
+rq = ctx._slice(w)
 if sys.argv[1] == "write":
     print("ready", flush=True)
     sys.stdin.readline()
@@ -669,7 +676,8 @@ if sys.argv[1] == "write":
 else:
     computed = []
     mesh_hom._sweep = lambda *a: computed.append(a) or real(*a)
-    same = [(f.dims, f.paths, f.mats) == (g.dims, g.paths, g.mats)
+    same = [all(f.dim(v) == g.dim(v) and f.basis_paths(v) == g.basis_paths(v) for v in rq.vertices)
+            and all(list(f.columns(b)) == list(g.columns(b)) for b in rq.arrows)
             for f, g in ((mesh_hom.sweep(ctx, s, w), real(ctx, s, w, QQ)) for s in sources)]
     print(json.dumps({"computed": len(computed), "same": sum(same), "sources": len(sources)}))
 """
@@ -896,8 +904,8 @@ def test_two_cli_runs_on_one_cache_directory_agree(tmp_path):
 
 def _counting_translate(monkeypatch):
     translated = []
-    real = mesh_hom._translate
-    monkeypatch.setattr(mesh_hom, "_translate", lambda *a: translated.append(a[2]) or real(*a))
+    real = mesh_hom._Translate
+    monkeypatch.setattr(mesh_hom, "_Translate", lambda *a: translated.append(a[1]) or real(*a))
     return translated
 
 
@@ -936,6 +944,25 @@ def test_configured_contexts_are_never_translated(config, monkeypatch):
     finally:
         clear_cache()
     assert translated == []
+
+
+@pytest.mark.parametrize("quiver, flavor", [(A2, "RC"), (a_n_quiver(3), "SC"), (d4_quiver(), "kZQ"),
+                                            (kronecker_quiver(2), "kZQ")], ids=["A2-RC", "A3-SC", "D4-kZQ", "K2-kZQ"])
+def test_a_translate_reads_a_base_swept_on_a_taller_other_window(quiver, flavor, monkeypatch):
+    """Sweeps held over [-1, 6] serve every request over [1, 4] as views that copy nothing."""
+    monkeypatch.setattr(mesh_hom, "_DISK_DIR", None)
+    ctx, tall, w = MeshContext(quiver, flavor), Window(-1, 6), Window(1, 4)
+    clear_cache()
+    try:
+        bases = {(v.node, v.frozen): sweep(ctx, v, tall) for v in ctx.vertices_in(tall) if v.level == -1}
+        for v in ctx.vertices_in(w):
+            fun = sweep(ctx, v, w)
+            assert isinstance(fun, mesh_hom._Translate) and fun.base is bases[(v.node, v.frozen)]
+            assert (fun.shift, fun.base.window) == (v.level + 1, tall)
+            assert fun.dims == fun.paths == fun.mats == {}  # nothing is read off the base until asked
+            assert _same_sweep(fun, mesh_hom._sweep(ctx, v, w, QQ)), v
+    finally:
+        clear_cache()
 
 
 def test_ascending_sweeps_store_one_record_per_node_and_load_in_a_fresh_process(tmp_path, monkeypatch):
@@ -1027,7 +1054,7 @@ def test_fraction_entries_round_trip_through_a_record(tmp_path, monkeypatch):
     every other entry as an int, and the loaded sweep stores the same bytes."""
     source, key = parse_vertex("1@0"), (RC.cache_key(), RC4.lo, RC4.hi, parse_vertex("1@0"), "QQ")
     fun = mesh_hom._sweep(RC, source, RC4, QQ)
-    cols = [col for m in fun.mats.values() for col in m if col]
+    cols = [col for b in RC._slice(RC4).arrows for col in fun.columns(b) if col]
     for col, x in ((cols[0], Fraction(1, 2)), (cols[-1], Fraction(-3, 4))):
         col[next(iter(col))] = x
     clear_cache()
@@ -1041,7 +1068,7 @@ def test_fraction_entries_round_trip_through_a_record(tmp_path, monkeypatch):
         computed = _counting_sweep(monkeypatch)
         loaded = sweep(RC, source, RC4)
         assert computed == [] and loaded is not fun and _same_sweep(loaded, fun)
-        entries = [x for m in loaded.mats.values() for col in m for x in col.values()]
+        entries = _entries(loaded)
         assert sorted(x for x in entries if type(x) is Fraction) == [Fraction(-3, 4), Fraction(1, 2)]
         assert all(type(x) in (int, Fraction) for x in entries)
         path.unlink()

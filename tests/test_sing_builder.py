@@ -188,6 +188,19 @@ def test_d4_double_arrow_in_report():
     assert report.arrow_count(parse_vertex("0'@1"), parse_vertex("0'@3")) == 2
 
 
+def test_d4_relation_counts_equal_the_ext2_oracle():
+    """Every relation count of the D4 report over [0, 5] is dim Ext^2 between the simples,
+    by syzygies: each reported pair, and each pair left at zero from a source the report
+    does not list as partial."""
+    q, w = d4_quiver(), Window(0, 5)
+    report = build_sing_quiver(q, None, w)
+    pairs = set(report.relations) | {(u, u2) for u in report.vertices if u not in report.partial
+                                     for u2 in report.vertices}
+    assert len(pairs) == 315 and any(report.relations.values())
+    for u, u2 in sorted(pairs):
+        assert report.relations.get((u, u2), 0) == ext_oracle(q, None, w, u2, u, 2), (u, u2)
+
+
 def test_report_json_and_dot():
     report = build_sing_quiver(A2, None, Window(0, 4))
     data = report.to_json()
