@@ -443,18 +443,21 @@ class OpSCategoryWindow:
         self.field = base.field
         self.objects = list(reversed(base.objects))
         self.obj_index = {u: i for i, u in enumerate(self.objects)}
+        self._pairs: Optional[List[tuple]] = None  # made on first use
 
     def dim(self, u: RepVertex, v: RepVertex) -> int:
         return self.base.dim(v, u)
 
     def hom_pairs(self):
-        # base.dim(v, u) sweeps from v: the lowest v is asked first, so in a tau-invariant
-        # context each node's first sweep is its tallest and serves the others by translation
-        dims = {v: [self.base.dim(v, u) for u in self.objects] for v in self.base.objects}
-        for i, u in enumerate(self.objects):
-            for v in self.objects:
-                if dims[v][i] > 0:
-                    yield u, v, dims[v][i]
+        """All ordered object pairs with a nonzero morphism space, as a table built on the
+        first call: the base's Hom data is fixed until mesh_hom.clear_cache()."""
+        if self._pairs is None:
+            # base.dim(v, u) sweeps from v: the lowest v is asked first, so in a tau-invariant
+            # context each node's first sweep is its tallest and serves the others by translation
+            dims = {v: [self.base.dim(v, u) for u in self.objects] for v in self.base.objects}
+            self._pairs = [(u, v, dims[v][i]) for i, u in enumerate(self.objects)
+                           for v in self.objects if dims[v][i] > 0]
+        return self._pairs
 
     def generators(self, u: RepVertex, v: RepVertex) -> List[int]:
         return self.base.generators(v, u)

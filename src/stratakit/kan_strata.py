@@ -131,14 +131,24 @@ class WindowRep:
         levels = [v.level for v in self.dims]
         return min(levels), max(levels)
 
-    def path_matrix(self, path) -> list:
-        """The action of a path, composed contravariantly along its arrows."""
+    def path_matrix(self, path, products=None) -> list:
+        """The action of a path, composed contravariantly along its arrows, multiplied from
+        its first arrow on.  With a dict of products, the product of every prefix is kept
+        there and the longest one kept is taken up, so paths sharing a prefix multiply it
+        once, in the same order."""
         if not path:
             raise InvalidInputError("path_matrix needs a nonempty path; identities are implicit")
-        out = self.mat(path[0])
+        path = tuple(path)
+        products = {} if products is None else products
+        n = len(path)
+        while n > 1 and path[:n] not in products:
+            n -= 1
+        out = products[path[:n]] if n > 1 else self.mat(path[0])
         rows = self.dim(path[0].source)
-        for a in path[1:]:
-            out = _mul(out, self.mat(a), rows, self.dim(a.source), self.dim(a.target), self.field)
+        for i in range(n, len(path)):
+            a = path[i]
+            out = products[path[:i + 1]] = _mul(out, self.mat(a), rows, self.dim(a.source), self.dim(a.target),
+                                                self.field)
         return out
 
     def equal_data(self, other: "WindowRep") -> bool:
@@ -385,11 +395,12 @@ def restrict(rep: WindowRep) -> SModulePoint:
     cat = window_category(rep.q, rep.config, rep.window, rep.field)
     zero = rep.field.zero
     act = {}
+    products = {}  # basis paths form a prefix tree: each prefix is multiplied once
     for u, v, dk in cat.hom_pairs():
         if u == v or rep.dim(u) == 0 or rep.dim(v) == 0:
             continue
         for k in range(dk):
-            m = rep.path_matrix(cat.basis_paths(u, v)[k])
+            m = rep.path_matrix(cat.basis_paths(u, v)[k], products)
             if any(x != zero for row in m for x in row):
                 act[(u, v, k)] = m
     return SModulePoint(cat, CatModule(cat, {u: rep.dim(u) for u in cat.objects}, act))

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .errors import InvalidInputError
+from .errors import InternalConsistencyError, InvalidInputError
 from .exact_linalg import QQ, mat_vec, quotient_coords, reference_rref
 from .quiver_core import (
     Configuration,
@@ -115,7 +115,9 @@ class HomFunctor:
     is held as its columns, one per basis element of Hom(source, y), each a
     dict of its nonzero coordinates in the basis at v.  kept[v] lists the
     generators whose classes form that basis (see _sweep): 0, the identity,
-    at the source.
+    at the source.  The column of the kept generator kept[v][k] is the unit
+    vector {k: 1}, so only the dropped generators' columns carry
+    information, and a disk record holds those alone.
     """
 
     def __init__(self, ctx: MeshContext, source: RepVertex, window: Window, field):
@@ -260,11 +262,15 @@ def _sweep(ctx: MeshContext, source: RepVertex, window: Window, field) -> HomFun
 # Cache.  Append-only: concurrent readers are safe, insertion is exclusive.
 # On disk, one append-only log per (context, window, field) holds one line
 # per stored sweep (a translate is a view of one and is never stored): the
-# escaped source key, a tab, then the compact JSON [version, repr(key), kept,
-# mats].  kept holds each slice vertex's kept generator indices, from which
-# the basis paths are rebuilt (_kept_paths); mats holds, for each arrow into
-# the levels the sweep covers in slice order, its columns as alternating row
-# indices and nonzero rationals (ints or "p/q" strings).
+# escaped source key, a tab, then the compact JSON [4, entries].  The log's
+# name hashes the context, window and field and the line's prefix names the
+# source, so a record repeats neither.  entries holds [i, g, r, x, r, x, ...]
+# for each dropped generator, in increasing (i, g): i is its vertex's index
+# in slice order, g its index among that vertex's generators, then the
+# nonzero coordinates of its class over the kept basis, row index and value
+# (an int or a "p/q" string) alternating.  A kept generator's column is its
+# unit vector, so the kept lists, dimensions, basis paths (_kept_paths) and
+# every column follow from a walk of the slice in the order _sweep takes.
 # ---------------------------------------------------------------------------
 
 _CACHE: Dict[tuple, HomFunctor] = {}
@@ -274,7 +280,7 @@ _CACHE: Dict[tuple, HomFunctor] = {}
 _TALLEST: Dict[tuple, HomFunctor] = {}
 _CACHE_LOCK = threading.Lock()
 _DISK_DIR: Optional[str] = None
-_DISK_VERSION = 3
+_DISK_VERSION = 4
 
 
 class _Log:
@@ -456,16 +462,41 @@ def _stored_column(col) -> list:
     return out
 
 
-def _disk_store(fun: HomFunctor, key):
+def _dropped_entries(fun: HomFunctor):
+    """[i, g, *stored class] for each dropped generator g at the i-th slice vertex, in
+    increasing (i, g).  Raises InternalConsistencyError where a kept generator's column is
+    not its unit vector, or a kept list names a generator the vertex does not have, since
+    a record that omits the kept columns could not restore them."""
     rq = fun.ctx._slice(fun.window)
+    for i, v in enumerate(rq.vertices):
+        if v == fun.source:  # its one generator, the identity, is no arrow's column
+            continue
+        kept, g, k = fun.kept[v], 0, 0  # k: the position of the next kept generator
+        for b in rq.in_arrows(v):
+            for col in fun.columns(b):
+                if k < len(kept) and kept[k] == g:
+                    if col != {k: 1}:
+                        raise InternalConsistencyError(
+                            f"the sweep of Hom({fun.source}, -) on the window {fun.window.to_json()} holds the "
+                            f"column {col} for the kept generator {g} at {v}, not its unit vector")
+                    k += 1
+                else:
+                    yield [i, g] + _stored_column(col)
+                g += 1
+        if k != len(kept):
+            raise InternalConsistencyError(
+                f"the sweep of Hom({fun.source}, -) on the window {fun.window.to_json()} keeps the generators "
+                f"{kept} at {v}, which has {g}")
+
+
+def _disk_store(fun: HomFunctor, key):
     compact = json.JSONEncoder(separators=(",", ":")).encode
-    kept = compact([fun.kept[v] for v in rq.vertices])
-    # Encoded arrow by arrow, in slice order: one encode of the whole record
-    # would hold a string per number until the end.
-    mats = ",".join(compact([_stored_column(col) for col in m]) for m in fun.mats.values())
+    # Encoded entry by entry: one encode of the whole record would hold a
+    # string per number until the end.
+    entries = ",".join(map(compact, _dropped_entries(fun)))
     skey = _source_key(fun.source).decode("ascii")
-    line = f"\n{skey}\t[{_DISK_VERSION},{compact(repr(key))},{kept},[{mats}]]\n"
-    del kept, mats
+    line = f"\n{skey}\t[{_DISK_VERSION},[{entries}]]\n"
+    del entries
     data = line.encode()
     del line
     # One write on an O_APPEND descriptor: concurrent appends never interleave,
@@ -494,18 +525,23 @@ def _disk_load(ctx: MeshContext, source: RepVertex, window: Window, key) -> Opti
     skey = _source_key(source)
     while True:
         for raw in log.records.pop(skey, ()):
-            fun = _decode(ctx, source, window, key, raw)
+            fun = _decode(ctx, source, window, raw)
             if fun is not None:
                 return fun
         if not log.read_new():
             return None
 
 
-def _decode(ctx: MeshContext, source: RepVertex, window: Window, key, raw: bytes) -> Optional[HomFunctor]:
-    """The sweep a record holds, or None unless each kept list increases within its vertex's
-    generators ([0] at the source) and each column lists rows of its matrix once, nonzero."""
+def _decode(ctx: MeshContext, source: RepVertex, window: Window, raw: bytes) -> Optional[HomFunctor]:
+    """The sweep a record holds, or None unless its entries increase in (i, g), each at a
+    vertex above the source and inside that vertex's generators, with a class whose rows
+    lie in the matrix, each once, with nonzero rational values.
+
+    The slice is walked as _sweep walks it: the generators at a vertex are its
+    in-arrows in slice order, each after every basis path at its source; those
+    the record does not list are kept, and each kept column is its unit vector.
+    """
     rq = ctx._slice(window)
-    vertices = rq.vertices
     fracs: Dict[str, Fraction] = {}  # equal "p/q" entries share one Fraction
 
     def rational(x):  # a nonzero int, or a "p/q" string of a rational that is not one
@@ -520,31 +556,56 @@ def _decode(ctx: MeshContext, source: RepVertex, window: Window, key, raw: bytes
         return x
 
     try:
-        version, rkey, kept, mats = json.loads(raw)
-        if version != _DISK_VERSION or rkey != repr(key) or len(kept) != len(vertices):
+        version, entries = json.loads(raw)
+        if version != _DISK_VERSION or type(entries) is not list:
             return None
+        last = (-1, -1)
+        for ent in entries:
+            if (type(ent) is not list or len(ent) < 2 or len(ent) % 2 or type(ent[0]) is not int
+                    or type(ent[1]) is not int or ent[1] < 0 or (ent[0], ent[1]) <= last):
+                return None
+            last = (ent[0], ent[1])
         fun = HomFunctor(ctx, source, window, QQ)
-        dims, paths = fun.dims, fun.paths
-        for v, ks in zip(vertices, kept):
-            if (type(ks) is not list or any(type(g) is not int for g in ks) or ks != sorted(set(ks))
-                    or ks and ks[0] < 0 or (v == source and ks != [0])):
-                return None
-            fun.kept[v], dims[v] = ks, len(ks)
-            # an index past the vertex's generators raises IndexError in _kept_paths
-            paths[v] = [()] if v == source else _kept_paths(rq.in_arrows(v), paths, ks)
-        arrows = [b for b in rq.arrows if b.target.level >= source.level]  # one matrix each, in slice order
-        if type(mats) is not list or len(mats) != len(arrows):
-            return None
-        for b, m in zip(arrows, mats):
-            rows = dims[b.target]
-            if type(m) is not list or len(m) != dims[b.source] or any(type(flat) is not list for flat in m):
-                return None
-            cols = fun.mats[b] = [{flat[i]: rational(flat[i + 1]) for i in range(0, len(flat), 2)} for flat in m]
-            # each column lists rows inside the matrix, each once
-            if any(2 * len(col) != len(flat) or any(type(r) is not int or not 0 <= r < rows for r in col)
-                   for col, flat in zip(cols, m)):
-                return None
-    except (ValueError, TypeError, IndexError, ZeroDivisionError):
+        dims, paths, kept, mats = fun.dims, fun.paths, fun.kept, fun.mats
+        e = 0  # the next entry; the walk takes an entry only at its own vertex above the source
+        for i, v in enumerate(rq.vertices):
+            if v.level < source.level:
+                dims[v], paths[v], kept[v] = 0, [], []
+                continue
+            in_arrows = rq.in_arrows(v)
+            if v == source:
+                dims[v], paths[v], kept[v] = 1, [()], [0]
+                for b in in_arrows:
+                    mats[b] = []
+                continue
+            gen_dim = sum(dims[b.source] for b in in_arrows)
+            dropped = {}
+            while e < len(entries) and entries[e][0] == i:
+                if entries[e][1] >= gen_dim:
+                    return None
+                dropped[entries[e][1]] = entries[e]
+                e += 1
+            ks = kept[v] = [g for g in range(gen_dim) if g not in dropped]
+            dims[v] = rows = len(ks)
+            paths[v] = _kept_paths(in_arrows, paths, ks)
+            g = k = 0
+            for b in in_arrows:
+                cols = mats[b] = []
+                for _ in range(dims[b.source]):
+                    ent = dropped.get(g)
+                    if ent is None:
+                        cols.append({k: 1})
+                        k += 1
+                    else:
+                        col = {ent[j]: rational(ent[j + 1]) for j in range(2, len(ent), 2)}
+                        # each row inside the matrix, once
+                        if 2 * len(col) != len(ent) - 2 or any(type(r) is not int or not 0 <= r < rows for r in col):
+                            return None
+                        cols.append(col)
+                    g += 1
+        if e != len(entries):
+            return None  # entries at or below the source, or past the slice
+    except (ValueError, TypeError, ZeroDivisionError):
         return None  # unreadable, truncated or malformed: try the next record, else recompute
     return fun
 

@@ -166,6 +166,22 @@ def _injective_case():
     return cat, module, [u for u in cat.objects if u.level == 0]
 
 
+def test_op_hom_pairs_are_tabled_once_per_category(monkeypatch):
+    """OpSCategoryWindow.hom_pairs reads the base's Hom dimensions on its first call only, and
+    lists, in its object order, every pair the base lists reversed."""
+    cat = SCategoryWindow(A2, None, Window(0, 6))
+    opcat = OpSCategoryWindow(cat)
+    asked = []
+    real = SCategoryWindow.dim
+    monkeypatch.setattr(SCategoryWindow, "dim", lambda self, u, v: asked.append((u, v)) or real(self, u, v))
+    first = list(opcat.hom_pairs())
+    assert len(asked) == len(cat.objects) ** 2
+    assert list(opcat.hom_pairs()) == first and len(asked) == len(cat.objects) ** 2
+    monkeypatch.undo()
+    assert first == [(u, v, opcat.dim(u, v)) for u in opcat.objects for v in opcat.objects if opcat.dim(u, v)]
+    assert sorted(first) == sorted((v, u, d) for u, v, d in cat.hom_pairs())
+
+
 def test_kernel_submodule_matches_dense_twin_on_the_op_resolution():
     cat, module, _ = _injective_case()
     opcat = OpSCategoryWindow(cat)

@@ -2,7 +2,8 @@
 
 Each CLI case runs `strata-kit` in-process on the small A2, D4 and
 Kronecker fixtures in tests/golden/ and compares exit code, stdout and
-stderr byte for byte with tests/golden/cli_expected.json.  The library
+stderr byte for byte with tests/golden/cli_expected.json, with the disk
+cache off, and again cold and then warm through one cache directory.  The library
 cases pin the results of `stabilize`, `kan_left` with the canonical map,
 `ext_dim` and `ext_from_injective_multi` in tests/golden/library_expected.json.
 
@@ -11,6 +12,7 @@ test: a refactor that changes a chosen basis, a matrix entry or an error
 message fails here.
 """
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -19,7 +21,7 @@ from stratakit import mesh_hom
 from stratakit.catmod import CatModule, SCategoryWindow, ext_dim, ext_from_injective_multi, simple_module
 from stratakit.cli import build_parser, main
 from stratakit.errors import StrataKitError
-from stratakit.exact_linalg import format_fraction
+from stratakit.exact_linalg import QQ, format_fraction
 from stratakit.kan_strata import WindowRep, can_matrices, kan_left, kan_right, restrict, stabilize
 from stratakit.quiver_core import Window, a_n_quiver
 
@@ -121,6 +123,57 @@ def test_cli_bytes(name, capsys, tmp_path):
     assert got.err == want["stderr"]
     if "dot" in want:
         assert dot.read_text() == want["dot"]
+
+
+def _sweeps_computed_for_sweep(monkeypatch):
+    """The sources of the rational sweeps that mesh_hom.sweep computes, the ones it stores
+    with a disk cache on; dq_engine's node-map sweeps and sweeps over a prime field are
+    never stored, so they are not counted."""
+    computed = []
+    real = mesh_hom._sweep
+
+    def counting(ctx, source, window, field):
+        if field is QQ and sys._getframe(1).f_code is mesh_hom.sweep.__code__:
+            computed.append(source)
+        return real(ctx, source, window, field)
+
+    monkeypatch.setattr(mesh_hom, "_sweep", counting)
+    return computed
+
+
+@pytest.mark.parametrize("name", sorted(CLI_CASES))
+def test_cli_bytes_cold_then_warm_through_one_disk_cache(name, capsys, tmp_path, monkeypatch):
+    """The same bytes with STRATAKIT_CACHE_DIR set: once on an empty cache directory, then,
+    with the memory cache cleared as in a second invocation, on what the first run stored.
+    The warm run loads every sweep the cold run computed and stored, computes none, and
+    appends nothing."""
+    want = _expected("cli_expected.json")[name]
+    cache = tmp_path / "cache"
+    monkeypatch.setenv("STRATAKIT_CACHE_DIR", str(cache))
+    computed = _sweeps_computed_for_sweep(monkeypatch)
+    loaded = []
+    real_decode = mesh_hom._decode
+    monkeypatch.setattr(mesh_hom, "_decode", lambda *a: _noted(loaded, a[1], real_decode(*a)))
+    runs = []
+    for run in ("cold", "warm"):
+        mesh_hom.clear_cache()
+        computed.clear()
+        loaded.clear()
+        dot = tmp_path / f"{run}.dot"
+        code = main(_argv(CLI_CASES[name], dot))
+        got = capsys.readouterr()
+        assert (code, got.out, got.err) == (want["exit"], want["stdout"], want["stderr"]), run
+        if "dot" in want:
+            assert dot.read_text() == want["dot"]
+        runs.append((list(computed), list(loaded), {p.name: p.read_bytes() for p in cache.iterdir()}))
+    (cold_computed, _, cold_logs), (warm_computed, warm_loaded, warm_logs) = runs
+    assert warm_computed == [] and warm_loaded == cold_computed and warm_logs == cold_logs
+
+
+def _noted(seen, source, fun):
+    if fun is not None:
+        seen.append(source)
+    return fun
 
 
 def _rep(name):

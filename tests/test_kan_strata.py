@@ -289,6 +289,44 @@ def test_base_change_rejects_a_singular_or_misshapen_matrix():
         base_change(gf, {v: [[gf.field.of_int(1), gf.field.of_int(1)], [gf.field.of_int(-1), gf.field.of_int(2)]]})
 
 
+def _plain_path_matrix(rep, path):
+    """The twin of path_matrix without products: every arrow multiplied in, from the first on."""
+    out = rep.mat(path[0])
+    for a in path[1:]:
+        out = kan_strata._mul(out, rep.mat(a), rep.dim(path[0].source), rep.dim(a.source), rep.dim(a.target),
+                              rep.field)
+    return out
+
+
+@pytest.mark.parametrize("quiver, window", [(A2, Window(0, 4)), (d4_quiver(), Window(0, 3)),
+                                            (kronecker_quiver(), Window(0, 3))], ids=["A2", "D4", "K2"])
+def test_restrict_multiplies_each_prefix_once_and_matches_the_plain_products(quiver, window, monkeypatch):
+    """restrict's action tables hold the product of each basis path's arrow matrices taken
+    from its first arrow on, equal entry by entry and type by type, and it multiplies each
+    prefix of two or more arrows once."""
+    rep = random_window_rep(quiver, window, random.Random(3), dim_choices=(1, 2))
+    cat = kan_strata.window_category(rep.q, rep.config, rep.window, rep.field)
+    paths = [(u, v, k, cat.basis_paths(u, v)[k]) for u, v, dk in cat.hom_pairs()
+             if u != v and rep.dim(u) and rep.dim(v) for k in range(dk)]
+    prefixes = {p[:n] for _, _, _, p in paths for n in range(2, len(p) + 1)}
+    calls = []
+    real = kan_strata._mul
+    monkeypatch.setattr(kan_strata, "_mul", lambda *a: calls.append(a) or real(*a))
+    act = restrict(rep).module.act
+    assert len(calls) == len(prefixes) > 0
+    monkeypatch.undo()
+    nonzero = 0
+    for u, v, k, p in paths:
+        want = _plain_path_matrix(rep, p)
+        if any(x for row in want for x in row):
+            nonzero += 1
+            assert [[(x, type(x)) for x in row] for row in act[(u, v, k)]] == [[(x, type(x)) for x in row]
+                                                                                for row in want]
+        else:
+            assert (u, v, k) not in act
+    assert nonzero == len(act) > 0
+
+
 def test_restrict_representable_values():
     u0 = parse_vertex("2'@2")
     rep = representable_rep(A2, W, u0)

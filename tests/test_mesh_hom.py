@@ -8,9 +8,10 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from stratakit import mesh_hom
-from stratakit.errors import InvalidInputError
+from stratakit.errors import InternalConsistencyError, InvalidInputError
 from stratakit.mesh_hom import (
     MeshContext,
     Morphism,
@@ -288,7 +289,7 @@ def test_second_sweep_returns_cached_functor():
 
 def test_disk_file_name_keeps_its_key_format(tmp_path):
     # The log name hashes repr((quiver JSON|flavor|configuration, lo, hi, field)); each
-    # line is the source key, a tab and [version, repr(sweep key), kept, mats].
+    # line is the source key, a tab and [4, entries], the dropped generators' classes.
     clear_cache()
     enable_disk_cache(str(tmp_path))
     try:
@@ -301,9 +302,12 @@ def test_disk_file_name_keeps_its_key_format(tmp_path):
         assert mesh_hom._disk_path(key) == str(expected)
         assert mesh_hom._disk_path(key[:3] + (parse_vertex("2@1"), "QQ")) == str(expected)
         assert list(tmp_path.glob("hom-*")) == [expected]
-        assert expected.read_bytes().startswith(b"\n1'@0\t[3,")
+        line = expected.read_bytes()
+        assert line.startswith(b"\n1'@0\t[4,[[")
+        # the name and the prefix identify the sweep: the record repeats no part of its key
+        assert b"vertices" not in line and b"RC" not in line and b"period" not in line
         ((prefix, record),) = _records(expected)
-        assert prefix == b"1'@0" and record[:2] == [3, repr(key)]
+        assert prefix == b"1'@0" and record[0] == 4 and len(record) == 2
     finally:
         enable_disk_cache(None)
         clear_cache()
@@ -368,50 +372,62 @@ def _entries(fun):
     return [x for b in fun.ctx._slice(fun.window).arrows for col in fun.columns(b) for x in col.values()]
 
 
-def _damage(data, damage):
-    """A version-3 record [version, key, kept, mats] with one fault."""
-    kept, mats = data[2], data[3]
-    ks = next(ks for ks in kept if len(ks) > 1)
-    col = next(col for m in mats for col in m if col)
+def _damage(data, damage, at):
+    """A version-4 record [4, entries] of a sweep from the at-th slice vertex, with one fault.
+    Each damage of a version-3 record [3, key, kept, mats] keeps its name for the fault of
+    the new layout that stands in for it; the last four have no version-3 counterpart."""
+    entries = data[1]
+    ent = entries[0]  # an entry with one coordinate
+    assert len(ent) == 4 and any(e[0] == f[0] for e, f in zip(entries, entries[1:]))
     if damage == "wrong-shape":
-        del kept[-1]  # one vertex short
+        data.append([])  # a third item
     elif damage == "short-matrix":
-        next(m for m in mats if m).pop()  # one column short
+        del ent[1:]  # no generator index
     elif damage == "missing-matrix":
-        mats.pop()  # an arrow would act by zero
+        del data[1]  # no entries
     elif damage == "extra-matrix":
-        mats.append([])
+        entries.append([entries[-1][0] + 1, 0])  # one vertex past the slice: left over after the walk
     elif damage == "kept-out-of-range":
-        ks[-1] = 10 ** 6
+        entries[-1][1] = 10 ** 6  # past the vertex's generators
     elif damage == "kept-not-increasing":
-        ks[0], ks[1] = ks[1], ks[0]
+        k = next(k for k, (e, f) in enumerate(zip(entries, entries[1:])) if e[0] == f[0])
+        entries[k], entries[k + 1] = entries[k + 1], entries[k]  # two generators of one vertex swapped
     elif damage == "kept-repeated":
-        ks[1] = ks[0]
+        entries.insert(1, list(ent))
     elif damage == "kept-negative":
-        ks[0] = -1
+        ent[1] = -1
     elif damage == "row-outside":
-        col[0] = 10 ** 6
+        ent[2] = 10 ** 6
     elif damage == "row-negative":
-        col[0] = -1
+        ent[2] = -1
     elif damage == "row-repeated":
-        col.extend(col[:2])
+        ent.extend(ent[2:4])
     elif damage == "stored-zero":
-        col[1] = 0
+        ent[3] = 0
     elif damage == "integral-fraction":
-        col[1] = f"{2 * col[1]}/2"
+        ent[3] = f"{2 * ent[3]}/2"
     elif damage == "odd-column":
-        col.pop()
+        ent.pop()
     elif damage == "not-an-object":
         return {"record": data}
+    elif damage == "vertex-out-of-range":
+        entries[-1][0] = 10 ** 6
+    elif damage == "entries-not-increasing":
+        entries[0], entries[-1] = entries[-1], entries[0]  # two vertices swapped
+    elif damage == "at-or-below-source":
+        entries.insert(0, [at, 0])  # the identity dropped
+    elif damage == "not-a-rational":
+        ent[3] = 0.5
     return data
 
 
 @pytest.mark.parametrize("damage", ["wrong-shape", "truncated", "short-matrix", "not-an-object", "missing-matrix",
                                     "extra-matrix", "kept-out-of-range", "kept-not-increasing", "kept-repeated",
                                     "kept-negative", "row-outside", "row-negative", "row-repeated", "stored-zero",
-                                    "integral-fraction", "odd-column"])
+                                    "integral-fraction", "odd-column", "vertex-out-of-range",
+                                    "entries-not-increasing", "at-or-below-source", "not-a-rational"])
 def test_malformed_disk_file_is_a_miss(tmp_path, monkeypatch, damage):
-    # A record with the right version and key but broken content is recomputed, not trusted.
+    # A record with the right version but broken content is recomputed, not trusted.
     ctx, source, w = MeshContext(kronecker_quiver(), "kZQ"), parse_vertex("1@0"), Window(0, 3)
     clear_cache()
     enable_disk_cache(str(tmp_path))
@@ -419,7 +435,7 @@ def test_malformed_disk_file_is_a_miss(tmp_path, monkeypatch, damage):
         good = sweep(ctx, source, w)
         (path,) = tmp_path.glob("hom-*.log")
         ((prefix, data),) = _records(path)
-        text = _record_line(prefix, _damage(data, damage))
+        text = _record_line(prefix, _damage(data, damage, ctx._slice(w).vertices.index(source)))
         if damage == "truncated":
             text = text[:len(text) // 2]
         path.write_bytes(text)
@@ -620,27 +636,27 @@ def test_failed_or_partial_append_is_a_miss_and_is_recomputed(tmp_path, monkeypa
     clear_cache()
     enable_disk_cache(str(tmp_path))
     try:
-        source, w = parse_vertex("1@0"), Window(0, 3)
+        source, w = parse_vertex("1@0"), RC4  # a record of more than 40 bytes
         monkeypatch.setattr(os, "write", _broken_write(exc))
         if isinstance(exc, OSError):
-            first = sweep(KZ, source, w)  # the sweep itself still succeeds
+            first = sweep(RC, source, w)  # the sweep itself still succeeds
         else:
             with pytest.raises(RuntimeError):
-                sweep(KZ, source, w)
-            first = mesh_hom._sweep(KZ, source, w, QQ)
+                sweep(RC, source, w)
+            first = mesh_hom._sweep(RC, source, w, QQ)
         (path,) = tmp_path.iterdir()
-        assert path.name == os.path.basename(mesh_hom._disk_path((KZ.cache_key(), w.lo, w.hi, source, "QQ")))
+        assert path.name == os.path.basename(mesh_hom._disk_path((RC.cache_key(), w.lo, w.hi, source, "QQ")))
         torn = path.read_bytes()
-        assert len(torn) == 40 and torn.startswith(b"\n1@0\t[3,") and not torn.endswith(b"\n")
+        assert len(torn) == 40 and torn.startswith(b"\n1@0\t[4,") and not torn.endswith(b"\n")
         monkeypatch.undo()
         clear_cache()
         computed = _counting_sweep(monkeypatch)
-        again = sweep(KZ, source, w)
+        again = sweep(RC, source, w)
         assert computed == [source]
         assert _same_sweep(again, first)
         assert [p.name for p in tmp_path.iterdir()] == [path.name]
         clear_cache()
-        assert _same_sweep(sweep(KZ, source, w), first) and computed == [source]  # the next append loads
+        assert _same_sweep(sweep(RC, source, w), first) and computed == [source]  # the next append loads
     finally:
         enable_disk_cache(None)
         clear_cache()
@@ -788,7 +804,7 @@ def test_malformed_record_before_a_good_one_is_skipped(tmp_path, monkeypatch):
         path, first, _, (line1, _) = _two_records(tmp_path)
         prefix, record = line1.split(b"\t")
         bad = json.loads(record)
-        next(m for m in bad[3] if m).append([])  # a matrix of the wrong shape
+        bad[1][0].append(0)  # a class of odd length
         path.write_bytes(_record_line(prefix, bad) + b"\n" + line1 + b"\n")
         size = path.stat().st_size
         computed = _counting_sweep(monkeypatch)
@@ -804,14 +820,17 @@ def test_malformed_record_before_a_good_one_is_skipped(tmp_path, monkeypatch):
 
 
 def test_negative_kept_index_is_a_miss(tmp_path, monkeypatch):
+    """A dropped generator's index counted from the end of its vertex's generators, as a
+    Python index would take it, is refused."""
     clear_cache()
     try:
         path, first, _, (line1, _) = _two_records(tmp_path)
         prefix, record = line1.split(b"\t")
         data = json.loads(record)
         rq, fun = RC._slice(RC4), mesh_hom._sweep(RC, first, RC4, QQ)
-        v, kept = next((v, ks) for v, ks in zip(rq.vertices, data[2]) if len(ks) == 1 and v != first)
-        kept[0] -= sum(fun.dim(b.source) for b in rq.in_arrows(v))  # the same generator, counted from the end
+        entry = data[1][0]
+        entry[1] -= sum(fun.dim(b.source) for b in rq.in_arrows(rq.vertices[entry[0]]))  # the same generator
+        assert entry[1] < 0
         path.write_bytes(_record_line(prefix, data))
         computed = _counting_sweep(monkeypatch)
         again = sweep(RC, first, RC4)
@@ -1023,7 +1042,7 @@ def test_a_sweep_is_refused_before_the_vertex_that_passes_its_entry_limit(quiver
 
 
 # ---------------------------------------------------------------------------
-# Version-3 records: kept generator indices and the nonzero matrix entries.
+# Version-4 records: the dropped generators' classes, nothing else.
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("quiver, flavor, w", [(A2, "RC", Window(0, 4)), (d4_quiver(), "kZQ", Window(0, 3)),
@@ -1049,12 +1068,65 @@ def test_stored_sweeps_load_as_they_were_computed(tmp_path, monkeypatch, quiver,
         clear_cache()
 
 
+ROUND_TRIP_CASES = [(q, flavor, None, w) for q, w in [(A2, Window(0, 6)), (a_n_quiver(3), Window(0, 5)),
+                                                       (d4_quiver(), Window(0, 4)), (kronecker_quiver(2), Window(0, 4)),
+                                                       (kronecker_quiver(3), Window(0, 2))]
+                    for flavor in ("kZQ", "RC", "SC")]
+ROUND_TRIP_CASES.append((A2, "RC", Configuration([parse_vertex("1@0")], period=2), Window(0, 6)))
+
+
+def _held(fun):
+    """Everything a computed or decoded sweep holds, in order and with the type of every
+    entry: dims, basis paths, kept lists and each column's (row, value, type) list."""
+    return (list(fun.dims.items()), list(fun.paths.items()), list(fun.kept.items()),
+            [(b, [[(r, x, type(x)) for r, x in col.items()] for col in cols]) for b, cols in fun.mats.items()])
+
+
+def test_every_sweep_of_small_windows_round_trips_through_a_record():
+    """Every sweep of A2, A3, D4 and the 2- and 3-Kronecker quivers over small windows, in
+    kZQ, RC and SC and under a periodic configuration, decodes from its record to what
+    _sweep computed (dims, paths, kept lists and columns, in the same order and with the
+    same int and Fraction entries), and the decoded sweep encodes to the same record."""
+    encode = json.JSONEncoder(separators=(",", ":")).encode
+    count = dropped = 0
+    for q, flavor, config, w in ROUND_TRIP_CASES:
+        ctx = MeshContext(q, flavor, config)
+        for s in ctx.vertices_in(w):
+            if flavor == "SC" and not s.frozen:
+                continue
+            fun = mesh_hom._sweep(ctx, s, w, QQ)
+            raw = encode([4, list(mesh_hom._dropped_entries(fun))]).encode()
+            loaded = mesh_hom._decode(ctx, s, w, raw)
+            assert loaded is not None and _held(loaded) == _held(fun), (ctx.cache_key(), s)
+            assert encode([4, list(mesh_hom._dropped_entries(loaded))]).encode() == raw
+            count += 1
+            dropped += raw != b"[4,[]]"
+    assert (count, dropped) == (290, 209)  # sweeps, and those with a dropped generator
+
+
+def _dropped_columns(fun):
+    """(vertex, column) for every dropped generator with a nonzero class, in slice order."""
+    rq = fun.ctx._slice(fun.window)
+    out = []
+    for v in rq.vertices:
+        if v == fun.source:
+            continue
+        g = 0
+        for b in rq.in_arrows(v):
+            for col in fun.columns(b):
+                if g not in fun.kept[v] and col:
+                    out.append((v, col))
+                g += 1
+    return out
+
+
 def test_fraction_entries_round_trip_through_a_record(tmp_path, monkeypatch):
-    """The disk layer keeps any rational: entries set to 1/2 and -3/4 load as those Fractions,
-    every other entry as an int, and the loaded sweep stores the same bytes."""
+    """The disk layer keeps any rational: entries of dropped classes set to 1/2 and -3/4 load
+    as those Fractions, every other entry as an int, and the loaded sweep stores the same
+    bytes."""
     source, key = parse_vertex("1@0"), (RC.cache_key(), RC4.lo, RC4.hi, parse_vertex("1@0"), "QQ")
     fun = mesh_hom._sweep(RC, source, RC4, QQ)
-    cols = [col for b in RC._slice(RC4).arrows for col in fun.columns(b) if col]
+    cols = [col for _, col in _dropped_columns(fun)]
     for col, x in ((cols[0], Fraction(1, 2)), (cols[-1], Fraction(-3, 4))):
         col[next(iter(col))] = x
     clear_cache()
@@ -1079,9 +1151,41 @@ def test_fraction_entries_round_trip_through_a_record(tmp_path, monkeypatch):
         clear_cache()
 
 
+@pytest.mark.parametrize("fault", ["scaled", "moved", "extra-entry", "kept-past-the-generators"])
+def test_a_sweep_whose_kept_columns_are_not_unit_vectors_is_not_stored(tmp_path, fault):
+    """A record holds no kept column, so _disk_store raises InternalConsistencyError, and
+    writes nothing, when a kept generator's column is not its unit vector or a kept list
+    names a generator its vertex does not have."""
+    ctx, source, w = MeshContext(kronecker_quiver(), "kZQ"), parse_vertex("1@0"), Window(0, 3)
+    key = (ctx.cache_key(), w.lo, w.hi, source, "QQ")
+    fun = mesh_hom._sweep(ctx, source, w, QQ)
+    rq = ctx._slice(w)
+    v = next(v for v in rq.vertices if len(fun.kept[v]) == 2)
+    b = next(b for b in rq.in_arrows(v) if fun.columns(b))
+    col = fun.columns(b)[0]  # the column of the generator kept[v][0] = 0
+    assert fun.kept[v][0] == 0 and col == {0: 1}
+    if fault == "scaled":
+        col[0] = 2
+    elif fault == "moved":
+        col[1] = col.pop(0)
+    elif fault == "extra-entry":
+        col[1] = Fraction(1, 2)
+    else:
+        fun.kept[v].append(10 ** 6)
+    enable_disk_cache(str(tmp_path))
+    try:
+        with pytest.raises(InternalConsistencyError, match=f"at {v}"):
+            mesh_hom._disk_store(fun, key)
+        assert list(tmp_path.iterdir()) == []
+    finally:
+        enable_disk_cache(None)
+        clear_cache()
+
+
 def test_a_source_without_its_identity_is_a_miss(tmp_path, monkeypatch):
-    """The source's kept list is [0], its identity: a record of a sweep from the top of the
-    window, where no other vertex has a generator, is refused with [] there."""
+    """The source's one generator, its identity, is kept: a record of a sweep from the top of
+    the window, where no other vertex has a generator, holds no entry, and is refused with
+    an entry that drops the identity."""
     ctx, source, w = MeshContext(kronecker_quiver(), "kZQ"), parse_vertex("2@3"), Window(0, 3)
     clear_cache()
     enable_disk_cache(str(tmp_path))
@@ -1089,9 +1193,8 @@ def test_a_source_without_its_identity_is_a_miss(tmp_path, monkeypatch):
         good = sweep(ctx, source, w)
         (path,) = tmp_path.iterdir()
         ((prefix, data),) = _records(path)
-        at = ctx._slice(w).vertices.index(source)
-        assert data[2] == [[0] if i == at else [] for i in range(len(data[2]))]
-        data[2][at] = []
+        assert data == [4, []]
+        data[1].append([ctx._slice(w).vertices.index(source), 0])
         path.write_bytes(_record_line(prefix, data))
         clear_cache()
         computed = _counting_sweep(monkeypatch)
@@ -1101,20 +1204,74 @@ def test_a_source_without_its_identity_is_a_miss(tmp_path, monkeypatch):
         clear_cache()
 
 
+def _old_record(fun, version):
+    """A record of the earlier layout [version, repr(key), kept, mats], as versions 2 and 3
+    wrote it."""
+    rq = fun.ctx._slice(fun.window)
+    key = (fun.ctx.cache_key(), fun.window.lo, fun.window.hi, fun.source, "QQ")
+    mats = [[mesh_hom._stored_column(col) for col in fun.columns(b)]
+            for b in rq.arrows if b.target.level >= fun.source.level]
+    return [version, repr(key), [fun.kept[v] for v in rq.vertices], mats]
+
+
 def test_version_2_records_are_skipped_and_recomputed(tmp_path, monkeypatch):
+    """A log that holds the source's records of versions 2 and 3 only is recomputed, and the
+    version-4 record is appended after them."""
     clear_cache()
     try:
         path, first, _, (line1, _) = _two_records(tmp_path)
-        prefix, record = line1.split(b"\t")
-        old = json.loads(record)
-        old[0] = 2
-        path.write_bytes(_record_line(prefix, old))
+        prefix = line1.split(b"\t")[0]
+        old = mesh_hom._sweep(RC, first, RC4, QQ)
+        path.write_bytes(_record_line(prefix, _old_record(old, 2)) + _record_line(prefix, _old_record(old, 3)))
         computed = _counting_sweep(monkeypatch)
         again = sweep(RC, first, RC4)
         assert computed == [first]
-        assert [data[0] for _, data in _records(path)] == [2, 3]  # the recomputed sweep is appended
+        assert [data[0] for _, data in _records(path)] == [2, 3, 4]  # the recomputed sweep is appended
         clear_cache()
         assert _same_sweep(sweep(RC, first, RC4), again) and computed == [first]
+    finally:
+        enable_disk_cache(None)
+        clear_cache()
+
+
+def _json_values():
+    return st.one_of(st.integers(-3, 40), st.sampled_from([10 ** 6, -1, 0, "1/2", "2/2", "x", "1/0", 0.5, True,
+                                                           None, [], {}]))
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_a_truncated_or_damaged_record_never_raises_out_of_sweep(tmp_path, data):
+    """Whatever one cut or one edit of a stored record leaves, sweep() returns a sweep: a
+    record that fails a check is recomputed, and none raises."""
+    ctx, source, w = MeshContext(kronecker_quiver(), "RC"), parse_vertex("1@0"), Window(0, 3)
+    clear_cache()
+    enable_disk_cache(str(tmp_path))
+    try:
+        for p in tmp_path.iterdir():
+            p.unlink()
+        sweep(ctx, source, w)
+        (path,) = tmp_path.iterdir()
+        ((prefix, record),) = _records(path)
+        if data.draw(st.booleans(), label="cut"):
+            line = _record_line(prefix, record)
+            line = line[:data.draw(st.integers(0, len(line) - 1), label="at")]
+        else:
+            entries = record[1]
+            target = data.draw(st.sampled_from([record, entries] + entries), label="list")
+            k = data.draw(st.integers(0, len(target)), label="position")
+            edit = data.draw(st.sampled_from(["set", "insert", "delete"]), label="edit")
+            if edit == "insert" or not target:
+                target.insert(k, data.draw(_json_values(), label="value"))
+            elif edit == "set":
+                target[k % len(target)] = data.draw(_json_values(), label="value")
+            else:
+                del target[k % len(target)]
+            line = _record_line(prefix, record)
+        path.write_bytes(line)
+        clear_cache()
+        fun = sweep(ctx, source, w)
+        assert isinstance(fun, mesh_hom.HomFunctor) and fun.dim(source) == 1
     finally:
         enable_disk_cache(None)
         clear_cache()
