@@ -29,7 +29,7 @@ class SCategoryWindow:
     """The singular category S_C restricted to a window, with explicit Hom data."""
 
     __slots__ = ("q", "config", "window", "field", "ctx", "objects", "obj_index",
-                 "_precomp", "_postcomp", "_resolutions", "_generators")
+                 "_precomp", "_postcomp", "_resolutions", "_generators", "_pairs")
 
     def __init__(self, q: Quiver, config: Optional[Configuration], window: Window, field=QQ):
         self.q = q
@@ -43,14 +43,17 @@ class SCategoryWindow:
         self._postcomp: Dict[tuple, list] = {}
         self._resolutions: Dict[RepVertex, tuple] = {}  # x -> (S_x, the kept terms of its resolution)
         self._generators: Optional[Dict[tuple, List[int]]] = None  # made on first use
+        self._pairs: Optional[List[tuple]] = None  # made on first use
 
     def release(self):
         """Drop the memos; called when mesh_hom.clear_cache() drops a shared category,
-        so a module kept beyond it holds no composition matrices, generators or resolutions."""
+        so a module kept beyond it holds no composition matrices, generators, resolutions
+        or pair table."""
         self._precomp.clear()
         self._postcomp.clear()
         self._resolutions.clear()
         self._generators = None
+        self._pairs = None
 
     def dim(self, u: RepVertex, v: RepVertex) -> int:
         if v.level < u.level:
@@ -61,12 +64,18 @@ class SCategoryWindow:
         return sweep(self.ctx, u, self.window, self.field).basis_paths(v)
 
     def hom_pairs(self):
-        """All ordered object pairs with a nonzero morphism space."""
-        for u in self.objects:
-            fun = sweep(self.ctx, u, self.window, self.field)
-            for v in self.objects:
-                if v.level >= u.level and fun.dim(v) > 0:
-                    yield u, v, fun.dim(v)
+        """All ordered object pairs (u, v, dim) with a nonzero morphism space, as a table built
+        on the first call: the Hom data is fixed until mesh_hom.clear_cache(), which drops it."""
+        if self._pairs is None:
+            pairs = []
+            for u in self.objects:  # lowest first, so each node's first sweep is its tallest
+                fun = sweep(self.ctx, u, self.window, self.field)
+                for v in self.objects:
+                    d = fun.dim(v) if v.level >= u.level else 0
+                    if d:
+                        pairs.append((u, v, d))
+            self._pairs = pairs
+        return self._pairs
 
     def generators(self, u: RepVertex, v: RepVertex) -> List[int]:
         """The indices k of the basis morphisms s_k: u -> v spanning S(u,v) modulo rad^2(u,v).

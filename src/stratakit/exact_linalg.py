@@ -10,7 +10,8 @@ one, of_int, inv, key):
   column to nonzero value; a row may also come in as a list), and what is
   read off it: mat_rank, kernel_cols (a KernelBasis), span_kernel_basis
   (the KernelBasis kernel_cols would give, from vectors spanning the
-  kernel), span_basis (the leftmost spanning vectors), solve_many
+  kernel), span_basis (the leftmost spanning vectors, with every
+  vector's coordinates over them), solve_many
   (coordinates in spanning columns) and quotient_coords (a basis of a
   quotient, from relations given as lists or sparse dict rows, with each
   generator's class as a dict of its nonzero coordinates);
@@ -329,16 +330,20 @@ def span_kernel_basis(vecs, ncols, field):
     return basis, [row[ncols:] for row in reversed(red)]
 
 
-def span_basis(vecs: Sequence[Sequence], dim: int, field) -> List:
-    """The leftmost vectors of field^dim that span the same space as vecs.
+def span_basis(vecs: Sequence[Sequence], dim: int, field):
+    """The leftmost vectors of field^dim that span the same space as vecs, with the
+    coordinates of every one of vecs over them.
 
     A vector is kept exactly when it is not in the span of the ones before
-    it (the pivot columns of the matrix with the vectors as columns).
+    it (the pivot columns of the matrix with the vectors as columns), and
+    column t of that matrix's reduced form holds the coordinates of vecs[t]
+    over the kept vectors, so one rref gives both.  Returns (kept, coords),
+    coords[t] being a list as long as kept.
     """
     if not vecs or not dim:
-        return []
-    _, pivots = rref([[v[i] for v in vecs] for i in range(dim)], len(vecs), field)
-    return [vecs[j] for j in pivots]
+        return [], [[] for _ in vecs]
+    red, pivots = rref([[v[i] for v in vecs] for i in range(dim)], len(vecs), field)
+    return [vecs[j] for j in pivots], [[red[i][t] for i in range(len(pivots))] for t in range(len(vecs))]
 
 
 def quotient_coords(gen_dim: int, rel_cols: Sequence[Sequence], field):

@@ -749,12 +749,19 @@ def kan_intermediate(M: SModulePoint, w: Window) -> KanIntermediate:
     Computed by one downward closure pass (module maps go against the
     arrows), seeded with the full frozen components; the result restricts
     to M, is stable and co-stable, and is supported on the levels of
-    supp(M).  All three facts are asserted, not assumed.
+    supp(M).  All three facts are asserted, not assumed.  At a non-frozen x
+    the images along the out-arrows span K_LR(x), so the elimination that
+    picks its basis (span_basis) also gives their coordinates, which are
+    the columns of the out-arrows' matrices; an arrow out of a frozen
+    vertex is restricted by sub_map, which checks that its images stay in
+    the theta-normalized basis.
     """
     kr = kan_right(M, w)
     field = M.field
+    zero = field.zero
     rq = kr.rep.rq
     incl: Dict[RepVertex, list] = {}
+    read_off: Dict[RepArrow, list] = {}  # arrow out of a non-frozen vertex -> its matrix on K_LR
     for x in reversed(rq.vertices):
         dkx = kr.dim(x)
         if dkx == 0:
@@ -769,17 +776,35 @@ def kan_intermediate(M: SModulePoint, w: Window) -> KanIntermediate:
             incl[x] = cols
             continue
         gathered = []
+        placed = []  # (a, the index in gathered of each column's image, None where it is zero)
         for a in rq.out_arrows(x):
             m = kr.rep.mats.get(a)
             if m is None or not incl.get(a.target):
                 continue
+            at = []
             for col in incl[a.target]:
                 img = mat_vec(m, col, field)
-                if any(xx != field.zero for xx in img):
+                if any(xx != zero for xx in img):
+                    at.append(len(gathered))
                     gathered.append(img)
-        incl[x] = span_basis(gathered, dkx, field)
+                else:
+                    at.append(None)
+            placed.append((a, at))
+        incl[x], coords = span_basis(gathered, dkx, field)
+        for a, at in placed if incl[x] else ():
+            read_off[a] = [[zero if t is None else coords[t][i] for t in at] for i in range(len(incl[x]))]
 
-    rep = _sub_rep(kr.rep, incl, "K_LR is not closed under the structure maps")
+    mats = {}
+    for a in rq.arrows:
+        if incl.get(a.source) and incl.get(a.target):
+            if a.source.frozen:
+                mats[a] = sub_map(kr.rep.mat(a), incl[a.target], incl[a.source], field)
+                if mats[a] is None:
+                    raise InternalConsistencyError("K_LR is not closed under the structure maps")
+            elif a in read_off:
+                mats[a] = read_off[a]
+    dims = {x: len(c) for x, c in incl.items()}
+    rep = WindowRep(kr.rep.q, kr.rep.window, kr.rep.config, dims, mats, field)
     out = KanIntermediate(M, rep, kr, incl)
 
     sup = M.support_levels()
@@ -1082,6 +1107,23 @@ class FiberResult:
         }
 
 
+# The most subspaces fiber() enumerates in one CK stalk; past it, the answer is undetermined.
+MAX_STALK_SUBSPACES = 100_000
+
+
+def _subspace_count(d: int, p: int) -> int:
+    """The number of subspaces of GF(p)^d: the Gaussian binomials [d k]_p summed over k,
+    in integers (each binomial's product divides exactly)."""
+    total = 0
+    for k in range(d + 1):
+        num = den = 1
+        for i in range(k):
+            num *= p ** (d - i) - 1
+            den *= p ** (i + 1) - 1
+        total += num // den
+    return total
+
+
 def _field_words(field: PrimeField, n: int):
     """Every n-tuple of field elements, lexicographic in their values 0, ..., p - 1,
     made one at a time: an element is made when a word first takes its value, so
@@ -1225,6 +1267,11 @@ def fiber(M: SModulePoint, v: Dict[RepVertex, int], p: int, w: Window, bound: in
     total = stage.ck.total_dim()
     if total > bound:
         return FiberResult(None, p, v0, [], None, f"CK dimension {total} exceeds the bound {bound}")
+    d = max(stage.ck.dims.values(), default=0)  # the largest stalk has the most subspaces
+    count = _subspace_count(d, p)
+    if count > MAX_STALK_SUBSPACES:
+        return FiberResult(None, p, v0, [], None, f"a CK stalk of dimension {d} has {count} subspaces, "
+                           f"more than the limit {MAX_STALK_SUBSPACES}")
 
     attained = stage.attained
     attained_dims = [dict(key) for key in attained]

@@ -706,27 +706,28 @@ def postcomposition_matrix(ctx: MeshContext, a: RepVertex, path: Sequence[RepArr
 # Raw path-enumeration oracle (ground truth for the sweep).
 # ---------------------------------------------------------------------------
 
+def _paths_from(rq, a: RepVertex):
+    """back(v): every directed path a -> v in the slice rq, lexicographic by construction
+    (by last arrow, then by prefix), memoized per endpoint, so paths from a to many
+    endpoints share their prefixes."""
+    memo: Dict[RepVertex, List[Tuple[RepArrow, ...]]] = {a: [()]}
+
+    def back(v: RepVertex) -> List[Tuple[RepArrow, ...]]:
+        out = memo.get(v)
+        if out is None:
+            if v.level < a.level:
+                return []
+            out = memo[v] = [p + (arr,) for arr in rq.in_arrows(v) for p in back(arr.source)]
+        return out
+
+    return back
+
+
 def enumerate_paths(ctx: MeshContext, a: RepVertex, b: RepVertex, w: Window) -> List[Tuple[RepArrow, ...]]:
     """All directed paths a -> b inside the window, lexicographic by construction."""
     if not (w.contains(a) and w.contains(b)):
         raise InvalidInputError("path enumeration endpoints must lie in the window")
-    memo: Dict[RepVertex, List[Tuple[RepArrow, ...]]] = {}
-
-    def back(v: RepVertex) -> List[Tuple[RepArrow, ...]]:
-        if v == a:
-            return [()]
-        if v.level < a.level:
-            return []
-        if v in memo:
-            return memo[v]
-        out = []
-        for arr in ctx.in_arrows(v, w):
-            for p in back(arr.source):
-                out.append(p + (arr,))
-        memo[v] = out
-        return out
-
-    return back(b)
+    return _paths_from(ctx._slice(w), a)(b)
 
 
 # The oracle's rows hold Fractions only, never the ints the sweeps run on.
@@ -734,9 +735,13 @@ _ZERO, _ONE = Fraction(0), Fraction(1)
 
 
 def _relator_rows(ctx: MeshContext, x: RepVertex, y: RepVertex, w: Window, paths) -> List[list]:
-    """One row per mesh-relator instance x -> tau(z) ~> z -> y, over the given paths x -> y."""
+    """One row per mesh-relator instance x -> tau(z) ~> z -> y, over the given paths x -> y.
+
+    The slice is looked up once; every head x -> tau(z) comes from one memo of the paths
+    out of x, and the tails z -> y of each site from their own."""
     index = {p: i for i, p in enumerate(paths)}
     rq = ctx._slice(w)
+    heads_to = _paths_from(rq, x)
     rel_rows = []
     for p in range(x.level, y.level + 1):
         for node in ctx.q._topo:
@@ -744,8 +749,8 @@ def _relator_rows(ctx: MeshContext, x: RepVertex, y: RepVertex, w: Window, paths
             rel = rq.relator(z)
             if rel is None or tau(z).level < x.level:
                 continue
-            heads = enumerate_paths(ctx, x, tau(z), w)
-            tails = enumerate_paths(ctx, z, y, w)
+            heads = heads_to(tau(z))
+            tails = _paths_from(rq, z)(y)
             for hpath in heads:
                 for tpath in tails:
                     row = [_ZERO] * len(paths)

@@ -27,7 +27,7 @@ from stratakit.errors import InternalConsistencyError
 from stratakit.exact_linalg import kernel_cols, mat_rank, mat_vec, quotient_coords, sub_map
 from stratakit.kan_strata import restrict
 from stratakit.mesh_hom import clear_cache
-from stratakit.quiver_core import RepVertex, Window, a_n_quiver, d4_quiver, kronecker_quiver, parse_vertex
+from stratakit.quiver_core import Configuration, RepVertex, Window, a_n_quiver, d4_quiver, kronecker_quiver, parse_vertex
 from stratakit.randrep import random_window_rep
 from stratakit.sing_builder import build_sing_quiver
 
@@ -164,6 +164,31 @@ def _injective_case():
     module = CatModule(cat, {parse_vertex(k): d for k, d in INJ_DIMS.items()},
                        {(parse_vertex(u), parse_vertex(v), k): m for (u, v, k), m in INJ_ACT.items()})
     return cat, module, [u for u in cat.objects if u.level == 0]
+
+
+def _twin_hom_pairs(cat):
+    """SCategoryWindow.hom_pairs as it was: a generator that walks every object's sweep again."""
+    for u in cat.objects:
+        fun = mesh_hom.sweep(cat.ctx, u, cat.window, cat.field)
+        for v in cat.objects:
+            if v.level >= u.level and fun.dim(v) > 0:
+                yield u, v, fun.dim(v)
+
+
+# (quiver, configuration members or None, window); the configured case drops 2'@0 and 1'@1
+PAIR_CASES = [(A2, None, Window(0, 6)), (A2, ["1@0", "2@1", "1@2", "2@2", "1@3", "2@3"], Window(0, 3)),
+              (d4_quiver(), None, Window(0, 2)), (kronecker_quiver(), None, Window(0, 3)), (A2, None, Window(2, 5))]
+
+
+@pytest.mark.parametrize("quiver, members, w", PAIR_CASES, ids=["A2", "A2-config", "D4", "K2", "A2-lo2"])
+def test_hom_pairs_are_tabled_once_and_match_the_generator_twin(quiver, members, w, monkeypatch):
+    config = None if members is None else Configuration([parse_vertex(k) for k in members])
+    cat = SCategoryWindow(quiver, config, w)
+    table = cat.hom_pairs()
+    assert table == list(_twin_hom_pairs(cat)) and table
+    swept = []
+    monkeypatch.setattr(catmod, "sweep", lambda *a: swept.append(a) or mesh_hom.sweep(*a))
+    assert cat.hom_pairs() is table and swept == []
 
 
 def test_op_hom_pairs_are_tabled_once_per_category(monkeypatch):
@@ -413,6 +438,21 @@ def test_clear_cache_releases_the_memos_of_a_shared_category():
         assert window_category(A2, None, Window(0, 6)) is not cat
         # a category kept beyond clear_cache() still answers, from fresh sweeps
         assert {(u, v): cat.generators(u, v) for u in cat.objects for v in cat.objects} == before
+    finally:
+        clear_cache()
+
+
+def test_clear_cache_drops_the_pair_table_with_the_category():
+    clear_cache()
+    try:
+        cat = window_category(A2, None, Window(0, 6))
+        table = cat.hom_pairs()
+        assert table and cat.hom_pairs() is table
+        clear_cache()
+        assert cat._pairs is None
+        fresh = window_category(A2, None, Window(0, 6))
+        assert fresh is not cat and fresh._pairs is None
+        assert fresh.hom_pairs() == table == cat.hom_pairs()
     finally:
         clear_cache()
 

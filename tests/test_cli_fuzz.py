@@ -5,11 +5,13 @@ configurations, vertex maps and window representations, so that the
 draws reach past the first parse into the mesh categories, the Serre
 and suspension vertex maps (hom-dq, sing-quiver with and without
 --max-span, ext-oracle), and the representations on into the Kan
-extensions, Phi, the closure order, closed orbits and resolutions (phi,
-klr, stratum with and without --other, degen, orbit, resolve).  Most integers
-are drawn small, but SCALARS also draws unbounded ones, so a window or a
-field characteristic can be huge: the input boundary must reject those
-before any work, as the pinned examples check.
+extensions, Phi, the closure order, closed orbits, resolutions and fibers
+(phi, klr, stratum with and without --other, degen, orbit, resolve,
+fiber).  Most integers are drawn small, but SCALARS also draws unbounded
+ones, so a window or a field characteristic can be huge: the input
+boundary must reject those before any work, as the pinned examples check.
+A fiber's prime and bound are drawn small, huge, negative or not prime, so
+the subspace-count limit must answer before any subspace is made.
 """
 import contextlib
 import io
@@ -75,6 +77,14 @@ DQ_VERTEX = st.one_of(VERTEX_KEYS, st.builds("{}{}@{}".format, NODES, st.sampled
 DQ_WINDOW = st.one_of(WINDOW, st.tuples(SMALL, st.integers(3, 6)).map(lambda t: [str(t[0]), str(t[0] + t[1])]))
 DQ_CONFIG = st.one_of(st.none(), CONFIG)
 FROZEN_VERTEX = st.one_of(DQ_VERTEX, st.builds("{}'@{}".format, NODES, st.integers(-2, 9)))
+# primes small and large, non-primes, zero, negatives and unbounded ints
+FIBER_INTS = st.one_of(SMALL, st.sampled_from([2, 3, 4, 9, 1_000_003, 2 ** 31 - 1, 2 ** 31, 2 ** 61 - 1]),
+                       st.integers())
+# valid points often, so that draws reach the fiber itself; CK of PLANE_REP has 2-dimensional stalks
+PLANE_REP = dict(VALID_REP, window=[0, 4], dims={"1'@1": 2}, mats={})
+FIBER_REP = st.one_of(REP, st.sampled_from([VALID_REP, PLANE_REP]))
+FIBER_V = st.one_of(VERTEX_MAP, st.dictionaries(st.builds("{}@{}".format, st.sampled_from(["1", "2"]),
+                                                          st.integers(0, 4)), st.integers(0, 2), max_size=3))
 
 
 def _arg(flag, value):
@@ -102,7 +112,10 @@ COMMANDS = st.one_of(
               st.sampled_from(["validate", "phi", "klr", "stratum", "orbit", "resolve"]), REP),
     # the second point is often the first, so that pairs with equal w reach Phi and the closure order
     st.builds(lambda cmd, ro: [cmd, _arg("rep", ro[0]), _arg("other", ro[1])], st.sampled_from(["stratum", "degen"]),
-              REP.flatmap(lambda r: st.tuples(st.just(r), st.one_of(st.just(r), REP)))))
+              REP.flatmap(lambda r: st.tuples(st.just(r), st.one_of(st.just(r), REP)))),
+    st.builds(lambda r, v, p, bound: ["fiber", _arg("rep", r), _arg("v", v), f"--field={p}"]
+              + ([] if bound is None else [f"--bound={bound}"]),
+              FIBER_REP, FIBER_V, FIBER_INTS, st.one_of(st.none(), FIBER_INTS)))
 
 
 @settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -110,6 +123,9 @@ COMMANDS = st.one_of(
 @example(["validate", _arg("rep", dict(VALID_REP, window=[0, 100000000]))])
 @example(["validate", _arg("rep", dict(VALID_REP, field=2 ** 89 - 1))])
 @example(["sing-quiver", _arg("quiver", A2), "--window", "0", "3", f"--dot={Path(__file__) / 'x.dot'}"])
+@example(["fiber", _arg("rep", VALID_REP), _arg("v", {"2@1": 1}), f"--field={2 ** 31 - 1}", f"--bound={2 ** 70}"])
+@example(["fiber", _arg("rep", VALID_REP), _arg("v", {}), "--field=-7", "--bound=-1"])
+@example(["fiber", _arg("rep", PLANE_REP), _arg("v", {"1@2": 1}), "--field=1000003"])
 def test_cli_json_arguments_end_in_a_result_or_a_json_error(argv):
     out, err = io.StringIO(), io.StringIO()
     mesh_hom.clear_cache()

@@ -201,7 +201,7 @@ def test_fraction_json_round_trip():
 
 def test_image_basis_deterministic_pivots():
     a = _q([[1, 2, 3], [2, 4, 6], [0, 0, 1]])
-    img = span_basis(_columns(a), 3, QQ)
+    img, _ = span_basis(_columns(a), 3, QQ)
     assert len(img) == mat_rank(a, 3, QQ) == 2
     # pivot columns are the leftmost independent ones
     assert img[0] == _columns(a)[0]
@@ -325,7 +325,23 @@ def _twin_span_basis(vecs, dim, field):
 def test_span_basis_matches_rref_pivot_pick(data, case):
     field, dim, cols = case
     vecs = cols + data.draw(_vectors(field, dim, 3, cols))  # some vectors repeat the span
-    assert span_basis(vecs, dim, field) == _twin_span_basis(vecs, dim, field)
+    assert span_basis(vecs, dim, field)[0] == _twin_span_basis(vecs, dim, field)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data(), _span_case(min_dim=0))
+def test_span_basis_coordinates_rebuild_every_vector(data, case):
+    """Each vector, zero vectors and vectors inside the span of earlier ones included, is
+    the combination of the kept vectors that its coordinates give."""
+    field, dim, cols = case
+    vecs = cols + data.draw(_vectors(field, dim, 3, cols))
+    for _ in range(data.draw(st.integers(0, 2))):
+        vecs.insert(data.draw(st.integers(0, len(vecs))), [field.zero] * dim)
+    kept, coords = span_basis(vecs, dim, field)
+    assert len(coords) == len(vecs)
+    for vec, co in zip(vecs, coords):
+        assert len(co) == len(kept)
+        assert [sum((c * k[i] for c, k in zip(co, kept)), field.zero) for i in range(dim)] == vec
 
 
 @settings(max_examples=150, deadline=None)
@@ -365,8 +381,8 @@ def test_degenerate_shapes():
         assert left_kernel_rows([], 2, field) == ident2
         assert left_kernel_rows([[], []], 2, field) == ident2
         assert left_kernel_rows([], 0, field) == []
-        assert span_basis([], 3, field) == []
-        assert span_basis([[], []], 0, field) == []
+        assert span_basis([], 3, field) == ([], [])
+        assert span_basis([[], []], 0, field) == ([], [[], []])
         assert solve_many([[one, zero]], [], field) == []
         assert solve_many([[], []], [[]], field) == [[zero, zero]]
         assert solve_many([], [[], []], field) == [[], []]

@@ -22,10 +22,12 @@ from stratakit.exact_linalg import (
     kernel_cols,
     mat_mul,
     mat_rank,
+    mat_vec,
     quotient_coords,
     quotient_map,
     rref,
     solve_many,
+    span_basis,
     sub_map,
     transpose_rows,
 )
@@ -1144,6 +1146,46 @@ def test_kan_structure_maps_match_the_dense_transform_twins(case, p):
     assert maps > 0
 
 
+def _twin_kan_intermediate(M, w):
+    """kan_intermediate's closure as it was: span_basis picks each K_LR(x) from the gathered
+    images, then _sub_rep restricts every arrow by a second elimination."""
+    kr = kan_right(M, w)
+    field = M.field
+    incl = {}
+    for x in reversed(kr.rep.rq.vertices):
+        if kr.dim(x) == 0:
+            incl[x] = []
+        elif x.frozen:
+            incl[x] = solve_many(transpose_rows(kr.theta[x]), identity_rows(M.dim(x), field), field)
+        else:
+            gathered = [img for a in kr.rep.rq.out_arrows(x) if a in kr.rep.mats
+                        for img in (mat_vec(kr.rep.mats[a], col, field) for col in incl.get(a.target, []))
+                        if any(e != field.zero for e in img)]
+            incl[x] = span_basis(gathered, kr.dim(x), field)[0]
+    return kan_strata._sub_rep(kr.rep, incl, "K_LR is not closed under the structure maps"), incl
+
+
+@pytest.mark.parametrize("p", [0, 3])
+@pytest.mark.parametrize("case", sorted(KAN_TWIN_CASES))
+def test_klr_maps_read_off_the_closure_match_the_sub_rep_twin(case, p):
+    """K_LR's structure maps, read off the elimination that picks its bases, equal those
+    of the twin that restricts K_R's maps by solving again: the same dimensions, inclusion
+    columns, matrices (in the slice's arrow order) and JSON."""
+    q, config, w = KAN_TWIN_CASES[case]
+    maps = 0
+    for seed in range(12):  # the configured case has nonzero maps from seed 8 on
+        M = restrict(_random_rep(q, 71 * seed + 5, p, window=w, config=config))
+        ki = kan_intermediate(M, w)
+        twin, twin_incl = _twin_kan_intermediate(M, w)
+        assert ki.rep.dims == twin.dims
+        assert ki.incl_cols == twin_incl
+        assert list(ki.rep.mats) == list(twin.mats)
+        assert ki.rep.mats == twin.mats
+        assert ki.rep.to_json() == twin.to_json()
+        maps += len(twin.mats)
+    assert maps > 0
+
+
 def test_degeneration_pairs_run_kan_intermediate_once_per_point(monkeypatch):
     rng = random.Random(14)
     wdims = {parse_vertex("1'@1"): 1, parse_vertex("2'@0"): 1, parse_vertex("1'@2"): 1}
@@ -1367,6 +1409,36 @@ def test_lines_over_a_large_prime_list_no_field_elements():
     assert len(res.attained) == 3  # CK has two one-dimensional stalks
     assert (res.nonempty, res.v0, res.attained) == (small.nonempty, small.v0, small.attained)
     assert res.witness.nonfrozen_dims() == {x: 1}
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_subspace_counts_are_the_enumerated_counts(p):
+    field = PrimeField(p)
+    for d in range(5 if p < 5 else 4):
+        assert kan_strata._subspace_count(d, p) == sum(1 for _ in _enumerate_subspaces(d, field))
+
+
+def test_a_plane_stalk_over_a_large_prime_is_refused_before_any_subspace_is_made(monkeypatch):
+    """CK(S_{sigma x}^2) has a 2-dimensional stalk: over GF(1,000,003) it has 1,000,004 lines,
+    1,000,006 subspaces in all, so fiber answers undetermined at once; over GF(2) it answers."""
+    u = parse_vertex("1'@1")
+    x = sigma_inv(u)
+    w4 = Window(0, 4)
+    M = SModulePoint.semisimple(A2, w4, {u: 2})
+    small = fiber(M, {x: 1}, 2, w4)
+    assert small.nonempty is True and max(small.v0.values(), default=0) == 0
+
+    def no_subspaces(d, field):
+        raise AssertionError("a subspace was made")
+
+    monkeypatch.setattr(kan_strata, "_enumerate_subspaces", no_subspaces)
+    start = time.perf_counter()
+    res = fiber(M, {x: 1}, 1_000_003, w4)
+    assert time.perf_counter() - start < 1.0
+    assert res.nonempty is None and res.witness is None and res.attained == []
+    assert res.detail == (f"a CK stalk of dimension 2 has 1000006 subspaces, more than the limit "
+                          f"{kan_strata.MAX_STALK_SUBSPACES}")
+    assert kan_strata.MAX_STALK_SUBSPACES < 1_000_006
 
 
 def test_fiber_field_reduction_guard():

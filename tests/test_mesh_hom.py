@@ -1275,3 +1275,111 @@ def test_a_truncated_or_damaged_record_never_raises_out_of_sweep(tmp_path, data)
     finally:
         enable_disk_cache(None)
         clear_cache()
+
+
+# ---------------------------------------------------------------------------
+# The path oracle's enumeration: one slice lookup, heads from one memo.
+# ---------------------------------------------------------------------------
+
+def _twin_enumerate_paths(ctx, a, b, w):
+    """enumerate_paths as it was: a fresh memo per call, the slice looked up at every step."""
+    memo = {}
+
+    def back(v):
+        if v == a:
+            return [()]
+        if v.level < a.level:
+            return []
+        if v in memo:
+            return memo[v]
+        out = []
+        for arr in ctx.in_arrows(v, w):
+            for p in back(arr.source):
+                out.append(p + (arr,))
+        memo[v] = out
+        return out
+
+    return back(b)
+
+
+def _twin_relator_rows(ctx, x, y, w, paths):
+    """_relator_rows as it was: the heads and tails of every site enumerated afresh."""
+    from stratakit.quiver_core import tau
+    index = {p: i for i, p in enumerate(paths)}
+    rq = ctx._slice(w)
+    rows = []
+    for p in range(x.level, y.level + 1):
+        for node in ctx.q._topo:
+            z = RepVertex(node, p)
+            rel = rq.relator(z)
+            if rel is None or tau(z).level < x.level:
+                continue
+            for hpath in _twin_enumerate_paths(ctx, x, tau(z), w):
+                for tpath in _twin_enumerate_paths(ctx, z, y, w):
+                    row = [Fraction(0)] * len(paths)
+                    for sb, b in rel.terms:
+                        row[index[hpath + (sb, b) + tpath]] += Fraction(1)
+                    rows.append(row)
+    return rows
+
+
+ORACLE_CASES = [(A2, "kZQ", Window(0, 3)), (A2, "RC", Window(0, 3)), (a_n_quiver(3), "kZQ", Window(0, 3)),
+                (a_n_quiver(3), "RC", Window(0, 2)), (d4_quiver(), "kZQ", Window(0, 2)),
+                (d4_quiver(), "RC", Window(0, 2)), (kronecker_quiver(2), "RC", Window(0, 2))]
+
+
+@pytest.mark.parametrize("quiver, flavor, w", ORACLE_CASES,
+                         ids=["A2-kZQ", "A2-RC", "A3-kZQ", "A3-RC", "D4-kZQ", "D4-RC", "K2-RC"])
+def test_relator_rows_match_the_per_site_enumeration_twin(quiver, flavor, w):
+    """Every pair's paths and relator rows, in the same order, are those of the per-site twin."""
+    ctx = MeshContext(quiver, flavor)
+    verts = ctx.vertices_in(w)
+    rows_seen = 0
+    for x in verts:
+        for y in verts:
+            if y.level < x.level:
+                continue
+            paths = enumerate_paths(ctx, x, y, w)
+            assert paths == _twin_enumerate_paths(ctx, x, y, w)
+            rows = mesh_hom._relator_rows(ctx, x, y, w, paths)
+            assert rows == _twin_relator_rows(ctx, x, y, w, paths)
+            assert all(type(e) is Fraction for row in rows for e in row)
+            rows_seen += len(rows)
+    assert rows_seen > 0
+
+
+def test_the_oracle_looks_its_slice_up_once_per_call(monkeypatch):
+    ctx, w = MeshContext(d4_quiver(), "kZQ"), Window(0, 2)
+    x, y = RepVertex("0", 0), RepVertex("0", 2)
+    paths = enumerate_paths(ctx, x, y, w)
+    looked = []
+    real = mesh_hom.build_repetition
+    monkeypatch.setattr(mesh_hom, "build_repetition", lambda *a: looked.append(a) or real(*a))
+    assert enumerate_paths(ctx, x, y, w) == paths and len(looked) == 1
+    assert mesh_hom._relator_rows(ctx, x, y, w, paths) and len(looked) == 2
+
+
+def test_a_basis_with_a_repeated_path_fails_the_oracle(monkeypatch):
+    """Replacing one basis path by a copy of another keeps the dimension but not independence,
+    and sweep_matches_oracle says so."""
+    real = mesh_hom.hom_basis
+    checked = 0
+    for quiver, flavor, w in ORACLE_CASES:
+        ctx = MeshContext(quiver, flavor)
+        verts = ctx.vertices_in(w)
+        for x in verts:
+            for y in verts:
+                if y.level < x.level or real(ctx, x, y, w).dim < 2:
+                    continue
+                assert sweep_matches_oracle(ctx, x, y, w)
+
+                def repeated(*args, **kwargs):
+                    hb = real(*args, **kwargs)
+                    hb.basis = [hb.basis[0], hb.basis[0]] + list(hb.basis[2:])
+                    return hb
+
+                monkeypatch.setattr(mesh_hom, "hom_basis", repeated)
+                assert not sweep_matches_oracle(ctx, x, y, w), (flavor, x, y)
+                monkeypatch.setattr(mesh_hom, "hom_basis", real)
+                checked += 1
+    assert checked > 0
