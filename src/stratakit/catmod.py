@@ -16,8 +16,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from .errors import InternalConsistencyError, InvalidInputError, WindowInsufficiencyError
-from .exact_linalg import (QQ, identity_rows, in_basis, kernel_cols, mat_rank, mat_vec, quotient_coords,
-                           transpose_rows)
+from .exact_linalg import QQ, in_basis, kernel_cols, mat_rank, mat_vec, quotient_coords, transpose_rows
 from .mesh_hom import MeshContext, postcomposition_matrix, precomposition_matrix, sweep
 from .quiver_core import Configuration, Quiver, RepVertex, Window, shared
 
@@ -138,13 +137,21 @@ def window_category(q: Quiver, config: Optional[Configuration], window: Window, 
 
 
 class CatModule:
-    """A pointwise finite module over an SCategoryWindow."""
+    """A pointwise finite module over an SCategoryWindow.
 
-    def __init__(self, cat: SCategoryWindow, dims: Dict[RepVertex, int], act: Dict[tuple, list]):
+    Its actions are read only through act_mat.  act holds the action of the
+    k-th basis morphism s_k: u -> v under the key (u, v, k), as a dims[u] x
+    dims[v] matrix; an identity is never stored, and a missing action is
+    zero, or, when the module has a solve(u, v, k), solved and stored the
+    first time it is read.
+    """
+
+    def __init__(self, cat: SCategoryWindow, dims: Dict[RepVertex, int], act: Dict[tuple, list], solve=None):
         self.cat = cat
         self.field = cat.field
         self.dims = {u: dims.get(u, 0) for u in cat.objects}
-        self.act = act  # (u, v, k) -> matrix dims[u] x dims[v], the action of s_k: u -> v
+        self.act = act
+        self._solve = solve
 
     def dim(self, u: RepVertex) -> int:
         return self.dims.get(u, 0)
@@ -162,7 +169,9 @@ class CatModule:
             return [[self.field.one if i == j else self.field.zero for j in range(d)] for i in range(d)]
         mat = self.act.get((u, v, k))
         if mat is None:
-            return [[self.field.zero] * self.dim(v) for _ in range(self.dim(u))]
+            if self._solve is None or not (self.dim(u) and self.dim(v) and 0 <= k < self.cat.dim(u, v)):
+                return [[self.field.zero] * self.dim(v) for _ in range(self.dim(u))]
+            mat = self.act[(u, v, k)] = self._solve(u, v, k)
         return mat
 
     def radical_cols(self, u: RepVertex):
@@ -178,9 +187,7 @@ class CatModule:
             if v == u or self.dim(v) == 0:
                 continue
             for k in self.cat.generators(u, v):
-                mat = self.act.get((u, v, k))
-                if mat is None:
-                    continue
+                mat = self.act_mat(u, v, k)
                 for j in range(self.dim(v)):
                     col = [mat[i][j] for i in range(du)]
                     if any(x != self.field.zero for x in col):
@@ -208,12 +215,10 @@ class CatModule:
             return 0
         rows = []
         for w in self.cat.objects:
-            if w == u:
+            if w == u or self.dim(w) == 0:
                 continue
             for k in self.cat.generators(w, u):
-                mat = self.act.get((w, u, k))
-                if mat is not None:
-                    rows.extend(mat)
+                rows.extend(self.act_mat(w, u, k))
         return du - mat_rank(rows, du, self.field)
 
     def equal(self, other: "CatModule") -> bool:
@@ -252,8 +257,13 @@ class ProjectiveCover:
     def map_at(self, z: RepVertex):
         """The matrix P(z) -> N(z): columns send a basis morphism f: z -> u_i to N(f)(gen_i)."""
         rows = self.target.dim(z)
-        cols = [mat_vec(self.target.act_mat(z, u, idx), gen, self.cat.field)
-                for u, gen in self.summands for idx in range(self.cat.dim(z, u))]
+        cols = []
+        for u, gen in self.summands:
+            if u == z:  # the identity of z sends the generator to itself
+                cols.append(gen)
+            else:
+                cols.extend(mat_vec(self.target.act_mat(z, u, idx), gen, self.cat.field)
+                            for idx in range(self.cat.dim(z, u)))
         return [[cols[j][i] for j in range(len(cols))] for i in range(rows)]
 
 
@@ -273,6 +283,12 @@ def kernel_submodule(cover: ProjectiveCover) -> Tuple[CatModule, Dict[RepVertex,
     block at a time, by precomposition into that summand (zero blocks are
     skipped), and the image is read off in the kernel basis at u, which is
     a KernelBasis: no elimination beyond one kernel_cols per vertex.
+
+    Only the actions along the generators of S are solved here, each checked
+    to land in the kernel: composites of generators span every morphism
+    space, so the kernel is a submodule once it is closed along them, and
+    radical_cols and socle_dim read no other action.  Every other action is
+    solved, with the same check, the first time act_mat reads it.
     """
     cat = cover.cat
     field = cat.field
@@ -290,31 +306,28 @@ def kernel_submodule(cover: ProjectiveCover) -> Tuple[CatModule, Dict[RepVertex,
         cols = kernel_cols(cover.map_at(z), off, field) if off else []
         incl[z] = cols
         dims[z] = len(cols)
-    act: Dict[tuple, list] = {}
-    for u, v, dk in cat.hom_pairs():
-        if dims.get(u, 0) == 0 or dims.get(v, 0) == 0:
-            continue
-        if u == v:
-            # directed category: End(u) = k, spanned by the identity
-            for k in range(dk):
-                act[(u, v, k)] = identity_rows(dims[u], field)
-            continue
+
+    def solve(u, v, k):
+        """The action of the k-th basis morphism u -> v on the kernel, checked to land in it."""
         # (summand, its block in P(v), its block in P(u)) for the summands seen at both
         common = [(cover.summands[t][0], blocks[v][t], blocks[u][t]) for t in blocks[v] if t in blocks[u]]
         pu = len(incl[u][0])
-        for k in range(dk):
-            images = []
-            for col in incl[v]:
-                img = [field.zero] * pu
-                for s, (v_off, dv), (u_off, du) in common:
-                    block = col[v_off:v_off + dv]
-                    if any(x != field.zero for x in block):
-                        img[u_off:u_off + du] = mat_vec(cat.precomposition(u, v, k, s), block, field)
-                images.append(img)
-            act[(u, v, k)] = in_basis(images, incl[u], field)
-            if act[(u, v, k)] is None:
-                raise InternalConsistencyError("kernel is not closed under the action")
-    return CatModule(cat, dims, act), incl
+        images = []
+        for col in incl[v]:
+            img = [field.zero] * pu
+            for s, (v_off, dv), (u_off, du) in common:
+                block = col[v_off:v_off + dv]
+                if any(x != field.zero for x in block):
+                    img[u_off:u_off + du] = mat_vec(cat.precomposition(u, v, k, s), block, field)
+            images.append(img)
+        mat = in_basis(images, incl[u], field)
+        if mat is None:
+            raise InternalConsistencyError("kernel is not closed under the action")
+        return mat
+
+    act = {(u, v, k): solve(u, v, k) for u, v, _ in cat.hom_pairs() if u != v and dims[u] and dims[v]
+           for k in cat.generators(u, v)}
+    return CatModule(cat, dims, act, solve), incl
 
 
 def _resolution(N: CatModule, steps: int, terms: list) -> list:

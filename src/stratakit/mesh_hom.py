@@ -117,7 +117,9 @@ class HomFunctor:
     generators whose classes form that basis (see _sweep): 0, the identity,
     at the source.  The column of the kept generator kept[v][k] is the unit
     vector {k: 1}, so only the dropped generators' columns carry
-    information, and a disk record holds those alone.
+    information, a disk record holds those alone, and a basis path reduces
+    to its unit vector.  reduce_path and the composition matrices push sparse
+    coordinates through the columns (_push) and keep no memo of reductions.
     """
 
     def __init__(self, ctx: MeshContext, source: RepVertex, window: Window, field):
@@ -129,7 +131,6 @@ class HomFunctor:
         self.paths: Dict[RepVertex, List[Tuple[RepArrow, ...]]] = {}
         self.kept: Dict[RepVertex, List[int]] = {}
         self.mats: Dict[RepArrow, List[Dict[int, object]]] = {}
-        self._reduced: Dict[Tuple[RepArrow, ...], tuple] = {}
 
     def dim(self, y: RepVertex) -> int:
         return self.dims.get(y, 0)
@@ -142,50 +143,36 @@ class HomFunctor:
         below the source or outside the window."""
         return self.mats.get(b, ())
 
-    def apply_arrow(self, arrow: RepArrow, vec):
-        out = [self.field.zero] * self.dim(arrow.target)
-        for x, col in zip(vec, self.columns(arrow)):
-            if x:
-                for r, c in col.items():
-                    out[r] += c * x
-        return out
-
     def reduce_path(self, path: Sequence[RepArrow]):
-        """Coordinates of a path from the source in the basis at its endpoint.
+        """Coordinates of a path from the source in the basis at its endpoint, as a fresh list."""
+        vec, end = _push(self, path)
+        return [vec.get(r, self.field.zero) for r in range(self.dim(end))]
 
-        Walks are memoized by path on the functor, so they live and die with
-        the cached sweep and never reach the disk; a walk that raised is not
-        memoized.  Each call returns a fresh list.
-        """
-        return list(self._reduce(tuple(path)))
 
-    def _reduce(self, path: Tuple[RepArrow, ...]) -> tuple:
-        """The memoized reduction of a path: its last arrow applied to the
-        reduction of the longest memoized prefix, one arrow at a time, with
-        every prefix walked on the way memoized too.  Basis paths form a
-        prefix tree, so a path whose prefix was reduced costs one arrow
-        matrix."""
-        memo = self._reduced
-        vec = memo.get(path)
-        if vec is not None:
-            return vec
-        n = len(path) - 1
-        while n >= 0:
-            vec = memo.get(path[:n])
-            if vec is not None:
-                break
-            n -= 1
-        else:
-            if self.dim(self.source) == 0:
-                raise InvalidInputError(f"source {self.source} has no identity in this window")
-            vec = memo[()] = (self.field.one,)
-            n = 0
-        for i in range(n, len(path)):
-            arrow = path[i]
-            if arrow.source != (path[i - 1].target if i else self.source):
-                raise InvalidInputError(f"path does not start where expected at {arrow}")
-            vec = memo[path[:i + 1]] = tuple(self.apply_arrow(arrow, vec))
-        return vec
+def _push(fun: HomFunctor, path, vec: Optional[dict] = None, at: Optional[RepVertex] = None):
+    """vec, sparse coordinates in the basis of Hom(fun.source, at), pushed through the
+    arrows of path one column lookup at a time, with the vertex it ends at; without vec,
+    the identity of the source.
+
+    The one routine that walks a sweep's arrows: every composite is such a push.  A
+    coordinate that cancels is kept, with the value and type its sum gave."""
+    if vec is None:
+        if fun.dim(fun.source) == 0:
+            raise InvalidInputError(f"source {fun.source} has no identity in this window")
+        vec, at = {0: fun.field.one}, fun.source
+    for arrow in path:
+        if arrow.source != at:
+            raise InvalidInputError(f"path does not start where expected at {arrow}")
+        cols = fun.columns(arrow)
+        out = {}
+        if cols:
+            for j, x in vec.items():
+                if x:
+                    for r, c in cols[j].items():
+                        y = out.get(r)
+                        out[r] = c * x if y is None else y + c * x
+        vec, at = out, arrow.target
+    return vec, at
 
 
 # The most elimination entries one sweep may take on.  A vertex with gen_dim
@@ -318,9 +305,9 @@ _LOGS: Dict[tuple, _Log] = {}
 
 
 def clear_cache():
-    """Drop every cached sweep, with its path memo, the tallest sweep held per node, every
-    read log index and every shared window slice, category, Serre node map and fiber stage
-    (quiver_core.shared)."""
+    """Drop every cached sweep, the tallest sweep held per node, every read log index and
+    every shared window slice, category, Serre node map and fiber stage (quiver_core.shared).
+    A sweep holds no memo of reduced paths: every composite is pushed afresh (_push)."""
     with _CACHE_LOCK:
         _CACHE.clear()
         _TALLEST.clear()
@@ -644,25 +631,26 @@ class HomBasis:
         return {"dim": self.dim, "basis": [[a.key() for a in p] for p in self.basis]}
 
 
-def _check_endpoint(ctx: MeshContext, v: RepVertex, w: Window, role: str):
-    if not w.contains(v):
-        raise InvalidInputError(f"{role} {v} outside window {w.to_json()}")
-    if ctx.flavor == "SC" and not v.frozen:
-        raise InvalidInputError(f"S_C morphism spaces live between frozen vertices, got {v}")
-    if not ctx.contains(v):
-        raise InvalidInputError(f"{v} is not an object of the {ctx.flavor} category")
+def _check_endpoints(ctx: MeshContext, x: RepVertex, y: RepVertex, w: Window):
+    for v, role in ((x, "source"), (y, "target")):
+        if not w.contains(v):
+            raise InvalidInputError(f"{role} {v} outside window {w.to_json()}")
+        if ctx.flavor == "SC" and not v.frozen:
+            raise InvalidInputError(f"S_C morphism spaces live between frozen vertices, got {v}")
+        if not ctx.contains(v):
+            raise InvalidInputError(f"{v} is not an object of the {ctx.flavor} category")
 
 
 def hom_basis(ctx: MeshContext, x: RepVertex, y: RepVertex, w: Window, field=QQ) -> HomBasis:
-    _check_endpoint(ctx, x, w, "source")
-    _check_endpoint(ctx, y, w, "target")
+    _check_endpoints(ctx, x, y, w)
     return HomBasis(sweep(ctx, x, w, field), y)
 
 
 def hom_dim(ctx: MeshContext, x: RepVertex, y: RepVertex, w: Window, field=QQ) -> int:
     if y.level < x.level:
         return 0
-    return hom_basis(ctx, x, y, w, field).dim
+    _check_endpoints(ctx, x, y, w)
+    return sweep(ctx, x, w, field).dim(y)
 
 
 def compose(ctx: MeshContext, f: Morphism, g: Morphism, w: Window, field=QQ) -> Morphism:
@@ -677,29 +665,37 @@ def compose(ctx: MeshContext, f: Morphism, g: Morphism, w: Window, field=QQ) -> 
     return Morphism(f.source, g.target, tuple(acc))
 
 
-# Every composite in the package is read off one of the two matrices below:
-# the reduced concatenated path, one column per basis path.
-
-def _reduced_columns(fun: HomFunctor, end: RepVertex, paths) -> list:
-    """The matrix whose columns are the reductions of paths, all from fun.source to end."""
-    cols = [fun.reduce_path(p) for p in paths]
-    return [[c[i] for c in cols] for i in range(fun.dim(end))]
-
+# Every composite in the package is read off one of the two matrices below,
+# one column per basis path, each a push (_push) of sparse coordinates.
 
 def precomposition_matrix(ctx: MeshContext, s_path: Sequence[RepArrow], u: RepVertex, v: RepVertex,
                           m: RepVertex, w: Window, field=QQ):
-    """Matrix of Hom(v,m) -> Hom(u,m), f |-> f o s, for a path s: u -> v."""
-    s_path = tuple(s_path)
-    return _reduced_columns(sweep(ctx, u, w, field), m,
-                            [s_path + p for p in sweep(ctx, v, w, field).basis_paths(m)])
+    """Matrix of Hom(v,m) -> Hom(u,m), f |-> f o s, for a path s: u -> v.
+
+    The reduction of s is pushed along the prefix tree of Hom(v, m)'s basis
+    paths (each is a basis path followed by one arrow), one arrow per path."""
+    fun = sweep(ctx, u, w, field)
+    paths = sweep(ctx, v, w, field).basis_paths(m)
+    pushed = {(): _push(fun, s_path)} if paths else {}  # basis path p -> (s followed by p, pushed; its end)
+    cols = []
+    for p in paths:
+        n = len(p)
+        while p[:n] not in pushed:  # the longest prefix of p pushed so far
+            n -= 1
+        got = pushed[p[:n]]
+        for i in range(n, len(p)):
+            got = pushed[p[:i + 1]] = _push(fun, p[i:i + 1], *got)
+        cols.append(got[0])
+    return [[c.get(r, field.zero) for c in cols] for r in range(fun.dim(m))]
 
 
 def postcomposition_matrix(ctx: MeshContext, a: RepVertex, path: Sequence[RepArrow], y: RepVertex,
                            w: Window, field=QQ):
-    """Matrix of Hom(a,y) -> Hom(a,z), f |-> p o f, for a path p: y -> z."""
-    path = tuple(path)
+    """Matrix of Hom(a,y) -> Hom(a,z), f |-> p o f, for a path p: y -> z: each basis
+    element of Hom(a,y) pushed through p's arrows."""
     fun = sweep(ctx, a, w, field)
-    return _reduced_columns(fun, path[-1].target if path else y, [p + path for p in fun.basis_paths(y)])
+    cols = [_push(fun, path, {i: field.one}, y)[0] for i in range(fun.dim(y))]
+    return [[c.get(r, field.zero) for c in cols] for r in range(fun.dim(path[-1].target if path else y))]
 
 
 # ---------------------------------------------------------------------------

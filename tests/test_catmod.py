@@ -116,13 +116,22 @@ def _twin_kernel_submodule(cover):
 
 
 def _assert_same_kernel(cover):
+    for z in cover.cat.objects:
+        assert _typed(cover.map_at(z)) == _typed(_twin_map_at(cover, z)), z
     got, got_incl = kernel_submodule(cover)
     want, want_incl = _twin_kernel_submodule(cover)
     assert got.dims == want.dims
     assert {z: [list(c) for c in cols] for z, cols in got_incl.items()} == want_incl
-    assert list(got.act) == list(want.act)
-    assert got.act == want.act
+    for u, v, dk in cover.cat.hom_pairs():
+        for k in range(dk):
+            mat = got.act_mat(u, v, k)
+            assert _typed(mat) == _typed(want.act_mat(u, v, k)), (u, v, k)
     return got, got_incl
+
+
+def _typed(mat):
+    """The matrix with every entry paired with its type, so equal values of different types differ."""
+    return [[(type(x), x) for x in row] for row in mat]
 
 
 # (quiver, window, highest level of the resolved simples, syzygies taken, nonzero kernels seen).
@@ -272,6 +281,60 @@ def test_kernel_not_closed_under_the_action_is_an_internal_fault(monkeypatch):
         kernel_submodule(cover)
 
 
+def _generator_keys(mod):
+    cat = mod.cat
+    return {(u, v, k) for u, v, _ in cat.hom_pairs() if u != v and mod.dim(u) and mod.dim(v)
+            for k in cat.generators(u, v)}
+
+
+def _kernels_with_composites():
+    """(cover, its kernel, the morphisms (u, v, k) that are not generators and act between
+    nonzero spaces of the kernel) for the covers of first syzygies on A2 [0, 9] that have some."""
+    cat = SCategoryWindow(A2, None, Window(0, 9))
+    for x in cat.objects:
+        if x.level > 6:
+            continue
+        cover = minimal_cover(_first_syzygy(cat, x))
+        mod = kernel_submodule(cover)[0]
+        others = [(u, v, k) for u, v, dk in cat.hom_pairs() if u != v and mod.dim(u) and mod.dim(v)
+                  for k in range(dk) if k not in cat.generators(u, v)]
+        if others:
+            yield cover, mod, others
+
+
+def test_building_a_kernel_solves_only_the_generator_actions(monkeypatch):
+    solved = []
+    real = catmod.in_basis
+    monkeypatch.setattr(catmod, "in_basis", lambda *a: solved.append(1) or real(*a))
+    seen = 0
+    for cover, _, others in _kernels_with_composites():
+        del solved[:]
+        mod = kernel_submodule(cover)[0]
+        assert set(mod.act) == _generator_keys(mod) and len(solved) == len(mod.act)
+        # any other action is solved when it is first read, and then kept
+        u, v, k = others[0]
+        mat = mod.act_mat(u, v, k)
+        assert len(solved) == len(_generator_keys(mod)) + 1 and mod.act[(u, v, k)] is mat
+        assert mod.act_mat(u, v, k) is mat and len(solved) == len(_generator_keys(mod)) + 1
+        # identities are supplied, never stored
+        assert all(key[0] != key[1] for key in mod.act)
+        seen += 1
+    assert seen > 0
+
+
+def test_a_closure_failure_is_raised_on_a_generator_when_built_and_on_any_other_action_when_read(monkeypatch):
+    cover, mod, others = next(_kernels_with_composites())
+    assert mod.act  # the kernel has generator actions between nonzero spaces
+    monkeypatch.setattr(catmod, "in_basis", lambda *a: None)
+    with pytest.raises(InternalConsistencyError, match="not closed under the action"):
+        kernel_submodule(cover)
+    for u, v, k in others:
+        for _ in range(2):  # a failed solve is not kept
+            with pytest.raises(InternalConsistencyError, match="not closed under the action"):
+                mod.act_mat(u, v, k)
+    assert all(mod.act_mat(*key) is mod.act[key] for key in _generator_keys(mod))
+
+
 # ---------------------------------------------------------------------------
 # The generators of S against the paper's quiver of S, and the radical and
 # socle along them against their all-basis-morphism twins.
@@ -316,9 +379,7 @@ def _twin_radical_cols(mod, u):
         if v == u or mod.dim(v) == 0:
             continue
         for k in range(mod.cat.dim(u, v)):
-            mat = mod.act.get((u, v, k))
-            if mat is None:
-                continue
+            mat = mod.act_mat(u, v, k)
             for j in range(mod.dim(v)):
                 col = [mat[i][j] for i in range(du)]
                 if any(x != mod.field.zero for x in col):
@@ -336,9 +397,7 @@ def _twin_socle_dim(mod, u):
         if w == u:
             continue
         for k in range(mod.cat.dim(w, u)):
-            mat = mod.act.get((w, u, k))
-            if mat is not None:
-                rows.extend(mat)
+            rows.extend(mod.act_mat(w, u, k))
     return du - mat_rank(rows, du, mod.field)
 
 

@@ -462,17 +462,27 @@ def test_reference_rref_ranks_only_for_the_path_oracle():
     assert oracle_calls == ORACLES
 
 
+# Inside mesh_hom, who reads an arrow's columns: the one push that walks arrows, the
+# translate that forwards to its base, and the disk writer that stores them.
+COLUMN_READERS = {"_push", "_Translate.columns", "_dropped_entries"}
+
+
 def test_mesh_hom_is_the_only_composition_routine():
-    """Composites are read off mesh_hom's pre- and postcomposition matrices, never walked elsewhere."""
+    """Composites are read off mesh_hom's pre- and postcomposition matrices, never walked
+    elsewhere: no program code calls apply_arrow, none outside mesh_hom calls reduce_path,
+    and inside mesh_hom only the one push walks arrows through their columns."""
     package = pathlib.Path(stratakit.__file__).parent
-    problems = []
+    problems, readers = [], set()
     for path in sorted(package.glob("*.py")):
-        if path.name == "mesh_hom.py":
-            continue
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
-            if isinstance(node, ast.Call) and _called_name(node) == "reduce_path":
-                problems.append(f"{path.name}:{node.lineno} calls reduce_path")
+        for func, called in _qualified_calls(ast.parse(path.read_text(), str(path))):
+            if called == "apply_arrow":
+                problems.append(f"{path.name}:{func} calls apply_arrow")
+            if called == "reduce_path" and path.name != "mesh_hom.py":
+                problems.append(f"{path.name}:{func} calls reduce_path")
+            if called == "columns" and path.name == "mesh_hom.py":
+                readers.add(func)
     assert problems == []
+    assert readers == COLUMN_READERS
 
 
 def _qualified_calls(tree, prefix=""):
@@ -491,7 +501,7 @@ SOLVE_MANY_CALLERS = {("kan_strata.py", "kan_intermediate"), ("kan_strata.py", "
 # Who reads the generators of S: catmod's own modules and criterion 2's count of rad/rad^2.
 GENERATORS_CALLERS = {("acceptance.py", "criterion_2"), ("catmod.py", "SCategoryWindow.generators"),
                       ("catmod.py", "CatModule.radical_cols"), ("catmod.py", "CatModule.socle_dim"),
-                      ("catmod.py", "OpSCategoryWindow.generators")}
+                      ("catmod.py", "OpSCategoryWindow.generators"), ("catmod.py", "kernel_submodule")}
 
 
 def test_no_program_code_builds_a_naturality_system_and_solves_go_through_in_basis():

@@ -27,7 +27,7 @@ from stratakit.mesh_hom import (
     sweep,
     sweep_matches_oracle,
 )
-from stratakit.exact_linalg import QQ, PrimeField
+from stratakit.exact_linalg import QQ, PrimeField, mat_vec
 from stratakit.quiver_core import (
     Configuration,
     QArrow,
@@ -181,8 +181,8 @@ def test_mesh_exactness_relator_composite_is_zero():
             acc = [QQ.zero] * fun.dim(x)
             for b in ctx.in_arrows(x, w):
                 sb = sigma_arrow(ctx.q, b)
-                mid = fun.apply_arrow(sb, vec)
-                out = fun.apply_arrow(b, mid)
+                mid = _apply_arrow(fun, sb, vec)
+                out = _apply_arrow(fun, b, mid)
                 acc = [a + o for a, o in zip(acc, out)]
             assert all(a == 0 for a in acc)
 
@@ -450,8 +450,19 @@ def test_malformed_disk_file_is_a_miss(tmp_path, monkeypatch, damage):
 
 
 # ---------------------------------------------------------------------------
-# The two composition routines against a walk of the concatenated path.
+# The composition routines against their twin: a dense walk of the
+# concatenated path, one arrow matrix at a time.
 # ---------------------------------------------------------------------------
+
+def _apply_arrow(fun, arrow, vec):
+    """The dense image of vec under the arrow's matrix in fun."""
+    out = [fun.field.zero] * fun.dim(arrow.target)
+    for x, col in zip(vec, fun.columns(arrow)):
+        if x:
+            for r, c in col.items():
+                out[r] += c * x
+    return out
+
 
 def _walker(fun):
     """Coordinates of paths from fun.source, one arrow matrix at a time; each prefix is walked once."""
@@ -461,7 +472,7 @@ def _walker(fun):
         vec = memo.get(path)
         if vec is None:
             assert path[-1].source == (path[-2].target if len(path) > 1 else fun.source)
-            vec = memo[path] = fun.apply_arrow(path[-1], walk(path[:-1]))
+            vec = memo[path] = _apply_arrow(fun, path[-1], walk(path[:-1]))
         return vec
     return walk
 
@@ -530,7 +541,8 @@ def test_postcomposition_by_one_arrow_is_the_sweep_arrow_matrix(quiver, flavor, 
 
 
 # ---------------------------------------------------------------------------
-# The reduce_path memo and the atomic disk writes.
+# reduce_path and the composites against the dense walk, entry by entry and
+# type by type; then the atomic disk writes.
 # ---------------------------------------------------------------------------
 
 def _extended_basis_paths(ctx, w):
@@ -545,17 +557,10 @@ def _extended_basis_paths(ctx, w):
     return out
 
 
-def _count_arrow_applications(monkeypatch):
-    applied = []
-    real_apply = mesh_hom.HomFunctor.apply_arrow
-    monkeypatch.setattr(mesh_hom.HomFunctor, "apply_arrow",
-                        lambda self, arrow, vec: applied.append(arrow) or real_apply(self, arrow, vec))
-    return applied
-
-
 @pytest.mark.parametrize("quiver,window", [(A2, Window(0, 4)), (kronecker_quiver(), Window(0, 3))],
                          ids=["A2", "Kronecker"])
-def test_reduce_path_memo_matches_a_fresh_walk(quiver, window, monkeypatch):
+def test_reduce_path_memo_matches_a_fresh_walk(quiver, window):
+    """reduce_path keeps no memo: asked twice, and after its prefix, it gives the fresh walk."""
     ctx = MeshContext(quiver, "RC")
     clear_cache()
     try:
@@ -563,23 +568,16 @@ def test_reduce_path_memo_matches_a_fresh_walk(quiver, window, monkeypatch):
         assert len(cases) > 50
         for x, path in cases:
             sweep(ctx, x, window).reduce_path(path)
-        applied = _count_arrow_applications(monkeypatch)
-        memo = [sweep(ctx, x, window).reduce_path(path) for x, path in cases]
-        assert applied == []  # every answer came from the memo
-        monkeypatch.undo()
+        again = [sweep(ctx, x, window).reduce_path(path) for x, path in cases]
         clear_cache()
         walkers = {}
         fresh = [walkers.setdefault(x, _walker(sweep(ctx, x, window)))(path) for x, path in cases]
-        assert memo == fresh
-        # a path whose prefix is memoized costs exactly one arrow application
+        assert again == fresh
         clear_cache()
-        applied = _count_arrow_applications(monkeypatch)
         for x, path in cases:
             fun = sweep(ctx, x, window)
-            fun.reduce_path(path[:-1])
-            del applied[:]
+            assert fun.reduce_path(path[:-1]) == walkers[x](path[:-1])
             assert fun.reduce_path(path) == walkers[x](path)
-            assert applied == [path[-1]]
     finally:
         clear_cache()
 
@@ -609,13 +607,171 @@ def test_reduce_path_from_the_wrong_vertex_raises_every_time():
         for _ in range(2):
             with pytest.raises(InvalidInputError):
                 fun.reduce_path((stray,))
-        # a walk that goes wrong after a valid prefix: the prefix is memoized, the walk is not
+        # a walk that goes wrong after a valid prefix
         prefix = fun.basis_paths(parse_vertex("2@0"))[0]
         assert prefix and prefix[-1].target != stray.source
         for _ in range(2):
             with pytest.raises(InvalidInputError, match="does not start where expected"):
                 fun.reduce_path(prefix + (stray,))
-        assert prefix in fun._reduced and prefix + (stray,) not in fun._reduced
+    finally:
+        clear_cache()
+
+
+def _twin_reduce_path(fun, path):
+    """reduce_path as a dense walk: the identity, one arrow matrix applied at a time."""
+    if fun.dim(fun.source) == 0:
+        raise InvalidInputError(f"source {fun.source} has no identity in this window")
+    vec, at = [fun.field.one], fun.source
+    for arrow in path:
+        if arrow.source != at:
+            raise InvalidInputError(f"path does not start where expected at {arrow}")
+        vec, at = _apply_arrow(fun, arrow, vec), arrow.target
+    return vec
+
+
+def _twin_columns(fun, end, paths):
+    cols = [_twin_reduce_path(fun, p) for p in paths]
+    return [[c[i] for c in cols] for i in range(fun.dim(end))]
+
+
+def _twin_precomposition(ctx, s, u, v, m, w, field):
+    return _twin_columns(sweep(ctx, u, w, field), m, [tuple(s) + p for p in sweep(ctx, v, w, field).basis_paths(m)])
+
+
+def _twin_postcomposition(ctx, a, path, y, w, field):
+    fun = sweep(ctx, a, w, field)
+    return _twin_columns(fun, path[-1].target if path else y, [p + tuple(path) for p in fun.basis_paths(y)])
+
+
+def _twin_compose(ctx, f, g, w, field):
+    acc = [field.zero] * sweep(ctx, f.source, w, field).dim(g.target)
+    for cj, path in zip(g.coeffs, sweep(ctx, g.source, w, field).basis_paths(g.target)):
+        if cj != field.zero:
+            img = mat_vec(_twin_postcomposition(ctx, f.source, path, f.target, w, field), f.coeffs, field)
+            acc = [x + cj * y for x, y in zip(acc, img)]
+    return Morphism(f.source, g.target, tuple(acc))
+
+
+def _typed(x):
+    """x with every scalar paired with its type, so equal values of different types differ."""
+    if isinstance(x, (list, tuple)):
+        return [_typed(y) for y in x]
+    return type(x), x
+
+
+# Coefficients whose products make ints, integral Fractions and proper Fractions over QQ.
+_COEFFS = (0, 1, -1, 2, Fraction(1, 2), Fraction(-3, 1))
+
+
+@pytest.mark.parametrize("flavor", ["kZQ", "RC", "SC"])
+@pytest.mark.parametrize("quiver,hi", [(A2, 4), (a_n_quiver(3), 3), (d4_quiver(), 2), (kronecker_quiver(2), 2)],
+                         ids=["A2", "A3", "D4", "K2"])
+def test_composites_equal_the_dense_walk_entry_by_entry_and_type_by_type(quiver, hi, flavor, monkeypatch):
+    """precomposition_matrix, postcomposition_matrix, compose and HomBasis.reduce_path against
+    the dense walk, over QQ and GF(3), on sweeps asked for lowest source first (so most are
+    translates), with every basis path, every single arrow and the empty path."""
+    monkeypatch.setattr(mesh_hom, "_DISK_DIR", None)
+    translated = _counting_translate(monkeypatch)
+    ctx, w = MeshContext(quiver, flavor), Window(0, hi)
+    verts = ctx.vertices_in(w)
+    objs = [v for v in verts if flavor != "SC" or v.frozen]
+    rng = random.Random(f"{quiver.key()}{flavor}")
+    for field in (QQ, PrimeField(3)):
+        clear_cache()
+        try:
+            count = 0
+            for u in objs:
+                fun = sweep(ctx, u, w, field)
+                # s: u -> v over every basis path (the empty one included) and, outside SC, every arrow
+                steps = [(p, v) for v in objs for p in fun.basis_paths(v)]
+                if flavor != "SC":
+                    steps += [((a,), a.target) for a in ctx.out_arrows(u, w)]
+                for s, v in steps:
+                    for m in objs:
+                        got = precomposition_matrix(ctx, s, u, v, m, w, field)
+                        assert _typed(got) == _typed(_twin_precomposition(ctx, s, u, v, m, w, field))
+                        assert _typed(postcomposition_matrix(ctx, m, s, u, w, field)) == _typed(
+                            _twin_postcomposition(ctx, m, s, u, w, field))
+                        count += 1
+                    if flavor != "SC" or v.frozen:
+                        got = hom_basis(ctx, u, v, w, field).reduce_path(s)
+                        assert got.target == v and _typed(got.coeffs) == _typed(_twin_reduce_path(fun, s))
+                for y in objs:
+                    for z in objs:
+                        dims = (fun.dim(y), sweep(ctx, y, w, field).dim(z))
+                        if not all(dims) or rng.random() < 0.5:
+                            continue
+                        f, g = (Morphism(a, b, tuple(field.of_int(rng.choice((0, 1, -1, 2))) if field is not QQ
+                                                     else rng.choice(_COEFFS) for _ in range(d)))
+                                for a, b, d in ((u, y, dims[0]), (y, z, dims[1])))
+                        got = compose(ctx, f, g, w, field)
+                        assert got == _twin_compose(ctx, f, g, w, field)
+                        assert _typed(got.coeffs) == _typed(_twin_compose(ctx, f, g, w, field).coeffs)
+                        count += 1
+            assert count > 100
+        finally:
+            clear_cache()
+    assert translated
+
+
+@pytest.mark.parametrize("flavor", ["kZQ", "RC"])
+@pytest.mark.parametrize("quiver", [A2, a_n_quiver(3), d4_quiver(), kronecker_quiver(2)], ids=["A2", "A3", "D4", "K2"])
+def test_a_basis_path_reduces_to_its_unit_vector(quiver, flavor):
+    ctx, w = MeshContext(quiver, flavor), Window(0, 3)
+    for field in (QQ, PrimeField(3)):
+        clear_cache()
+        try:
+            for x in ctx.vertices_in(w):
+                fun = sweep(ctx, x, w, field)
+                for y in ctx.vertices_in(w):
+                    for k, p in enumerate(fun.basis_paths(y)):
+                        unit = [field.one if i == k else field.zero for i in range(fun.dim(y))]
+                        assert _typed(fun.reduce_path(p)) == _typed(unit)
+        finally:
+            clear_cache()
+
+
+def test_composites_along_a_basis_path_of_1400_arrows():
+    """The pushes walk iteratively: over A2 in S_C the powers of the horizontal arrow never
+    die, so Hom(1'@0, 1'@700) has one basis path, 1400 arrows long."""
+    ctx, w = MeshContext(A2, "SC"), Window(0, 700)
+    u, m = parse_vertex("1'@0"), parse_vertex("1'@700")
+    clear_cache()
+    try:
+        fun = sweep(ctx, u, w)
+        (path,) = fun.basis_paths(m)
+        assert len(path) == 1400
+        assert precomposition_matrix(ctx, (), u, u, m, w) == postcomposition_matrix(ctx, u, path, u, w) == [[1]]
+        assert fun.reduce_path(path) == _twin_reduce_path(fun, path) == [1]
+    finally:
+        clear_cache()
+
+
+def test_composites_raise_both_input_errors_on_every_call(monkeypatch):
+    w, u = Window(0, 3), parse_vertex("1@0")
+    stray = RC.out_arrows(parse_vertex("2@1"), w)[0]
+    v = stray.target
+    clear_cache()
+    try:
+        fun = sweep(RC, u, w)
+        assert fun.dim(v) and stray.source != u
+        for _ in range(2):
+            with pytest.raises(InvalidInputError, match="does not start where expected"):
+                fun.reduce_path((stray,))
+            with pytest.raises(InvalidInputError, match="does not start where expected"):
+                precomposition_matrix(RC, (stray,), u, v, v, w)
+            with pytest.raises(InvalidInputError, match="does not start where expected"):
+                postcomposition_matrix(RC, u, (stray,), u, w)
+        # a functor without its source's identity
+        bare = mesh_hom.HomFunctor(RC, u, w, QQ)
+        real = mesh_hom.sweep
+        monkeypatch.setattr(mesh_hom, "sweep", lambda ctx, x, win, field=QQ: bare if x == u else real(ctx, x, win, field))
+        arrow = RC.out_arrows(u, w)[0]
+        for _ in range(2):
+            with pytest.raises(InvalidInputError, match="no identity"):
+                bare.reduce_path(())
+            with pytest.raises(InvalidInputError, match="no identity"):
+                precomposition_matrix(RC, (arrow,), u, arrow.target, arrow.target, w)
     finally:
         clear_cache()
 
@@ -675,7 +831,7 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), 
 LOG_SCRIPT = """
 import json, sys
 from stratakit import mesh_hom
-from stratakit.exact_linalg import QQ, PrimeField
+from stratakit.exact_linalg import QQ, PrimeField, mat_vec
 from stratakit.mesh_hom import MeshContext
 from stratakit.quiver_core import Window, a_n_quiver
 ctx, w = MeshContext(a_n_quiver(2), "RC"), Window(0, 4)
