@@ -3,7 +3,9 @@
 Each CLI case runs `strata-kit` in-process on the small A2, D4 and
 Kronecker fixtures in tests/golden/ and compares exit code, stdout and
 stderr byte for byte with tests/golden/cli_expected.json, with the disk
-cache off, and again cold and then warm through one cache directory.  The library
+cache off, and again cold and then warm through one cache directory; the
+SHA-256 of every log the cold run stores is pinned in
+tests/golden/cache_logs.json, so the records' bytes are pinned too.  The library
 cases pin the results of `stabilize`, `kan_left` with the canonical map,
 `ext_dim` and `ext_from_injective_multi` in tests/golden/library_expected.json.
 
@@ -11,6 +13,7 @@ The expected files were written once and are never regenerated by the
 test: a refactor that changes a chosen basis, a matrix entry or an error
 message fails here.
 """
+import hashlib
 import json
 import sys
 from pathlib import Path
@@ -109,7 +112,7 @@ def test_every_subcommand_but_selftest_is_pinned():
     commands = {args[0] for args in CLI_CASES.values()}
     subparsers = next(a for a in build_parser()._actions if a.dest == "command")
     assert commands == set(subparsers.choices) - {"selftest"}
-    assert set(_expected("cli_expected.json")) == set(CLI_CASES)
+    assert set(_expected("cli_expected.json")) == set(_expected("cache_logs.json")) == set(CLI_CASES)
 
 
 @pytest.mark.parametrize("name", sorted(CLI_CASES))
@@ -145,8 +148,8 @@ def _sweeps_computed_for_sweep(monkeypatch):
 def test_cli_bytes_cold_then_warm_through_one_disk_cache(name, capsys, tmp_path, monkeypatch):
     """The same bytes with STRATAKIT_CACHE_DIR set: once on an empty cache directory, then,
     with the memory cache cleared as in a second invocation, on what the first run stored.
-    The warm run loads every sweep the cold run computed and stored, computes none, and
-    appends nothing."""
+    The cold run stores the pinned logs, byte for byte.  The warm run loads every sweep the
+    cold run computed and stored, computes none, and appends nothing."""
     want = _expected("cli_expected.json")[name]
     cache = tmp_path / "cache"
     monkeypatch.setenv("STRATAKIT_CACHE_DIR", str(cache))
@@ -168,6 +171,7 @@ def test_cli_bytes_cold_then_warm_through_one_disk_cache(name, capsys, tmp_path,
         runs.append((list(computed), list(loaded), {p.name: p.read_bytes() for p in cache.iterdir()}))
     (cold_computed, _, cold_logs), (warm_computed, warm_loaded, warm_logs) = runs
     assert warm_computed == [] and warm_loaded == cold_computed and warm_logs == cold_logs
+    assert {n: hashlib.sha256(b).hexdigest() for n, b in cold_logs.items()} == _expected("cache_logs.json")[name]
 
 
 def _noted(seen, source, fun):

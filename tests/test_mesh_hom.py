@@ -421,13 +421,94 @@ def _damage(data, damage, at):
     return data
 
 
+def _twin_decode(ctx, source, window, raw):
+    """The record decoder as it was before loading went through the sweep's own walk:
+    mesh_hom._decode must return an equal sweep, or None exactly where this twin does."""
+    rq = ctx._slice(window)
+    fracs = {}
+
+    def rational(x):
+        if type(x) is str:
+            x = fracs.get(x) or fracs.setdefault(x, Fraction(x))
+            if x.denominator == 1:
+                raise ValueError(x)
+        elif type(x) is not int:
+            raise TypeError(x)
+        if not x:
+            raise ValueError(x)
+        return x
+
+    try:
+        version, entries = json.loads(raw)
+        if version != 4 or type(entries) is not list:
+            return None
+        last = (-1, -1)
+        for ent in entries:
+            if (type(ent) is not list or len(ent) < 2 or len(ent) % 2 or type(ent[0]) is not int
+                    or type(ent[1]) is not int or ent[1] < 0 or (ent[0], ent[1]) <= last):
+                return None
+            last = (ent[0], ent[1])
+        fun = mesh_hom.HomFunctor(ctx, source, window, QQ)
+        dims, paths, kept, mats = fun.dims, fun.paths, fun.kept, fun.mats
+        e = 0
+        for i, v in enumerate(rq.vertices):
+            if v.level < source.level:
+                dims[v], paths[v], kept[v] = 0, [], []
+                continue
+            in_arrows = rq.in_arrows(v)
+            if v == source:
+                dims[v], paths[v], kept[v] = 1, [()], [0]
+                for b in in_arrows:
+                    mats[b] = []
+                continue
+            gen_dim = sum(dims[b.source] for b in in_arrows)
+            dropped = {}
+            while e < len(entries) and entries[e][0] == i:
+                if entries[e][1] >= gen_dim:
+                    return None
+                dropped[entries[e][1]] = entries[e]
+                e += 1
+            ks = kept[v] = [g for g in range(gen_dim) if g not in dropped]
+            dims[v] = rows = len(ks)
+            paths[v] = mesh_hom._kept_paths(in_arrows, paths, ks)
+            g = k = 0
+            for b in in_arrows:
+                cols = mats[b] = []
+                for _ in range(dims[b.source]):
+                    ent = dropped.get(g)
+                    if ent is None:
+                        cols.append({k: 1})
+                        k += 1
+                    else:
+                        col = {ent[j]: rational(ent[j + 1]) for j in range(2, len(ent), 2)}
+                        if 2 * len(col) != len(ent) - 2 or any(type(r) is not int or not 0 <= r < rows for r in col):
+                            return None
+                        cols.append(col)
+                    g += 1
+        if e != len(entries):
+            return None
+    except (ValueError, TypeError, ZeroDivisionError):
+        return None
+    return fun
+
+
+def _decodes_as_the_twin(ctx, source, window, raw):
+    """mesh_hom._decode(raw) is None exactly where the twin's is, and else holds what the
+    twin's holds (_held); returns the decoded sweep."""
+    got, want = mesh_hom._decode(ctx, source, window, raw), _twin_decode(ctx, source, window, raw)
+    assert (got is None) == (want is None)
+    assert got is None or _held(got) == _held(want)
+    return got
+
+
 @pytest.mark.parametrize("damage", ["wrong-shape", "truncated", "short-matrix", "not-an-object", "missing-matrix",
                                     "extra-matrix", "kept-out-of-range", "kept-not-increasing", "kept-repeated",
                                     "kept-negative", "row-outside", "row-negative", "row-repeated", "stored-zero",
                                     "integral-fraction", "odd-column", "vertex-out-of-range",
                                     "entries-not-increasing", "at-or-below-source", "not-a-rational"])
 def test_malformed_disk_file_is_a_miss(tmp_path, monkeypatch, damage):
-    # A record with the right version but broken content is recomputed, not trusted.
+    # A record with the right version but broken content is recomputed, not trusted; the
+    # decoder and its twin both refuse it.
     ctx, source, w = MeshContext(kronecker_quiver(), "kZQ"), parse_vertex("1@0"), Window(0, 3)
     clear_cache()
     enable_disk_cache(str(tmp_path))
@@ -439,6 +520,7 @@ def test_malformed_disk_file_is_a_miss(tmp_path, monkeypatch, damage):
         if damage == "truncated":
             text = text[:len(text) // 2]
         path.write_bytes(text)
+        assert _decodes_as_the_twin(ctx, source, w, text.strip(b"\n").partition(b"\t")[2]) is None
         clear_cache()
         computed = _counting_sweep(monkeypatch)
         again = sweep(ctx, source, w)
@@ -1242,7 +1324,8 @@ def test_every_sweep_of_small_windows_round_trips_through_a_record():
     """Every sweep of A2, A3, D4 and the 2- and 3-Kronecker quivers over small windows, in
     kZQ, RC and SC and under a periodic configuration, decodes from its record to what
     _sweep computed (dims, paths, kept lists and columns, in the same order and with the
-    same int and Fraction entries), and the decoded sweep encodes to the same record."""
+    same int and Fraction entries), as the old decoder's twin does, and the decoded sweep
+    encodes to the same record."""
     encode = json.JSONEncoder(separators=(",", ":")).encode
     count = dropped = 0
     for q, flavor, config, w in ROUND_TRIP_CASES:
@@ -1252,7 +1335,7 @@ def test_every_sweep_of_small_windows_round_trips_through_a_record():
                 continue
             fun = mesh_hom._sweep(ctx, s, w, QQ)
             raw = encode([4, list(mesh_hom._dropped_entries(fun))]).encode()
-            loaded = mesh_hom._decode(ctx, s, w, raw)
+            loaded = _decodes_as_the_twin(ctx, s, w, raw)
             assert loaded is not None and _held(loaded) == _held(fun), (ctx.cache_key(), s)
             assert encode([4, list(mesh_hom._dropped_entries(loaded))]).encode() == raw
             count += 1
@@ -1399,7 +1482,8 @@ def _json_values():
 @given(data=st.data())
 def test_a_truncated_or_damaged_record_never_raises_out_of_sweep(tmp_path, data):
     """Whatever one cut or one edit of a stored record leaves, sweep() returns a sweep: a
-    record that fails a check is recomputed, and none raises."""
+    record that fails a check is recomputed, and none raises.  The decoder takes the
+    damaged record exactly where the old decoder's twin does, to an equal sweep."""
     ctx, source, w = MeshContext(kronecker_quiver(), "RC"), parse_vertex("1@0"), Window(0, 3)
     clear_cache()
     enable_disk_cache(str(tmp_path))
@@ -1425,6 +1509,7 @@ def test_a_truncated_or_damaged_record_never_raises_out_of_sweep(tmp_path, data)
                 del target[k % len(target)]
             line = _record_line(prefix, record)
         path.write_bytes(line)
+        _decodes_as_the_twin(ctx, source, w, line.strip(b"\n").partition(b"\t")[2])
         clear_cache()
         fun = sweep(ctx, source, w)
         assert isinstance(fun, mesh_hom.HomFunctor) and fun.dim(source) == 1
