@@ -26,7 +26,6 @@ from .quiver_core import (
     Window,
     a_n_quiver,
     build_repetition,
-    check_configuration,
     d4_quiver,
     kronecker_quiver,
     parse_vertex,
@@ -35,7 +34,7 @@ from .quiver_core import (
     tau,
     tau_inv,
 )
-from .mesh_hom import HomBasis, MeshContext, Morphism, compose, hom_basis, hom_dim
+from .mesh_hom import HomBasis, MeshContext, Morphism, check_configuration, compose, hom_basis, hom_dim
 from .dq_engine import (
     DynkinInfo,
     ar_relation_vector,

@@ -29,12 +29,11 @@ from .kan_strata import (
     same_stratum,
     validate,
 )
-from .mesh_hom import MeshContext, hom_basis
+from .mesh_hom import MeshContext, check_configuration, hom_basis
 from .quiver_core import (
     Configuration,
     Quiver,
     Window,
-    check_configuration,
     parse_vertex,
 )
 from .sing_builder import build_sing_quiver, ext_oracle

@@ -26,6 +26,7 @@ A disagreement raises InternalConsistencyError and is never smoothed over.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, List, Optional, Tuple
@@ -62,6 +63,7 @@ from .quiver_core import (
     build_repetition,
     parse_arrow_key,
     parse_vertex,
+    relator_row,
     rep_in_arrows,
     rep_out_arrows,
     shared,
@@ -161,19 +163,10 @@ class WindowRep:
         if self.window != other.window or self.q.key() != other.q.key():
             raise InvalidInputError("direct sum needs matching quiver and window")
         dims = {v: self.dim(v) + other.dim(v) for v in set(self.dims) | set(other.dims)}
-        mats = {}
-        for a in set(self.mats) | set(other.mats):
-            r1, c1 = self.dim(a.source), self.dim(a.target)
-            r2, c2 = other.dim(a.source), other.dim(a.target)
-            m = [[self.field.zero] * (c1 + c2) for _ in range(r1 + r2)]
-            m1, m2 = self.mat(a), other.mat(a)
-            for i in range(r1):
-                for j in range(c1):
-                    m[i][j] = m1[i][j]
-            for i in range(r2):
-                for j in range(c2):
-                    m[r1 + i][c1 + j] = m2[i][j]
-            mats[a] = m
+        zero = [self.field.zero]
+        mats = {a: [row + zero * other.dim(a.target) for row in self.mat(a)]
+                + [zero * self.dim(a.target) + row for row in other.mat(a)]
+                for a in set(self.mats) | set(other.mats)}
         return WindowRep(self.q, self.window, self.config, dims, mats, self.field)
 
     def reduce_mod(self, field: PrimeField) -> "WindowRep":
@@ -269,30 +262,6 @@ def _quotient_rep(rep: WindowRep, rel_cols: Dict[RepVertex, list]):
     kept = {x: k for x, (k, _) in proj.items()}
     dims = {x: len(k) for x, k in kept.items()}
     return WindowRep(rep.q, rep.window, rep.config, dims, mats, rep.field), kept
-
-
-def relator_row(rq, x: RepVertex, dims, mats):
-    """The mesh relator's block row [M(sigma b_1) | ... | M(sigma b_k)] at x, or None where none is imposed.
-
-    One sparse dict row per coordinate of tau(x); block i, for the term (sigma b_i, b_i) with
-    b_i: y_i -> x (RepQuiver.relator), takes dims[y_i] columns, and an absent matrix is zero.
-    Returns (rows, width).  kan_right and randrep extend by its kernel, ext1_simple_into
-    subtracts its rank, and at tau^-1(x) it is the stack of the arrows out of x (is_costable).
-    """
-    rel = rq.relator(x)
-    if rel is None:
-        return None
-    rows = [{} for _ in range(dims.get(tau(x), 0))]
-    width = 0
-    for sb, b in rel.terms:
-        m = mats.get(sb)
-        if m is not None:
-            for row, r in zip(m, rows):
-                for t, c in enumerate(row):
-                    if c:
-                        r[width + t] = c
-        width += dims.get(b.source, 0)
-    return rows, width
 
 
 def mesh_residual(rep: WindowRep, x: RepVertex):
@@ -1107,7 +1076,8 @@ class FiberResult:
         }
 
 
-# The most subspaces fiber() enumerates in one CK stalk; past it, the answer is undetermined.
+# The most subspaces fiber() enumerates in one CK stalk, and the most combinations of
+# every stalk's subspaces its search may walk; past either, the answer is undetermined.
 MAX_STALK_SUBSPACES = 100_000
 
 
@@ -1201,6 +1171,12 @@ class _FiberStage:
         self.ck = ck
 
     @cached_property
+    def choices(self) -> int:
+        """The most subspace choices attained's search can walk: the product of every CK
+        stalk's subspace count."""
+        return math.prod(_subspace_count(d, self.field.p) for d in self.ck.dims.values())
+
+    @cached_property
     def attained(self) -> Dict[tuple, Dict[RepVertex, list]]:
         """Every submodule dimension vector of CK, keyed by its sorted (vertex key, dim) pairs."""
         ck, field = self.ck, self.field
@@ -1271,6 +1247,9 @@ def fiber(M: SModulePoint, v: Dict[RepVertex, int], p: int, w: Window, bound: in
     count = _subspace_count(d, p)
     if count > MAX_STALK_SUBSPACES:
         return FiberResult(None, p, v0, [], None, f"a CK stalk of dimension {d} has {count} subspaces, "
+                           f"more than the limit {MAX_STALK_SUBSPACES}")
+    if stage.choices > MAX_STALK_SUBSPACES:
+        return FiberResult(None, p, v0, [], None, f"the CK stalks' subspaces combine in {stage.choices} ways, "
                            f"more than the limit {MAX_STALK_SUBSPACES}")
 
     attained = stage.attained

@@ -1,11 +1,13 @@
 """Explicit Hom bases in the mesh categories k(ZQ), R_C and S_C on a window.
 
-For a fixed source a, the functor Hom(a, -) is built by a level sweep in
-topological order: at each vertex the generators are "previous basis
-element followed by an incoming arrow" and the mesh relator of the vertex
-is imposed once, as the image of Hom(a, tau(x)) inside the generator sum.
-Basis elements are therefore single paths, picked deterministically, and
-every arrow acts by an explicit (sparse) matrix on the chosen bases.  Raw path
+For a fixed source a, the functor Hom(a, -) is built by one walk of the
+window slice in order (_walk): at each vertex the generators are "previous
+basis element followed by an incoming arrow" and the mesh relator of the
+vertex is imposed once, as the image of Hom(a, tau(x)) inside the generator
+sum, laid out by quiver_core.relator_row.  Basis elements are therefore
+single paths, picked deterministically, and every arrow acts by an explicit
+(sparse) matrix on the chosen bases.  The same walk loads a stored sweep,
+reading each vertex's classes off the record instead of eliminating.  Raw path
 enumeration plus dense Gaussian elimination (exact_linalg.reference_rref,
 not the sparse rref the sweep runs on) is kept as the test oracle.
 
@@ -20,8 +22,8 @@ only when no sweep held from the same node is at least as tall (reaches
 as many levels above its source); every other one is a translate: a view
 that reads the tallest held s levels lower, one vertex or arrow at a time
 when asked, copies nothing, and is kept in memory and never stored.
-_sweep is the only code that computes a sweep, and it refuses one that
-would hold more than MAX_SWEEP_ENTRIES matrix entries.
+_sweep, the walk without a record, is the only code that computes a sweep,
+and it refuses one that would hold more than MAX_SWEEP_ENTRIES matrix entries.
 """
 from __future__ import annotations
 
@@ -33,7 +35,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import InternalConsistencyError, InvalidInputError
-from .exact_linalg import QQ, mat_vec, quotient_coords, reference_rref
+from .exact_linalg import QQ, mat_rank, mat_vec, quotient_coords, reference_rref
 from .quiver_core import (
     Configuration,
     Quiver,
@@ -42,6 +44,7 @@ from .quiver_core import (
     Window,
     build_repetition,
     clear_slices,
+    relator_row,
     tau,
 )
 
@@ -114,7 +117,7 @@ class HomFunctor:
     (_Translate) answers from its base.  The matrix of an arrow b: y -> v
     is held as its columns, one per basis element of Hom(source, y), each a
     dict of its nonzero coordinates in the basis at v.  kept[v] lists the
-    generators whose classes form that basis (see _sweep): 0, the identity,
+    generators whose classes form that basis (see _walk): 0, the identity,
     at the source.  The column of the kept generator kept[v][k] is the unit
     vector {k: 1}, so only the dropped generators' columns carry
     information, a disk record holds those alone, and a basis path reduces
@@ -200,6 +203,15 @@ def _kept_paths(in_arrows, paths, kept) -> list:
 
 
 def _sweep(ctx: MeshContext, source: RepVertex, window: Window, field) -> HomFunctor:
+    return _walk(ctx, source, window, field)
+
+
+def _walk(ctx: MeshContext, source: RepVertex, window: Window, field, stored=None) -> HomFunctor:
+    """Hom(source, -) on the window, built vertex by vertex in slice order: the generators at
+    a vertex are its in-arrows in slice order, each after every basis path at its source,
+    taken modulo the mesh relator's block row (relator_row) by quotient_coords; or, with
+    stored, a record's dropped classes {vertex index: {generator: class}}, every other
+    generator kept with its unit vector, and ValueError where the record does not fit."""
     if not window.contains(source):
         raise InvalidInputError(f"hom source {source} outside window {window.to_json()}")
     if not ctx.contains(source):
@@ -208,41 +220,51 @@ def _sweep(ctx: MeshContext, source: RepVertex, window: Window, field) -> HomFun
     dims, paths, kept, mats = fun.dims, fun.paths, fun.kept, fun.mats
     rq = ctx._slice(window)
     entries = 0
-    for v in rq.vertices:
+    for i, v in enumerate(rq.vertices):
         if v.level < source.level:
             dims[v], paths[v], kept[v] = 0, [], []
             continue
-        in_arrows = rq.in_arrows(v)
-        for b in in_arrows:  # every arrow into the levels swept has a matrix, in slice order
-            mats[b] = []
+        in_arrows = rq.in_arrows(v)  # every arrow into the levels swept has a matrix, in slice order
         if v == source:
             dims[v], paths[v], kept[v] = 1, [()], [0]
+            for b in in_arrows:
+                mats[b] = []
             continue
-        offsets = []
-        gen_dim = 0
+        gen_dim = sum(dims[b.source] for b in in_arrows)
+        if stored is not None:
+            ks, coords = _stored_classes(stored.pop(i, {}), gen_dim)
+        elif gen_dim:
+            entries += gen_dim * gen_dim
+            if entries > MAX_SWEEP_ENTRIES:
+                raise InvalidInputError(
+                    f"the sweep of Hom({source}, -) on the window {window.to_json()} would hold more than "
+                    f"the limit of {MAX_SWEEP_ENTRIES} matrix entries at {v}; narrow the window")
+            rel = relator_row(rq, v, dims, mats)
+            ks, coords = quotient_coords(gen_dim, rel[0] if rel else [], field)
+        else:
+            ks = coords = []
+        kept[v], dims[v], paths[v] = ks, len(ks), _kept_paths(in_arrows, paths, ks)
+        off = 0
         for b in in_arrows:
-            offsets.append(gen_dim)
-            gen_dim += dims[b.source]
-        if gen_dim == 0:
-            dims[v], paths[v], kept[v] = 0, [], []
-            continue
-        entries += gen_dim * gen_dim
-        if entries > MAX_SWEEP_ENTRIES:
-            raise InvalidInputError(
-                f"the sweep of Hom({source}, -) on the window {window.to_json()} would hold more than "
-                f"the limit of {MAX_SWEEP_ENTRIES} matrix entries at {v}; narrow the window")
-        rel_cols = []
-        rel = rq.relator(v)
-        if rel is not None:
-            # column k of the relator: column k of each sigma-arrow's matrix, at its block
-            blocks = [(mats[sb], off) for (sb, _), off in zip(rel.terms, offsets) if sb in mats]
-            rel_cols = [{off + j: x for m, off in blocks for j, x in m[k].items()} for k in range(dims[tau(v)])]
-        kept[v], coords = quotient_coords(gen_dim, rel_cols, field)
-        dims[v] = len(kept[v])
-        paths[v] = _kept_paths(in_arrows, paths, kept[v])
-        for b, off in zip(in_arrows, offsets):
             mats[b] = coords[off:off + dims[b.source]]
+            off += dims[b.source]
+    if stored:
+        raise ValueError("classes stored at or below the source, or past the slice")
     return fun
+
+
+def _stored_classes(dropped: dict, gen_dim: int):
+    """The kept generators and every generator's class at a vertex with gen_dim generators,
+    as quotient_coords gives them, from the classes a record stores for the dropped ones."""
+    if any(g >= gen_dim for g in dropped):
+        raise ValueError("a dropped generator past the vertex's generators")
+    kept = [g for g in range(gen_dim) if g not in dropped]
+    if any(r >= len(kept) for col in dropped.values() for r in col):
+        raise ValueError("a class with a row past the kept basis")
+    coords = [dropped.get(g) for g in range(gen_dim)]
+    for k, g in enumerate(kept):
+        coords[g] = {k: 1}
+    return kept, coords
 
 
 # ---------------------------------------------------------------------------
@@ -256,8 +278,9 @@ def _sweep(ctx: MeshContext, source: RepVertex, window: Window, field) -> HomFun
 # in slice order, g its index among that vertex's generators, then the
 # nonzero coordinates of its class over the kept basis, row index and value
 # (an int or a "p/q" string) alternating.  A kept generator's column is its
-# unit vector, so the kept lists, dimensions, basis paths (_kept_paths) and
-# every column follow from a walk of the slice in the order _sweep takes.
+# unit vector, so _decode parses and checks the entries alone and hands the
+# classes to the walk that computes sweeps (_walk), which rebuilds the kept
+# lists, dimensions, basis paths and columns and refuses what does not fit.
 # ---------------------------------------------------------------------------
 
 _CACHE: Dict[tuple, HomFunctor] = {}
@@ -520,15 +543,10 @@ def _disk_load(ctx: MeshContext, source: RepVertex, window: Window, key) -> Opti
 
 
 def _decode(ctx: MeshContext, source: RepVertex, window: Window, raw: bytes) -> Optional[HomFunctor]:
-    """The sweep a record holds, or None unless its entries increase in (i, g), each at a
-    vertex above the source and inside that vertex's generators, with a class whose rows
-    lie in the matrix, each once, with nonzero rational values.
-
-    The slice is walked as _sweep walks it: the generators at a vertex are its
-    in-arrows in slice order, each after every basis path at its source; those
-    the record does not list are kept, and each kept column is its unit vector.
-    """
-    rq = ctx._slice(window)
+    """The sweep a record holds (_walk), or None unless its entries increase in (i, g), each
+    a class whose rows are distinct nonnegative ints with nonzero rational values, and
+    the walk takes them all: each at a vertex above the source, inside its generators,
+    with rows inside the kept basis."""
     fracs: Dict[str, Fraction] = {}  # equal "p/q" entries share one Fraction
 
     def rational(x):  # a nonzero int, or a "p/q" string of a rational that is not one
@@ -546,55 +564,19 @@ def _decode(ctx: MeshContext, source: RepVertex, window: Window, raw: bytes) -> 
         version, entries = json.loads(raw)
         if version != _DISK_VERSION or type(entries) is not list:
             return None
-        last = (-1, -1)
+        stored, last = {}, (-1, -1)
         for ent in entries:
             if (type(ent) is not list or len(ent) < 2 or len(ent) % 2 or type(ent[0]) is not int
                     or type(ent[1]) is not int or ent[1] < 0 or (ent[0], ent[1]) <= last):
                 return None
             last = (ent[0], ent[1])
-        fun = HomFunctor(ctx, source, window, QQ)
-        dims, paths, kept, mats = fun.dims, fun.paths, fun.kept, fun.mats
-        e = 0  # the next entry; the walk takes an entry only at its own vertex above the source
-        for i, v in enumerate(rq.vertices):
-            if v.level < source.level:
-                dims[v], paths[v], kept[v] = 0, [], []
-                continue
-            in_arrows = rq.in_arrows(v)
-            if v == source:
-                dims[v], paths[v], kept[v] = 1, [()], [0]
-                for b in in_arrows:
-                    mats[b] = []
-                continue
-            gen_dim = sum(dims[b.source] for b in in_arrows)
-            dropped = {}
-            while e < len(entries) and entries[e][0] == i:
-                if entries[e][1] >= gen_dim:
-                    return None
-                dropped[entries[e][1]] = entries[e]
-                e += 1
-            ks = kept[v] = [g for g in range(gen_dim) if g not in dropped]
-            dims[v] = rows = len(ks)
-            paths[v] = _kept_paths(in_arrows, paths, ks)
-            g = k = 0
-            for b in in_arrows:
-                cols = mats[b] = []
-                for _ in range(dims[b.source]):
-                    ent = dropped.get(g)
-                    if ent is None:
-                        cols.append({k: 1})
-                        k += 1
-                    else:
-                        col = {ent[j]: rational(ent[j + 1]) for j in range(2, len(ent), 2)}
-                        # each row inside the matrix, once
-                        if 2 * len(col) != len(ent) - 2 or any(type(r) is not int or not 0 <= r < rows for r in col):
-                            return None
-                        cols.append(col)
-                    g += 1
-        if e != len(entries):
-            return None  # entries at or below the source, or past the slice
+            col = {ent[j]: rational(ent[j + 1]) for j in range(2, len(ent), 2)}
+            if 2 * len(col) != len(ent) - 2 or any(type(r) is not int or r < 0 for r in col):
+                return None  # each row once
+            stored.setdefault(ent[0], {})[ent[1]] = col
+        return _walk(ctx, source, window, QQ, stored)
     except (ValueError, TypeError, ZeroDivisionError):
         return None  # unreadable, truncated or malformed: try the next record, else recompute
-    return fun
 
 
 # ---------------------------------------------------------------------------
@@ -696,6 +678,79 @@ def postcomposition_matrix(ctx: MeshContext, a: RepVertex, path: Sequence[RepArr
     fun = sweep(ctx, a, w, field)
     cols = [_push(fun, path, {i: field.one}, y)[0] for i in range(fun.dim(y))]
     return [[c.get(r, field.zero) for c in cols] for r in range(fun.dim(path[-1].target if path else y))]
+
+
+def check_configuration(q: Quiver, config: Configuration, w: Window) -> dict:
+    """Report on condition (R) and on the two left-exact mesh sequences.
+
+    For every vertex x of the window, condition (R) asks for some c in C
+    with a nonzero mesh morphism x -> c.  A vertex whose morphisms could
+    still reach a member above the window is reported "undetermined";
+    vanishing on the entire top level certifies the support was seen.
+
+    Left-exactness is checked per interior non-frozen vertex by a rank
+    computation on Hom bases: the map Hom(u,x) -> (+) Hom(u,y) over arrows
+    x -> y must be injective for every test object u (and dually).
+    """
+    ctx = MeshContext(q, "RC", config)
+    kzq = MeshContext(q, "kZQ", None)
+    rq = build_repetition(q, True, w, config)
+    nonfrozen = [v for v in rq.vertices if not v.frozen]
+    report = {"condition_R": {}, "left_exact": {}}
+
+    for x in nonfrozen:
+        found = None
+        support_hits_top = False
+        for c in nonfrozen:
+            if c.level < x.level:
+                continue
+            if not config.contains(c):
+                continue
+            if hom_dim(kzq, x, c, w) > 0:
+                found = c
+                break
+        if found is None:
+            for y in nonfrozen:
+                if y.level == w.hi and hom_dim(kzq, x, y, w) > 0:
+                    support_hits_top = True
+                    break
+        if found is not None:
+            report["condition_R"][x.key()] = {"holds": True, "witness": found.key()}
+        elif support_hits_top:
+            report["condition_R"][x.key()] = {"holds": None, "detail": "undetermined: window too small"}
+        else:
+            report["condition_R"][x.key()] = {"holds": False}
+
+    for x in nonfrozen:
+        if x.level >= w.hi:  # outgoing mesh leaves the window
+            report["left_exact"][x.key()] = {"holds": None, "detail": "undetermined: boundary vertex"}
+            continue
+        ok = True
+        outgoing = rq.out_arrows(x)
+        incoming = rq.in_arrows(x)
+        for u in rq.vertices:
+            if u.level > x.level:
+                continue
+            dom = hom_dim(ctx, u, x, w)
+            if dom == 0:
+                continue
+            rows = [r for a in outgoing for r in postcomposition_matrix(ctx, u, (a,), x, w)]
+            if mat_rank(rows, dom, QQ) != dom:
+                ok = False
+                break
+        if ok and x.level > w.lo:
+            for u in rq.vertices:
+                if u.level < x.level:
+                    continue
+                dom = hom_dim(ctx, x, u, w)
+                if dom == 0:
+                    continue
+                rows = [r for a in incoming for r in precomposition_matrix(ctx, (a,), a.source, x, u, w)]
+                if mat_rank(rows, dom, QQ) != dom:
+                    ok = False
+                    break
+        report["left_exact"][x.key()] = {"holds": ok}
+    return report
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,6 @@ from functools import cached_property
 from typing import Dict, Iterable, NamedTuple, Optional
 
 from .errors import InvalidInputError
-from .exact_linalg import QQ, mat_rank
 
 
 @dataclass(frozen=True)
@@ -503,6 +502,32 @@ class RepQuiver:
         return rel
 
 
+def relator_row(rq: RepQuiver, x: RepVertex, dims, mats):
+    """The mesh relator's block row [M(sigma b_1) | ... | M(sigma b_k)] at x, or None where none is imposed.
+
+    One sparse dict row per coordinate of tau(x); block i, for the term (sigma b_i, b_i) with
+    b_i: y_i -> x (RepQuiver.relator), takes dims[y_i] columns, and an absent matrix is zero.
+    A matrix's rows are dense lists (a representation's) or dicts of their nonzero entries (a
+    sweep's columns).  Returns (rows, width).  A sweep imposes the relator as its rows,
+    kan_right and randrep extend by its kernel, ext1_simple_into subtracts its rank, and at
+    tau^-1(x) it is the stack of the arrows out of x (is_costable).
+    """
+    rel = rq.relator(x)
+    if rel is None:
+        return None
+    rows = [{} for _ in range(dims.get(tau(x), 0))]
+    width = 0
+    for sb, b in rel.terms:
+        m = mats.get(sb)
+        if m is not None:
+            for row, r in zip(m, rows):
+                for t, c in row.items() if type(row) is dict else enumerate(row):
+                    if c:
+                        r[width + t] = c
+        width += dims.get(b.source, 0)
+    return rows, width
+
+
 # Objects shared by every caller until clear_slices(), keyed by a kind tag
 # ("slice", "category", "serre", "fiber") followed by what identifies the object:
 # a window slice, a windowed category, the Serre node map of a quiver, a fiber stage.
@@ -540,79 +565,3 @@ def clear_slices():
             release()
     _SHARED.clear()
     _ARROW_KEYS.clear()
-
-
-def check_configuration(q: Quiver, config: Configuration, w: Window) -> dict:
-    """Report on condition (R) and on the two left-exact mesh sequences.
-
-    For every vertex x of the window, condition (R) asks for some c in C
-    with a nonzero mesh morphism x -> c.  A vertex whose morphisms could
-    still reach a member above the window is reported "undetermined";
-    vanishing on the entire top level certifies the support was seen.
-
-    Left-exactness is checked per interior non-frozen vertex by a rank
-    computation on Hom bases: the map Hom(u,x) -> (+) Hom(u,y) over arrows
-    x -> y must be injective for every test object u (and dually).
-    """
-    from . import mesh_hom
-
-    ctx = mesh_hom.MeshContext(q, "RC", config)
-    kzq = mesh_hom.MeshContext(q, "kZQ", None)
-    rq = build_repetition(q, True, w, config)
-    nonfrozen = [v for v in rq.vertices if not v.frozen]
-    report = {"condition_R": {}, "left_exact": {}}
-
-    for x in nonfrozen:
-        found = None
-        support_hits_top = False
-        for c in nonfrozen:
-            if c.level < x.level:
-                continue
-            if not config.contains(c):
-                continue
-            if mesh_hom.hom_dim(kzq, x, c, w) > 0:
-                found = c
-                break
-        if found is None:
-            for y in nonfrozen:
-                if y.level == w.hi and mesh_hom.hom_dim(kzq, x, y, w) > 0:
-                    support_hits_top = True
-                    break
-        if found is not None:
-            report["condition_R"][x.key()] = {"holds": True, "witness": found.key()}
-        elif support_hits_top:
-            report["condition_R"][x.key()] = {"holds": None, "detail": "undetermined: window too small"}
-        else:
-            report["condition_R"][x.key()] = {"holds": False}
-
-    for x in nonfrozen:
-        if x.level >= w.hi:  # outgoing mesh leaves the window
-            report["left_exact"][x.key()] = {"holds": None, "detail": "undetermined: boundary vertex"}
-            continue
-        ok = True
-        outgoing = rq.out_arrows(x)
-        incoming = rq.in_arrows(x)
-        for u in rq.vertices:
-            if u.level > x.level:
-                continue
-            dom = mesh_hom.hom_dim(ctx, u, x, w)
-            if dom == 0:
-                continue
-            rows = [r for a in outgoing for r in mesh_hom.postcomposition_matrix(ctx, u, (a,), x, w)]
-            if mat_rank(rows, dom, QQ) != dom:
-                ok = False
-                break
-        if ok and x.level > w.lo:
-            for u in rq.vertices:
-                if u.level < x.level:
-                    continue
-                dom = mesh_hom.hom_dim(ctx, x, u, w)
-                if dom == 0:
-                    continue
-                rows = [r for a in incoming for r in mesh_hom.precomposition_matrix(ctx, (a,), a.source, x, u, w)]
-                if mat_rank(rows, dom, QQ) != dom:
-                    ok = False
-                    break
-        report["left_exact"][x.key()] = {"holds": ok}
-    return report
-

@@ -11,8 +11,8 @@ import random
 from typing import Dict, Optional
 
 from .exact_linalg import QQ, kernel_cols
-from .kan_strata import SModulePoint, WindowRep, relator_row, restrict
-from .quiver_core import Configuration, Quiver, RepVertex, Window, build_repetition
+from .kan_strata import SModulePoint, WindowRep, restrict
+from .quiver_core import Configuration, Quiver, RepVertex, Window, build_repetition, relator_row
 
 
 def random_window_rep(q: Quiver, window: Window, rng: random.Random,

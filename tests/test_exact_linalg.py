@@ -485,15 +485,71 @@ def test_mesh_hom_is_the_only_composition_routine():
     assert readers == COLUMN_READERS
 
 
-def _qualified_calls(tree, prefix=""):
-    """(qualified name of the enclosing functions and classes, called name) for each call in tree."""
+def _qualified_nodes(tree, prefix=""):
+    """(qualified name of the enclosing functions and classes, node) for each node in tree."""
     for node in ast.iter_child_nodes(tree):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            yield from _qualified_calls(node, prefix + node.name + ".")
+            yield from _qualified_nodes(node, prefix + node.name + ".")
             continue
-        if isinstance(node, ast.Call):
-            yield prefix.rstrip("."), _called_name(node)
-        yield from _qualified_calls(node, prefix)
+        yield prefix.rstrip("."), node
+        yield from _qualified_nodes(node, prefix)
+
+
+def _qualified_calls(tree):
+    """(qualified name of the enclosing functions and classes, called name) for each call in tree."""
+    return ((func, _called_name(node)) for func, node in _qualified_nodes(tree) if isinstance(node, ast.Call))
+
+
+def test_one_walk_builds_every_sweep_and_one_block_row_lays_out_every_relator():
+    """Every HomFunctor, computed or loaded, is built by mesh_hom._walk (a translate is one
+    through super(), and no other class derives from it), and outside the path oracle's
+    own _relator_rows only relator_row and mesh_residual read a relator's terms, so the
+    sweep, kan_right, randrep, is_costable and ext1_simple_into share one block-row layout."""
+    package = pathlib.Path(stratakit.__file__).parent
+    builders, subclasses, readers, row_callers = set(), set(), set(), set()
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        subclasses.update((path.name, node.name) for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+                          and any(isinstance(b, ast.Name) and b.id == "HomFunctor" for b in node.bases))
+        for func, node in _qualified_nodes(tree):
+            if isinstance(node, ast.Call) and _called_name(node) == "HomFunctor":
+                builders.add((path.name, func))
+            if isinstance(node, ast.Call) and _called_name(node) == "relator_row":
+                row_callers.add((path.name, func))
+            if isinstance(node, ast.Attribute) and node.attr == "terms":
+                readers.add((path.name, func))
+    assert builders == {("mesh_hom.py", "_walk")}
+    assert subclasses == {("mesh_hom.py", "_Translate")}
+    assert readers == {("quiver_core.py", "relator_row"), ("kan_strata.py", "mesh_residual"),
+                       ("mesh_hom.py", "_relator_rows")}
+    assert row_callers == {("mesh_hom.py", "_walk"), ("kan_strata.py", "kan_right"), ("randrep.py", "random_window_rep"),
+                           ("kan_strata.py", "is_costable"), ("kan_strata.py", "ext1_simple_into")}
+
+
+# The package's modules from the bottom layer up: each imports only modules before it.
+LAYERS = ["errors", "exact_linalg", "quiver_core", "mesh_hom", "dq_engine", "catmod", "kan_strata", "randrep",
+          "sing_builder", "acceptance", "cli"]
+
+
+def test_package_imports_only_point_down_the_layers():
+    """Every import of a package module, at module level or inside a function, names a
+    module below the importer in LAYERS (the package's __init__ gathers them all)."""
+    package = pathlib.Path(stratakit.__file__).parent
+    assert {p.stem for p in package.glob("*.py")} == set(LAYERS) | {"__init__"}
+    problems = []
+    for name in LAYERS:
+        path = package / f"{name}.py"
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("stratakit")):
+                base = (node.module or "").split(".")[-1] if node.module not in (None, "stratakit") else None
+                imported = [base] if base else [a.name for a in node.names]
+            elif isinstance(node, ast.Import):
+                imported = [a.name.split(".")[1] for a in node.names if a.name.startswith("stratakit.")]
+            else:
+                continue
+            problems += [f"{name}:{node.lineno} imports {m}" for m in imported
+                         if m not in LAYERS or LAYERS.index(m) >= LAYERS.index(name)]
+    assert problems == []
 
 
 # The two solves that are not induced maps: theta's inverse columns and the span test of a fiber stage.

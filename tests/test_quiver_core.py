@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from stratakit import mesh_hom, quiver_core
 from stratakit.errors import InvalidInputError
+from stratakit.mesh_hom import check_configuration
 from stratakit.quiver_core import (
     Configuration,
     QArrow,
@@ -15,7 +16,6 @@ from stratakit.quiver_core import (
     Window,
     a_n_quiver,
     build_repetition,
-    check_configuration,
     d4_quiver,
     kronecker_quiver,
     parse_arrow_key,
