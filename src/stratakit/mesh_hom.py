@@ -203,6 +203,7 @@ def _kept_paths(in_arrows, paths, kept) -> list:
 
 
 def _sweep(ctx: MeshContext, source: RepVertex, window: Window, field) -> HomFunctor:
+    """Hom(source, -) on the window, computed: the only code that eliminates a sweep."""
     return _walk(ctx, source, window, field)
 
 

@@ -425,25 +425,24 @@ def test_stabilize_quotients_only_nonfrozen_part():
     assert dict(out.dims) == dict(klr.dims)
 
 
-
 @pytest.mark.parametrize("quiver, window", [(A2, Window(0, 3)), (a_n_quiver(3), Window(0, 2))])
 def test_phi_is_additive_on_direct_sums_of_seeded_points(quiver, window):
     """Phi(N + N') = Phi(N) + Phi(N'): the direct sum of two seeded points validates, its
     dimensions add, each arrow acts by the block diagonal of the two matrices, and the
     multiplicities of phi on its restriction are the sums of the two points'."""
-    rng = random.Random(13)
+    rng, zero = random.Random(13), [QQ.zero]
     for _ in range(3):
         a, b = random_window_rep(quiver, window, rng), random_window_rep(quiver, window, rng)
         s = a.direct_sum(b)
         assert validate(s) == [] and a.mats and b.mats
         assert s.dims == {v: a.dim(v) + b.dim(v) for v in set(a.dims) | set(b.dims)}
         for arrow in s.rq.arrows:
-            zero = [QQ.zero]
             assert s.mat(arrow) == ([row + zero * b.dim(arrow.target) for row in a.mat(arrow)]
                                     + [zero * a.dim(arrow.target) + row for row in b.mat(arrow)])
         ra, rb = phi(restrict(a), window), phi(restrict(b), window)
         summed = {x: ra.mult.get(x, 0) + rb.mult.get(x, 0) for x in set(ra.mult) | set(rb.mult)}
         assert phi(restrict(s), window).mult == {x: d for x, d in summed.items() if d}
+
 
 # The intersection-of-preimages computation stabilize made before it took one
 # kernel per vertex, kept here as the reference it must reproduce.
@@ -1461,7 +1460,6 @@ def test_a_plane_stalk_over_a_large_prime_is_refused_before_any_subspace_is_made
     assert kan_strata.MAX_STALK_SUBSPACES < 1_000_006
 
 
-
 def test_a_search_over_too_many_stalk_combinations_is_refused_before_any_subspace_is_made(monkeypatch):
     """The semisimple A2 point with dimensions 3, 3 and 2 at 1'@1, 2'@2 and 1'@3 has CK stalks
     of dimensions 2, 3, 3, 3 and 5 over GF(2): 16 in all, inside the bound 64, each stalk
@@ -1476,12 +1474,13 @@ def test_a_search_over_too_many_stalk_combinations_is_refused_before_any_subspac
     monkeypatch.setattr(kan_strata, "_enumerate_subspaces", no_subspaces)
     start = time.perf_counter()
     res = fiber(M, {}, 2, w)
-    assert time.perf_counter() - start < 0.5
+    assert time.perf_counter() - start < 1.0
     assert res.nonempty is None and res.witness is None and res.attained == []
     assert res.detail == (f"the CK stalks' subspaces combine in 7659520 ways, more than the limit "
                           f"{kan_strata.MAX_STALK_SUBSPACES}")
     ck = quiver_core.shared(("fiber", id(M), 2, w), pytest.fail).ck  # the stage the call built
     assert sorted(ck.dims.values()) == [2, 3, 3, 3, 5] and ck.total_dim() <= 64
+
 
 def test_fiber_field_reduction_guard():
     u = parse_vertex("1'@1")
